@@ -27,6 +27,7 @@ from .extreal import Interval
 __all__ = [
     "Grid",
     "build_grid",
+    "sample_inset",
     "GridMin",
     "MinimizerCluster",
     "grid_minimize",
@@ -98,6 +99,11 @@ def build_grid(interval: Interval, n: int = DEFAULT_GRID_N,
     if not hi_closed:
         hi -= inset * span
     return Grid(lo, hi, n, inset)
+
+
+def sample_inset(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` uniform draws from [lo, hi] kept 1e-3 of the span off each end."""
+    return lo + (hi - lo) * (1e-3 + (1 - 2e-3) * rng.random(n))
 
 
 @dataclass(frozen=True)

@@ -13,29 +13,32 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .catalog import Instance, ProperFn
-from .errors import (AllUnboundedError, OutsideInteriorError,
-                     RangeAssumptionFailedError, UnboundedBelowError)
+from .errors import (AllUnboundedError, HypothesesUnmetError,
+                     OutsideInteriorError, UnboundedBelowError)
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, GridMin,
                        build_grid, golden_section, grid_minimize,
-                       lower_convex_envelope)
+                       lower_convex_envelope, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
     "left_prox", "right_prox", "left_env", "right_env", "prox_hull",
-    "threshold_scan", "detect_unbounded", "range_probe",
-    "euclid_crosscheck", "env_conjugate_crosscheck",
+    "threshold_scan", "detect_unbounded", "range_probe", "range_assumption",
+    "require_hypotheses", "euclid_crosscheck", "env_conjugate_crosscheck",
     "hull_function", "hull_instance",
 ]
 
 INTERIOR_MARGIN = 1e-9
+RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,10 @@ class InstanceEngine:
     """Cached grids and sample arrays for one (kernel, fn, lambda) instance."""
 
     def __init__(self, inst: Instance, grid_n: int | None = None):
-        self.inst = inst
         self.kernel = inst.kernel
         self.fn = inst.fn
         self.lam = inst.lam
-        n = grid_n or _grid_n()
+        self.grid_n = n = grid_n or _grid_n()
         dom = self.kernel.domain
         self.x_grid = build_grid(dom, n, window=self.fn.window)
         self.X = self.x_grid.points
@@ -79,6 +81,7 @@ class InstanceEngine:
         self._hull_curve = None
         self._contact_mask: np.ndarray | None = None
         self._env_memo: dict[float, float] = {}
+        self._range_fact: tuple[bool, tuple] | None = None
 
     # -- left objective ----------------------------------------------------
 
@@ -213,14 +216,17 @@ class InstanceEngine:
         return out.reshape(shape) if shape else float(out[0])
 
 
-_ENGINES: dict[tuple[int, int], InstanceEngine] = {}
+# An engine holds no reference to its instance, so it is dropped with it.
+_ENGINES: weakref.WeakKeyDictionary[Instance, InstanceEngine] = weakref.WeakKeyDictionary()
 
 
 def engine(inst: Instance) -> InstanceEngine:
-    key = (id(inst), _grid_n())
-    if key not in _ENGINES:
-        _ENGINES[key] = InstanceEngine(inst)
-    return _ENGINES[key]
+    """The instance's engine at the current grid size, rebuilt when it changes."""
+    n = _grid_n()
+    eng = _ENGINES.get(inst)
+    if eng is None or eng.grid_n != n:
+        eng = _ENGINES[inst] = InstanceEngine(inst, n)
+    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +384,7 @@ def threshold_scan(kernel: Kernel, fn: ProperFn,
 
 
 # ---------------------------------------------------------------------------
-# Range-assumption probe
+# Instance hypotheses and the range assumption
 # ---------------------------------------------------------------------------
 
 def range_probe(inst: Instance, n: int = 500, seed: int = 0,
@@ -390,16 +396,37 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0,
     """
     eng = engine(inst)
     rng = np.random.default_rng(seed)
-    lo, hi = eng.y_grid.lo, eng.y_grid.hi
-    span = hi - lo
-    ys = lo + span * (1e-3 + (1 - 2e-3) * rng.random(n))
     witnesses = []
-    for y in ys:
+    for y in sample_inset(rng, eng.y_grid.lo, eng.y_grid.hi, n):
         res = eng.prox(float(y))
         for m, ok in zip(res.minimizers, res.in_interior):
             if not ok:
                 witnesses.append((float(y), float(m)))
     return len(witnesses) == 0, witnesses
+
+
+def require_hypotheses(inst: Instance):
+    """Raise ``HypothesesUnmetError`` unless the instance meets the standing
+    hypotheses of the theorem checks and of the hull route."""
+    k = inst.kernel
+    if not k.is_legendre:
+        raise HypothesesUnmetError(f"kernel {k.name} is not Legendre")
+    if not k.is_one_coercive:
+        raise HypothesesUnmetError(f"kernel {k.name} is not 1-coercive")
+    if not inst.below_threshold:
+        raise HypothesesUnmetError("lambda not below the prox-boundedness threshold")
+
+
+def range_assumption(inst: Instance) -> tuple[bool, tuple]:
+    """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points, run once
+    per engine with a seed derived from the instance name alone.
+    """
+    eng = engine(inst)
+    if eng._range_fact is None:
+        ok, witnesses = range_probe(inst, n=RANGE_PROBE_N,
+                                    seed=zlib.crc32(inst.name.encode()))
+        eng._range_fact = (ok, tuple(witnesses))
+    return eng._range_fact
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 
 from .catalog import Instance
 from .errors import HypothesesUnmetError, RangeAssumptionFailedError
-from .numerics import golden_section
-from .proxenv import InstanceEngine, engine, range_probe
+from .numerics import golden_section, sample_inset
+from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
 
 __all__ = [
     "SubdiffSet", "TOL_CERT", "TOL_HULL", "TOL_WIDTH",
@@ -42,6 +42,8 @@ TOL_HULL = 1e-6
 TOL_WIDTH = 1e-4
 
 _PROBE_MEMBER_AT = -1e3  # corroboration probe for an unbounded lower endpoint
+
+_SPAN_CELLS = 0.5  # points this many grid cells past the hull span count as on its edge
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,6 @@ def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
 # Hull characterization
 # ---------------------------------------------------------------------------
 
-def _require_hull_hypotheses(inst: Instance):
-    k = inst.kernel
-    if not k.is_legendre:
-        raise HypothesesUnmetError(f"kernel {k.name} is not Legendre")
-    if not k.is_one_coercive:
-        raise HypothesesUnmetError(f"kernel {k.name} is not 1-coercive")
-    if not inst.below_threshold:
-        raise HypothesesUnmetError(
-            f"lambda {inst.lam} not below the prox-boundedness threshold")
-
-
 def _one_sided_slope(eng: InstanceEngine, x: float, side: str,
                      h: float = 1e-6) -> float:
     """Second-order one-sided derivative of lam f + kappa at x."""
@@ -218,12 +209,13 @@ def _side_slope(eng: InstanceEngine, curve, xbar: float, side: str) -> float:
     Near the span edge the slope is unbounded. Otherwise the adjacent grid
     point decides between a *contact* side (envelope touches the function,
     so the exact one-sided derivative of lam f + kappa is the slope) and a
-    *chord* side (the envelope segment slope is already exact).
+    *chord* side (the envelope segment slope is already exact; it is read at
+    xbar clipped to the span).
     """
     h = eng.x_grid.h
-    if side == "left" and xbar <= curve.x_min + 0.5 * h:
+    if side == "left" and xbar <= curve.x_min + _SPAN_CELLS * h:
         return -math.inf
-    if side == "right" and xbar >= curve.x_max - 0.5 * h:
+    if side == "right" and xbar >= curve.x_max - _SPAN_CELLS * h:
         return math.inf
     probe = xbar - h if side == "left" else xbar + h
     gap = _hull_gap(eng, probe)
@@ -232,7 +224,7 @@ def _side_slope(eng: InstanceEngine, curve, xbar: float, side: str) -> float:
         s = _one_sided_slope(eng, xbar, side)
         if math.isfinite(s):
             return s
-    sl, sr = curve.slopes_at(xbar, x_tol=0.25 * h)
+    sl, sr = curve.slopes_at(min(max(xbar, curve.x_min), curve.x_max), x_tol=0.25 * h)
     return sl if side == "left" else sr
 
 
@@ -258,13 +250,14 @@ def left_lpsubdiff_hull(inst: Instance, xbar: float,
     u = (s - grad kappa(xbar)) / lam, intersected with the gradient-range
     constraint when the kernel gradient is not onto.
     """
-    _require_hull_hypotheses(inst)
+    require_hypotheses(inst)
     eng = engine(inst)
     xbar = float(xbar)
     if not eng.kernel.domain.interior_contains(xbar):
         return SubdiffSet.empty()
     curve = eng.hull_curve()
-    if xbar < curve.x_min - 0.5 * eng.x_grid.h or xbar > curve.x_max + 0.5 * eng.x_grid.h:
+    tol = _SPAN_CELLS * eng.x_grid.h
+    if xbar < curve.x_min - tol or xbar > curve.x_max + tol:
         return SubdiffSet.empty()
     s_l, s_r, gap = hull_slopes(inst, xbar)
     if not gap <= tol_hull:
@@ -353,12 +346,10 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
     """
     eng = engine(inst)
     if ybar_values is None:
-        rng = np.random.default_rng(seed)
-        lo, hi = eng.y_grid.lo, eng.y_grid.hi
-        span = hi - lo
-        ybar_values = lo + span * (1e-3 + (1.0 - 2e-3) * rng.random(n))
+        ybar_values = sample_inset(np.random.default_rng(seed),
+                                   eng.y_grid.lo, eng.y_grid.hi, n)
     try:
-        _require_hull_hypotheses(inst)
+        require_hypotheses(inst)
         hull_available = True
     except HypothesesUnmetError:
         hull_available = False
@@ -418,7 +409,7 @@ class SingleValuedness:
 
 def single_valuedness_at(inst: Instance, xbar: float) -> SingleValuedness:
     """Singleton test of the hull-route subdifferential at xbar."""
-    _require_hull_hypotheses(inst)
+    require_hypotheses(inst)
     s_l, s_r, gap = hull_slopes(inst, float(xbar))
     touches = gap <= TOL_HULL
     width_u = (s_r - s_l) / inst.lam
@@ -453,11 +444,8 @@ def _critical_etas(eng: InstanceEngine, min_cells: int = 3) -> list[float]:
     """Slopes of long envelope segments: the etas where prox is set-valued."""
     curve = eng.hull_curve()
     h = eng.x_grid.h
-    out = []
-    for dx, s in zip(np.diff(curve.xs), curve.segment_slopes()):
-        if dx > min_cells * h:
-            out.append(float(s))
-    return out
+    return [float(s) for dx, s in zip(np.diff(curve.xs), curve.segment_slopes())
+            if dx > min_cells * h]
 
 
 def _cluster_sets_equal(a, b, x_tol: float, w_tol: float) -> bool:
@@ -478,7 +466,8 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
     Checks whether the envelopes and hulls differ by constants and whether
     the prox and subdifferential graphs agree on sampled points; sampling
     includes the chord slopes of both envelopes, where set-valuedness and
-    graph differences concentrate.
+    graph differences concentrate. subdiff-equal => prox-equal is asserted
+    when both instances meet their cached ``range_assumption``.
     """
     if inst_a.kernel is not inst_b.kernel or inst_a.lam != inst_b.lam:
         raise ValueError("coincidence requires the same kernel and lambda")
@@ -502,7 +491,7 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
     b_ok = same_dom and bool(np.ptp(diff_hull) <= tol)
     hull_shift = float(np.median(diff_hull)) if both.any() else math.nan
 
-    ys = list(lo + (hi - lo) * (1e-3 + (1 - 2e-3) * rng.random(n_samples)))
+    ys = list(sample_inset(rng, lo, hi, n_samples))
     if kernel.is_legendre:
         for eng in (eng_a, eng_b):
             for s in _critical_etas(eng):
@@ -533,7 +522,7 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
         if ma != mb:
             d_ok = False
             break
-    xs_probe = list(lo + (hi - lo) * (1e-3 + (1 - 2e-3) * rng.random(n_samples)))
+    xs_probe = list(sample_inset(rng, lo, hi, n_samples))
     for x in xs_probe:
         if not d_ok:
             break
@@ -554,8 +543,8 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
                 d_ok = False
                 break
 
-    probe_a, _ = range_probe(inst_a, n=120, seed=seed)
-    probe_b, _ = range_probe(inst_b, n=120, seed=seed)
+    probe_a, _ = range_assumption(inst_a)
+    probe_b, _ = range_assumption(inst_b)
     implications = (
         ("env-const => hull-const", True, (not a_ok) or b_ok),
         ("hull-const => env-const", True, (not b_ok) or a_ok),

@@ -22,8 +22,9 @@ import numpy as np
 from .catalog import Instance, ProperFn, get_instance
 from .errors import HypothesesUnmetError
 from .kernels import scale_kernel
-from .proxenv import InstanceEngine, engine, range_probe
-from .subdiff import (TOL_CERT, left_lpsubdiff_definitional,
+from .numerics import sample_inset
+from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
+from .subdiff import (TOL_CERT, _critical_etas, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
 
 __all__ = [
@@ -197,13 +198,6 @@ def _h_convexity(eng: InstanceEngine, label: str = "env-dual-convex") -> Conditi
     return _convexity_of_samples(xis, _h_values(eng, xis), TOL_CONV, label)
 
 
-def _critical_etas(eng: InstanceEngine, min_cells: int = 3) -> list[float]:
-    curve = eng.hull_curve()
-    h = eng.x_grid.h
-    return [float(s) for dx, s in zip(np.diff(curve.xs), curve.segment_slopes())
-            if dx > min_cells * h]
-
-
 def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
     lo, hi = _xi_window(eng)
     etas = list(lo + (hi - lo) * rng.random(n))
@@ -223,25 +217,9 @@ def _prox_at_etas(eng: InstanceEngine, etas):
     return out
 
 
-def _interior_sample(eng: InstanceEngine, rng, n: int, inset: float = 1e-3):
-    lo, hi = eng.y_grid.lo, eng.y_grid.hi
-    span = hi - lo
-    return lo + span * (inset + (1.0 - 2.0 * inset) * rng.random(n))
-
-
 def _finite_dom_bounds(eng: InstanceEngine) -> tuple[float, float]:
     idx = np.nonzero(np.isfinite(eng.F))[0]
     return float(eng.X[idx[0]]), float(eng.X[idx[-1]])
-
-
-def _require(inst: Instance, need_coercive: bool = True):
-    k = inst.kernel
-    if not k.is_legendre:
-        raise HypothesesUnmetError(f"kernel {k.name} is not Legendre")
-    if need_coercive and not k.is_one_coercive:
-        raise HypothesesUnmetError(f"kernel {k.name} is not 1-coercive")
-    if not inst.below_threshold:
-        raise HypothesesUnmetError("lambda not below the prox-boundedness threshold")
 
 
 def _base_report(inst: Instance, theorem: str, seed: int) -> VerifyReport:
@@ -265,7 +243,7 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     Asserts (a) <=> (b) <=> (d) => (f), and (f) => (a) when conv dom f stays
     inside the interior of the kernel domain.
     """
-    _require(inst)
+    require_hypotheses(inst)
     eng = engine(inst)
     rep = _base_report(inst, "weak-convexity", seed)
     rng = _seeded(seed, inst.name, "weak")
@@ -294,7 +272,7 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     lo_f, hi_f = _finite_dom_bounds(eng)
     f_holds, f_wit = True, ()
     if hi_f - lo_f > 0:
-        pts = lo_f + (hi_f - lo_f) * (1e-3 + (1 - 2e-3) * rng.random(60))
+        pts = sample_inset(rng, lo_f, hi_f, 60)
         pts = [p for p in pts if eng.kernel.domain.interior_contains(p)]
         for p in pts:
             if left_lpsubdiff_hull(inst, float(p)).is_empty:
@@ -322,7 +300,7 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng, n: int = 60):
     """Sampled (x, u) pairs of the hull-route subdifferential graph."""
     lo_f, hi_f = _finite_dom_bounds(eng)
-    pts = lo_f + (hi_f - lo_f) * (1e-3 + (1 - 2e-3) * rng.random(n))
+    pts = sample_inset(rng, lo_f, hi_f, n)
     pairs = []
     for p in pts:
         p = float(p)
@@ -351,17 +329,17 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     """Conditions: (a) f convex, (c) subdifferential monotone, (e) the prox
     composed with grad kappa* is firmly nonexpansive in the kernel metric.
 
-    With the range assumption verified the three are asserted equivalent;
-    when the probe fails the report degrades to monotonicity-only mode and a
-    coarse-lattice search for a non-maximality witness runs instead.
+    With the instance's cached range assumption the three are asserted
+    equivalent; when it fails the report degrades to monotonicity-only mode
+    and a coarse-lattice search for a non-maximality witness runs instead.
     """
-    _require(inst)
+    require_hypotheses(inst)
     eng = engine(inst)
     rep = _base_report(inst, "dfne", seed)
     rng = _seeded(seed, inst.name, "dfne")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV}
 
-    probe_ok, witnesses = range_probe(inst, n=250, seed=seed)
+    probe_ok, witnesses = range_assumption(inst)
     rep.hypotheses["range-assumption"] = probe_ok
     if not probe_ok:
         rep.status = "range-assumption-failed"
@@ -434,11 +412,10 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     dual upper inequality <x1-x2, xi1-xi2> <= DD*(xi1, xi2) over sampled
     pairs; asserts (a) <=> (d). When (a) holds, the gradient identity
     lam grad h = grad kappa* - prox o grad kappa* is checked against finite
-    differences of h.
+    differences of h. Requires the instance's range assumption.
     """
-    _require(inst)
-    probe_ok, _ = range_probe(inst, n=250, seed=seed)
-    if not probe_ok:
+    require_hypotheses(inst)
+    if not range_assumption(inst)[0]:
         raise HypothesesUnmetError("range assumption failed")
     eng = engine(inst)
     rep = _base_report(inst, "env-convexity", seed)
@@ -493,13 +470,12 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 
 def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
     """Dual cocoercivity inequality for h on sampled pairs; asserted exactly
-    when h is convex, and requires the kernel domain to be the whole line.
+    when h is convex. Requires a whole-line kernel domain and the range assumption.
     """
-    _require(inst)
+    require_hypotheses(inst)
     if not inst.kernel.domain.is_all_reals:
         raise HypothesesUnmetError("kernel domain is not the whole line")
-    probe_ok, _ = range_probe(inst, n=250, seed=seed)
-    if not probe_ok:
+    if not range_assumption(inst)[0]:
         raise HypothesesUnmetError("range assumption failed")
     eng = engine(inst)
     rep = _base_report(inst, "bcoco", seed)
@@ -572,7 +548,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     (iii) boundary values of f agree with interior limits at closed endpoints.
     Asserts (i) => (ii) and (ii) and (iii) => (i).
     """
-    _require(inst)
+    require_hypotheses(inst)
     eng = engine(inst)
     if not np.isfinite(eng.F).all():
         raise HypothesesUnmetError("f is not real-valued on the kernel domain")
@@ -590,7 +566,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     span = hi - lo
     pts = sorted(set(
-        list(lo + span * (1e-3 + (1 - 2e-3) * rng.random(20)))
+        list(sample_inset(rng, lo, hi, 20))
         + [lo + span * q for q in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]))
     h_fd = 1e-6 * max(1.0, span)
     i_holds, i_worst, i_wit = True, math.inf, ()
@@ -648,11 +624,10 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     """Sandwich DD(x1,x2) <= <x1-x2, xi1-xi2> <= DD*(xi1,xi2) over sampled
     pairs, equivalent to f and its dual envelope both being convex; with a
     full-line kernel domain the anisotropic strong-convexity inequality of
-    lam f + kappa joins the equivalence.
+    lam f + kappa joins the equivalence. Requires the range assumption.
     """
-    _require(inst)
-    probe_ok, _ = range_probe(inst, n=250, seed=seed)
-    if not probe_ok:
+    require_hypotheses(inst)
+    if not range_assumption(inst)[0]:
         raise HypothesesUnmetError("range assumption failed")
     eng = engine(inst)
     rep = _base_report(inst, "two-sided", seed)
@@ -737,7 +712,7 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     L-strongly convex, the dual envelope must be convex and the prox
     single-valued with sampled Lipschitz ratio at most 1/L.
     """
-    _require(inst)
+    require_hypotheses(inst)
     L = inst.kernel.grad_lipschitz
     if L is None:
         raise HypothesesUnmetError(

@@ -170,3 +170,15 @@ def test_grid_size_env_override(capsys, monkeypatch):
     from bregmanprox.catalog import get_instance
     eng = pe.engine(get_instance("euclid_zero"))
     assert len(eng.X) == 301
+
+
+def test_curve_subdiff_near_hull_span_at_fine_grid(capsys, monkeypatch):
+    # at N = 4001 this grid puts x = -1.69e-4 within half a cell left of
+    # ex411's hull span, which starts at 0
+    monkeypatch.setenv("BREGMAN_GRID_N", "4001")
+    code, out, err = run_cli(capsys, "curve", "--instance", "ex411", "--what",
+                             "subdiff-lo", "--grid",
+                             "-0.9182275909293078:0.9178894622808002:7")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert header == ["x", "subdiff-lo"] and len(rows) == 7

@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from bregmanprox import proxenv
 from bregmanprox.catalog import F_ZERO, Instance, get_instance
 from bregmanprox.errors import OutsideInteriorError
 from bregmanprox.extreal import Interval
@@ -271,3 +273,18 @@ def test_prox_interior_flags():
     res = left_prox(get_instance("ex411"), 0.9)
     assert res.minimizers[0] == pytest.approx(1.0, abs=1e-6)
     assert res.in_interior == (False,)
+
+
+# -- engine registry ------------------------------------------------------------
+
+def test_engine_registry_drops_engines_of_dead_instances():
+    from bregmanprox.verify import check_bsmooth
+    inst = get_instance("hell_halfk")
+    check_bsmooth(inst, seed=0)  # the instance's own engine now exists
+    gc.collect()
+    before = len(proxenv._ENGINES)
+    # each call builds engines for two throwaway +f / -f instances
+    for seed in range(20):
+        check_bsmooth(inst, seed=seed)
+    gc.collect()
+    assert len(proxenv._ENGINES) == before

@@ -175,6 +175,18 @@ def test_single_valuedness_empty_branch():
     assert sv.equivalence_consistent
 
 
+def test_hull_route_accepts_points_just_outside_span():
+    # the hull route admits x up to half a cell past the hull span; ex411's
+    # span starts at 0, where f becomes finite
+    inst = get_instance("ex411")
+    eng = engine(inst)
+    x_min, h = eng.hull_curve().x_min, eng.x_grid.h
+    for frac in (0.3, 0.375, 0.45):
+        x = x_min - frac * h
+        assert left_lpsubdiff_hull(inst, x).is_empty
+        assert single_valuedness_at(inst, x).empty
+
+
 # -- coincidence ------------------------------------------------------------------------
 
 def test_coincidence_additive_constant():

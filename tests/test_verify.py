@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from bregmanprox import proxenv
 from bregmanprox.catalog import Instance, get_instance
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
@@ -242,3 +244,24 @@ def test_run_suite_euclid_classical_equivalences():
     assert by_theorem["weak-convexity"].condition("a-weakly-convex").holds
     assert by_theorem["dfne"].condition("e-dfne").holds
     assert by_theorem["env-convexity"].condition("a-h-convex").holds
+
+
+def test_range_assumption_probed_once_per_instance(monkeypatch):
+    inst = dataclasses.replace(get_instance("euclid_abs"))  # no engine cached yet
+    probes = []
+    real_probe = proxenv.range_probe
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(proxenv, "range_probe", counted)
+    for _, check in ALL_CHECKS:
+        try:
+            check(inst, seed=11)
+        except HypothesesUnmetError:
+            pass
+    assert len(probes) == 1
+    facts = [check_dfne(inst, seed=s).hypotheses["range-assumption"] for s in (1, 2)]
+    assert facts[0] == facts[1]
+    assert len(probes) == 1
