@@ -7,8 +7,8 @@ equivalence theorems on concrete instances.
 
 from .extreal import ExtReal, Interval, NEG_INF, POS_INF
 from .numerics import (Grid, HullCurve, build_grid, finite_diff_grad,
-                       golden_section, grid_minimize, lower_convex_envelope,
-                       monotone_invert, second_difference_convexity_test)
+                       grid_minimize, lower_convex_envelope, monotone_invert,
+                       second_difference_convexity_test)
 from .kernels import (ALL_KERNELS, BURG, CUBIC_ABS, ENERGY, HELLINGER,
                       LEGENDRE_KERNELS, QUARTIC, SHANNON, Kernel,
                       bregman_distance, dual_distance, scale_kernel,

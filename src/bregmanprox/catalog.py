@@ -16,7 +16,7 @@ import numpy as np
 from .errors import UnknownInstanceError
 from .extreal import ExtReal, Interval
 from .kernels import (BURG, CUBIC_ABS, ENERGY, HELLINGER, QUARTIC, SHANNON,
-                      Kernel)
+                      Kernel, _coerce, _masked)
 
 __all__ = ["ProperFn", "Instance", "get_instance", "instance_names",
            "shift_scale", "F_ZERO", "F_ABS"]
@@ -42,14 +42,10 @@ class ProperFn:
     pb_threshold: float | None = None
 
     def eval(self, x) -> ExtReal:
-        with np.errstate(all="ignore"):
-            v = float(self.eval_arr(np.asarray(float(x))))
-        return ExtReal(math.inf if math.isnan(v) else v)
+        return ExtReal(float(_coerce(self.eval_arr, float(x))))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            v = np.asarray(self.eval_arr(np.asarray(xs, dtype=float)), dtype=float)
-        return np.where(np.isnan(v), np.inf, v)
+        return _coerce(self.eval_arr, xs)
 
     def __repr__(self):
         return f"ProperFn({self.name})"
@@ -81,17 +77,7 @@ class Instance:
 
 
 def _fn(name, domain, formula, window, deriv=None, convex=None, threshold=None):
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= domain.lo) & (x <= domain.hi)
-        if not domain.lo_closed:
-            inside &= x > domain.lo
-        if not domain.hi_closed:
-            inside &= x < domain.hi
-        safe = np.where(inside, x, np.clip(x, domain.lo, domain.hi))
-        return np.where(inside, formula(safe), np.inf)
-
-    return ProperFn(name, domain, ev, window, deriv, convex, threshold)
+    return ProperFn(name, domain, _masked(domain, formula), window, deriv, convex, threshold)
 
 
 F_ZERO = _fn("zero", Interval.reals(), lambda x: np.zeros_like(x),

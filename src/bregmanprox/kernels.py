@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotLegendreError, OutsideInteriorError
 from .extreal import ExtReal, Interval
-from .numerics import build_grid, golden_section, monotone_invert
+from .numerics import build_grid, monotone_invert, refine_best
 
 __all__ = [
     "Kernel",
@@ -52,14 +52,8 @@ class Kernel:
     sample_window: tuple[float, float]
     grad_lipschitz: float | None = None
 
-    def _scalar(self, fn, x) -> ExtReal:
-        with np.errstate(all="ignore"):
-            v = fn(np.asarray(float(x)))
-        v = float(v)
-        return ExtReal(math.inf if math.isnan(v) else v)
-
     def eval(self, x) -> ExtReal:
-        return self._scalar(self.eval_arr, x)
+        return ExtReal(float(_coerce(self.eval_arr, float(x))))
 
     def grad(self, x) -> float:
         if not self.domain.interior_contains(float(x)):
@@ -68,7 +62,7 @@ class Kernel:
             return float(self.grad_arr(np.asarray(float(x))))
 
     def conj_eval(self, eta) -> ExtReal:
-        return self._scalar(self.conj_arr, eta)
+        return ExtReal(float(_coerce(self.conj_arr, float(eta))))
 
     def grad_conj(self, eta) -> float:
         if not self.conj_domain.interior_contains(float(eta)):
@@ -77,9 +71,7 @@ class Kernel:
             return float(self.grad_conj_arr(np.asarray(float(eta))))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            v = self.eval_arr(np.asarray(xs, dtype=float))
-        return np.where(np.isnan(v), np.inf, v)
+        return _coerce(self.eval_arr, xs)
 
     def grad_many(self, xs: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -89,19 +81,26 @@ class Kernel:
         return f"Kernel({self.name})"
 
 
+def _coerce(fn, xs) -> np.ndarray:
+    """``fn`` on a float array, with NaN read as +inf: the one NaN policy of
+    kernels and catalog functions."""
+    with np.errstate(all="ignore"):
+        v = np.asarray(fn(np.asarray(xs, dtype=float)), dtype=float)
+    return np.where(np.isnan(v), np.inf, v)
+
+
 def _masked(domain: Interval, formula):
     """Vectorized evaluation that is +inf outside ``domain``."""
 
+    above = np.greater_equal if domain.lo_closed else np.greater
+    below = np.less_equal if domain.hi_closed else np.less
+
     def ev(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= domain.lo) & (x <= domain.hi)
-        if not domain.lo_closed:
-            inside &= x > domain.lo
-        if not domain.hi_closed:
-            inside &= x < domain.hi
-        safe = np.where(inside, x, np.clip(x, domain.lo, domain.hi))
-        v = formula(safe)
-        return np.where(inside, v, np.inf)
+        inside = above(x, domain.lo) & below(x, domain.hi)
+        # the formula sees clipped points only; inside points are unchanged
+        safe = np.minimum(np.maximum(x, domain.lo), domain.hi)
+        return np.where(inside, formula(safe), np.inf)
 
     return ev
 
@@ -287,14 +286,12 @@ def conjugate_by_grid(k: Kernel, eta: float, n: int = 4001) -> float:
 
     Independent of the closed-form conjugates; used to cross-check them.
     """
-    grid = build_grid(k.domain, n=n, window=k.sample_window)
-    xs = grid.points
-    vals = float(eta) * xs - k.eval_many(xs)
-    j = int(np.nanargmax(np.where(np.isfinite(vals), vals, -np.inf)))
-    a = xs[max(j - 1, 0)]
-    b = xs[min(j + 1, len(xs) - 1)]
-    x_ref, neg_v = golden_section(lambda x: -(float(eta) * x - float(k.eval(x))), a, b)
-    return -neg_v
+    xs = build_grid(k.domain, n=n, window=k.sample_window).points
+
+    def neg(x):
+        return -(float(eta) * x - k.eval_many(x))
+
+    return -refine_best(neg, xs, neg(xs))[1]
 
 
 def grad_conj_by_inversion(k: Kernel, eta: float) -> float:

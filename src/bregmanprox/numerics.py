@@ -2,9 +2,10 @@
 convex envelopes, monotone inversion, finite differences, and a grid convexity
 test.
 
-All routines are pure functions of their inputs. Objectives are scalar
-callables returning extended reals (+inf marks points outside a domain);
-the helpers never form inf - inf because only +inf-valued terms are added.
+All routines are pure functions of their inputs. Objectives are array
+functions of x returning extended reals (+inf marks points outside a
+domain); the helpers never form inf - inf because only +inf-valued terms are
+added. The root finder and the finite difference stay scalar.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ __all__ = [
     "GridMin",
     "MinimizerCluster",
     "grid_minimize",
-    "golden_section",
+    "refine",
+    "refine_best",
     "HullCurve",
     "lower_convex_envelope",
     "monotone_invert",
@@ -40,14 +42,16 @@ __all__ = [
 ]
 
 # Defaults pinned by the build contract: 1D problems are cheap, so a dense
-# grid plus golden-section refinement reaches ~1e-10 on smooth pieces.
+# grid plus bracket refinement reaches ~1e-10 on smooth pieces.
 DEFAULT_GRID_N = 2001
-DEFAULT_REFINE_ITERS = 60
 DEFAULT_TOL_TIE = 1e-7
 DEFAULT_UNBOUNDED_CAP = 1e12
 DEFAULT_BOUNDARY_INSET = 1e-9
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket refinement: samples per bracket per round (each round keeps two of
+# 16 cells, shrinking the bracket 8-fold) and the most rounds run.
+ZOOM_POINTS = 17
+ZOOM_ROUNDS = 14
+_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -128,136 +132,149 @@ class GridMin:
         return [c.x for c in self.clusters]
 
 
-def golden_section(phi: Callable[[float], float], a: float, b: float,
-                   iters: int = DEFAULT_REFINE_ITERS) -> tuple[float, float]:
-    """Golden-section minimization on [a, b]; returns the best point seen.
+def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
+    """Minimize ``phi`` on every bracket [a_k, b_k] at once; returns the best
+    point seen and its value per bracket, as arrays.
 
-    Tolerates +inf values of ``phi`` inside the bracket (comparisons still
-    order correctly), so brackets may straddle the edge of a domain.
+    Each round samples ``ZOOM_POINTS`` evenly spaced points in every open
+    bracket and keeps the two cells around the best one; a bracket closes
+    once it is narrower than 1e-15 relative, and at most ``ZOOM_ROUNDS``
+    rounds run. A parabolic polish then sharpens smooth interior minimizers,
+    which value comparisons only locate to about sqrt(eps) in x: a step is
+    accepted only when it does not increase the value, so kinks and boundary
+    minimizers are left in place. +inf values inside a bracket are tolerated,
+    so brackets may straddle the edge of a domain.
+
+    ``phi`` is an array function of a 1-D x. With ``rows`` (one row index
+    per bracket) it is called as ``phi(x, r)``, where ``r`` gives the row of
+    each point of x. Brackets never interact: each one gets the same result
+    as when refined alone.
     """
-    best_x, best_v = a, phi(a)
-    vb = phi(b)
-    if vb < best_v:
-        best_x, best_v = b, vb
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = phi(c), phi(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = phi(c)
-            if fc < best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = phi(d)
-            if fd < best_v:
-                best_x, best_v = d, fd
-        if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
-            break
-    return best_x, float(best_v)
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
 
+    def ev(sel, x):
+        """phi on the (brackets, points) array x of the brackets ``sel``."""
+        flat = x.ravel()
+        v = phi(flat) if rows is None else phi(flat, np.repeat(rows[sel], x.shape[1]))
+        return np.asarray(v, dtype=float).reshape(x.shape)
 
-def parabolic_polish(phi: Callable[[float], float], x: float, v: float,
-                     a: float, b: float, rounds: int = 2) -> tuple[float, float]:
-    """Sharpen a smooth interior minimizer by parabolic interpolation.
+    x_best, v_best = a.copy(), np.full_like(a, np.inf)
+    # the open brackets, and their ends and best points
+    live, lo, hi = np.arange(a.size), a.copy(), b.copy()
+    bx, bv = x_best.copy(), v_best.copy()
+    for _ in range(ZOOM_ROUNDS):
+        x = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+        x[:, -1] = hi
+        v = ev(live, x)
+        j = np.arange(live.size)
+        k = v.argmin(axis=1)
+        better = v[j, k] < bv
+        bx = np.where(better, x[j, k], bx)
+        bv = np.where(better, v[j, k], bv)
+        x_best[live], v_best[live] = bx, bv
+        lo, hi = x[j, np.maximum(k - 1, 0)], x[j, np.minimum(k + 1, ZOOM_POINTS - 1)]
+        keep = hi - lo > 1e-15 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        if not keep.all():
+            live, lo, hi, bx, bv = live[keep], lo[keep], hi[keep], bx[keep], bv[keep]
+            if not live.size:
+                break
 
-    Golden section is only sqrt(eps)-accurate in x because it compares nearly
-    equal values; one or two parabola fits through a small stencil recover
-    near-machine accuracy. Kinks and boundary minimizers are left untouched
-    (the step is accepted only when it does not increase the value).
-    """
-    h = 1e-6 * max(1.0, abs(x))
-    for _ in range(rounds):
-        x1, x2 = x - h, x + h
-        if x1 <= a or x2 >= b:
+    # parabolic polish on a shrinking stencil, two rounds
+    x, v = x_best, v_best
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    live = np.arange(a.size)
+    for _ in range(2):
+        live = live[(x[live] - h[live] > a[live]) & (x[live] + h[live] < b[live])]
+        if not live.size:
             break
-        v1, v2 = phi(x1), phi(x2)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
+        xl, hl, vl = x[live], h[live], v[live]
+        st = ev(live, np.stack([xl - hl, xl + hl], axis=1))
+        # a parabola needs finite values and positive curvature
+        ok = np.isfinite(st).all(axis=1) & np.isfinite(vl)
+        ok[ok] = st[ok, 0] - 2.0 * vl[ok] + st[ok, 1] > 0.0
+        live, xl, hl, vl, v1, v2 = live[ok], xl[ok], hl[ok], vl[ok], st[ok, 0], st[ok, 1]
+        if not live.size:
             break
-        denom = v1 - 2.0 * v + v2
-        if denom <= 0.0:
-            break
-        xn = x + 0.5 * (v1 - v2) / denom * h
-        xn = min(max(xn, a), b)
-        vn = phi(xn)
+        xn = np.clip(xl + 0.5 * (v1 - v2) / (v1 - 2.0 * vl + v2) * hl, a[live], b[live])
+        vn = ev(live, xn[:, None])[:, 0]
         # near the minimum the true improvement is below float resolution of
         # the values; accept within rounding
-        if vn <= v + 1e-14 * max(1.0, abs(v)):
-            x, v = xn, min(float(vn), v)
-        h *= 0.3
+        take = vn <= vl + 1e-14 * np.maximum(1.0, np.abs(vl))
+        x[live[take]] = xn[take]
+        v[live[take]] = np.minimum(vn, vl)[take]
+        h[live] *= 0.3
     return x, v
 
 
-def _tie_runs(idx: np.ndarray) -> list[tuple[int, int]]:
-    """Group sorted indices into maximal runs of consecutive integers."""
-    runs = []
-    start = prev = int(idx[0])
-    for i in idx[1:]:
-        i = int(i)
-        if i == prev + 1:
-            prev = i
-            continue
-        runs.append((start, prev))
-        start = prev = i
-    runs.append((start, prev))
-    return runs
+def refine_best(phi: Callable, xs: np.ndarray, values: np.ndarray):
+    """``refine`` on the two cells around the best finite sample of ``phi``
+    on ``xs`` (``values``); returns (x, value) as floats."""
+    j = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
+    x, v = refine(phi, xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])
+    return float(x[0]), float(v[0])
 
 
-def grid_minimize(phi: Callable[[float], float], grid: Grid,
-                  refine_iters: int = DEFAULT_REFINE_ITERS,
+def grid_minimize(phi: Callable, grid: Grid,
                   values: np.ndarray | None = None,
                   tol_tie: float = DEFAULT_TOL_TIE,
-                  cap: float = DEFAULT_UNBOUNDED_CAP) -> GridMin:
+                  cap: float = DEFAULT_UNBOUNDED_CAP):
     """Global minimization of ``phi`` over ``grid`` with set-valued detection.
 
     The coarse grid locates every cell within ``tol_tie`` of the minimum;
-    each contiguous run of such cells is refined by golden section on its
-    bracketing interval. ``multiple`` is set when at least two refined basins
-    remain within ``tol_tie`` of each other, which is how set-valued proximal
-    mappings are observed at grid resolution.
+    each contiguous run of such cells is refined on its bracketing interval,
+    all runs in one ``refine`` call. ``multiple`` is set when at least two
+    refined basins remain within ``tol_tie`` of each other, which is how
+    set-valued proximal mappings are observed at grid resolution.
 
-    ``values`` may carry precomputed ``phi`` samples on ``grid.points`` (the
-    vectorized fast path used by the envelope cache).
+    ``phi`` is an array function of x; ``values`` may carry its samples on
+    ``grid.points``. A 2-D ``values`` is a block of objectives, one per row:
+    ``phi`` is then called as ``phi(x, rows)`` (see ``refine``) and a list
+    with one ``GridMin`` per row is returned.
 
-    Raises ``AllInfiniteError`` if no sample is finite, ``UnboundedBelowError``
-    if a refined value falls below ``-cap``.
+    Raises ``AllInfiniteError`` if no sample of a row is finite,
+    ``UnboundedBelowError`` if a value falls below ``-cap``.
     """
     xs = grid.points
     if values is None:
-        values = np.fromiter((phi(x) for x in xs), dtype=float, count=len(xs))
+        values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
+    block = np.ndim(values) == 2
+    values = np.atleast_2d(values)
     finite = np.isfinite(values)
-    if not finite.any():
+    if not finite.any(axis=1).all():
         raise AllInfiniteError("objective is +inf at every grid sample")
-    vmin = values[finite].min()
-    if vmin < -cap:
-        raise UnboundedBelowError(f"grid objective reached {vmin:.3e}")
-    tie_idx = np.nonzero(values <= vmin + tol_tie)[0]
-    clusters = []
-    for i0, i1 in _tie_runs(tie_idx):
-        a = xs[max(i0 - 1, 0)]
-        b = xs[min(i1 + 1, len(xs) - 1)]
-        x_ref, v_ref = golden_section(phi, float(a), float(b), refine_iters)
-        x_ref, v_ref = parabolic_polish(phi, float(x_ref), v_ref, float(a), float(b))
-        if v_ref < -cap:
-            raise UnboundedBelowError(f"refined objective reached {v_ref:.3e}")
-        clusters.append(MinimizerCluster(float(x_ref), v_ref, float(xs[i0]), float(xs[i1])))
-    best = min(c.value for c in clusters)
-    clusters = [c for c in clusters if c.value <= best + tol_tie]
-    # Distinct grid basins can refine into the same point; merge those.
-    merged: list[MinimizerCluster] = []
-    for c in sorted(clusters, key=lambda c: c.x):
-        if merged and abs(c.x - merged[-1].x) <= 1e-9 * max(1.0, abs(c.x)):
-            last = merged[-1]
-            keep = c if c.value < last.value else last
-            merged[-1] = MinimizerCluster(keep.x, keep.value,
-                                          min(last.x_lo, c.x_lo), max(last.x_hi, c.x_hi))
-        else:
-            merged.append(c)
-    winner = min(merged, key=lambda c: c.value)
-    return GridMin(winner.x, winner.value, len(merged) > 1, tuple(merged))
+    vmin = np.where(finite, values, np.inf).min(axis=1)
+    if vmin.min() < -cap:
+        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
+    tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
+    edge = np.diff(tie, axis=1, prepend=0, append=0)
+    row, i0 = np.nonzero(edge == 1)
+    i1 = np.nonzero(edge == -1)[1] - 1
+    a = xs[np.maximum(i0 - 1, 0)]
+    b = xs[np.minimum(i1 + 1, len(xs) - 1)]
+    x_ref, v_ref = refine(phi, a, b, row if block else None)
+    if v_ref.min() < -cap:
+        raise UnboundedBelowError(f"refined objective reached {v_ref.min():.3e}")
+    out = []
+    for r in range(values.shape[0]):
+        clusters = [MinimizerCluster(float(x_ref[k]), float(v_ref[k]),
+                                     float(xs[i0[k]]), float(xs[i1[k]]))
+                    for k in np.nonzero(row == r)[0]]
+        best = min(c.value for c in clusters)
+        clusters = [c for c in clusters if c.value <= best + tol_tie]
+        # Distinct grid basins can refine into the same point; merge those.
+        merged: list[MinimizerCluster] = []
+        for c in sorted(clusters, key=lambda c: c.x):
+            if merged and abs(c.x - merged[-1].x) <= 1e-9 * max(1.0, abs(c.x)):
+                last = merged[-1]
+                keep = c if c.value < last.value else last
+                merged[-1] = MinimizerCluster(keep.x, keep.value,
+                                              min(last.x_lo, c.x_lo), max(last.x_hi, c.x_hi))
+            else:
+                merged.append(c)
+        winner = min(merged, key=lambda c: c.value)
+        out.append(GridMin(winner.x, winner.value, len(merged) > 1, tuple(merged)))
+    return out if block else out[0]
 
 
 @dataclass(frozen=True)

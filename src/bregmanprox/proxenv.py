@@ -3,9 +3,10 @@ prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
 values, kernel values, kernel gradients) so that each prox evaluation is one
-vectorized objective build plus a golden-section refinement. The envelope is
-additionally cached on the interior grid, since the proximal hull is a
-supremum of envelope evaluations.
+vectorized objective build plus one batched bracket refinement. Every
+objective is one array function of x, used for the grid samples and for the
+refinement alike. The envelope is additionally cached on the interior grid,
+since the proximal hull is a supremum of envelope evaluations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import os
 import weakref
 import zlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .errors import (AllUnboundedError, HypothesesUnmetError,
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, GridMin,
-                       build_grid, golden_section, grid_minimize,
-                       lower_convex_envelope, sample_inset)
+                       build_grid, grid_minimize, lower_convex_envelope,
+                       refine_best, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
@@ -83,23 +83,47 @@ class InstanceEngine:
         self._env_memo: dict[float, float] = {}
         self._range_fact: tuple[bool, tuple] | None = None
 
+    # -- sample access ----------------------------------------------------
+
+    def fk(self, x):
+        """(f, kappa) at x, read from the grid caches when x is the x grid."""
+        if x is self.X:
+            return self.F, self.K
+        return self.fn.eval_many(x), self.kernel.eval_many(x)
+
+    def kg(self, y):
+        """(kappa, grad kappa) at interior y, cached when y is the y grid."""
+        if y is self.Y:
+            return self.KY, self.GY
+        return self.kernel.eval_many(y), self.kernel.grad_many(y)
+
+    def tilted(self, x):
+        """(lam f + kappa)(x), vectorized."""
+        fx, kx = self.fk(x)
+        return self.lam * fx + kx
+
     # -- left objective ----------------------------------------------------
+
+    def _left_rows(self, ys):
+        """f + D(., y)/lam for a block of ybar rows: the array function
+        ``phi(x, rows)`` and its samples on the x grid, one row per ybar."""
+        ys = np.asarray(ys, dtype=float)
+        ky, gy = self.kg(ys)
+
+        def phi(x, rows):
+            fx, kx = self.fk(x)
+            return fx + (kx - ky[rows] - gy[rows] * (x - ys[rows])) / self.lam
+
+        return phi, phi(self.X, np.arange(ys.size)[:, None])
+
+    def _solve(self, ys) -> list[GridMin]:
+        phi, vals = self._left_rows(ys)
+        return grid_minimize(phi, self.x_grid, values=vals)
 
     def left_values(self, ybar: float) -> np.ndarray:
         """f + D(., ybar)/lam sampled on the x grid (vectorized)."""
-        ky = float(self.kernel.eval(ybar))
-        gy = self.kernel.grad(ybar)
-        return self.F + (self.K - ky - gy * (self.X - ybar)) / self.lam
-
-    def left_objective(self, ybar: float) -> Callable[[float], float]:
-        ky = float(self.kernel.eval(ybar))
-        gy = self.kernel.grad(ybar)
-        f, k, lam = self.fn.eval, self.kernel.eval, self.lam
-
-        def phi(x: float) -> float:
-            return float(f(x)) + (float(k(x)) - ky - gy * (x - ybar)) / lam
-
-        return phi
+        self.check_interior(ybar)
+        return self._left_rows([ybar])[1][0]
 
     def check_interior(self, ybar: float):
         if not self.kernel.domain.interior_contains(float(ybar)):
@@ -108,9 +132,7 @@ class InstanceEngine:
 
     def prox(self, ybar: float) -> ProxResult:
         self.check_interior(ybar)
-        gm = grid_minimize(self.left_objective(ybar), self.x_grid,
-                           values=self.left_values(ybar))
-        return self._to_result(gm)
+        return self._to_result(self._solve([ybar])[0])
 
     def _to_result(self, gm: GridMin) -> ProxResult:
         interior = tuple(self.kernel.domain.interior_contains(m, INTERIOR_MARGIN)
@@ -118,13 +140,23 @@ class InstanceEngine:
         return ProxResult(tuple(gm.minimizers), ExtReal(gm.value), interior, gm.clusters)
 
     def env(self, ybar: float) -> float:
+        """Envelope at one ybar, memoized; the memo is emptied once it holds
+        ``grid_n`` values."""
         y = float(ybar)
-        if y not in self._env_memo:
+        memo = self._env_memo
+        if y not in memo:
             self.check_interior(y)
-            gm = grid_minimize(self.left_objective(y), self.x_grid,
-                               values=self.left_values(y))
-            self._env_memo[y] = gm.value
-        return self._env_memo[y]
+            if len(memo) >= self.grid_n:
+                memo.clear()
+            memo[y] = self._solve([y])[0].value
+        return memo[y]
+
+    def env_many(self, ys) -> np.ndarray:
+        """Envelope at a block of interior ybar, solved as one block of rows."""
+        ys = np.asarray(ys, dtype=float)
+        for y in ys:
+            self.check_interior(y)
+        return np.array([gm.value for gm in self._solve(ys)])
 
     # -- envelope cache on the interior grid --------------------------------
 
@@ -132,10 +164,8 @@ class InstanceEngine:
         """Grid-resolution envelope on the interior grid (no refinement)."""
         if self._env_coarse is None:
             # objective matrix: rows ybar in Y, columns x in X
-            D = (self.K[None, :] - self.KY[:, None]
-                 - self.GY[:, None] * (self.X[None, :] - self.Y[:, None]))
-            vals = self.F[None, :] + D / self.lam
-            vals = np.where(np.isnan(vals), np.inf, vals)
+            vals = self._left_rows(self.Y)[1]
+            vals[np.isnan(vals)] = np.inf
             env = vals.min(axis=1)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
                 raise UnboundedBelowError("envelope cache fell below the cap")
@@ -144,56 +174,35 @@ class InstanceEngine:
 
     # -- right objective ----------------------------------------------------
 
-    def right_values(self, g_vals: np.ndarray, xbar: float) -> np.ndarray:
-        kx = float(self.kernel.eval(xbar))
-        if math.isinf(kx):
-            return np.full_like(self.Y, np.inf)
-        D = kx - self.KY - self.GY * (xbar - self.Y)
-        return g_vals + D / self.lam
-
-    def right_objective(self, g_scalar, xbar: float) -> Callable[[float], float]:
-        kx = float(self.kernel.eval(xbar))
-        k, lam = self.kernel, self.lam
-
-        def psi(y: float) -> float:
-            if not k.domain.interior_contains(y):
-                return math.inf
-            d = kx - float(k.eval(y)) - k.grad(y) * (xbar - y)
-            return float(g_scalar(y)) + d / lam
-
-        return psi
-
     def right_prox(self, xbar: float) -> ProxResult:
         if not self.kernel.domain.contains(float(xbar)):
             raise OutsideInteriorError(f"{xbar} not in dom {self.kernel.name}")
-        g_vals = self.fn.eval_many(self.Y)
-        gm = grid_minimize(self.right_objective(self.fn.eval, xbar), self.y_grid,
-                           values=self.right_values(g_vals, xbar))
-        return self._to_result(gm)
+        kx = float(self.kernel.eval(xbar))
+
+        def psi(y):
+            ky, gy = self.kg(y)
+            return self.fn.eval_many(y) + (kx - ky - gy * (xbar - y)) / self.lam
+
+        return self._to_result(grid_minimize(psi, self.y_grid))
 
     # -- hull curve of lam*f + kappa -----------------------------------------
 
     def hull_curve(self):
         """Lower convex envelope of (lam f + kappa) sampled on the x grid."""
         if self._hull_curve is None:
-            phi = self.lam * self.F + self.K
-            self._hull_curve = lower_convex_envelope(zip(self.X, phi))
+            self._hull_curve = lower_convex_envelope(zip(self.X, self.tilted(self.X)))
         return self._hull_curve
 
     def hull_contact_mask(self) -> np.ndarray:
         """Grid points where the envelope touches lam f + kappa."""
         if self._contact_mask is None:
-            phi = self.lam * self.F + self.K
+            phi = self.tilted(self.X)
             curve = np.asarray(self.hull_curve().value(self.X), dtype=float)
             both = np.isfinite(phi) & np.isfinite(curve)
             gap = np.full_like(phi, np.inf)
             gap[both] = phi[both] - curve[both]
             self._contact_mask = gap <= 1e-8 * (1.0 + np.abs(np.where(both, phi, 0.0)))
         return self._contact_mask
-
-    def phi_scalar(self, x: float) -> float:
-        """(lam f + kappa)(x)."""
-        return self.lam * float(self.fn.eval(x)) + float(self.kernel.eval(x))
 
     def hull_fn_value(self, x):
         """Geometric-route proximal hull: (conv(lam f + kappa) - kappa) / lam.
@@ -261,22 +270,18 @@ def prox_hull(inst: Instance, x: float) -> ExtReal:
     eng = engine(inst)
     if not eng.kernel.domain.contains(float(x)):
         return ExtReal(math.inf)
-    env = eng.env_coarse()
     kx = float(eng.kernel.eval(x))
     if math.isinf(kx):
         return ExtReal(math.inf)
-    D = kx - eng.KY - eng.GY * (x - eng.Y)
-    psi = env - D / eng.lam
-    j = int(np.argmax(np.where(np.isfinite(psi), psi, -np.inf)))
-    a = eng.Y[max(j - 1, 0)]
-    b = eng.Y[min(j + 1, len(eng.Y) - 1)]
 
-    def neg_psi(y: float) -> float:
-        d = kx - float(eng.kernel.eval(y)) - eng.kernel.grad(y) * (x - y)
-        return -(eng.env(y) - d / eng.lam)
+    def neg_psi(y):
+        # the y grid reads the grid-resolution envelope; each refinement
+        # round solves its sampled envelopes as one block of rows
+        env = eng.env_coarse() if y is eng.Y else eng.env_many(y)
+        ky, gy = eng.kg(y)
+        return -(env - (kx - ky - gy * (x - y)) / eng.lam)
 
-    _, neg_v = golden_section(neg_psi, a, b, iters=50)
-    return ExtReal(-neg_v)
+    return ExtReal(-refine_best(neg_psi, eng.Y, neg_psi(eng.Y))[1])
 
 
 def hull_function(inst: Instance) -> ProperFn:
@@ -328,25 +333,18 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
     probe_fn = dataclasses.replace(fn, pb_threshold=None)
     inst = Instance(f"_scan_{fn.name}_{lam:g}", kernel, probe_fn, lam)
     eng = InstanceEngine(inst, grid_n=513)
-    try:
-        vals = eng.left_values(probe_y)
-    except OutsideInteriorError:
-        raise
+    eng.check_interior(probe_y)
+    phi, vals = eng._left_rows([probe_y])
     finite = vals[np.isfinite(vals)]
     if finite.size and finite.min() < -cap:
         return True
-    phi = eng.left_objective(probe_y)
     for side in ("lo", "hi"):
-        ts = _tail_points(side, kernel.domain, fn.window)
-        tail = []
-        for t in ts:
-            try:
-                v = phi(t)
-            except (OverflowError, OutsideInteriorError):
-                break
-            if not math.isfinite(v):
-                break
-            tail.append(v)
+        ts = np.array(_tail_points(side, kernel.domain, fn.window))
+        # far tails overflow; the tail ends at its first non-finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = phi(ts, 0)
+        stop = ~np.isfinite(tail)
+        tail = list(tail[:int(np.argmax(stop)) if stop.any() else tail.size])
         if len(tail) >= 8:
             drops = [b < a for a, b in zip(tail, tail[1:])]
             if all(drops) and tail[-1] < tail[0] - 1.0:
@@ -455,36 +453,24 @@ def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
     z = eng.kernel.grad(ybar)
     lam = eng.lam
     grid = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window)
-    xs = grid.points
-    shifted = (eng.fn.eval_many(xs)
-               + (eng.kernel.eval_many(xs) - 0.5 * np.square(xs)) / lam)
-    vals = shifted + 0.5 * np.square(xs - z) / lam
 
-    def psi(w: float) -> float:
-        return (float(eng.fn.eval(w))
-                + (float(eng.kernel.eval(w)) - 0.5 * w * w) / lam
-                + 0.5 * (w - z) ** 2 / lam)
+    def psi(w):
+        shifted = eng.fn.eval_many(w) + (eng.kernel.eval_many(w) - 0.5 * np.square(w)) / lam
+        return shifted + 0.5 * np.square(w - z) / lam
 
-    gm = grid_minimize(psi, grid, values=vals)
+    gm = grid_minimize(psi, grid)
     return _hausdorff(left.minimizers, gm.minimizers)
 
 
 def conjugate_of_tilted(inst: Instance, eta: float, grid_n: int = 4001) -> float:
     """(lam f + kappa)*(eta) by independent grid conjugation with refinement."""
     eng = engine(inst)
-    grid = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window)
-    xs = grid.points
-    phi = eng.lam * eng.fn.eval_many(xs) + eng.kernel.eval_many(xs)
-    vals = float(eta) * xs - phi
-    j = int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))
-    a = xs[max(j - 1, 0)]
-    b = xs[min(j + 1, len(xs) - 1)]
+    xs = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window).points
 
-    def neg(x: float) -> float:
-        return -(float(eta) * x - eng.phi_scalar(x))
+    def neg(x):
+        return -(float(eta) * x - eng.tilted(x))
 
-    _, neg_v = golden_section(neg, a, b)
-    return -neg_v
+    return -refine_best(neg, xs, neg(xs))[1]
 
 
 def env_conjugate_crosscheck(inst: Instance, ybar: float) -> float:

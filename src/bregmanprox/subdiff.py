@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import Instance
 from .errors import HypothesesUnmetError, RangeAssumptionFailedError
-from .numerics import golden_section, sample_inset
+from .numerics import refine_best, sample_inset
 from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
 
 __all__ = [
@@ -95,18 +95,17 @@ class SubdiffSet:
 # Definitional certificates
 # ---------------------------------------------------------------------------
 
-def _refined_min_slack(eng: InstanceEngine, slack_vals: np.ndarray,
-                       slack_scalar) -> tuple[float, float]:
-    xs = eng.X
-    finite = np.isfinite(slack_vals)
+def _refined_min_slack(slack, xs: np.ndarray) -> tuple[float, float]:
+    """(worst slack, witness) of the array function ``slack`` over ``xs``,
+    refined around the worst sample."""
+    vals = slack(xs)
+    finite = np.isfinite(vals)
     if not finite.any():
         return math.inf, math.nan
-    j = int(np.argmin(np.where(finite, slack_vals, np.inf)))
-    a = float(xs[max(j - 1, 0)])
-    b = float(xs[min(j + 1, len(xs) - 1)])
-    x_ref, v_ref = golden_section(slack_scalar, a, b, iters=40)
-    if slack_vals[j] < v_ref:
-        x_ref, v_ref = float(xs[j]), float(slack_vals[j])
+    x_ref, v_ref = refine_best(slack, xs, vals)
+    j = int(np.argmin(np.where(finite, vals, np.inf)))
+    if vals[j] < v_ref:
+        x_ref, v_ref = float(xs[j]), float(vals[j])
     return v_ref, x_ref
 
 
@@ -128,15 +127,13 @@ def left_lpsubdiff_definitional(inst: Instance, xbar: float, u: float,
         return False, -math.inf, xbar
     kxbar = float(eng.kernel.eval(xbar))
     gxbar = eng.kernel.grad(xbar)
-    lam = eng.lam
-    dx = eng.X - xbar
-    slack = eng.F - fxbar - u * dx + (eng.K - kxbar - gxbar * dx) / lam
 
-    def slack_scalar(x: float) -> float:
-        d = float(eng.kernel.eval(x)) - kxbar - gxbar * (x - xbar)
-        return float(eng.fn.eval(x)) - fxbar - u * (x - xbar) + d / lam
+    def slack(x):
+        fx, kx = eng.fk(x)
+        dx = x - xbar
+        return fx - fxbar - u * dx + (kx - kxbar - gxbar * dx) / eng.lam
 
-    worst, witness = _refined_min_slack(eng, slack, slack_scalar)
+    worst, witness = _refined_min_slack(slack, eng.X)
     return worst >= -tol, worst, witness
 
 
@@ -155,29 +152,14 @@ def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
         return False, -math.inf, ybar
     kybar = float(eng.kernel.eval(ybar))
     grad_ybar = eng.kernel.grad(ybar)
-    lam = eng.lam
-    G = eng.fn.eval_many(eng.Y)
-    D = kybar - eng.KY - eng.GY * (ybar - eng.Y)
-    slack = G - gybar - v * (eng.GY - grad_ybar) + D / lam
 
-    finite = np.isfinite(slack)
-    if not finite.any():
-        return True, math.inf, math.nan
-    j = int(np.argmin(np.where(finite, slack, np.inf)))
-    a = float(eng.Y[max(j - 1, 0)])
-    b = float(eng.Y[min(j + 1, len(eng.Y) - 1)])
-
-    def slack_scalar(y: float) -> float:
-        if not eng.kernel.domain.interior_contains(y):
-            return math.inf
-        ky, gy = float(eng.kernel.eval(y)), eng.kernel.grad(y)
+    def slack(y):
+        ky, gy = eng.kg(y)
         d = kybar - ky - gy * (ybar - y)
-        return float(eng.fn.eval(y)) - gybar - v * (gy - grad_ybar) + d / lam
+        return eng.fn.eval_many(y) - gybar - v * (gy - grad_ybar) + d / eng.lam
 
-    y_ref, worst = golden_section(slack_scalar, a, b, iters=40)
-    if slack[j] < worst:
-        y_ref, worst = float(eng.Y[j]), float(slack[j])
-    return worst >= -tol, worst, y_ref
+    worst, witness = _refined_min_slack(slack, eng.Y)
+    return worst >= -tol, worst, witness
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +169,9 @@ def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
 def _one_sided_slope(eng: InstanceEngine, x: float, side: str,
                      h: float = 1e-6) -> float:
     """Second-order one-sided derivative of lam f + kappa at x."""
-    phi = eng.phi_scalar
     sgn = -1.0 if side == "left" else 1.0
     for step in (h, h * 1e-2):
-        v0 = phi(x)
-        v1 = phi(x + sgn * step)
-        v2 = phi(x + 2.0 * sgn * step)
+        v0, v1, v2 = map(float, eng.tilted(x + sgn * step * np.arange(3.0)))
         if all(map(math.isfinite, (v0, v1, v2))):
             return sgn * (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * step)
     return math.nan
@@ -200,7 +179,7 @@ def _one_sided_slope(eng: InstanceEngine, x: float, side: str,
 
 def _hull_gap(eng: InstanceEngine, x: float) -> float:
     """(lam f + kappa)(x) minus the lower convex envelope at x."""
-    return eng.phi_scalar(x) - float(eng.hull_curve().value(x))
+    return float(eng.tilted(x)) - float(eng.hull_curve().value(x))
 
 
 def _side_slope(eng: InstanceEngine, curve, xbar: float, side: str) -> float:
@@ -219,7 +198,7 @@ def _side_slope(eng: InstanceEngine, curve, xbar: float, side: str) -> float:
         return math.inf
     probe = xbar - h if side == "left" else xbar + h
     gap = _hull_gap(eng, probe)
-    tol_contact = 1e-8 * (1.0 + abs(eng.phi_scalar(probe))) + 1e-12
+    tol_contact = 1e-8 * (1.0 + abs(float(eng.tilted(probe)))) + 1e-12
     if math.isfinite(gap) and gap <= max(tol_contact, TOL_HULL):
         s = _one_sided_slope(eng, xbar, side)
         if math.isfinite(s):
@@ -313,16 +292,14 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float,
     if not math.isfinite(fx):
         return False
     h = 1e-5
-    kdd = abs(eng.phi_scalar(xbar + h) - 2.0 * eng.phi_scalar(xbar)
-              + eng.phi_scalar(xbar - h)) / h ** 2
+    vp, v0, vm = map(float, eng.tilted(xbar + h * np.array([1.0, 0.0, -1.0])))
+    kdd = abs(vp - 2.0 * v0 + vm) / h ** 2
     c = 10.0 * (1.0 + kdd) / eng.lam
     for r in radii:
         ts = np.linspace(-r, r, 41)
-        worst = math.inf
-        for t in ts:
-            fv = float(eng.fn.eval(xbar + t))
-            if math.isfinite(fv):
-                worst = min(worst, fv - fx - u * t)
+        fv = eng.fn.eval_many(xbar + ts)
+        finite = np.isfinite(fv)
+        worst = float((fv[finite] - fx - u * ts[finite]).min()) if finite.any() else math.inf
         if worst < -(c * r * r + 1e-9):
             return False
     return True

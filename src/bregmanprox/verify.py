@@ -35,7 +35,7 @@ __all__ = [
     "reports_to_json",
 ]
 
-# Monotonicity / pair-inequality slack: golden-section minimizers are only
+# Monotonicity / pair-inequality slack: refined minimizers are only
 # sqrt(eps)-accurate in x, so pair products carry ~1e-7 noise on unit windows;
 # genuine violations in the catalog are orders of magnitude larger.
 TOL_MONO = 1e-6
@@ -684,16 +684,16 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
     for sampled gradient pairs (xbar, v) of phi = lam f + kappa."""
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random(25))
-    phi_vals = eng.lam * eng.F + eng.K
+    phi_vals = eng.tilted(eng.X)
     h_fd = 1e-6 * max(1.0, hi - lo)
+    grads = (eng.tilted(pts + h_fd) - eng.tilted(pts - h_fd)) / (2 * h_fd)
     worst, wit = math.inf, ()
-    for p in map(float, pts):
-        v = (eng.phi_scalar(p + h_fd) - eng.phi_scalar(p - h_fd)) / (2 * h_fd)
+    for p, v, phi_p in zip(map(float, pts), map(float, grads), map(float, eng.tilted(pts))):
         if not eng.kernel.grad_range.contains(v):
             continue
         ref = eng.kernel.grad_conj(v)
         shift = eng.kernel.eval_many(eng.X - p + ref) - float(eng.kernel.eval(ref))
-        slack = phi_vals - eng.phi_scalar(p) - shift
+        slack = phi_vals - phi_p - shift
         finite = np.isfinite(slack)
         if not finite.any():
             continue

@@ -47,9 +47,24 @@ def test_minimize_two_basins_tie():
     assert abs(res.minimizers[1] - 0.5) < 1e-7
 
 
+def test_double_well_refinement_work_is_pinned():
+    # both tie runs are refined in the same calls: at most 14 zoom rounds
+    # plus the parabolic polish, however many basins there are
+    g = Grid(-1.0, 1.0, 2001)
+    calls = []
+
+    def phi(x):
+        calls.append(np.shape(x))
+        return (x * x - 0.25) ** 2
+
+    res = grid_minimize(phi, g, values=(g.points ** 2 - 0.25) ** 2)
+    assert len(res.minimizers) == 2
+    assert len(calls) <= 20
+
+
 def test_minimize_convex_matches_finer_scan():
     # refined value within tolerance of a 10x finer exhaustive scan
-    phi = lambda x: math.cosh(x) + 0.3 * x
+    phi = lambda x: np.cosh(x) + 0.3 * x
     res = grid_minimize(phi, Grid(-2.0, 2.0, 501))
     fine = np.linspace(-2.0, 2.0, 5001)
     oracle = min(phi(float(x)) for x in fine)

@@ -123,6 +123,28 @@ def test_env_is_infimum_bound():
         assert (vals >= e - 1e-9).all()
 
 
+def test_env_memo_is_bounded_by_grid_size():
+    eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=65)
+    ys = np.linspace(-7.0, 7.0, 200)
+    first = eng.env(float(ys[3]))
+    for y in ys:
+        eng.env(float(y))
+    assert len(eng._env_memo) <= 65
+    assert eng.env(float(ys[3])) == first
+
+
+@pytest.mark.parametrize("name, ys", [
+    ("ex419", (-1.3, -0.2, 0.5, 1.1)),
+    ("ex411", (0.3, 2.0 ** -0.5, 0.9)),  # prox {0, 1} at 1/sqrt(2)
+])
+def test_batched_env_equals_env_bit_for_bit(name, ys):
+    eng = engine(get_instance(name))
+    batched = eng.env_many(np.array(ys))
+    assert [float(v) for v in batched] == [eng.env(y) for y in ys]
+    if name == "ex411":
+        assert eng.prox(2.0 ** -0.5).multiple
+
+
 def test_env_decreases_in_lambda():
     f = get_instance("euclid_abs").fn
     a = Instance("abs_l1", ENERGY, f, 1.0)
