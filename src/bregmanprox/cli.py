@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import get_instance, instance_names
 from .errors import HypothesesUnmetError, UnknownInstanceError
 from .kernels import BURG
-from .proxenv import engine, left_prox, range_probe, threshold_scan
+from .proxenv import engine, range_probe, threshold_scan
 from .subdiff import left_lpsubdiff_hull, monotone_related
 from .verify import reports_to_json, run_suite
 
@@ -51,28 +51,28 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _column(inst, what: str, x: float) -> float:
+def _column(inst, what: str, xs: list[float]) -> list[float]:
+    """One CSV column at every x; env, prox and h_lambda are solved as one
+    block each, env and prox at the interior points only."""
     eng = engine(inst)
     if what == "f":
-        return float(inst.fn.eval(x))
-    if what == "env":
-        if not inst.kernel.domain.interior_contains(x):
-            return math.inf
-        return eng.env(x)
+        return [float(inst.fn.eval(x)) for x in xs]
+    if what in ("env", "prox"):
+        mask = [inst.kernel.domain.interior_contains(x) for x in xs]
+        inside = [x for x, m in zip(xs, mask) if m]
+        if what == "env":
+            vals, fill = iter(eng.env_many(inside).tolist()), math.inf
+        else:
+            vals, fill = (min(r.minimizers) for r in eng.prox_many(inside)), math.nan
+        return [next(vals) if m else fill for m in mask]
     if what == "hull":
-        return float(eng.hull_fn_value(x))
-    if what == "prox":
-        if not inst.kernel.domain.interior_contains(x):
-            return math.nan
-        return min(eng.prox(x).minimizers)
+        return [float(eng.hull_fn_value(x)) for x in xs]
     if what in ("subdiff-lo", "subdiff-hi"):
-        s = left_lpsubdiff_hull(inst, x)
-        if s.is_empty:
-            return math.nan
-        return s.lo if what == "subdiff-lo" else s.hi
+        sets = [left_lpsubdiff_hull(inst, x) for x in xs]
+        return [math.nan if s.is_empty else s.lo if what == "subdiff-lo" else s.hi
+                for s in sets]
     if what == "h_lambda":
-        y = inst.kernel.grad_conj(x)
-        return eng.env(y)
+        return eng.env_many([inst.kernel.grad_conj(x) for x in xs]).tolist()
     raise ValueError(f"unknown quantity {what!r}")
 
 
@@ -92,10 +92,9 @@ def cmd_curve(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    rows = []
+    xs = xs.tolist()
     try:
-        for x in map(float, xs):
-            rows.append([x] + [_column(inst, w, x) for w in what])
+        rows = list(zip(xs, *[_column(inst, w, xs) for w in what]))
     except HypothesesUnmetError as exc:
         print(f"hypotheses unmet for requested column: {exc}", file=sys.stderr)
         return 2
@@ -153,11 +152,8 @@ def _reproduce_411() -> bool:
                        f"hi = {_fmt(s.hi)}")
     ok &= _report_line("lower endpoint flagged unbounded",
                        (not s.is_empty) and math.isinf(s.lo), f"lo = {_fmt(s.lo)}")
-    rng = np.random.default_rng(0)
-    outputs = set()
-    for y in -0.999 + 1.998 * rng.random(60):
-        for m in left_prox(inst, float(y)).minimizers:
-            outputs.add(round(m, 6))
+    ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
+    outputs = {round(m, 6) for res in engine(inst).prox_many(ys) for m in res.minimizers}
     near0 = any(abs(m) <= 1e-4 for m in outputs)
     near1 = any(abs(m - 1.0) <= 1e-4 for m in outputs)
     only01 = all(abs(m) <= 1e-4 or abs(m - 1.0) <= 1e-4 for m in outputs)
@@ -174,9 +170,9 @@ def _reproduce_411() -> bool:
 def _reproduce_envelope(name: str, closed_form, label: str) -> bool:
     inst = get_instance(name)
     eng = engine(inst)
-    xis = np.linspace(-3.0, 3.0, 241)
-    worst = max(abs(eng.env(inst.kernel.grad_conj(float(xi))) - closed_form(float(xi)))
-                for xi in xis)
+    xis = np.linspace(-3.0, 3.0, 241).tolist()
+    hs = eng.env_many([inst.kernel.grad_conj(xi) for xi in xis]).tolist()
+    worst = max(abs(h - closed_form(xi)) for xi, h in zip(xis, hs))
     return _report_line(label, worst <= 1e-4, f"max |h - closed form| = {worst:.3e}")
 
 

@@ -243,11 +243,12 @@ def grid_minimize(phi: Callable, grid: Grid,
     finite = np.isfinite(values)
     if not finite.any(axis=1).all():
         raise AllInfiniteError("objective is +inf at every grid sample")
-    vmin = np.where(finite, values, np.inf).min(axis=1)
+    vmin = values.min(axis=1, where=finite, initial=np.inf)
     if vmin.min() < -cap:
         raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
+    # int8 throughout: a block of rows allocates no float-sized temporaries here
     tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
-    edge = np.diff(tie, axis=1, prepend=0, append=0)
+    edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
     row, i0 = np.nonzero(edge == 1)
     i1 = np.nonzero(edge == -1)[1] - 1
     a = xs[np.maximum(i0 - 1, 0)]

@@ -2,11 +2,16 @@
 prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
-values, kernel values, kernel gradients) so that each prox evaluation is one
-vectorized objective build plus one batched bracket refinement. Every
+values, kernel values, kernel gradients). Prox and envelope queries are
+solved in blocks of rows, one ybar per row: each block is one vectorized
+objective build plus one batched bracket refinement, with at least
+``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
+grid samples, and a row gets the same bits in a block as alone
+(``prox_many``, ``env_many``; ``prox`` and ``env`` are one-row calls). Every
 objective is one array function of x, used for the grid samples and for the
-refinement alike. The envelope is additionally cached on the interior grid,
-since the proximal hull is a supremum of envelope evaluations.
+refinement alike. Envelope values are memoized per engine (``env_many``
+reads and fills the memo), and the envelope is additionally cached on the
+interior grid, since the proximal hull is a supremum of envelope evaluations.
 """
 
 from __future__ import annotations
@@ -21,13 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Instance, ProperFn
-from .errors import (AllUnboundedError, HypothesesUnmetError,
+from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
                      OutsideInteriorError, UnboundedBelowError)
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
-from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, GridMin,
-                       build_grid, grid_minimize, lower_convex_envelope,
-                       refine_best, sample_inset)
+from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
+                       GridMin, build_grid, grid_minimize,
+                       lower_convex_envelope, refine_best, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
@@ -39,6 +44,9 @@ __all__ = [
 
 INTERIOR_MARGIN = 1e-9
 RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
+# Grid samples per solved block of queries (rows x grid points), above the
+# floor of ZOOM_POINTS rows that keeps a prox_hull refinement round in one block.
+BLOCK_SAMPLES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -111,12 +119,39 @@ class InstanceEngine:
         ky, gy = self.kg(ys)
 
         def phi(x, rows):
+            # in place, so a block of rows holds two (rows x points) arrays
             fx, kx = self.fk(x)
-            return fx + (kx - ky[rows] - gy[rows] * (x - ys[rows])) / self.lam
+            lin = x - ys[rows]
+            lin *= gy[rows]
+            out = kx - ky[rows]
+            out -= lin
+            out /= self.lam
+            out += fx
+            return out
 
         return phi, phi(self.X, np.arange(ys.size)[:, None])
 
     def _solve(self, ys) -> list[GridMin]:
+        """The left subproblem at each interior ybar, solved in blocks of
+        ``max(ZOOM_POINTS, BLOCK_SAMPLES // grid_n)`` rows."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        step = max(ZOOM_POINTS, BLOCK_SAMPLES // self.grid_n)
+        out: list[GridMin] = []
+        for i in range(0, ys.size, step):
+            block = ys[i:i + step]
+            try:
+                out += self._solve_block(block)
+            except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
+                # a failing row fails alone too: raise what the first failing
+                # row raises, as a loop of single queries would
+                for j in range(block.size - 1):
+                    self._solve_block(block[j:j + 1])
+                raise
+        return out
+
+    def _solve_block(self, ys: np.ndarray) -> list[GridMin]:
+        for y in ys.tolist():
+            self.check_interior(y)
         phi, vals = self._left_rows(ys)
         return grid_minimize(phi, self.x_grid, values=vals)
 
@@ -131,8 +166,11 @@ class InstanceEngine:
                 f"{ybar} not interior to dom {self.kernel.name}")
 
     def prox(self, ybar: float) -> ProxResult:
-        self.check_interior(ybar)
-        return self._to_result(self._solve([ybar])[0])
+        return self.prox_many([ybar])[0]
+
+    def prox_many(self, ys) -> list[ProxResult]:
+        """``prox`` at each interior ybar of ``ys``, solved in blocks of rows."""
+        return [self._to_result(gm) for gm in self._solve(ys)]
 
     def _to_result(self, gm: GridMin) -> ProxResult:
         interior = tuple(self.kernel.domain.interior_contains(m, INTERIOR_MARGIN)
@@ -140,23 +178,27 @@ class InstanceEngine:
         return ProxResult(tuple(gm.minimizers), ExtReal(gm.value), interior, gm.clusters)
 
     def env(self, ybar: float) -> float:
-        """Envelope at one ybar, memoized; the memo is emptied once it holds
-        ``grid_n`` values."""
-        y = float(ybar)
-        memo = self._env_memo
-        if y not in memo:
-            self.check_interior(y)
-            if len(memo) >= self.grid_n:
-                memo.clear()
-            memo[y] = self._solve([y])[0].value
-        return memo[y]
+        """Envelope at one ybar (see ``env_many``)."""
+        return float(self.env_many([ybar])[0])
 
     def env_many(self, ys) -> np.ndarray:
-        """Envelope at a block of interior ybar, solved as one block of rows."""
-        ys = np.asarray(ys, dtype=float)
-        for y in ys:
-            self.check_interior(y)
-        return np.array([gm.value for gm in self._solve(ys)])
+        """Envelope at each interior ybar of ``ys``, memoized.
+
+        Values in the memo are read first; the other points are solved once
+        each, in blocks of rows, and stored. The memo is emptied whenever
+        storing them would take it past ``grid_n`` values.
+        """
+        keys = np.atleast_1d(np.asarray(ys, dtype=float)).tolist()
+        memo = self._env_memo
+        out = [memo.get(y) for y in keys]
+        miss = list(dict.fromkeys(y for y, v in zip(keys, out) if v is None))
+        if miss:
+            solved = dict(zip(miss, (gm.value for gm in self._solve(miss))))
+            out = [solved[y] if v is None else v for y, v in zip(keys, out)]
+            if len(memo) + len(solved) > self.grid_n:
+                memo.clear()
+            memo.update(list(solved.items())[:self.grid_n])
+        return np.array(out, dtype=float)
 
     # -- envelope cache on the interior grid --------------------------------
 
@@ -393,13 +435,12 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0,
     landed on or beyond the boundary. Empirically falsifiable, not certifiable.
     """
     eng = engine(inst)
-    rng = np.random.default_rng(seed)
+    ys = sample_inset(np.random.default_rng(seed), eng.y_grid.lo, eng.y_grid.hi, n)
     witnesses = []
-    for y in sample_inset(rng, eng.y_grid.lo, eng.y_grid.hi, n):
-        res = eng.prox(float(y))
+    for y, res in zip(ys.tolist(), eng.prox_many(ys)):
         for m, ok in zip(res.minimizers, res.in_interior):
             if not ok:
-                witnesses.append((float(y), float(m)))
+                witnesses.append((y, float(m)))
     return len(witnesses) == 0, witnesses
 
 

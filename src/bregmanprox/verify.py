@@ -188,7 +188,7 @@ def _xi_window(eng: InstanceEngine) -> tuple[float, float]:
 
 
 def _h_values(eng: InstanceEngine, xis: np.ndarray) -> np.ndarray:
-    return np.array([eng.env(eng.kernel.grad_conj(float(x))) for x in xis])
+    return eng.env_many([eng.kernel.grad_conj(float(x)) for x in xis])
 
 
 def _h_convexity(eng: InstanceEngine, label: str = "env-dual-convex") -> Condition:
@@ -209,12 +209,10 @@ def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
 
 
 def _prox_at_etas(eng: InstanceEngine, etas):
-    out = []
-    for e in etas:
-        y = eng.kernel.grad_conj(float(e))
-        if eng.kernel.domain.interior_contains(y):
-            out.append((float(e), eng.prox(y)))
-    return out
+    """(eta, prox at grad kappa*(eta)) for the etas whose point is interior."""
+    pairs = [(float(e), eng.kernel.grad_conj(float(e))) for e in etas]
+    pairs = [(e, y) for e, y in pairs if eng.kernel.domain.interior_contains(y)]
+    return list(zip([e for e, _ in pairs], eng.prox_many([y for _, y in pairs])))
 
 
 def _finite_dom_bounds(eng: InstanceEngine) -> tuple[float, float]:
@@ -450,14 +448,15 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 
     if a.holds:
         lo, hi = _xi_window(eng)
-        xis = lo + (hi - lo) * rng.random(40)
+        xis = (lo + (hi - lo) * rng.random(40)).tolist()
         delta = 1e-5
+        gcj = eng.kernel.grad_conj
+        env_p = eng.env_many([gcj(xi + delta) for xi in xis]).tolist()
+        env_m = eng.env_many([gcj(xi - delta) for xi in xis]).tolist()
+        ys = [gcj(xi) for xi in xis]
         worst, wit = 0.0, ()
-        for xi in map(float, xis):
-            fd = (eng.env(eng.kernel.grad_conj(xi + delta))
-                  - eng.env(eng.kernel.grad_conj(xi - delta))) / (2 * delta)
-            y = eng.kernel.grad_conj(xi)
-            res = eng.prox(y)
+        for xi, y, ep, em, res in zip(xis, ys, env_p, env_m, eng.prox_many(ys)):
+            fd = (ep - em) / (2 * delta)
             ident = (y - res.minimizers[0]) / eng.lam
             err = abs(eng.lam * fd - eng.lam * ident)
             if err > worst:
@@ -486,15 +485,11 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
 
     lo, hi = _xi_window(eng)
     xis = np.asarray(lo + (hi - lo) * rng.random(100), dtype=float)
-    h_vals = _h_values(eng, xis)
     gc = np.array([eng.kernel.grad_conj(float(x)) for x in xis])
-    prox_pts = np.empty_like(xis)
-    single = True
-    for i, x in enumerate(xis):
-        res = eng.prox(eng.kernel.grad_conj(float(x)))
-        prox_pts[i] = res.minimizers[0]
-        if res.multiple:
-            single = False
+    h_vals = eng.env_many(gc)
+    proxes = eng.prox_many(gc)
+    prox_pts = np.array([res.minimizers[0] for res in proxes])
+    single = not any(res.multiple for res in proxes)
     grad_h = (gc - prox_pts) / eng.lam
 
     holds, worst, wit = True, math.inf, ()

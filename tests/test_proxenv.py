@@ -145,6 +145,78 @@ def test_batched_env_equals_env_bit_for_bit(name, ys):
         assert eng.prox(2.0 ** -0.5).multiple
 
 
+def _bits(res):
+    """Every float of a ProxResult, as exact hex strings."""
+    floats = (res.minimizers + (float(res.value),)
+              + tuple(v for c in res.clusters for v in (c.x, c.value, c.x_lo, c.x_hi)))
+    return tuple(float(v).hex() for v in floats), res.in_interior
+
+
+@pytest.mark.parametrize("name, ys", [
+    ("ex419", np.linspace(-1.3, 1.3, 40)),
+    ("ex411", np.append(np.linspace(-0.95, 0.95, 39), 2.0 ** -0.5)),
+])
+def test_prox_many_equals_prox_bit_for_bit(name, ys):
+    # 40 points at N = 2001 make three blocks (17 + 17 + 6 rows)
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
+    many = eng.prox_many(ys)
+    assert [_bits(r) for r in many] == [_bits(eng.prox(float(y))) for y in ys]
+    if name == "ex411":
+        assert many[-1].multiple  # prox {0, 1} at 1/sqrt(2)
+
+
+def _count_grid_minimize(monkeypatch):
+    calls = []
+    real = proxenv.grid_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(proxenv, "grid_minimize", counted)
+    return calls
+
+
+def test_range_probe_solves_in_blocks(monkeypatch):
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    inst = get_instance("hell_halfk")
+    calls = _count_grid_minimize(monkeypatch)
+    proxenv.range_probe(inst, n=250, seed=3)
+    assert len(calls) <= 15  # ceil(250 / 17) blocks
+
+
+def test_prox_many_memory_is_bounded_by_blocks():
+    import tracemalloc
+    eng = proxenv.InstanceEngine(get_instance("ex419"), grid_n=2001)
+    ys = np.linspace(-1.3, 1.3, 250)
+    eng.prox(0.1)  # warm the lazily built parts
+    tracemalloc.start()
+    try:
+        eng.prox_many(ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked 250-row block needs 4 MB for each objective array
+    assert peak <= 2 * 2 ** 20
+
+
+def test_env_many_reads_and_fills_the_memo():
+    eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001)
+    first = eng.env_many([0.5, -1.0, 0.5])
+    assert first[0] == first[2] and len(eng._env_memo) == 2
+    assert eng.env_many([-1.0, 2.0]).tolist() == [first[1], eng.env(2.0)]
+    assert len(eng._env_memo) == 3
+
+
+def test_repeated_prox_hull_reads_the_memo(monkeypatch):
+    inst = get_instance("ex310")
+    engine(inst)._env_memo.clear()
+    first = prox_hull(inst, -0.4)
+    calls = _count_grid_minimize(monkeypatch)
+    assert prox_hull(inst, -0.4) == first
+    assert not calls
+
+
 def test_env_decreases_in_lambda():
     f = get_instance("euclid_abs").fn
     a = Instance("abs_l1", ENERGY, f, 1.0)

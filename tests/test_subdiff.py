@@ -110,8 +110,10 @@ def test_right_consistency_with_left_prox():
     def neg_env(ys):
         shape = np.shape(ys)
         ys1 = np.atleast_1d(np.asarray(ys, dtype=float))
-        out = np.array([-eng.env(float(y)) if eng.kernel.domain.interior_contains(float(y))
-                        else math.inf for y in ys1])
+        inside = np.array([eng.kernel.domain.interior_contains(float(y)) for y in ys1],
+                          dtype=bool)
+        out = np.full(ys1.shape, math.inf)
+        out[inside] = -eng.env_many(ys1[inside])
         return out.reshape(shape) if shape else float(out[0])
 
     g = ProperFn("neg_env_419", Interval.reals(), lambda x: neg_env(x),
