@@ -53,13 +53,12 @@ class ProperFn:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A kernel / function / lambda triple with expected-property tags."""
+    """A kernel / function / lambda triple."""
 
     name: str
     kernel: Kernel
     fn: ProperFn
     lam: float
-    tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -187,38 +186,19 @@ def _register(inst: Instance):
     return inst
 
 
-_register(Instance("ex310", HELLINGER, _F_EX310, 1.0,
-                   frozenset({"nonconvex", "hull-gap"})))
-_register(Instance("ex411", HELLINGER, _F_EX411, 2.0,
-                   frozenset({"nonconvex", "hull-gap", "nonmax-witness"})))
-_register(Instance("ex_ln", BURG, _F_LN, 0.5,
-                   frozenset({"finite-threshold"})))
-_register(Instance("ex419", QUARTIC, _F_EX419, 1.0,
-                   frozenset({"nonconvex", "env-convex", "range-assumption-holds"})))
-_register(Instance("ex420", CUBIC_ABS, _F_LINEAR, 1.0,
-                   frozenset({"convex", "env-nonconvex", "range-assumption-holds"})))
-_register(Instance("bsmooth_counter", HELLINGER, _F_BSMOOTH, 1.0,
-                   frozenset({"boundary-mismatch"})))
-_register(Instance("euclid_abs", ENERGY, F_ABS, 1.0,
-                   frozenset({"convex", "weakly-convex", "range-assumption-holds"})))
-_register(Instance("euclid_zero", ENERGY, F_ZERO, 1.0,
-                   frozenset({"convex", "weakly-convex", "range-assumption-holds"})))
-_register(Instance("euclid_sq", ENERGY, _F_SQ, 1.0,
-                   frozenset({"convex", "strongly-convex", "range-assumption-holds"})))
-_register(Instance("euclid_abs_strong", ENERGY, _F_ABS_STRONG, 1.0,
-                   frozenset({"convex", "strongly-convex", "range-assumption-holds"})))
-_register(Instance("shannon_abs", SHANNON, _F_ABS_SHIFT1, 1.0,
-                   frozenset({"convex", "range-assumption-holds"})))
-_register(Instance("hell_halfk", HELLINGER, _F_HALFK, 1.0,
-                   frozenset({"weakly-convex", "range-assumption-holds"})))
-_register(Instance("burg_linear", BURG, _F_LINEAR, 1.0,
-                   frozenset({"convex"})))
-
-# The hull route classifies x = 0 of ex310 with the closed branch: the
-# certificate (1 - sqrt(1 - x^2))(1 - x) >= 0 accepts u = f'(0) = 1, so the
-# reading {f'(0)} is annotated, and the harness reports both readings.
-EX310_AMBIGUOUS_X = 0.0
-EX310_AMBIGUOUS_U = 1.0
+_register(Instance("ex310", HELLINGER, _F_EX310, 1.0))
+_register(Instance("ex411", HELLINGER, _F_EX411, 2.0))
+_register(Instance("ex_ln", BURG, _F_LN, 0.5))
+_register(Instance("ex419", QUARTIC, _F_EX419, 1.0))
+_register(Instance("ex420", CUBIC_ABS, _F_LINEAR, 1.0))
+_register(Instance("bsmooth_counter", HELLINGER, _F_BSMOOTH, 1.0))
+_register(Instance("euclid_abs", ENERGY, F_ABS, 1.0))
+_register(Instance("euclid_zero", ENERGY, F_ZERO, 1.0))
+_register(Instance("euclid_sq", ENERGY, _F_SQ, 1.0))
+_register(Instance("euclid_abs_strong", ENERGY, _F_ABS_STRONG, 1.0))
+_register(Instance("shannon_abs", SHANNON, _F_ABS_SHIFT1, 1.0))
+_register(Instance("hell_halfk", HELLINGER, _F_HALFK, 1.0))
+_register(Instance("burg_linear", BURG, _F_LINEAR, 1.0))
 
 
 def get_instance(name: str) -> Instance:

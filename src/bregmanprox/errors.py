@@ -41,10 +41,6 @@ class UnknownInstanceError(BregmanError, KeyError):
     """Catalog lookup failed."""
 
 
-class UnknownExampleError(BregmanError, KeyError):
-    """Reproduction id not recognized."""
-
-
 class HypothesesUnmetError(BregmanError):
     """Theorem hypotheses (Legendre / 1-coercive / threshold) do not hold."""
 

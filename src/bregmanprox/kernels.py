@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotLegendreError, OutsideInteriorError
 from .extreal import ExtReal, Interval
-from .numerics import build_grid, monotone_invert, refine_best
+from .numerics import build_grid, grid_conjugate, monotone_invert
 
 __all__ = [
     "Kernel",
@@ -34,9 +34,10 @@ class Kernel:
 
     ``eval_arr``/``grad_arr``/``conj_arr``/``grad_conj_arr`` are vectorized
     over float arrays, returning +inf outside the respective domains; the
-    scalar accessors wrap them. ``grad_range`` is the range of the gradient,
-    stored explicitly because dual constructions require membership tests in
-    it (for non-1-coercive kernels it is a strict subset of the reals).
+    scalar accessors wrap them, and ``grad_conj`` takes arrays too.
+    ``grad_range`` is the range of the gradient, stored explicitly because
+    dual constructions require membership tests in it (for non-1-coercive
+    kernels it is a strict subset of the reals).
     """
 
     name: str
@@ -64,11 +65,16 @@ class Kernel:
     def conj_eval(self, eta) -> ExtReal:
         return ExtReal(float(_coerce(self.conj_arr, float(eta))))
 
-    def grad_conj(self, eta) -> float:
-        if not self.conj_domain.interior_contains(float(eta)):
-            raise OutsideInteriorError(f"{eta} not in the interior of dom {self.name}*")
+    def grad_conj(self, eta):
+        """grad kappa* on int dom kappa*, for a float or an array of points."""
+        e = np.asarray(eta, dtype=float)
+        inside = (self.conj_domain.lo < e) & (e < self.conj_domain.hi)
+        if not inside.all():
+            bad = float(e[~inside].flat[0])
+            raise OutsideInteriorError(f"{bad} not in the interior of dom {self.name}*")
         with np.errstate(all="ignore"):
-            return float(self.grad_conj_arr(np.asarray(float(eta))))
+            v = self.grad_conj_arr(e)
+        return float(v) if e.ndim == 0 else np.asarray(v, dtype=float)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return _coerce(self.eval_arr, xs)
@@ -286,12 +292,7 @@ def conjugate_by_grid(k: Kernel, eta: float, n: int = 4001) -> float:
 
     Independent of the closed-form conjugates; used to cross-check them.
     """
-    xs = build_grid(k.domain, n=n, window=k.sample_window).points
-
-    def neg(x):
-        return -(float(eta) * x - k.eval_many(x))
-
-    return -refine_best(neg, xs, neg(xs))[1]
+    return grid_conjugate(k.eval_many, build_grid(k.domain, n=n, window=k.sample_window), eta)
 
 
 def grad_conj_by_inversion(k: Kernel, eta: float) -> float:

@@ -1,6 +1,6 @@
 """Generic 1D numerical engine: grid minimization with tie detection, lower
-convex envelopes, monotone inversion, finite differences, and a grid convexity
-test.
+convex envelopes, monotone inversion, finite differences, a grid convexity
+test and a grid conjugate.
 
 All routines are pure functions of their inputs. Objectives are array
 functions of x returning extended reals (+inf marks points outside a
@@ -38,6 +38,7 @@ __all__ = [
     "lower_convex_envelope",
     "monotone_invert",
     "second_difference_convexity_test",
+    "grid_conjugate",
     "finite_diff_grad",
 ]
 
@@ -435,29 +436,41 @@ def monotone_invert(m: Callable[[float], float], target: float,
     return 0.5 * (lo + hi)
 
 
-def second_difference_convexity_test(values: Sequence[tuple[float, float]],
+def second_difference_convexity_test(xs: np.ndarray, values: np.ndarray,
                                      tol: float = 1e-9):
-    """Convexity of uniformly sampled finite data via centered second differences.
+    """Convexity of uniformly sampled data via centered second differences.
 
-    Returns ``(convex, worst_violation, witness)`` where ``worst_violation``
-    is the smallest second difference (so ``convex`` iff it is >= -tol) and
-    ``witness`` the x-triple attaining it.
+    Returns ``(convex, worst_violation, witness)``: the smallest second
+    difference of the finite samples (``convex`` iff it is >= -tol, an
+    absolute tolerance) and the x-triple attaining it. Infinite samples lie
+    outside the domain, so a non-contiguous finite set (a non-convex domain)
+    gives ``(False, -inf, gap pair)``; fewer than three give ``(True, inf, ())``.
     """
-    pts = [(float(x), float(v)) for x, v in values]
-    if len(pts) < 3:
-        raise ValueError("need at least three samples")
-    xs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if not np.isfinite(vs).all():
-        raise ValueError("samples must be finite")
-    h = np.diff(xs)
+    idx = np.nonzero(np.isfinite(values))[0]
+    if idx.size < 3:
+        return True, math.inf, ()
+    if not (np.diff(idx) == 1).all():
+        gap = int(idx[np.nonzero(np.diff(idx) > 1)[0][0]])
+        return False, -math.inf, (float(xs[gap]), float(xs[gap + 1]))
+    x, v = xs[idx], values[idx]
+    h = np.diff(x)
     if not np.allclose(h, h[0], rtol=1e-8, atol=1e-12):
         raise ValueError("samples must be uniformly spaced")
-    d2 = vs[:-2] - 2.0 * vs[1:-1] + vs[2:]
+    d2 = v[:-2] - 2.0 * v[1:-1] + v[2:]
     k = int(np.argmin(d2))
     worst = float(d2[k])
-    witness = (float(xs[k]), float(xs[k + 1]), float(xs[k + 2]))
-    return worst >= -tol, worst, witness
+    return worst >= -tol, worst, (float(x[k]), float(x[k + 1]), float(x[k + 2]))
+
+
+def grid_conjugate(g: Callable, grid: Grid, eta: float) -> float:
+    """g*(eta) = sup_x eta x - g(x) over ``grid``: the best grid sample,
+    refined on the two cells around it."""
+    xs = grid.points
+
+    def neg(x):
+        return -(float(eta) * x - g(x))
+
+    return -refine_best(neg, xs, neg(xs))[1]
 
 
 def finite_diff_grad(phi: Callable[[float], float], x: float, h: float) -> float:

@@ -31,7 +31,7 @@ from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
-                       GridMin, build_grid, grid_minimize,
+                       GridMin, build_grid, grid_conjugate, grid_minimize,
                        lower_convex_envelope, refine_best, sample_inset)
 
 __all__ = [
@@ -258,7 +258,10 @@ class InstanceEngine:
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         conv = np.asarray(self.hull_curve().value(x1), dtype=float)
         kap = self.kernel.eval_many(x1)
-        out = np.where(np.isinf(conv), np.inf, (conv - kap) / self.lam)
+        # only where conv is finite: outside the kernel domain kap is +inf too
+        out = np.full_like(conv, np.inf)
+        fin = np.isfinite(conv)
+        out[fin] = (conv[fin] - kap[fin]) / self.lam
         contact = self.hull_contact_mask()
         j = np.clip(np.searchsorted(self.X, x1), 1, len(self.X) - 1)
         in_contact = contact[j - 1] & contact[j] & np.isfinite(out)
@@ -503,22 +506,13 @@ def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
     return _hausdorff(left.minimizers, gm.minimizers)
 
 
-def conjugate_of_tilted(inst: Instance, eta: float, grid_n: int = 4001) -> float:
-    """(lam f + kappa)*(eta) by independent grid conjugation with refinement."""
-    eng = engine(inst)
-    xs = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window).points
-
-    def neg(x):
-        return -(float(eta) * x - eng.tilted(x))
-
-    return -refine_best(neg, xs, neg(xs))[1]
-
-
 def env_conjugate_crosscheck(inst: Instance, ybar: float) -> float:
-    """|lam env(ybar) - kappa*(eta) + (lam f + kappa)*(eta)| at eta = grad kappa(ybar)."""
+    """|lam env(ybar) - kappa*(eta) + (lam f + kappa)*(eta)| at eta = grad kappa(ybar),
+    with (lam f + kappa)* by independent grid conjugation on 4001 points."""
     eng = engine(inst)
     eng.check_interior(ybar)
     eta = eng.kernel.grad(ybar)
     lhs = eng.lam * eng.env(ybar)
-    rhs = float(eng.kernel.conj_eval(eta)) - conjugate_of_tilted(inst, eta)
+    grid = build_grid(eng.kernel.domain, 4001, window=eng.fn.window)
+    rhs = float(eng.kernel.conj_eval(eta)) - grid_conjugate(eng.tilted, grid, eta)
     return abs(lhs - rhs)

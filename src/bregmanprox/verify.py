@@ -22,7 +22,7 @@ import numpy as np
 from .catalog import Instance, ProperFn, get_instance
 from .errors import HypothesesUnmetError
 from .kernels import scale_kernel
-from .numerics import sample_inset
+from .numerics import sample_inset, second_difference_convexity_test
 from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
 from .subdiff import (TOL_CERT, _critical_etas, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
@@ -145,38 +145,15 @@ def _seeded(seed: int, *labels: str) -> np.random.Generator:
 
 def _convexity_of_samples(xs: np.ndarray, vals: np.ndarray, tol: float,
                           label: str) -> Condition:
-    """Second-difference convexity of possibly partially-infinite samples.
-
-    A non-contiguous finite set means a non-convex effective domain, which
-    already refutes convexity.
-    """
-    finite = np.isfinite(vals)
-    idx = np.nonzero(finite)[0]
-    if idx.size < 3:
-        return Condition(label, True, math.inf)
-    if not (np.diff(idx) == 1).all():
-        gap = int(idx[np.nonzero(np.diff(idx) > 1)[0][0]])
-        return Condition(label, False, -math.inf,
-                         (float(xs[gap]), float(xs[gap + 1])))
-    v = vals[idx]
-    x = xs[idx]
-    d2 = v[:-2] - 2.0 * v[1:-1] + v[2:]
-    k = int(np.argmin(d2))
-    worst = float(d2[k])
-    scale = max(1.0, float(np.abs(v).max()))
-    return Condition(label, worst >= -tol * scale, worst,
-                     (float(x[k]), float(x[k + 1]), float(x[k + 2])))
+    """``second_difference_convexity_test`` of possibly partially-infinite
+    samples, with ``tol`` scaled by the largest finite |value| (at least 1)."""
+    scale = float(np.max(np.abs(vals), where=np.isfinite(vals), initial=1.0))
+    return Condition(label, *second_difference_convexity_test(xs, vals, tol * scale))
 
 
 def _fn_convexity(eng: InstanceEngine, label: str = "f-convex") -> Condition:
     """Convexity of f on the full domain grid (closed endpoints included)."""
     return _convexity_of_samples(eng.X, eng.F, TOL_CONV, label)
-
-
-def _weak_convexity(eng: InstanceEngine, label: str) -> Condition:
-    """Convexity of f + kappa/lam on the full domain grid."""
-    vals = eng.F + eng.K / eng.lam
-    return _convexity_of_samples(eng.X, vals, TOL_CONV, label)
 
 
 def _xi_window(eng: InstanceEngine) -> tuple[float, float]:
@@ -187,32 +164,51 @@ def _xi_window(eng: InstanceEngine) -> tuple[float, float]:
     return max(-4.0, g_lo + margin), min(4.0, g_hi - margin)
 
 
-def _h_values(eng: InstanceEngine, xis: np.ndarray) -> np.ndarray:
-    return eng.env_many([eng.kernel.grad_conj(float(x)) for x in xis])
-
-
 def _h_convexity(eng: InstanceEngine, label: str = "env-dual-convex") -> Condition:
     """Convexity of h(xi) = env(grad kappa*(xi)) on a uniform dual grid."""
     lo, hi = _xi_window(eng)
     xis = np.linspace(lo, hi, 161)
-    return _convexity_of_samples(xis, _h_values(eng, xis), TOL_CONV, label)
+    return _convexity_of_samples(xis, eng.env_many(eng.kernel.grad_conj(xis)),
+                                 TOL_CONV, label)
 
 
 def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
     lo, hi = _xi_window(eng)
     etas = list(lo + (hi - lo) * rng.random(n))
     if with_critical:
-        for s in _critical_etas(eng):
-            if eng.kernel.grad_range.contains(s):
-                etas.append(s)
+        etas += _critical_etas(eng)
     return [e for e in etas if eng.kernel.grad_range.contains(e)]
 
 
 def _prox_at_etas(eng: InstanceEngine, etas):
     """(eta, prox at grad kappa*(eta)) for the etas whose point is interior."""
-    pairs = [(float(e), eng.kernel.grad_conj(float(e))) for e in etas]
-    pairs = [(e, y) for e, y in pairs if eng.kernel.domain.interior_contains(y)]
-    return list(zip([e for e, _ in pairs], eng.prox_many([y for _, y in pairs])))
+    etas = np.asarray(etas, dtype=float)
+    ys = eng.kernel.grad_conj(etas)
+    dom = eng.kernel.domain
+    inside = (dom.lo < ys) & (ys < dom.hi)
+    return list(zip(etas[inside].tolist(), eng.prox_many(ys[inside])))
+
+
+def _selections(eng: InstanceEngine, etas, interior_only: bool):
+    """Prox selections (eta, x) at grad kappa*(eta) as two arrays: every
+    minimizer, or only those interior to the kernel domain."""
+    sels = [(e, float(m)) for e, res in _prox_at_etas(eng, etas)
+            for m, interior in zip(res.minimizers, res.in_interior)
+            if interior or not interior_only]
+    return np.array([s[0] for s in sels]), np.array([s[1] for s in sels])
+
+
+def _worst_pair(label: str, slack: np.ndarray, witness: tuple) -> Condition:
+    """The pair inequality ``slack >= -TOL_MONO`` over a matrix of pair
+    slacks, vacuous below two samples; the witness is each array of
+    ``witness`` at the worst row, then at the worst column."""
+    if len(slack) < 2:
+        return Condition(label, True, math.inf)
+    i, j = divmod(int(np.argmin(slack)), slack.shape[1])
+    worst = float(slack[i, j])
+    return Condition(label, worst >= -TOL_MONO, worst,
+                     tuple(float(a[i]) for a in witness)
+                     + tuple(float(a[j]) for a in witness))
 
 
 def _finite_dom_bounds(eng: InstanceEngine) -> tuple[float, float]:
@@ -229,6 +225,18 @@ def _base_report(inst: Instance, theorem: str, seed: int) -> VerifyReport:
                         })
 
 
+def _start(inst: Instance, theorem: str, seed: int, stream: str):
+    """The standing hypotheses, then the engine, the report and the check's
+    random stream (named apart from the theorem so draws stay fixed)."""
+    require_hypotheses(inst)
+    return engine(inst), _base_report(inst, theorem, seed), _seeded(seed, inst.name, stream)
+
+
+def _require_range(inst: Instance):
+    if not range_assumption(inst)[0]:
+        raise HypothesesUnmetError("range assumption failed")
+
+
 # ---------------------------------------------------------------------------
 # Weak convexity correspondence
 # ---------------------------------------------------------------------------
@@ -241,14 +249,11 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     Asserts (a) <=> (b) <=> (d) => (f), and (f) => (a) when conv dom f stays
     inside the interior of the kernel domain.
     """
-    require_hypotheses(inst)
-    eng = engine(inst)
-    rep = _base_report(inst, "weak-convexity", seed)
-    rng = _seeded(seed, inst.name, "weak")
+    eng, rep, rng = _start(inst, "weak-convexity", seed, "weak")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV,
                       "tol_hull_eq": 1e-5}
 
-    a = _weak_convexity(eng, "a-weakly-convex")
+    a = _convexity_of_samples(eng.X, eng.F + eng.K / eng.lam, TOL_CONV, "a-weakly-convex")
 
     hull_vals = np.asarray(eng.hull_fn_value(eng.X), dtype=float)
     both = np.isfinite(eng.F) & np.isfinite(hull_vals)
@@ -310,17 +315,11 @@ def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng, n: int = 60):
     return pairs
 
 
-def _pairwise_monotone(pairs, label: str, tol: float = TOL_MONO) -> Condition:
-    if len(pairs) < 2:
-        return Condition(label, True, math.inf)
+def _pairwise_monotone(pairs, label: str) -> Condition:
     xs = np.array([p[0] for p in pairs])
     us = np.array([p[1] for p in pairs])
     prods = np.subtract.outer(xs, xs) * np.subtract.outer(us, us)
-    k = int(np.argmin(prods))
-    i, j = divmod(k, len(xs))
-    worst = float(prods[i, j])
-    return Condition(label, worst >= -tol, worst,
-                     (float(xs[i]), float(us[i]), float(xs[j]), float(us[j])))
+    return _worst_pair(label, prods, (xs, us))
 
 
 def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
@@ -331,10 +330,7 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     equivalent; when it fails the report degrades to monotonicity-only mode
     and a coarse-lattice search for a non-maximality witness runs instead.
     """
-    require_hypotheses(inst)
-    eng = engine(inst)
-    rep = _base_report(inst, "dfne", seed)
-    rng = _seeded(seed, inst.name, "dfne")
+    eng, rep, rng = _start(inst, "dfne", seed, "dfne")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV}
 
     probe_ok, witnesses = range_assumption(inst)
@@ -347,25 +343,11 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     graph = _subdiff_graph(inst, eng, rng)
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
-    etas = _sample_etas(eng, rng, N_PAIR_SAMPLES)
-    sels = []
-    for e, res in _prox_at_etas(eng, etas):
-        for m, interior in zip(res.minimizers, res.in_interior):
-            if interior:
-                sels.append((e, float(m)))
-    e_cond = Condition("e-dfne", True, math.inf)
-    if len(sels) >= 2:
-        ee = np.array([s[0] for s in sels])
-        xx = np.array([s[1] for s in sels])
-        gg = eng.kernel.grad_many(xx)
-        lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-        dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
-        slack = lhs - dd
-        k = int(np.argmin(slack))
-        i, j = divmod(k, len(xx))
-        e_cond = Condition("e-dfne", float(slack[i, j]) >= -TOL_MONO,
-                           float(slack[i, j]),
-                           (float(ee[i]), float(xx[i]), float(ee[j]), float(xx[j])))
+    ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
+    gg = eng.kernel.grad_many(xx)
+    lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
+    dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
+    e_cond = _worst_pair("e-dfne", lhs - dd, (ee, xx))
 
     rep.conditions = [a, c, e_cond]
     if probe_ok:
@@ -412,50 +394,34 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     lam grad h = grad kappa* - prox o grad kappa* is checked against finite
     differences of h. Requires the instance's range assumption.
     """
-    require_hypotheses(inst)
-    if not range_assumption(inst)[0]:
-        raise HypothesesUnmetError("range assumption failed")
-    eng = engine(inst)
-    rep = _base_report(inst, "env-convexity", seed)
+    eng, rep, rng = _start(inst, "env-convexity", seed, "envcvx")
+    _require_range(inst)
     rep.hypotheses["range-assumption"] = True
-    rng = _seeded(seed, inst.name, "envcvx")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV,
                       "tol_grad": 1e-4}
 
     a = _h_convexity(eng, "a-h-convex")
 
-    etas = _sample_etas(eng, rng, 150)
-    sels = []
-    for e, res in _prox_at_etas(eng, etas):
-        for m in res.minimizers:
-            sels.append((e, float(m)))
-    d = Condition("d-dual-upper-bound", True, math.inf)
-    if len(sels) >= 2:
-        ee = np.array([s[0] for s in sels])
-        xx = np.array([s[1] for s in sels])
-        gc = np.array([eng.kernel.grad_conj(float(e)) for e in ee])
-        lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-        ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-        slack = ddual - lhs
-        k = int(np.argmin(slack))
-        i, j = divmod(k, len(xx))
-        d = Condition("d-dual-upper-bound", float(slack[i, j]) >= -TOL_MONO,
-                      float(slack[i, j]),
-                      (float(ee[i]), float(xx[i]), float(ee[j]), float(xx[j])))
+    ee, xx = _selections(eng, _sample_etas(eng, rng, 150), interior_only=False)
+    gc = eng.kernel.grad_conj(ee)
+    lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
+    ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
+    d = _worst_pair("d-dual-upper-bound", ddual - lhs, (ee, xx))
 
     rep.conditions = [a, d]
     rep.implications = _equiv(a, d)
 
     if a.holds:
         lo, hi = _xi_window(eng)
-        xis = (lo + (hi - lo) * rng.random(40)).tolist()
+        xis = lo + (hi - lo) * rng.random(40)
         delta = 1e-5
         gcj = eng.kernel.grad_conj
-        env_p = eng.env_many([gcj(xi + delta) for xi in xis]).tolist()
-        env_m = eng.env_many([gcj(xi - delta) for xi in xis]).tolist()
-        ys = [gcj(xi) for xi in xis]
+        env_p = eng.env_many(gcj(xis + delta)).tolist()
+        env_m = eng.env_many(gcj(xis - delta)).tolist()
+        ys = gcj(xis)
         worst, wit = 0.0, ()
-        for xi, y, ep, em, res in zip(xis, ys, env_p, env_m, eng.prox_many(ys)):
+        for xi, y, ep, em, res in zip(xis.tolist(), ys.tolist(), env_p, env_m,
+                                      eng.prox_many(ys)):
             fd = (ep - em) / (2 * delta)
             ident = (y - res.minimizers[0]) / eng.lam
             err = abs(eng.lam * fd - eng.lam * ident)
@@ -471,28 +437,24 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
     """Dual cocoercivity inequality for h on sampled pairs; asserted exactly
     when h is convex. Requires a whole-line kernel domain and the range assumption.
     """
-    require_hypotheses(inst)
+    eng, rep, rng = _start(inst, "bcoco", seed, "bcoco")
     if not inst.kernel.domain.is_all_reals:
         raise HypothesesUnmetError("kernel domain is not the whole line")
-    if not range_assumption(inst)[0]:
-        raise HypothesesUnmetError("range assumption failed")
-    eng = engine(inst)
-    rep = _base_report(inst, "bcoco", seed)
-    rng = _seeded(seed, inst.name, "bcoco")
+    _require_range(inst)
     rep.tolerances = {"tol_mono": TOL_MONO}
 
     a = _h_convexity(eng, "a-h-convex")
 
     lo, hi = _xi_window(eng)
     xis = np.asarray(lo + (hi - lo) * rng.random(100), dtype=float)
-    gc = np.array([eng.kernel.grad_conj(float(x)) for x in xis])
+    gc = eng.kernel.grad_conj(xis)
     h_vals = eng.env_many(gc)
     proxes = eng.prox_many(gc)
     prox_pts = np.array([res.minimizers[0] for res in proxes])
     single = not any(res.multiple for res in proxes)
     grad_h = (gc - prox_pts) / eng.lam
 
-    holds, worst, wit = True, math.inf, ()
+    coco = Condition("bcoco-inequality", False, -math.inf)
     if single:
         # D_h(xi, eta) = h(xi) - h(eta) - grad h(eta) (xi - eta), rows xi
         DH = (h_vals[:, None] - h_vals[None, :]
@@ -503,15 +465,7 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
         KQ = eng.kernel.eval_many(Q)
         GQ = eng.kernel.grad_many(Q)
         RHS = KP - KQ - GQ * (P - Q)
-        slack = eng.lam * DH - RHS
-        k = int(np.argmin(slack))
-        i, j = divmod(k, len(xis))
-        worst = float(slack[i, j])
-        holds = worst >= -TOL_MONO
-        wit = (float(xis[i]), float(xis[j]))
-    else:
-        holds, worst = False, -math.inf
-    coco = Condition("bcoco-inequality", holds, worst, wit)
+        coco = _worst_pair("bcoco-inequality", eng.lam * DH - RHS, (xis,))
     rep.conditions = [a, coco]
     rep.implications = [
         _implies(a, coco, a.label, coco.label, asserted=a.holds,
@@ -543,13 +497,10 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     (iii) boundary values of f agree with interior limits at closed endpoints.
     Asserts (i) => (ii) and (ii) and (iii) => (i).
     """
-    require_hypotheses(inst)
-    eng = engine(inst)
+    eng, rep, rng = _start(inst, "bsmooth", seed, "bsmooth")
     if not np.isfinite(eng.F).all():
         raise HypothesesUnmetError("f is not real-valued on the kernel domain")
     L = inst.lam
-    rep = _base_report(inst, "bsmooth", seed)
-    rng = _seeded(seed, inst.name, "bsmooth")
     rep.tolerances = {"tol_cert": TOL_CERT, "tol_conv": TOL_CONV,
                       "tol_boundary": 1e-5}
 
@@ -621,12 +572,8 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     full-line kernel domain the anisotropic strong-convexity inequality of
     lam f + kappa joins the equivalence. Requires the range assumption.
     """
-    require_hypotheses(inst)
-    if not range_assumption(inst)[0]:
-        raise HypothesesUnmetError("range assumption failed")
-    eng = engine(inst)
-    rep = _base_report(inst, "two-sided", seed)
-    rng = _seeded(seed, inst.name, "two-sided")
+    eng, rep, rng = _start(inst, "two-sided", seed, "two-sided")
+    _require_range(inst)
     rep.tolerances = {"tol_mono": TOL_MONO}
 
     fcvx = _fn_convexity(eng, "f-convex")
@@ -634,31 +581,16 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     ab = Condition("f-and-h-convex", fcvx.holds and hcvx.holds,
                    min(fcvx.worst, hcvx.worst))
 
-    etas = _sample_etas(eng, rng, N_PAIR_SAMPLES)
-    sels = []
-    for e, res in _prox_at_etas(eng, etas):
-        for m, interior in zip(res.minimizers, res.in_interior):
-            if interior:
-                sels.append((e, float(m)))
+    ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
     lower = upper = Condition("placeholder", True, math.inf)
-    if len(sels) >= 2:
-        ee = np.array([s[0] for s in sels])
-        xx = np.array([s[1] for s in sels])
+    if len(xx) >= 2:
         gg = eng.kernel.grad_many(xx)
-        gc = np.array([eng.kernel.grad_conj(float(e)) for e in ee])
+        gc = eng.kernel.grad_conj(ee)
         mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
         dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
         ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-        s1 = mid - dd
-        k = int(np.argmin(s1))
-        i, j = divmod(k, len(xx))
-        lower = Condition("lower-bound", float(s1[i, j]) >= -TOL_MONO,
-                          float(s1[i, j]), (float(ee[i]), float(ee[j])))
-        s2 = ddual - mid
-        k = int(np.argmin(s2))
-        i, j = divmod(k, len(xx))
-        upper = Condition("upper-bound", float(s2[i, j]) >= -TOL_MONO,
-                          float(s2[i, j]), (float(ee[i]), float(ee[j])))
+        lower = _worst_pair("lower-bound", mid - dd, (ee,))
+        upper = _worst_pair("upper-bound", ddual - mid, (ee,))
     two = Condition("two-sided-bounds", lower.holds and upper.holds,
                     min(lower.worst, upper.worst))
 
@@ -707,34 +639,26 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     L-strongly convex, the dual envelope must be convex and the prox
     single-valued with sampled Lipschitz ratio at most 1/L.
     """
-    require_hypotheses(inst)
+    eng, rep, rng = _start(inst, "strong-convexity", seed, "strong")
     L = inst.kernel.grad_lipschitz
     if L is None:
         raise HypothesesUnmetError(
             f"grad of kernel {inst.kernel.name} is not globally Lipschitz")
-    eng = engine(inst)
     strong = _convexity_of_samples(
         eng.X, eng.lam * eng.F + eng.K - 0.5 * L * np.square(eng.X),
         TOL_CONV, "strongly-convex")
     if not strong.holds:
         raise HypothesesUnmetError("lam f + kappa is not L-strongly convex")
-    rep = _base_report(inst, "strong-convexity", seed)
     rep.hypotheses["grad-lipschitz"] = True
     rep.hypotheses["strongly-convex"] = True
-    rng = _seeded(seed, inst.name, "strong")
     rep.tolerances = {"tol_lip": 1e-6}
 
     hcvx = _h_convexity(eng)
 
-    etas = _sample_etas(eng, rng, 120, with_critical=False)
-    pts = []
-    single = True
-    for e, res in _prox_at_etas(eng, etas):
-        if res.multiple:
-            single = False
-        pts.append((e, float(res.minimizers[0])))
-    ee = np.array([p[0] for p in pts])
-    xx = np.array([p[1] for p in pts])
+    sols = _prox_at_etas(eng, _sample_etas(eng, rng, 120, with_critical=False))
+    single = not any(res.multiple for _, res in sols)
+    ee = np.array([e for e, _ in sols])
+    xx = np.array([float(res.minimizers[0]) for _, res in sols])
     de = np.abs(np.subtract.outer(ee, ee))
     dx = np.abs(np.subtract.outer(xx, xx))
     mask = de > 1e-2  # keep ratio noise (sqrt-eps minimizer error) below tol

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantities (run with -s to see them)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,30 @@ from bregmanprox.subdiff import (left_lpsubdiff_definitional,
                                  left_lpsubdiff_hull, monotone_related,
                                  resolvent_check)
 from bregmanprox.verify import reports_to_json, run_suite
+
+
+# Per report of the seed-42 suite: status, each condition's verdict and each
+# implication's asserted/holds; no floats.
+VERDICTS_SEED42 = Path(__file__).parent / "data" / "verdicts_seed42.json"
+
+
+def verdicts(reports):
+    out = []
+    for rep in reports:
+        r = rep.to_dict()
+        out.append({
+            "instance": r["instance"], "theorem": r["theorem"], "status": r["status"],
+            "conditions": {c["label"]: c["holds"] for c in r["conditions"]},
+            "implications": [{k: i[k] for k in ("premises", "conclusion", "asserted", "holds")}
+                             for i in r["implications"]],
+        })
+    return out
+
+
+@pytest.fixture(scope="module")
+def suite42():
+    """One seed-42 run of the whole suite, shared by the tests that read it."""
+    return run_suite(instance_names(), seed=42)
 
 
 def _interior_points(k, n, rng, inset=1e-3):
@@ -157,8 +183,8 @@ def test_criterion_6_identity_suite():
           f"euclidean {worst_euc:.2e}, conjugate {worst_conj:.2e}")
 
 
-def test_criterion_7_theorem_harness():
-    reports = run_suite(instance_names(), seed=42)
+def test_criterion_7_theorem_harness(suite42):
+    reports = suite42
     violations = [i for r in reports for i in r.violated]
     assert violations == [], [f"{r.instance}/{r.theorem}" for r in reports
                               for _ in r.violated]
@@ -208,10 +234,20 @@ def test_criterion_8_euclidean_degeneration():
           f"{worst_env:.2e}, resolvent {worst_sub:.2e} at 50 points")
 
 
-def test_criterion_9_determinism():
-    a = reports_to_json(run_suite(instance_names(), seed=42))
+def test_criterion_9_determinism(suite42):
+    a = reports_to_json(suite42)
     b = reports_to_json(run_suite(instance_names(), seed=42))
     assert a == b
     assert a.encode() == b.encode()
     print(f"\nPASS criterion 9: two seeded runs byte-identical "
           f"({len(a.encode())} bytes)")
+
+
+def test_verdicts_match_seed42_golden(suite42):
+    want = json.loads(VERDICTS_SEED42.read_text())
+    got = verdicts(suite42)
+    assert [(v["instance"], v["theorem"]) for v in got] == \
+        [(v["instance"], v["theorem"]) for v in want]
+    moved = [f"{g['instance']}/{g['theorem']}" for g, w in zip(got, want) if g != w]
+    assert moved == [], f"verdicts moved: {moved}"
+    print(f"\nPASS verdict golden: {len(got)} reports match {VERDICTS_SEED42.name}")

@@ -119,7 +119,7 @@ def test_convexity_annotations(name):
         assert inst.fn.convex is False
         return
     ok, _, _ = second_difference_convexity_test(
-        list(zip(xs[idx], vals[idx])), tol=1e-7)
+        xs[idx], vals[idx], tol=1e-7)
     assert ok == inst.fn.convex
 
 

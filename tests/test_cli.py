@@ -49,6 +49,17 @@ def test_curve_h_lambda_ex419(capsys):
         assert abs(h + xi) <= 1e-4
 
 
+def test_curve_h_lambda_outside_dual_domain_reads_inf(capsys):
+    # Burg: int dom kappa* = (-inf, 0), so h_lambda is finite only for xi < 0
+    code, out, _ = run_cli(capsys, "curve", "--instance", "ex_ln",
+                           "--what", "h_lambda", "--grid", "-1:1:5")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [xi for xi, _ in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert all(math.isfinite(h) for xi, h in rows if xi < 0)
+    assert all(h == math.inf for xi, h in rows if xi >= 0)
+
+
 def test_curve_env_is_huber(capsys):
     code, out, _ = run_cli(capsys, "curve", "--instance", "euclid_abs",
                            "--what", "env", "--grid", "-3:3:61")

@@ -19,6 +19,33 @@ def interior_samples(k, n, rng, inset=1e-3):
     return lo + inset * span + (1 - 2 * inset) * span * rng.random(n)
 
 
+def dual_interior_samples(k, n, rng):
+    """n points of int dom kappa*, spread over several orders of magnitude."""
+    mag = 10.0 ** rng.uniform(-6.0, 2.0, n)
+    if k.conj_domain.hi == 0.0:
+        return -mag
+    return mag * rng.choice([-1.0, 1.0], n)
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_grad_conj_array_equals_scalar_bit_for_bit(k):
+    etas = dual_interior_samples(k, 2000, np.random.default_rng(8))
+    arr = k.grad_conj(etas)
+    assert isinstance(arr, np.ndarray) and arr.shape == etas.shape
+    scalar = [k.grad_conj(float(e)) for e in etas]
+    assert all(type(v) is float for v in scalar)
+    assert [float(v).hex() for v in arr] == [v.hex() for v in scalar]
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_grad_conj_array_names_the_non_interior_eta(k):
+    bad = k.conj_domain.hi  # 0 for Burg, +inf for the whole-line conjugates
+    etas = np.concatenate([dual_interior_samples(k, 5, np.random.default_rng(2)),
+                           [bad], dual_interior_samples(k, 5, np.random.default_rng(3))])
+    with pytest.raises(OutsideInteriorError, match=f"^{bad} not in the interior"):
+        k.grad_conj(etas)
+
+
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
 def test_grad_matches_finite_differences(k):
     rng = np.random.default_rng(1)
@@ -57,7 +84,7 @@ def test_eval_convex_on_samples(k):
     vals = k.eval_many(xs)
     finite = np.isfinite(vals)
     ok, worst, _ = second_difference_convexity_test(
-        list(zip(xs[finite], vals[finite])), tol=1e-9)
+        xs[finite], vals[finite], tol=1e-9)
     assert ok, f"{k.name} second difference {worst}"
 
 
@@ -110,7 +137,7 @@ def test_distance_convex_in_first_slot(k):
         vals = kx - float(k.eval(y)) - k.grad(y) * (xs - y)
         finite = np.isfinite(vals)
         ok, worst, _ = second_difference_convexity_test(
-            list(zip(xs[finite], vals[finite])), tol=1e-8)
+            xs[finite], vals[finite], tol=1e-8)
         assert ok, f"{k.name} at y={y}: {worst}"
 
 

@@ -186,7 +186,7 @@ def test_invert_roundtrip_random_targets():
 
 def test_convexity_parabola():
     xs = np.linspace(-1, 1, 101)
-    ok, worst, _ = second_difference_convexity_test(list(zip(xs, xs ** 2)))
+    ok, worst, _ = second_difference_convexity_test(xs, xs ** 2)
     assert ok and worst >= 0.0
 
 
@@ -194,20 +194,44 @@ def test_convexity_dual_envelope_counterexample():
     # 2/3 |y|^{3/2} - 2/3 |y-1|^{3/2} is nonconvex on [-3, 3]
     ys = np.linspace(-3, 3, 241)
     v = (2 / 3) * np.abs(ys) ** 1.5 - (2 / 3) * np.abs(ys - 1) ** 1.5
-    ok, worst, witness = second_difference_convexity_test(list(zip(ys, v)))
+    ok, worst, witness = second_difference_convexity_test(ys, v)
     assert not ok and worst < 0
     assert 0.0 < witness[1] < 1.5  # curvature deficit sits past the kink pair
 
 
 def test_convexity_linear():
     ys = np.linspace(-3, 3, 101)
-    ok, _, _ = second_difference_convexity_test(list(zip(ys, -ys)))
+    ok, _, _ = second_difference_convexity_test(ys, -ys)
     assert ok
+
+
+def test_convexity_inf_hole_refutes_with_gap_pair():
+    # the witness is the last finite point before the hole and the next point
+    xs = np.linspace(0.0, 1.0, 11)
+    v = xs ** 2
+    v[4] = np.inf
+    assert second_difference_convexity_test(xs, v) == (False, -math.inf,
+                                                       (xs[3], xs[4]))
+
+
+def test_convexity_fewer_than_three_finite_refutes_nothing():
+    xs = np.linspace(0.0, 1.0, 11)
+    v = np.full_like(xs, np.inf)
+    v[5:7] = -xs[5:7] ** 2
+    assert second_difference_convexity_test(xs, v) == (True, math.inf, ())
+
+
+def test_convexity_tests_the_contiguous_finite_run_alone():
+    xs = np.linspace(-1.0, 1.0, 41)
+    v = np.where(np.abs(xs) <= 0.5, xs ** 2, np.inf)
+    ok, worst, witness = second_difference_convexity_test(xs, v, tol=0.0)
+    assert ok and worst > 0.0
+    assert -0.5 <= witness[0] and witness[2] <= 0.5
 
 
 def test_convexity_requires_uniform():
     with pytest.raises(ValueError):
-        second_difference_convexity_test([(0, 0.0), (1, 1.0), (3, 2.0)])
+        second_difference_convexity_test(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0]))
 
 
 # -- finite differences ------------------------------------------------------

@@ -258,6 +258,16 @@ def test_hull_below_f_pointwise():
         assert (hv[both] <= eng.F[both] + 1e-8).all()
 
 
+def test_hull_fn_value_outside_kernel_domain_is_inf_without_warning():
+    # runs under the suite's error::RuntimeWarning filter: forming
+    # inf - inf outside dom kappa would fail here
+    eng = engine(get_instance("ex411"))
+    assert eng.hull_fn_value(-1.2) == math.inf
+    out = eng.hull_fn_value([0.5, 1.2])
+    assert out[1] == math.inf
+    assert math.isfinite(out[0]) and out[0] == eng.hull_fn_value(0.5)
+
+
 def test_env_of_hull_equals_env():
     inst = get_instance("ex310")
     hinst = hull_instance(inst)
