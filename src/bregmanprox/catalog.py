@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownInstanceError
-from .extreal import ExtReal, Interval
+from .extreal import Interval
 from .kernels import (BURG, CUBIC_ABS, ENERGY, HELLINGER, QUARTIC, SHANNON,
                       Kernel, _coerce, _masked)
 
@@ -41,11 +41,9 @@ class ProperFn:
     convex: bool | None = None
     pb_threshold: float | None = None
 
-    def eval(self, x) -> ExtReal:
-        return ExtReal(float(_coerce(self.eval_arr, float(x))))
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return _coerce(self.eval_arr, xs)
+    def eval(self, x):
+        """f at a float (an ``ExtReal``) or at an array of points."""
+        return _coerce(self.eval_arr, x)
 
     def __repr__(self):
         return f"ProperFn({self.name})"

@@ -57,7 +57,7 @@ def _column(inst, what: str, xs: list[float]) -> list[float]:
     and h_lambda read inf and prox nan."""
     eng = engine(inst)
     if what == "f":
-        return [float(inst.fn.eval(x)) for x in xs]
+        return inst.fn.eval(xs).tolist()
     if what == "h_lambda":
         # xi outside int dom kappa* maps to nan, which the env column reads as inf
         dual = [inst.kernel.conj_domain.interior_contains(x) for x in xs]
@@ -67,12 +67,12 @@ def _column(inst, what: str, xs: list[float]) -> list[float]:
         mask = [inst.kernel.domain.interior_contains(x) for x in xs]
         inside = [x for x, m in zip(xs, mask) if m]
         if what == "env":
-            vals, fill = iter(eng.env_many(inside).tolist()), math.inf
+            vals, fill = iter(eng.env(inside).tolist()), math.inf
         else:
-            vals, fill = (min(r.minimizers) for r in eng.prox_many(inside)), math.nan
+            vals, fill = (min(r.minimizers) for r in eng.prox(inside)), math.nan
         return [next(vals) if m else fill for m in mask]
     if what == "hull":
-        return [float(eng.hull_fn_value(x)) for x in xs]
+        return eng.hull_fn_value(xs).tolist()
     if what in ("subdiff-lo", "subdiff-hi"):
         sets = [left_lpsubdiff_hull(inst, x) for x in xs]
         return [math.nan if s.is_empty else s.lo if what == "subdiff-lo" else s.hi
@@ -160,7 +160,7 @@ def _reproduce_411() -> bool:
     ok &= _report_line("lower endpoint flagged unbounded",
                        (not s.is_empty) and math.isinf(s.lo), f"lo = {_fmt(s.lo)}")
     ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
-    outputs = {round(m, 6) for res in engine(inst).prox_many(ys) for m in res.minimizers}
+    outputs = {round(m, 6) for res in engine(inst).prox(ys) for m in res.minimizers}
     near0 = any(abs(m) <= 1e-4 for m in outputs)
     near1 = any(abs(m - 1.0) <= 1e-4 for m in outputs)
     only01 = all(abs(m) <= 1e-4 or abs(m - 1.0) <= 1e-4 for m in outputs)
@@ -178,7 +178,7 @@ def _reproduce_envelope(name: str, closed_form, label: str) -> bool:
     inst = get_instance(name)
     eng = engine(inst)
     xis = np.linspace(-3.0, 3.0, 241).tolist()
-    hs = eng.env_many(inst.kernel.grad_conj(np.array(xis))).tolist()
+    hs = eng.env(inst.kernel.grad_conj(np.array(xis))).tolist()
     worst = max(abs(h - closed_form(xi)) for xi, h in zip(xis, hs))
     return _report_line(label, worst <= 1e-4, f"max |h - closed form| = {worst:.3e}")
 

@@ -2,9 +2,11 @@
 
 This module is the single home of kappa, its conjugate, their gradients and
 gradient inverses, and the primal/dual Bregman distances built from them.
-Each catalog kernel carries closed forms for the conjugate and the gradient
-inverse; the generic fallbacks (grid conjugation, monotone inversion) exist
-so tests can cross-check the closed forms against an independent route.
+``Kernel.eval``, ``grad``, ``conj_eval`` and ``grad_conj`` each take a float
+or an array. Each catalog kernel carries closed forms for the conjugate and
+the gradient inverse; the generic fallbacks (grid conjugation, monotone
+inversion) exist so tests can cross-check the closed forms against an
+independent route.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class Kernel:
 
     ``eval_arr``/``grad_arr``/``conj_arr``/``grad_conj_arr`` are vectorized
     over float arrays, returning +inf outside the respective domains; the
-    scalar accessors wrap them, and ``grad_conj`` takes arrays too.
+    accessors ``eval``/``grad``/``conj_eval``/``grad_conj`` wrap them and
+    take a float or an array.
     ``grad_range`` is the range of the gradient, stored explicitly because
     dual constructions require membership tests in it (for non-1-coercive
     kernels it is a strict subset of the reals).
@@ -53,46 +56,43 @@ class Kernel:
     sample_window: tuple[float, float]
     grad_lipschitz: float | None = None
 
-    def eval(self, x) -> ExtReal:
-        return ExtReal(float(_coerce(self.eval_arr, float(x))))
+    def eval(self, x) -> ExtReal | np.ndarray:
+        return _coerce(self.eval_arr, x)
 
-    def grad(self, x) -> float:
-        if not self.domain.interior_contains(float(x)):
-            raise OutsideInteriorError(f"{x} not in the interior of dom {self.name}")
-        with np.errstate(all="ignore"):
-            return float(self.grad_arr(np.asarray(float(x))))
+    def grad(self, x) -> float | np.ndarray:
+        return _interior(self.grad_arr, self.domain, x, self.name)
 
-    def conj_eval(self, eta) -> ExtReal:
-        return ExtReal(float(_coerce(self.conj_arr, float(eta))))
+    def conj_eval(self, eta) -> ExtReal | np.ndarray:
+        return _coerce(self.conj_arr, eta)
 
     def grad_conj(self, eta):
         """grad kappa* on int dom kappa*, for a float or an array of points."""
-        e = np.asarray(eta, dtype=float)
-        inside = (self.conj_domain.lo < e) & (e < self.conj_domain.hi)
-        if not inside.all():
-            bad = float(e[~inside].flat[0])
-            raise OutsideInteriorError(f"{bad} not in the interior of dom {self.name}*")
-        with np.errstate(all="ignore"):
-            v = self.grad_conj_arr(e)
-        return float(v) if e.ndim == 0 else np.asarray(v, dtype=float)
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return _coerce(self.eval_arr, xs)
-
-    def grad_many(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return np.asarray(self.grad_arr(np.asarray(xs, dtype=float)), dtype=float)
+        return _interior(self.grad_conj_arr, self.conj_domain, eta, f"{self.name}*")
 
     def __repr__(self):
         return f"Kernel({self.name})"
 
 
-def _coerce(fn, xs) -> np.ndarray:
-    """``fn`` on a float array, with NaN read as +inf: the one NaN policy of
-    kernels and catalog functions."""
+def _coerce(fn, xs) -> ExtReal | np.ndarray:
+    """``fn`` at a float (an ``ExtReal``) or a float array, with NaN read as
+    +inf: the one NaN policy of kernels and catalog functions."""
     with np.errstate(all="ignore"):
         v = np.asarray(fn(np.asarray(xs, dtype=float)), dtype=float)
-    return np.where(np.isnan(v), np.inf, v)
+    v = np.where(np.isnan(v), np.inf, v)
+    return ExtReal(v) if v.ndim == 0 else v
+
+
+def _interior(fn, dom: Interval, x, name: str):
+    """``fn`` at points of int ``dom``: a float for a float, a new array for
+    an array. Raises ``OutsideInteriorError`` naming the first point outside."""
+    e = np.asarray(x, dtype=float)
+    inside = (dom.lo < e) & (e < dom.hi)
+    if not inside.all():
+        bad = float(e[~inside].flat[0])
+        raise OutsideInteriorError(f"{bad} not in the interior of dom {name}")
+    with np.errstate(all="ignore"):
+        v = fn(e)
+    return float(v) if e.ndim == 0 else np.array(v, dtype=float)
 
 
 def _masked(domain: Interval, formula):
@@ -292,7 +292,7 @@ def conjugate_by_grid(k: Kernel, eta: float, n: int = 4001) -> float:
 
     Independent of the closed-form conjugates; used to cross-check them.
     """
-    return grid_conjugate(k.eval_many, build_grid(k.domain, n=n, window=k.sample_window), eta)
+    return grid_conjugate(k.eval, build_grid(k.domain, n=n, window=k.sample_window), eta)
 
 
 def grad_conj_by_inversion(k: Kernel, eta: float) -> float:

@@ -6,17 +6,18 @@ values, kernel values, kernel gradients). Prox and envelope queries are
 solved in blocks of rows, one ybar per row: each block is one vectorized
 objective build plus one batched bracket refinement, with at least
 ``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
-grid samples, and a row gets the same bits in a block as alone
-(``prox_many``, ``env_many``; ``prox`` and ``env`` are one-row calls). Every
-objective is one array function of x, used for the grid samples and for the
-refinement alike. Envelope values are memoized per engine (``env_many``
-reads and fills the memo), and the envelope is additionally cached on the
-interior grid, since the proximal hull is a supremum of envelope evaluations.
+grid samples, and a row gets the same bits in a block as alone (``prox``
+and ``env`` take one ybar or an array of them). Every objective is one array
+function of x, used for the grid samples and for the refinement alike.
+Envelope values are memoized per engine (``env`` reads and fills the memo),
+and the envelope is additionally cached on the interior grid, since the
+proximal hull is a supremum of envelope evaluations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import weakref
@@ -78,13 +79,13 @@ class InstanceEngine:
         dom = self.kernel.domain
         self.x_grid = build_grid(dom, n, window=self.fn.window)
         self.X = self.x_grid.points
-        self.F = self.fn.eval_many(self.X)
-        self.K = self.kernel.eval_many(self.X)
+        self.F = self.fn.eval(self.X)
+        self.K = self.kernel.eval(self.X)
         interior = Interval(dom.lo, dom.hi, False, False)
         self.y_grid = build_grid(interior, n, window=self.fn.window)
         self.Y = self.y_grid.points
-        self.KY = self.kernel.eval_many(self.Y)
-        self.GY = self.kernel.grad_many(self.Y)
+        self.KY = self.kernel.eval(self.Y)
+        self.GY = self.kernel.grad(self.Y)
         self._env_coarse: np.ndarray | None = None
         self._hull_curve = None
         self._contact_mask: np.ndarray | None = None
@@ -97,13 +98,13 @@ class InstanceEngine:
         """(f, kappa) at x, read from the grid caches when x is the x grid."""
         if x is self.X:
             return self.F, self.K
-        return self.fn.eval_many(x), self.kernel.eval_many(x)
+        return self.fn.eval(x), self.kernel.eval(x)
 
     def kg(self, y):
         """(kappa, grad kappa) at interior y, cached when y is the y grid."""
         if y is self.Y:
             return self.KY, self.GY
-        return self.kernel.eval_many(y), self.kernel.grad_many(y)
+        return self.kernel.eval(y), self.kernel.grad(y)
 
     def tilted(self, x):
         """(lam f + kappa)(x), vectorized."""
@@ -165,28 +166,24 @@ class InstanceEngine:
             raise OutsideInteriorError(
                 f"{ybar} not interior to dom {self.kernel.name}")
 
-    def prox(self, ybar: float) -> ProxResult:
-        return self.prox_many([ybar])[0]
-
-    def prox_many(self, ys) -> list[ProxResult]:
-        """``prox`` at each interior ybar of ``ys``, solved in blocks of rows."""
-        return [self._to_result(gm) for gm in self._solve(ys)]
+    def prox(self, ys) -> ProxResult | list[ProxResult]:
+        """The prox at one interior ybar (a ``ProxResult``) or at each of an
+        array of them (a list), solved in blocks of rows."""
+        res = [self._to_result(gm) for gm in self._solve(ys)]
+        return res[0] if np.ndim(ys) == 0 else res
 
     def _to_result(self, gm: GridMin) -> ProxResult:
         interior = tuple(self.kernel.domain.interior_contains(m, INTERIOR_MARGIN)
                          for m in gm.minimizers)
         return ProxResult(tuple(gm.minimizers), ExtReal(gm.value), interior, gm.clusters)
 
-    def env(self, ybar: float) -> float:
-        """Envelope at one ybar (see ``env_many``)."""
-        return float(self.env_many([ybar])[0])
-
-    def env_many(self, ys) -> np.ndarray:
-        """Envelope at each interior ybar of ``ys``, memoized.
+    def env(self, ys) -> float | np.ndarray:
+        """Envelope at one interior ybar (a float) or at each of an array of
+        them (an array), memoized.
 
         Values in the memo are read first; the other points are solved once
-        each, in blocks of rows, and stored. The memo is emptied whenever
-        storing them would take it past ``grid_n`` values.
+        each, in blocks of rows, and stored. Past ``grid_n`` values the memo
+        evicts the oldest ones.
         """
         keys = np.atleast_1d(np.asarray(ys, dtype=float)).tolist()
         memo = self._env_memo
@@ -195,10 +192,11 @@ class InstanceEngine:
         if miss:
             solved = dict(zip(miss, (gm.value for gm in self._solve(miss))))
             out = [solved[y] if v is None else v for y, v in zip(keys, out)]
-            if len(memo) + len(solved) > self.grid_n:
-                memo.clear()
-            memo.update(list(solved.items())[:self.grid_n])
-        return np.array(out, dtype=float)
+            memo.update(solved)
+            # dicts keep insertion order: the first keys are the oldest
+            for y in list(itertools.islice(memo, max(0, len(memo) - self.grid_n))):
+                del memo[y]
+        return float(out[0]) if np.ndim(ys) == 0 else np.array(out, dtype=float)
 
     # -- envelope cache on the interior grid --------------------------------
 
@@ -223,7 +221,7 @@ class InstanceEngine:
 
         def psi(y):
             ky, gy = self.kg(y)
-            return self.fn.eval_many(y) + (kx - ky - gy * (xbar - y)) / self.lam
+            return self.fn.eval(y) + (kx - ky - gy * (xbar - y)) / self.lam
 
         return self._to_result(grid_minimize(psi, self.y_grid))
 
@@ -257,7 +255,7 @@ class InstanceEngine:
         shape = np.shape(x)
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         conv = np.asarray(self.hull_curve().value(x1), dtype=float)
-        kap = self.kernel.eval_many(x1)
+        kap = self.kernel.eval(x1)
         # only where conv is finite: outside the kernel domain kap is +inf too
         out = np.full_like(conv, np.inf)
         fin = np.isfinite(conv)
@@ -266,7 +264,7 @@ class InstanceEngine:
         j = np.clip(np.searchsorted(self.X, x1), 1, len(self.X) - 1)
         in_contact = contact[j - 1] & contact[j] & np.isfinite(out)
         if in_contact.any():
-            out = np.where(in_contact, self.fn.eval_many(x1), out)
+            out = np.where(in_contact, self.fn.eval(x1), out)
         return out.reshape(shape) if shape else float(out[0])
 
 
@@ -322,7 +320,7 @@ def prox_hull(inst: Instance, x: float) -> ExtReal:
     def neg_psi(y):
         # the y grid reads the grid-resolution envelope; each refinement
         # round solves its sampled envelopes as one block of rows
-        env = eng.env_coarse() if y is eng.Y else eng.env_many(y)
+        env = eng.env_coarse() if y is eng.Y else eng.env(y)
         ky, gy = eng.kg(y)
         return -(env - (kx - ky - gy * (x - y)) / eng.lam)
 
@@ -440,7 +438,7 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0,
     eng = engine(inst)
     ys = sample_inset(np.random.default_rng(seed), eng.y_grid.lo, eng.y_grid.hi, n)
     witnesses = []
-    for y, res in zip(ys.tolist(), eng.prox_many(ys)):
+    for y, res in zip(ys.tolist(), eng.prox(ys)):
         for m, ok in zip(res.minimizers, res.in_interior):
             if not ok:
                 witnesses.append((y, float(m)))
@@ -499,7 +497,7 @@ def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
     grid = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window)
 
     def psi(w):
-        shifted = eng.fn.eval_many(w) + (eng.kernel.eval_many(w) - 0.5 * np.square(w)) / lam
+        shifted = eng.fn.eval(w) + (eng.kernel.eval(w) - 0.5 * np.square(w)) / lam
         return shifted + 0.5 * np.square(w - z) / lam
 
     gm = grid_minimize(psi, grid)

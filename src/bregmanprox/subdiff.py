@@ -156,7 +156,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
     def slack(y):
         ky, gy = eng.kg(y)
         d = kybar - ky - gy * (ybar - y)
-        return eng.fn.eval_many(y) - gybar - v * (gy - grad_ybar) + d / eng.lam
+        return eng.fn.eval(y) - gybar - v * (gy - grad_ybar) + d / eng.lam
 
     worst, witness = _refined_min_slack(slack, eng.Y)
     return worst >= -tol, worst, witness
@@ -297,7 +297,7 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float,
     c = 10.0 * (1.0 + kdd) / eng.lam
     for r in radii:
         ts = np.linspace(-r, r, 41)
-        fv = eng.fn.eval_many(xbar + ts)
+        fv = eng.fn.eval(xbar + ts)
         finite = np.isfinite(fv)
         worst = float((fv[finite] - fx - u * ts[finite]).min()) if finite.any() else math.inf
         if worst < -(c * r * r + 1e-9):
@@ -331,7 +331,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
     except HypothesesUnmetError:
         hull_available = False
     ys = np.atleast_1d(np.asarray(ybar_values, dtype=float)).tolist()
-    results = eng.prox_many(ys)
+    results = eng.prox(ys)
     bad = [(y, m) for y, res in zip(ys, results)
            for m, ok in zip(res.minimizers, res.in_interior) if not ok]
     if bad:
@@ -360,7 +360,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
                     - eng.kernel.grad(y2) * (m - y2)
                 converse.append((len(terms), y2))
                 terms.append(float(eng.fn.eval(m)) + d / eng.lam)
-    for (k, _), env2 in zip(converse, eng.env_many([y2 for _, y2 in converse]).tolist()):
+    for (k, _), env2 in zip(converse, eng.env([y2 for _, y2 in converse]).tolist()):
         terms[k] -= env2
     return max([0.0] + terms)
 
@@ -455,7 +455,7 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
     lo = max(eng_a.y_grid.lo, eng_b.y_grid.lo)
     hi = min(eng_a.y_grid.hi, eng_b.y_grid.hi)
     ys_env = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 41)
-    diff_env = eng_a.env_many(ys_env) - eng_b.env_many(ys_env)
+    diff_env = eng_a.env(ys_env) - eng_b.env(ys_env)
     a_ok = bool(np.ptp(diff_env) <= tol)
     env_shift = float(np.median(diff_env))
 
@@ -479,7 +479,7 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
     h = max(eng_a.x_grid.h, eng_b.x_grid.h)
     c_ok = True
     prox_pairs: list[tuple[float, float]] = []
-    for y, ra, rb in zip(ys, eng_a.prox_many(ys), eng_b.prox_many(ys)):
+    for y, ra, rb in zip(ys, eng_a.prox(ys), eng_b.prox(ys)):
         if not _cluster_sets_equal(ra.clusters, rb.clusters, x_tol=1e-5, w_tol=3 * h):
             c_ok = False
         gy = kernel.grad(y)

@@ -158,8 +158,7 @@ def _fn_convexity(eng: InstanceEngine, label: str = "f-convex") -> Condition:
 
 def _xi_window(eng: InstanceEngine) -> tuple[float, float]:
     """A dual (gradient-space) working range clipped to the primal window."""
-    g_lo = eng.kernel.grad(eng.y_grid.lo)
-    g_hi = eng.kernel.grad(eng.y_grid.hi)
+    g_lo, g_hi = eng.kernel.grad([eng.y_grid.lo, eng.y_grid.hi]).tolist()
     margin = 0.05 * (g_hi - g_lo)
     return max(-4.0, g_lo + margin), min(4.0, g_hi - margin)
 
@@ -168,7 +167,7 @@ def _h_convexity(eng: InstanceEngine, label: str = "env-dual-convex") -> Conditi
     """Convexity of h(xi) = env(grad kappa*(xi)) on a uniform dual grid."""
     lo, hi = _xi_window(eng)
     xis = np.linspace(lo, hi, 161)
-    return _convexity_of_samples(xis, eng.env_many(eng.kernel.grad_conj(xis)),
+    return _convexity_of_samples(xis, eng.env(eng.kernel.grad_conj(xis)),
                                  TOL_CONV, label)
 
 
@@ -186,7 +185,7 @@ def _prox_at_etas(eng: InstanceEngine, etas):
     ys = eng.kernel.grad_conj(etas)
     dom = eng.kernel.domain
     inside = (dom.lo < ys) & (ys < dom.hi)
-    return list(zip(etas[inside].tolist(), eng.prox_many(ys[inside])))
+    return list(zip(etas[inside].tolist(), eng.prox(ys[inside])))
 
 
 def _selections(eng: InstanceEngine, etas, interior_only: bool):
@@ -344,7 +343,7 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    gg = eng.kernel.grad_many(xx)
+    gg = eng.kernel.grad(xx)
     lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
     dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
     e_cond = _worst_pair("e-dfne", lhs - dd, (ee, xx))
@@ -416,12 +415,12 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
         xis = lo + (hi - lo) * rng.random(40)
         delta = 1e-5
         gcj = eng.kernel.grad_conj
-        env_p = eng.env_many(gcj(xis + delta)).tolist()
-        env_m = eng.env_many(gcj(xis - delta)).tolist()
+        env_p = eng.env(gcj(xis + delta)).tolist()
+        env_m = eng.env(gcj(xis - delta)).tolist()
         ys = gcj(xis)
         worst, wit = 0.0, ()
         for xi, y, ep, em, res in zip(xis.tolist(), ys.tolist(), env_p, env_m,
-                                      eng.prox_many(ys)):
+                                      eng.prox(ys)):
             fd = (ep - em) / (2 * delta)
             ident = (y - res.minimizers[0]) / eng.lam
             err = abs(eng.lam * fd - eng.lam * ident)
@@ -448,8 +447,8 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
     lo, hi = _xi_window(eng)
     xis = np.asarray(lo + (hi - lo) * rng.random(100), dtype=float)
     gc = eng.kernel.grad_conj(xis)
-    h_vals = eng.env_many(gc)
-    proxes = eng.prox_many(gc)
+    h_vals = eng.env(gc)
+    proxes = eng.prox(gc)
     prox_pts = np.array([res.minimizers[0] for res in proxes])
     single = not any(res.multiple for res in proxes)
     grad_h = (gc - prox_pts) / eng.lam
@@ -461,9 +460,9 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
               - grad_h[None, :] * (xis[:, None] - xis[None, :]))
         P = gc[:, None] - eng.lam * (grad_h[:, None] - grad_h[None, :])
         Q = gc[:, None] + np.zeros_like(P)
-        KP = eng.kernel.eval_many(P)
-        KQ = eng.kernel.eval_many(Q)
-        GQ = eng.kernel.grad_many(Q)
+        KP = eng.kernel.eval(P)
+        KQ = eng.kernel.eval(Q)
+        GQ = eng.kernel.grad(Q)
         RHS = KP - KQ - GQ * (P - Q)
         coco = _worst_pair("bcoco-inequality", eng.lam * DH - RHS, (xis,))
     rep.conditions = [a, coco]
@@ -515,9 +514,10 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
         list(sample_inset(rng, lo, hi, 20))
         + [lo + span * q for q in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]))
     h_fd = 1e-6 * max(1.0, span)
+    pts = np.array(pts)
+    us = (eng.fn.eval(pts + h_fd) - eng.fn.eval(pts - h_fd)) / (2 * h_fd)
     i_holds, i_worst, i_wit = True, math.inf, ()
-    for p in map(float, pts):
-        u = (float(eng.fn.eval(p + h_fd)) - float(eng.fn.eval(p - h_fd))) / (2 * h_fd)
+    for p, u in zip(pts.tolist(), us.tolist()):
         mp, sp, _ = left_lpsubdiff_definitional(inst_plus, p, u)
         mm, sm, _ = left_lpsubdiff_definitional(inst_minus, p, -u)
         worst_here = min(sp, sm)
@@ -528,7 +528,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
             break
     i_cond = Condition("i-two-sided-subdiff-nonempty", i_holds, i_worst, i_wit)
 
-    FY = eng.fn.eval_many(eng.Y)
+    FY = eng.fn.eval(eng.Y)
     KYL = L * eng.KY
     ii_plus = _convexity_of_samples(eng.Y, KYL + FY, TOL_CONV, "ii-plus")
     ii_minus = _convexity_of_samples(eng.Y, KYL - FY, TOL_CONV, "ii-minus")
@@ -584,7 +584,7 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
     lower = upper = Condition("placeholder", True, math.inf)
     if len(xx) >= 2:
-        gg = eng.kernel.grad_many(xx)
+        gg = eng.kernel.grad(xx)
         gc = eng.kernel.grad_conj(ee)
         mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
         dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
@@ -619,7 +619,7 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
         if not eng.kernel.grad_range.contains(v):
             continue
         ref = eng.kernel.grad_conj(v)
-        shift = eng.kernel.eval_many(eng.X - p + ref) - float(eng.kernel.eval(ref))
+        shift = eng.kernel.eval(eng.X - p + ref) - float(eng.kernel.eval(ref))
         slack = phi_vals - phi_p - shift
         finite = np.isfinite(slack)
         if not finite.any():

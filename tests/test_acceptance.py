@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantities (run with -s to see them)."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -251,3 +252,17 @@ def test_verdicts_match_seed42_golden(suite42):
     moved = [f"{g['instance']}/{g['theorem']}" for g, w in zip(got, want) if g != w]
     assert moved == [], f"verdicts moved: {moved}"
     print(f"\nPASS verdict golden: {len(got)} reports match {VERDICTS_SEED42.name}")
+
+
+def test_suite42_passes_the_benchmark_report_checks(suite42):
+    """The benchmark's own report checker, loaded by path. It never imports
+    bregmanprox: the expected verdicts are written out from the paper."""
+    path = Path(__file__).parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert len(suite42) == 91
+    failed = [(r.instance, r.theorem, checks.check_report(r.instance, r.theorem, r.to_dict()))
+              for r in suite42]
+    assert [f for f in failed if f[2] is not None] == []
+    print(f"\nPASS benchmark report checks: {len(failed)} reports")

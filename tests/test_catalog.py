@@ -6,9 +6,25 @@ import pytest
 from bregmanprox.catalog import (F_ZERO, Instance, get_instance,
                                  instance_names, shift_scale)
 from bregmanprox.errors import UnknownInstanceError
+from bregmanprox.extreal import ExtReal
 from bregmanprox.kernels import BURG, CUBIC_ABS, ENERGY, HELLINGER, QUARTIC
 from bregmanprox.numerics import second_difference_convexity_test
 from bregmanprox.proxenv import detect_unbounded
+
+
+@pytest.mark.parametrize("name", instance_names())
+def test_eval_array_equals_scalar_bit_for_bit(name):
+    fn = get_instance(name).fn
+    lo, hi = fn.window
+    span = hi - lo
+    # the window, a margin outside it, and the finite domain endpoints
+    xs = np.concatenate([np.linspace(lo - 0.1 * span, hi + 0.1 * span, 2000),
+                         [b for b in (fn.domain.lo, fn.domain.hi) if math.isfinite(b)]])
+    arr = fn.eval(xs)
+    assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
+    scalar = [fn.eval(float(x)) for x in xs]
+    assert all(type(v) is ExtReal for v in scalar)
+    assert [float(v).hex() for v in arr] == [v.hex() for v in scalar]
 
 
 def test_ex310_entry():
@@ -79,7 +95,7 @@ def test_proper_on_window(name):
     inst = get_instance(name)
     lo, hi = inst.fn.window
     xs = np.linspace(lo + 1e-9 * (hi - lo), hi, 501)
-    vals = inst.fn.eval_many(xs)
+    vals = inst.fn.eval(xs)
     assert np.isfinite(vals).any()
     assert not (vals == -math.inf).any()
 
@@ -97,7 +113,7 @@ def test_lsc_spot_checks(name):
     offs = delta * (0.5 + 0.5 * np.arange(1, 21) / 20)
     for x0 in map(float, pts):
         f0 = float(inst.fn.eval(x0))
-        ring = inst.fn.eval_many(np.concatenate([x0 - offs, x0 + offs]))
+        ring = inst.fn.eval(np.concatenate([x0 - offs, x0 + offs]))
         finite = ring[np.isfinite(ring)]
         if math.isinf(f0):
             assert finite.size == 0
@@ -112,7 +128,7 @@ def test_convexity_annotations(name):
     inst = get_instance(name)
     lo, hi = inst.fn.window
     xs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 201)
-    vals = inst.fn.eval_many(xs)
+    vals = inst.fn.eval(xs)
     finite = np.isfinite(vals)
     idx = np.nonzero(finite)[0]
     if (np.diff(idx) > 1).any():

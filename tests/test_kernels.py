@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bregmanprox.errors import NotLegendreError, OutsideInteriorError
-from bregmanprox.extreal import Interval
+from bregmanprox.extreal import ExtReal, Interval
 from bregmanprox.kernels import (ALL_KERNELS, BURG, CUBIC_ABS, ENERGY,
                                  HELLINGER, LEGENDRE_KERNELS, QUARTIC, SHANNON,
                                  Kernel, bregman_distance, conjugate_by_grid,
@@ -29,12 +29,21 @@ def dual_interior_samples(k, n, rng):
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
 def test_grad_conj_array_equals_scalar_bit_for_bit(k):
+    """eval, grad, conj_eval and grad_conj: an array gives the bits of one
+    float call per point (an ExtReal for the values, a float for the gradients)."""
+    lo, hi = k.sample_window
+    span = hi - lo
+    around = np.linspace(lo - span, hi + span, 2000)  # the values read +inf outside
+    primal = interior_samples(k, 2000, np.random.default_rng(8))
     etas = dual_interior_samples(k, 2000, np.random.default_rng(8))
-    arr = k.grad_conj(etas)
-    assert isinstance(arr, np.ndarray) and arr.shape == etas.shape
-    scalar = [k.grad_conj(float(e)) for e in etas]
-    assert all(type(v) is float for v in scalar)
-    assert [float(v).hex() for v in arr] == [v.hex() for v in scalar]
+    for method, pts, kind in (("eval", around, ExtReal), ("grad", primal, float),
+                              ("conj_eval", around, ExtReal), ("grad_conj", etas, float)):
+        fn = getattr(k, method)
+        arr = fn(pts)
+        assert isinstance(arr, np.ndarray) and arr.shape == pts.shape, method
+        scalar = [fn(float(p)) for p in pts]
+        assert all(type(v) is kind for v in scalar), method
+        assert [float(v).hex() for v in arr] == [float(v).hex() for v in scalar], method
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
@@ -44,6 +53,22 @@ def test_grad_conj_array_names_the_non_interior_eta(k):
                            [bad], dual_interior_samples(k, 5, np.random.default_rng(3))])
     with pytest.raises(OutsideInteriorError, match=f"^{bad} not in the interior"):
         k.grad_conj(etas)
+    bad = k.domain.lo  # closed for Shannon, so in the domain but not interior
+    xs = np.concatenate([interior_samples(k, 5, np.random.default_rng(2)),
+                         [bad], interior_samples(k, 5, np.random.default_rng(3))])
+    with pytest.raises(OutsideInteriorError, match=f"^{bad} not in the interior"):
+        k.grad(xs)
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_gradients_of_an_array_are_a_new_array(k):
+    for method, pts in (("grad", interior_samples(k, 50, np.random.default_rng(4))),
+                        ("grad_conj", dual_interior_samples(k, 50, np.random.default_rng(4)))):
+        keep = pts.copy()
+        out = getattr(k, method)(pts)
+        assert out is not pts, method
+        out[:] = 0.0
+        assert (pts == keep).all(), method
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
@@ -81,7 +106,7 @@ def test_eval_convex_on_samples(k):
     span = hi - lo
     lo_s = lo + (1e-6 * span if not k.domain.contains(lo) else 0.0)
     xs = np.linspace(lo_s, hi, 201)
-    vals = k.eval_many(xs)
+    vals = k.eval(xs)
     finite = np.isfinite(vals)
     ok, worst, _ = second_difference_convexity_test(
         xs[finite], vals[finite], tol=1e-9)
@@ -131,7 +156,7 @@ def test_distance_convex_in_first_slot(k):
     span = hi - lo
     lo_s = lo + (1e-4 * span if not k.domain.contains(lo) else 0.0)
     xs = np.linspace(lo_s, hi, 81)
-    kx = k.eval_many(xs)
+    kx = k.eval(xs)
     for y in interior_samples(k, 200, rng, inset=1e-2):
         y = float(y)
         vals = kx - float(k.eval(y)) - k.grad(y) * (xs - y)

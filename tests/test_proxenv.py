@@ -133,13 +133,31 @@ def test_env_memo_is_bounded_by_grid_size():
     assert eng.env(float(ys[3])) == first
 
 
+def test_env_memo_evicts_only_the_oldest_values(monkeypatch):
+    eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=65)
+    rows = []
+    solve = eng._solve
+
+    def counted(ys):
+        rows.append(len(ys))
+        return solve(ys)
+
+    monkeypatch.setattr(eng, "_solve", counted)
+    eng.env(eng.Y)
+    eng.env([0.01, 0.02, 0.03])  # three points off the grid
+    assert len(eng._env_memo) == 65
+    rows.clear()
+    eng.env(eng.Y)
+    assert sum(rows) <= 3
+
+
 @pytest.mark.parametrize("name, ys", [
     ("ex419", (-1.3, -0.2, 0.5, 1.1)),
     ("ex411", (0.3, 2.0 ** -0.5, 0.9)),  # prox {0, 1} at 1/sqrt(2)
 ])
 def test_batched_env_equals_env_bit_for_bit(name, ys):
     eng = engine(get_instance(name))
-    batched = eng.env_many(np.array(ys))
+    batched = eng.env(np.array(ys))
     assert [float(v) for v in batched] == [eng.env(y) for y in ys]
     if name == "ex411":
         assert eng.prox(2.0 ** -0.5).multiple
@@ -159,7 +177,7 @@ def _bits(res):
 def test_prox_many_equals_prox_bit_for_bit(name, ys):
     # 40 points at N = 2001 make three blocks (17 + 17 + 6 rows)
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
-    many = eng.prox_many(ys)
+    many = eng.prox(ys)
     assert [_bits(r) for r in many] == [_bits(eng.prox(float(y))) for y in ys]
     if name == "ex411":
         assert many[-1].multiple  # prox {0, 1} at 1/sqrt(2)
@@ -192,7 +210,7 @@ def test_prox_many_memory_is_bounded_by_blocks():
     eng.prox(0.1)  # warm the lazily built parts
     tracemalloc.start()
     try:
-        eng.prox_many(ys)
+        eng.prox(ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,9 +220,9 @@ def test_prox_many_memory_is_bounded_by_blocks():
 
 def test_env_many_reads_and_fills_the_memo():
     eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001)
-    first = eng.env_many([0.5, -1.0, 0.5])
+    first = eng.env([0.5, -1.0, 0.5])
     assert first[0] == first[2] and len(eng._env_memo) == 2
-    assert eng.env_many([-1.0, 2.0]).tolist() == [first[1], eng.env(2.0)]
+    assert eng.env([-1.0, 2.0]).tolist() == [first[1], eng.env(2.0)]
     assert len(eng._env_memo) == 3
 
 

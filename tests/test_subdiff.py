@@ -113,7 +113,7 @@ def test_right_consistency_with_left_prox():
         inside = np.array([eng.kernel.domain.interior_contains(float(y)) for y in ys1],
                           dtype=bool)
         out = np.full(ys1.shape, math.inf)
-        out[inside] = -eng.env_many(ys1[inside])
+        out[inside] = -eng.env(ys1[inside])
         return out.reshape(shape) if shape else float(out[0])
 
     g = ProperFn("neg_env_419", Interval.reals(), lambda x: neg_env(x),
