@@ -56,25 +56,27 @@ def _column(inst, what: str, xs: list[float]) -> list[float]:
     are solved as one block each, at the interior points only: elsewhere env
     and h_lambda read inf and prox nan."""
     eng = engine(inst)
+    xs = np.asarray(xs, dtype=float)
     if what == "f":
         return inst.fn.eval(xs).tolist()
     if what == "h_lambda":
         # xi outside int dom kappa* maps to nan, which the env column reads as inf
-        dual = [inst.kernel.conj_domain.interior_contains(x) for x in xs]
-        ys = iter(inst.kernel.grad_conj(np.array(xs)[dual]).tolist())
-        xs, what = [next(ys) if m else math.nan for m in dual], "env"
+        dual = inst.kernel.conj_domain.interior_contains(xs)
+        ys = np.full_like(xs, math.nan)
+        ys[dual] = inst.kernel.grad_conj(xs[dual])
+        xs, what = ys, "env"
     if what in ("env", "prox"):
-        mask = [inst.kernel.domain.interior_contains(x) for x in xs]
-        inside = [x for x, m in zip(xs, mask) if m]
+        mask = inst.kernel.domain.interior_contains(xs)
+        out = np.full_like(xs, math.inf if what == "env" else math.nan)
         if what == "env":
-            vals, fill = iter(eng.env(inside).tolist()), math.inf
+            out[mask] = eng.env(xs[mask])
         else:
-            vals, fill = (min(r.minimizers) for r in eng.prox(inside)), math.nan
-        return [next(vals) if m else fill for m in mask]
+            out[mask] = [min(r.minimizers) for r in eng.prox(xs[mask])]
+        return out.tolist()
     if what == "hull":
         return eng.hull_fn_value(xs).tolist()
     if what in ("subdiff-lo", "subdiff-hi"):
-        sets = [left_lpsubdiff_hull(inst, x) for x in xs]
+        sets = [left_lpsubdiff_hull(inst, x) for x in xs.tolist()]
         return [math.nan if s.is_empty else s.lo if what == "subdiff-lo" else s.hi
                 for s in sets]
     raise ValueError(f"unknown quantity {what!r}")

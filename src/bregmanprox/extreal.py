@@ -107,17 +107,19 @@ class Interval:
     def is_all_reals(self) -> bool:
         return math.isinf(self.lo) and math.isinf(self.hi)
 
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+    def contains(self, x):
+        """Membership of a float (a bool) or of each point of an array (a
+        bool array). A float stays a pure-Python comparison; NaN lies in no
+        interval."""
+        return ((self.lo <= x) if self.lo_closed else (self.lo < x)) \
+            & ((x <= self.hi) if self.hi_closed else (x < self.hi))
 
-    def interior_contains(self, x: float, margin: float = 0.0) -> bool:
-        return self.lo + margin < x < self.hi - margin
+    def interior_contains(self, x, margin: float = 0.0):
+        """Membership of a float or an array in (lo + margin, hi - margin)."""
+        return (self.lo + margin < x) & (x < self.hi - margin)
+
+    def interior(self) -> "Interval":
+        return Interval(self.lo, self.hi, False, False)
 
     def intersect(self, other: "Interval") -> "Interval":
         if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):

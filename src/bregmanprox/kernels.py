@@ -40,7 +40,9 @@ class Kernel:
     take a float or an array.
     ``grad_range`` is the range of the gradient, stored explicitly because
     dual constructions require membership tests in it (for non-1-coercive
-    kernels it is a strict subset of the reals).
+    kernels it is a strict subset of the reals). The gradient of a Legendre,
+    1-coercive kernel maps the interior of its domain onto the reals, and
+    construction rejects a ``grad_range`` that says otherwise.
     """
 
     name: str
@@ -55,6 +57,11 @@ class Kernel:
     conj_domain: Interval
     sample_window: tuple[float, float]
     grad_lipschitz: float | None = None
+
+    def __post_init__(self):
+        if self.is_legendre and self.is_one_coercive and not self.grad_range.is_all_reals:
+            raise ValueError(f"kernel {self.name} is Legendre and 1-coercive, "
+                             "so its gradient range must be the reals")
 
     def eval(self, x) -> ExtReal | np.ndarray:
         return _coerce(self.eval_arr, x)
@@ -86,7 +93,7 @@ def _interior(fn, dom: Interval, x, name: str):
     """``fn`` at points of int ``dom``: a float for a float, a new array for
     an array. Raises ``OutsideInteriorError`` naming the first point outside."""
     e = np.asarray(x, dtype=float)
-    inside = (dom.lo < e) & (e < dom.hi)
+    inside = dom.interior_contains(e)
     if not inside.all():
         bad = float(e[~inside].flat[0])
         raise OutsideInteriorError(f"{bad} not in the interior of dom {name}")
@@ -98,15 +105,11 @@ def _interior(fn, dom: Interval, x, name: str):
 def _masked(domain: Interval, formula):
     """Vectorized evaluation that is +inf outside ``domain``."""
 
-    above = np.greater_equal if domain.lo_closed else np.greater
-    below = np.less_equal if domain.hi_closed else np.less
-
     def ev(x):
         x = np.asarray(x, dtype=float)
-        inside = above(x, domain.lo) & below(x, domain.hi)
         # the formula sees clipped points only; inside points are unchanged
         safe = np.minimum(np.maximum(x, domain.lo), domain.hi)
-        return np.where(inside, formula(safe), np.inf)
+        return np.where(domain.contains(x), formula(safe), np.inf)
 
     return ev
 
@@ -303,7 +306,6 @@ def grad_conj_by_inversion(k: Kernel, eta: float) -> float:
     """
     wlo, whi = k.sample_window
     span = whi - wlo
-    interior = Interval(k.domain.lo, k.domain.hi, False, False)
     return monotone_invert(k.grad, float(eta),
                            (wlo + 1e-6 * span, whi - 1e-6 * span),
-                           domain=interior)
+                           domain=k.domain.interior())

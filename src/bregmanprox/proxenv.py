@@ -81,8 +81,7 @@ class InstanceEngine:
         self.X = self.x_grid.points
         self.F = self.fn.eval(self.X)
         self.K = self.kernel.eval(self.X)
-        interior = Interval(dom.lo, dom.hi, False, False)
-        self.y_grid = build_grid(interior, n, window=self.fn.window)
+        self.y_grid = build_grid(dom.interior(), n, window=self.fn.window)
         self.Y = self.y_grid.points
         self.KY = self.kernel.eval(self.Y)
         self.GY = self.kernel.grad(self.Y)
@@ -101,10 +100,15 @@ class InstanceEngine:
         return self.fn.eval(x), self.kernel.eval(x)
 
     def kg(self, y):
-        """(kappa, grad kappa) at interior y, cached when y is the y grid."""
+        """(kappa, grad kappa) at interior y, cached when y is the y grid.
+
+        Unchecked: y is a ybar checked where it entered the engine, the y
+        grid, or a refinement point inside the y grid. The gradient may be
+        ``y`` itself (the energy kernel), so callers never write into it.
+        """
         if y is self.Y:
             return self.KY, self.GY
-        return self.kernel.eval(y), self.kernel.grad(y)
+        return self.kernel.eval(y), self.kernel.grad_arr(y)
 
     def tilted(self, x):
         """(lam f + kappa)(x), vectorized."""
@@ -151,8 +155,7 @@ class InstanceEngine:
         return out
 
     def _solve_block(self, ys: np.ndarray) -> list[GridMin]:
-        for y in ys.tolist():
-            self.check_interior(y)
+        self.check_interior(ys)
         phi, vals = self._left_rows(ys)
         return grid_minimize(phi, self.x_grid, values=vals)
 
@@ -161,10 +164,13 @@ class InstanceEngine:
         self.check_interior(ybar)
         return self._left_rows([ybar])[1][0]
 
-    def check_interior(self, ybar: float):
-        if not self.kernel.domain.interior_contains(float(ybar)):
-            raise OutsideInteriorError(
-                f"{ybar} not interior to dom {self.kernel.name}")
+    def check_interior(self, ys):
+        """Raise ``OutsideInteriorError`` naming the first ybar, of a float or
+        an array, outside int dom kappa."""
+        inside = self.kernel.domain.interior_contains(ys)
+        if not np.all(inside):
+            bad = ys if np.ndim(ys) == 0 else float(ys[~inside][0])
+            raise OutsideInteriorError(f"{bad} not interior to dom {self.kernel.name}")
 
     def prox(self, ys) -> ProxResult | list[ProxResult]:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
@@ -398,8 +404,7 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
 
 
 def _probe_point(kernel: Kernel, fn: ProperFn) -> float:
-    grid = build_grid(Interval(kernel.domain.lo, kernel.domain.hi, False, False),
-                      n=11, window=fn.window)
+    grid = build_grid(kernel.domain.interior(), n=11, window=fn.window)
     return float(0.5 * (grid.lo + grid.hi))
 
 
@@ -428,8 +433,7 @@ def threshold_scan(kernel: Kernel, fn: ProperFn,
 # Instance hypotheses and the range assumption
 # ---------------------------------------------------------------------------
 
-def range_probe(inst: Instance, n: int = 500, seed: int = 0,
-                margin: float = INTERIOR_MARGIN):
+def range_probe(inst: Instance, n: int = 500, seed: int = 0):
     """Sample ybar across the interior; check all prox outputs stay interior.
 
     Returns (ok, witnesses) where witnesses are (ybar, minimizer) pairs that
@@ -490,7 +494,6 @@ def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
     the half square.
     """
     eng = engine(inst)
-    eng.check_interior(ybar)
     left = eng.prox(ybar)
     z = eng.kernel.grad(ybar)
     lam = eng.lam

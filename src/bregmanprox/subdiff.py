@@ -23,6 +23,7 @@ import numpy as np
 
 from .catalog import Instance
 from .errors import HypothesesUnmetError, RangeAssumptionFailedError
+from .extreal import Interval
 from .numerics import refine_best, sample_inset
 from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
 
@@ -83,12 +84,9 @@ class SubdiffSet:
     def is_singleton(self) -> bool:
         return (not self.is_empty) and self.width <= TOL_WIDTH
 
-    def contains(self, u: float, tol: float = 0.0) -> bool:
-        if self.is_empty:
-            return False
-        if u < self.lo - tol or u > self.hi + tol:
-            return False
-        return True
+    def contains(self, u: float) -> bool:
+        return not self.is_empty and \
+            Interval(self.lo, self.hi, self.lo_closed, self.hi_closed).contains(u)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +224,7 @@ def left_lpsubdiff_hull(inst: Instance, xbar: float,
 
     Empty when the envelope of lam f + kappa lies strictly below the function
     at xbar; otherwise the slope interval of the envelope mapped through
-    u = (s - grad kappa(xbar)) / lam, intersected with the gradient-range
-    constraint when the kernel gradient is not onto.
+    u = (s - grad kappa(xbar)) / lam.
     """
     require_hypotheses(inst)
     eng = engine(inst)
@@ -253,16 +250,6 @@ def left_lpsubdiff_hull(inst: Instance, xbar: float,
         member, _, _ = left_lpsubdiff_definitional(inst, xbar, -_PROBE_MEMBER_AT)
         if not member:
             u_hi, hi_closed = -_PROBE_MEMBER_AT, False
-    # gradient-range filter: lam u + grad kappa(xbar) must be attainable
-    rng = eng.kernel.grad_range
-    if not rng.is_all_reals:
-        r_lo, r_hi = (rng.lo - g) / lam, (rng.hi - g) / lam
-        if u_lo < r_lo or (u_lo == r_lo and lo_closed and not rng.lo_closed):
-            u_lo, lo_closed = r_lo, rng.lo_closed
-        if u_hi > r_hi or (u_hi == r_hi and hi_closed and not rng.hi_closed):
-            u_hi, hi_closed = r_hi, rng.hi_closed
-        if u_lo > u_hi or (u_lo == u_hi and not (lo_closed and hi_closed)):
-            return SubdiffSet.empty()
     return SubdiffSet.interval(u_lo, u_hi, lo_closed, hi_closed)
 
 
@@ -470,12 +457,9 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
 
     ys = list(sample_inset(rng, lo, hi, n_samples))
     if kernel.is_legendre:
-        for eng in (eng_a, eng_b):
-            for s in _critical_etas(eng):
-                if kernel.grad_range.contains(s):
-                    y = kernel.grad_conj(s)
-                    if kernel.domain.interior_contains(y, 1e-12):
-                        ys.append(float(y))
+        etas = np.array(_critical_etas(eng_a) + _critical_etas(eng_b), dtype=float)
+        crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
+        ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
     h = max(eng_a.x_grid.h, eng_b.x_grid.h)
     c_ok = True
     prox_pairs: list[tuple[float, float]] = []

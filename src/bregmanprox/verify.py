@@ -40,6 +40,7 @@ __all__ = [
 # genuine violations in the catalog are orders of magnitude larger.
 TOL_MONO = 1e-6
 TOL_CONV = 1e-8      # second-difference convexity slack (scaled by data size)
+TOL_LIP = 1e-4       # slack of the sampled prox Lipschitz ratio over 1/L
 N_POINT_SAMPLES = 200
 N_PAIR_SAMPLES = 200
 
@@ -176,15 +177,14 @@ def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
     etas = list(lo + (hi - lo) * rng.random(n))
     if with_critical:
         etas += _critical_etas(eng)
-    return [e for e in etas if eng.kernel.grad_range.contains(e)]
+    return etas
 
 
 def _prox_at_etas(eng: InstanceEngine, etas):
     """(eta, prox at grad kappa*(eta)) for the etas whose point is interior."""
     etas = np.asarray(etas, dtype=float)
     ys = eng.kernel.grad_conj(etas)
-    dom = eng.kernel.domain
-    inside = (dom.lo < ys) & (ys < dom.hi)
+    inside = eng.kernel.domain.interior_contains(ys)
     return list(zip(etas[inside].tolist(), eng.prox(ys[inside])))
 
 
@@ -275,10 +275,9 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     f_holds, f_wit = True, ()
     if hi_f - lo_f > 0:
         pts = sample_inset(rng, lo_f, hi_f, 60)
-        pts = [p for p in pts if eng.kernel.domain.interior_contains(p)]
-        for p in pts:
-            if left_lpsubdiff_hull(inst, float(p)).is_empty:
-                f_holds, f_wit = False, (float(p),)
+        for p in pts[eng.kernel.domain.interior_contains(pts)].tolist():
+            if left_lpsubdiff_hull(inst, p).is_empty:
+                f_holds, f_wit = False, (p,)
                 break
     f = Condition("f-subdiff-nonempty", f_holds, 0.0, f_wit)
 
@@ -303,15 +302,8 @@ def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng, n: int = 60):
     """Sampled (x, u) pairs of the hull-route subdifferential graph."""
     lo_f, hi_f = _finite_dom_bounds(eng)
     pts = sample_inset(rng, lo_f, hi_f, n)
-    pairs = []
-    for p in pts:
-        p = float(p)
-        if not eng.kernel.domain.interior_contains(p):
-            continue
-        s = left_lpsubdiff_hull(inst, p)
-        for u in subdiff_samples(s):
-            pairs.append((p, float(u)))
-    return pairs
+    return [(p, float(u)) for p in pts[eng.kernel.domain.interior_contains(pts)].tolist()
+            for u in subdiff_samples(left_lpsubdiff_hull(inst, p))]
 
 
 def _pairwise_monotone(pairs, label: str) -> Condition:
@@ -616,8 +608,6 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
     grads = (eng.tilted(pts + h_fd) - eng.tilted(pts - h_fd)) / (2 * h_fd)
     worst, wit = math.inf, ()
     for p, v, phi_p in zip(map(float, pts), map(float, grads), map(float, eng.tilted(pts))):
-        if not eng.kernel.grad_range.contains(v):
-            continue
         ref = eng.kernel.grad_conj(v)
         shift = eng.kernel.eval(eng.X - p + ref) - float(eng.kernel.eval(ref))
         slack = phi_vals - phi_p - shift
@@ -651,7 +641,7 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
         raise HypothesesUnmetError("lam f + kappa is not L-strongly convex")
     rep.hypotheses["grad-lipschitz"] = True
     rep.hypotheses["strongly-convex"] = True
-    rep.tolerances = {"tol_lip": 1e-6}
+    rep.tolerances = {"tol_lip": TOL_LIP}
 
     hcvx = _h_convexity(eng)
 
@@ -663,7 +653,7 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     dx = np.abs(np.subtract.outer(xx, xx))
     mask = de > 1e-2  # keep ratio noise (sqrt-eps minimizer error) below tol
     ratio = float((dx[mask] / de[mask]).max()) if mask.any() else 0.0
-    lip = Condition("prox-single-and-lipschitz", single and ratio <= 1.0 / L + 1e-4,
+    lip = Condition("prox-single-and-lipschitz", single and ratio <= 1.0 / L + TOL_LIP,
                     ratio)
 
     rep.conditions = [strong, hcvx, lip]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +74,35 @@ def test_interval_contains():
     assert iv.contains(0.5)
     assert iv.interior_contains(0.5)
     assert not iv.interior_contains(0.0)
+    assert iv.interior() == Interval(0.0, 1.0, False, False)
+
+
+def test_nan_lies_in_no_interval():
+    for iv in (Interval(-1.0, 1.0), Interval.reals()):
+        assert iv.contains(math.nan) is False
+        assert iv.interior_contains(math.nan) is False
+
+
+ends = st.floats(allow_nan=False, min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def intervals(draw):
+    lo, hi = sorted((draw(ends | st.just(-math.inf)), draw(ends | st.just(math.inf))))
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(intervals(), st.data(), st.just(0.0) | st.floats(0.0, 10.0))
+def test_interval_array_membership_equals_float_membership(iv, data, margin):
+    special = st.sampled_from([iv.lo, iv.hi, math.inf, -math.inf, math.nan])
+    pts = data.draw(st.lists(special | st.floats(), min_size=1, max_size=20))
+    xs = np.array(pts)
+    for test, args in ((iv.contains, ()), (iv.interior_contains, (margin,)),
+                           (iv.interior().contains, ())):
+        scalar = [test(p, *args) for p in pts]
+        assert all(type(b) is bool for b in scalar)
+        assert test(xs, *args).tolist() == scalar
+    assert iv.interior_contains(xs).tolist() == iv.interior().contains(xs).tolist()
 
 
 def test_interval_infinite_sides_forced_open():

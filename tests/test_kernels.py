@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,20 @@ def test_scale_kernel_conjugate_vs_grid():
     for eta in (-2.0, 0.5, 4.0):
         assert float(k3.conj_eval(eta)) == pytest.approx(
             conjugate_by_grid(k3, eta), rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_legendre_one_coercive_gradients_are_onto(k):
+    """grad kappa maps int dom kappa onto the reals for a Legendre,
+    1-coercive kernel; construction rejects a grad_range that says otherwise."""
+    for kk in (k, scale_kernel(k, 0.5), scale_kernel(k, 3.0)):
+        assert kk.grad_range.is_all_reals or not (kk.is_legendre and kk.is_one_coercive)
+    half_line = Interval(-math.inf, 0.0, False, False)
+    if k.is_legendre and k.is_one_coercive:
+        with pytest.raises(ValueError, match="gradient range must be the reals"):
+            dataclasses.replace(k, name="bad", grad_range=half_line)
+    else:
+        assert dataclasses.replace(k, name="ok", grad_range=half_line).grad_range == half_line
 
 
 @pytest.mark.parametrize("k", LEGENDRE_KERNELS, ids=lambda k: k.name)

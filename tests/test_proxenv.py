@@ -8,11 +8,12 @@ from bregmanprox import proxenv
 from bregmanprox.catalog import F_ZERO, Instance, get_instance
 from bregmanprox.errors import OutsideInteriorError
 from bregmanprox.extreal import Interval
-from bregmanprox.kernels import BURG, ENERGY, SHANNON, bregman_distance
+from bregmanprox.kernels import BURG, ENERGY, SHANNON, Kernel, bregman_distance
 from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
                                  euclid_crosscheck, hull_instance, left_env,
                                  left_prox, prox_hull, right_prox,
                                  threshold_scan)
+from bregmanprox.subdiff import right_lpsubdiff_definitional
 
 
 def make_fn(name, formula, domain=None, window=(-8.0, 8.0), threshold=math.inf):
@@ -61,6 +62,40 @@ def test_prox_ex411_boundary_tie():
 def test_prox_requires_interior():
     with pytest.raises(OutsideInteriorError):
         left_prox(get_instance("ex310"), 1.0)
+    with pytest.raises(OutsideInteriorError):  # NaN lies in no domain
+        right_prox(get_instance("ex310"), math.nan)
+
+
+def test_a_block_names_its_first_non_interior_ybar():
+    eng = proxenv.InstanceEngine(get_instance("ex310"), grid_n=2001)
+    ys = np.concatenate([np.linspace(-0.9, 0.9, 20), [math.nan, 1.5], np.linspace(-0.5, 0.5, 20)])
+    with pytest.raises(OutsideInteriorError, match="^nan not interior to dom hellinger$"):
+        eng.prox(ys)
+    with pytest.raises(OutsideInteriorError, match="^1.5 not interior to dom hellinger$"):
+        eng.env(ys[21:])
+
+
+def test_warm_queries_check_no_point_the_engine_made(monkeypatch):
+    """Refinement points of the right prox, the definitional hull and the
+    right certificate lie inside the interior y grid: they reach grad kappa
+    unchecked, so Kernel.grad runs only on the caller's own point."""
+    inst = get_instance("euclid_abs")
+    right_prox(inst, 0.3)
+    prox_hull(inst, 0.3)  # builds the envelope cache on the y grid
+    calls = []
+    real = Kernel.grad
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(Kernel, "grad", counted)
+    right_prox(inst, 2.0)
+    assert calls == []
+    prox_hull(inst, 0.7)
+    assert calls == []
+    right_lpsubdiff_definitional(inst, 0.4, 1.0)
+    assert calls == [0.4]
 
 
 def test_prox_euclidean_soft_threshold():

@@ -86,6 +86,9 @@ def test_subdiff_set_invariants():
         SubdiffSet.interval(1.0, 0.0)
     assert SubdiffSet.singleton(3.0).contains(3.0)
     assert not SubdiffSet.empty().contains(0.0)
+    half_open = SubdiffSet.interval(0.0, 1.0, False, True)
+    assert not half_open.contains(0.0)  # open endpoints are excluded
+    assert half_open.contains(1.0) and not half_open.contains(math.nan)
 
 
 # -- right subdifferential ---------------------------------------------------------
