@@ -131,8 +131,3 @@ class Interval:
         else:
             hi, hi_c = other.hi, other.hi_closed
         return Interval(lo, hi, lo_c, hi_c)
-
-    def midpoint(self) -> float:
-        if math.isinf(self.lo) or math.isinf(self.hi):
-            raise ValueError("midpoint of an unbounded interval")
-        return 0.5 * (self.lo + self.hi)

@@ -81,9 +81,13 @@ class Kernel:
 
 
 def _coerce(fn, xs) -> ExtReal | np.ndarray:
-    """``fn`` at a float (an ``ExtReal``) or a float array, with NaN read as
-    +inf: the one NaN policy of kernels and catalog functions."""
+    """``fn`` at a float (an ``ExtReal``; ``fn`` sees a numpy scalar) or a
+    float array, with NaN read as +inf: the one NaN policy of kernels and
+    catalog functions."""
     with np.errstate(all="ignore"):
+        if isinstance(xs, (float, int)):
+            v = float(fn(np.float64(xs)))
+            return ExtReal(math.inf if math.isnan(v) else v)
         v = np.asarray(fn(np.asarray(xs, dtype=float)), dtype=float)
     v = np.where(np.isnan(v), np.inf, v)
     return ExtReal(v) if v.ndim == 0 else v
@@ -103,9 +107,11 @@ def _interior(fn, dom: Interval, x, name: str):
 
 
 def _masked(domain: Interval, formula):
-    """Vectorized evaluation that is +inf outside ``domain``."""
+    """Vectorized evaluation that is +inf outside ``domain``; floats skip the arrays."""
 
     def ev(x):
+        if isinstance(x, float):
+            return formula(x) if domain.contains(x) else math.inf
         x = np.asarray(x, dtype=float)
         # the formula sees clipped points only; inside points are unchanged
         safe = np.minimum(np.maximum(x, domain.lo), domain.hi)
@@ -249,9 +255,10 @@ def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
 
 def symmetrized_gap(k: Kernel, x1: float, x2: float) -> float:
     """(grad kappa(x1) - grad kappa(x2)) * (x1 - x2), nonnegative by convexity."""
-    if not (k.domain.interior_contains(float(x1)) and k.domain.interior_contains(float(x2))):
+    x1, x2 = float(x1), float(x2)
+    if not (k.domain.interior_contains(x1) and k.domain.interior_contains(x2)):
         raise OutsideInteriorError("symmetrized gap needs interior points")
-    return (k.grad(x1) - k.grad(x2)) * (float(x1) - float(x2))
+    return float((k.grad_arr(x1) - k.grad_arr(x2)) * (x1 - x2))
 
 
 def three_point_residual(k: Kernel, x: float, y: float, z: float) -> float:

@@ -5,7 +5,9 @@ test and a grid conjugate.
 All routines are pure functions of their inputs. Objectives are array
 functions of x returning extended reals (+inf marks points outside a
 domain); the helpers never form inf - inf because only +inf-valued terms are
-added. The root finder and the finite difference stay scalar.
+added. The root finder and the finite difference stay scalar. Minimizers are
+resolved in x to ``X_RESOLUTION`` relative: closer basins merge into one,
+and bracket refinement stops at that width.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ DEFAULT_GRID_N = 2001
 DEFAULT_TOL_TIE = 1e-7
 DEFAULT_UNBOUNDED_CAP = 1e12
 DEFAULT_BOUNDARY_INSET = 1e-9
+# Relative x-resolution: closer refined basins merge, narrower brackets close.
+X_RESOLUTION = 1e-9
 # Bracket refinement: samples per bracket per round (each round keeps two of
-# 16 cells, shrinking the bracket 8-fold) and the most rounds run.
+# 16 cells, shrinking the bracket at least 8-fold).
 ZOOM_POINTS = 17
-ZOOM_ROUNDS = 14
 _ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
 
 
@@ -138,13 +141,14 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
     point seen and its value per bracket, as arrays.
 
     Each round samples ``ZOOM_POINTS`` evenly spaced points in every open
-    bracket and keeps the two cells around the best one; a bracket closes
-    once it is narrower than 1e-15 relative, and at most ``ZOOM_ROUNDS``
-    rounds run. A parabolic polish then sharpens smooth interior minimizers,
-    which value comparisons only locate to about sqrt(eps) in x: a step is
-    accepted only when it does not increase the value, so kinks and boundary
-    minimizers are left in place. +inf values inside a bracket are tolerated,
-    so brackets may straddle the edge of a domain.
+    bracket and keeps the two cells around the best one (at least an 8-fold
+    shrink); a bracket closes below ``X_RESOLUTION * max(1, |lo|, |hi|)``,
+    the width at which ``grid_minimize`` merges basins. A parabolic polish
+    then sharpens smooth interior minimizers, which value comparisons only
+    locate to about sqrt(eps) in x: a step is accepted only when it does not
+    increase the value, so kinks and boundary minimizers are left in place.
+    +inf values inside a bracket are tolerated, so brackets may straddle the
+    edge of a domain.
 
     ``phi`` is an array function of a 1-D x. With ``rows`` (one row index
     per bracket) it is called as ``phi(x, r)``, where ``r`` gives the row of
@@ -161,25 +165,19 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
         return np.asarray(v, dtype=float).reshape(x.shape)
 
     x_best, v_best = a.copy(), np.full_like(a, np.inf)
-    # the open brackets, and their ends and best points
+    # the open brackets and their ends
     live, lo, hi = np.arange(a.size), a.copy(), b.copy()
-    bx, bv = x_best.copy(), v_best.copy()
-    for _ in range(ZOOM_ROUNDS):
+    while live.size:
         x = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
         x[:, -1] = hi
         v = ev(live, x)
         j = np.arange(live.size)
         k = v.argmin(axis=1)
-        better = v[j, k] < bv
-        bx = np.where(better, x[j, k], bx)
-        bv = np.where(better, v[j, k], bv)
-        x_best[live], v_best[live] = bx, bv
+        better = v[j, k] < v_best[live]
+        x_best[live[better]], v_best[live[better]] = x[j, k][better], v[j, k][better]
         lo, hi = x[j, np.maximum(k - 1, 0)], x[j, np.minimum(k + 1, ZOOM_POINTS - 1)]
-        keep = hi - lo > 1e-15 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        if not keep.all():
-            live, lo, hi, bx, bv = live[keep], lo[keep], hi[keep], bx[keep], bv[keep]
-            if not live.size:
-                break
+        keep = hi - lo > X_RESOLUTION * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        live, lo, hi = live[keep], lo[keep], hi[keep]
 
     # parabolic polish on a shrinking stencil, two rounds
     x, v = x_best, v_best
@@ -267,7 +265,7 @@ def grid_minimize(phi: Callable, grid: Grid,
         # Distinct grid basins can refine into the same point; merge those.
         merged: list[MinimizerCluster] = []
         for c in sorted(clusters, key=lambda c: c.x):
-            if merged and abs(c.x - merged[-1].x) <= 1e-9 * max(1.0, abs(c.x)):
+            if merged and abs(c.x - merged[-1].x) <= X_RESOLUTION * max(1.0, abs(c.x)):
                 last = merged[-1]
                 keep = c if c.value < last.value else last
                 merged[-1] = MinimizerCluster(keep.x, keep.value,

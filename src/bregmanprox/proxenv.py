@@ -512,7 +512,7 @@ def env_conjugate_crosscheck(inst: Instance, ybar: float) -> float:
     with (lam f + kappa)* by independent grid conjugation on 4001 points."""
     eng = engine(inst)
     eng.check_interior(ybar)
-    eta = eng.kernel.grad(ybar)
+    eta = float(eng.kernel.grad_arr(ybar))
     lhs = eng.lam * eng.env(ybar)
     grid = build_grid(eng.kernel.domain, 4001, window=eng.fn.window)
     rhs = float(eng.kernel.conj_eval(eta)) - grid_conjugate(eng.tilted, grid, eta)

@@ -8,10 +8,12 @@ from bregmanprox.errors import (AllInfiniteError, DomainEdgeError,
                                 OutOfRangeError, TooFewFiniteError,
                                 UnboundedBelowError)
 from bregmanprox.extreal import Interval
-from bregmanprox.numerics import (Grid, build_grid, finite_diff_grad,
-                                  grid_minimize, lower_convex_envelope,
-                                  monotone_invert,
-                                  second_difference_convexity_test)
+from bregmanprox.catalog import get_instance
+from bregmanprox.numerics import (X_RESOLUTION, Grid, build_grid,
+                                  finite_diff_grad, grid_minimize,
+                                  lower_convex_envelope, monotone_invert,
+                                  refine, second_difference_convexity_test)
+from bregmanprox.proxenv import left_prox
 
 
 def unit_grid(n=1001, lo=-1.0, hi=1.0):
@@ -48,8 +50,10 @@ def test_minimize_two_basins_tie():
 
 
 def test_double_well_refinement_work_is_pinned():
-    # both tie runs are refined in the same calls: at most 14 zoom rounds
-    # plus the parabolic polish, however many basins there are
+    # both tie runs are refined in the same calls, however many basins
+    # there are: zoom rounds until each bracket is narrower than
+    # X_RESOLUTION (7 from a 2-cell bracket on this grid) plus two rounds
+    # of parabolic polish (2 calls each)
     g = Grid(-1.0, 1.0, 2001)
     calls = []
 
@@ -59,7 +63,33 @@ def test_double_well_refinement_work_is_pinned():
 
     res = grid_minimize(phi, g, values=(g.points ** 2 - 0.25) ** 2)
     assert len(res.minimizers) == 2
-    assert len(calls) <= 20
+    assert len(calls) <= 11
+
+
+def test_refinement_locates_an_off_grid_kink_to_the_x_resolution():
+    c = 0.3 + 1e-4 * math.sqrt(2)
+    res = grid_minimize(lambda x: np.abs(x - c), build_grid(Interval(-1.0, 1.0), 2001))
+    assert abs(res.x - c) <= X_RESOLUTION
+    assert res.value <= 1e-9
+
+
+def test_a_bracket_that_is_infinite_throughout_still_closes():
+    calls = []
+
+    def phi(x):
+        calls.append(x.size)
+        return np.full_like(x, np.inf)
+
+    a, b = 0.3, 0.302
+    x, v = refine(phi, a, b)
+    assert np.isinf(v).all() and a <= x[0] <= b
+    # each round shrinks the bracket at least 8-fold; the scale is 1 here
+    assert len(calls) <= math.ceil(math.log((b - a) / X_RESOLUTION, 8)) + 1
+
+
+def test_the_resolution_stop_keeps_the_ex411_tie():
+    res = left_prox(get_instance("ex411"), 1 / math.sqrt(2))
+    assert res.minimizers == pytest.approx([0.0, 1.0], abs=X_RESOLUTION)
 
 
 def test_minimize_convex_matches_finer_scan():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bregmanprox import proxenv
+from bregmanprox import numerics, proxenv
 from bregmanprox.catalog import F_ZERO, Instance, get_instance
 from bregmanprox.errors import OutsideInteriorError
 from bregmanprox.extreal import Interval
@@ -64,6 +64,13 @@ def test_prox_requires_interior():
         left_prox(get_instance("ex310"), 1.0)
     with pytest.raises(OutsideInteriorError):  # NaN lies in no domain
         right_prox(get_instance("ex310"), math.nan)
+
+
+def test_env_conjugate_crosscheck_names_a_non_interior_ybar():
+    with pytest.raises(OutsideInteriorError, match="^1.0 not interior to dom hellinger$"):
+        env_conjugate_crosscheck(get_instance("hell_halfk"), 1.0)
+    with pytest.raises(OutsideInteriorError, match="^nan not interior to dom hellinger$"):
+        env_conjugate_crosscheck(get_instance("hell_halfk"), math.nan)
 
 
 def test_a_block_names_its_first_non_interior_ybar():
@@ -268,6 +275,28 @@ def test_repeated_prox_hull_reads_the_memo(monkeypatch):
     calls = _count_grid_minimize(monkeypatch)
     assert prox_hull(inst, -0.4) == first
     assert not calls
+
+
+def test_warm_prox_hull_refinement_work_is_pinned(monkeypatch):
+    """The definitional hull nests the envelope's refinement inside its own;
+    both go through numerics.refine, so wrapping it counts every objective
+    point that one warm prox_hull refines."""
+    monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
+    base = get_instance("hell_halfk")
+    inst = Instance(base.name, base.kernel, base.fn, base.lam)  # an empty memo
+    engine(inst).env_coarse()
+    points = []
+    real = numerics.refine
+
+    def counted(phi, a, b, rows=None):
+        def phi_counted(x, *r):
+            points.append(np.size(x))
+            return phi(x, *r)
+        return real(phi_counted, a, b, rows)
+
+    monkeypatch.setattr(numerics, "refine", counted)
+    prox_hull(inst, 0.3)
+    assert sum(points) <= 20_000
 
 
 def test_env_decreases_in_lambda():
