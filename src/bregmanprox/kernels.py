@@ -93,9 +93,19 @@ def _coerce(fn, xs) -> ExtReal | np.ndarray:
     return ExtReal(v) if v.ndim == 0 else v
 
 
+def _at(fn, x: float) -> float:
+    """``fn`` at one point already known to be interior, as a float."""
+    with np.errstate(all="ignore"):
+        return float(fn(x))
+
+
 def _interior(fn, dom: Interval, x, name: str):
     """``fn`` at points of int ``dom``: a float for a float, a new array for
     an array. Raises ``OutsideInteriorError`` naming the first point outside."""
+    if isinstance(x, (float, int)):
+        if not dom.interior_contains(x):
+            raise OutsideInteriorError(f"{float(x)} not in the interior of dom {name}")
+        return _at(fn, float(x))
     e = np.asarray(x, dtype=float)
     inside = dom.interior_contains(e)
     if not inside.all():
@@ -227,7 +237,7 @@ def bregman_distance(k: Kernel, x: float, y: float) -> ExtReal:
     kx = k.eval(x)
     if not kx.is_finite:
         return ExtReal(math.inf)
-    d = float(kx) - float(k.eval(y)) - k.grad(y) * (x - y)
+    d = float(kx) - float(k.eval(y)) - _at(k.grad_arr, y) * (x - y)
     if -1e-9 < d < 0.0:
         d = 0.0
     return ExtReal(d)
@@ -247,7 +257,7 @@ def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
     cxi = k.conj_eval(xi)
     if not cxi.is_finite:
         return ExtReal(math.inf)
-    d = float(cxi) - float(k.conj_eval(eta)) - k.grad_conj(eta) * (xi - eta)
+    d = float(cxi) - float(k.conj_eval(eta)) - _at(k.grad_conj_arr, eta) * (xi - eta)
     if -1e-9 < d < 0.0:
         d = 0.0
     return ExtReal(d)
@@ -266,12 +276,14 @@ def three_point_residual(k: Kernel, x: float, y: float, z: float) -> float:
 
     Zero in exact arithmetic for x in the domain and y, z interior.
     """
+    x, y, z = float(x), float(y), float(z)
     dxz = bregman_distance(k, x, z)
     dxy = bregman_distance(k, x, y)
     dyz = bregman_distance(k, y, z)
     if not (dxz.is_finite and dxy.is_finite and dyz.is_finite):
         return math.inf
-    cross = (float(x) - float(y)) * (k.grad(y) - k.grad(z))
+    # finite distances have already found y and z interior
+    cross = (x - y) * (_at(k.grad_arr, y) - _at(k.grad_arr, z))
     return abs(float(dxz) - float(dxy) - float(dyz) - cross)
 
 

@@ -45,7 +45,10 @@ __all__ = [
 ]
 
 # Defaults pinned by the build contract: 1D problems are cheap, so a dense
-# grid plus bracket refinement reaches ~1e-10 on smooth pieces.
+# grid plus bracket refinement locates a minimizer in x to about X_RESOLUTION
+# relative, and to a few X_RESOLUTION where the objective is flat to rounding
+# around a smooth minimum (the Shannon prox of |x| at 400 ybar in [4.9, 11.9]:
+# up to 3.4e-9 relative, 1.2e-8 absolute).
 DEFAULT_GRID_N = 2001
 DEFAULT_TOL_TIE = 1e-7
 DEFAULT_UNBOUNDED_CAP = 1e12

@@ -11,7 +11,8 @@ and ``env`` take one ybar or an array of them). Every objective is one array
 function of x, used for the grid samples and for the refinement alike.
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
-proximal hull is a supremum of envelope evaluations.
+proximal hull is a supremum of envelope evaluations; that cache is built in
+the same row blocks as queries, in O(N) memory.
 """
 
 from __future__ import annotations
@@ -136,14 +137,19 @@ class InstanceEngine:
 
         return phi, phi(self.X, np.arange(ys.size)[:, None])
 
-    def _solve(self, ys) -> list[GridMin]:
-        """The left subproblem at each interior ybar, solved in blocks of
-        ``max(ZOOM_POINTS, BLOCK_SAMPLES // grid_n)`` rows."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    def _row_blocks(self, n_rows: int):
+        """Slices of ``n_rows`` rows, ``max(ZOOM_POINTS, BLOCK_SAMPLES //
+        grid_n)`` rows each: the block rule of every solve and of the
+        envelope cache."""
         step = max(ZOOM_POINTS, BLOCK_SAMPLES // self.grid_n)
+        return (slice(i, i + step) for i in range(0, n_rows, step))
+
+    def _solve(self, ys) -> list[GridMin]:
+        """The left subproblem at each interior ybar, solved in row blocks."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
         out: list[GridMin] = []
-        for i in range(0, ys.size, step):
-            block = ys[i:i + step]
+        for rows in self._row_blocks(ys.size):
+            block = ys[rows]
             try:
                 out += self._solve_block(block)
             except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
@@ -207,12 +213,15 @@ class InstanceEngine:
     # -- envelope cache on the interior grid --------------------------------
 
     def env_coarse(self) -> np.ndarray:
-        """Grid-resolution envelope on the interior grid (no refinement)."""
+        """Grid-resolution envelope on the interior grid (no refinement),
+        built in row blocks: O(N) memory besides one block."""
         if self._env_coarse is None:
-            # objective matrix: rows ybar in Y, columns x in X
-            vals = self._left_rows(self.Y)[1]
-            vals[np.isnan(vals)] = np.inf
-            env = vals.min(axis=1)
+            env = np.empty(self.Y.size)
+            for rows in self._row_blocks(self.Y.size):
+                # objective block: rows ybar in Y[rows], columns x in X
+                vals = self._left_rows(self.Y[rows])[1]
+                vals[np.isnan(vals)] = np.inf
+                env[rows] = vals.min(axis=1)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
                 raise UnboundedBelowError("envelope cache fell below the cap")
             self._env_coarse = env

@@ -471,7 +471,7 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
 
 def _negate_fn(fn: ProperFn) -> ProperFn:
     def ev(x):
-        v = fn.eval_arr(np.asarray(x, dtype=float))
+        v = fn.eval_arr(x)
         return np.where(np.isfinite(v), -v, np.inf)
 
     return ProperFn(f"neg_{fn.name}", fn.domain, ev, fn.window,

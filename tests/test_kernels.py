@@ -136,6 +136,9 @@ def test_distance_infinite_outside():
     assert float(bregman_distance(HELLINGER, 0.5, 1.0)) == math.inf  # y boundary
     assert float(bregman_distance(HELLINGER, 2.0, 0.0)) == math.inf  # x outside
     assert float(bregman_distance(BURG, 1.0, -1.0)) == math.inf
+    assert float(dual_distance(BURG, -1.0, 0.5)) == math.inf  # eta outside (-inf, 0)
+    assert three_point_residual(HELLINGER, 0.1, 1.0, 0.3) == math.inf  # y on the boundary
+    assert three_point_residual(HELLINGER, 0.1, 0.2, -1.0) == math.inf  # z on the boundary
 
 
 @pytest.mark.parametrize("k", LEGENDRE_KERNELS, ids=lambda k: k.name)
@@ -165,6 +168,50 @@ def test_distance_convex_in_first_slot(k):
         ok, worst, _ = second_difference_convexity_test(
             xs[finite], vals[finite], tol=1e-8)
         assert ok, f"{k.name} at y={y}: {worst}"
+
+
+def _count_interior_checks(monkeypatch):
+    calls = []
+    real = Interval.interior_contains
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(x)
+        return real(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Interval, "interior_contains", counted)
+    return calls
+
+
+@pytest.mark.parametrize("helper, args, checks", [
+    (bregman_distance, (0.2, 0.3), 1),
+    (dual_distance, (0.1, 0.2), 1),
+    (three_point_residual, (0.1, 0.2, 0.3), 3),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_distance_helpers_check_each_point_once(monkeypatch, helper, args, checks):
+    k = HELLINGER
+    # the same formulas through the checked accessors, which test once more
+    if helper is bregman_distance:
+        x, y = args
+        expected = float(k.eval(x)) - float(k.eval(y)) - k.grad(y) * (x - y)
+    elif helper is dual_distance:
+        xi, eta = args
+        expected = (float(k.conj_eval(xi)) - float(k.conj_eval(eta))
+                    - k.grad_conj(eta) * (xi - eta))
+    else:
+        x, y, z = args
+        expected = abs(float(bregman_distance(k, x, z)) - float(bregman_distance(k, x, y))
+                       - float(bregman_distance(k, y, z)) - (x - y) * (k.grad(y) - k.grad(z)))
+    calls = _count_interior_checks(monkeypatch)
+    assert float(helper(k, *args)).hex() == expected.hex()
+    assert len(calls) == checks
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_gradient_of_nan_names_the_point(k):
+    with pytest.raises(OutsideInteriorError, match="^nan not in the interior"):
+        k.grad(math.nan)
+    with pytest.raises(OutsideInteriorError, match="^nan not in the interior"):
+        k.grad_conj(math.nan)
 
 
 # -- dual distance ------------------------------------------------------------

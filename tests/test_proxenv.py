@@ -260,6 +260,36 @@ def test_prox_many_memory_is_bounded_by_blocks():
     assert peak <= 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("n, step", [(1001, 32), (2001, 17)])
+@pytest.mark.parametrize("name", ["ex310", "shannon_abs", "euclid_abs"])
+def test_env_coarse_equals_row_minima_bit_for_bit(name, n, step):
+    """The blocked cache holds each row's minimum of left_values (NaN read as
+    +inf), on either side of every block boundary and in the partial last block."""
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=n)
+    size = eng.Y.size
+    assert max(numerics.ZOOM_POINTS, proxenv.BLOCK_SAMPLES // n) == step
+    assert size % step
+    rows = {i for b in range(step, size, step) for i in (b - 1, b)} | {size - 1}
+    env = eng.env_coarse()
+    for i in sorted(rows):
+        vals = eng.left_values(float(eng.Y[i]))
+        vals[np.isnan(vals)] = np.inf
+        assert env[i].hex() == vals.min().hex(), i
+
+
+def test_env_coarse_memory_is_bounded_by_blocks():
+    import tracemalloc
+    eng = proxenv.InstanceEngine(get_instance("hell_halfk"), grid_n=4001)
+    tracemalloc.start()
+    try:
+        eng.env_coarse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one N x N objective matrix and its temporary take 244 MB at N = 4001
+    assert peak < 8 * 2 ** 20
+
+
 def test_env_many_reads_and_fills_the_memo():
     eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001)
     first = eng.env([0.5, -1.0, 0.5])

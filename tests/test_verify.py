@@ -265,3 +265,21 @@ def test_range_assumption_probed_once_per_instance(monkeypatch):
     facts = [check_dfne(inst, seed=s).hypotheses["range-assumption"] for s in (1, 2)]
     assert facts[0] == facts[1]
     assert len(probes) == 1
+
+
+def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
+    """Scalar f, -f and kernel-gradient evaluations test membership on a
+    float: no Interval membership test receives a 0-d array."""
+    zero_d = []
+    for method in ("contains", "interior_contains"):
+        real = getattr(Interval, method)
+
+        def counted(self, x, *args, _real=real, **kwargs):
+            if isinstance(x, np.ndarray) and x.ndim == 0:
+                zero_d.append(x)
+            return _real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Interval, method, counted)
+    check_bsmooth(get_instance("ex419"), seed=42)
+    check_two_sided(get_instance("ex420"), seed=42)
+    assert not zero_d
