@@ -19,13 +19,12 @@ from .proxenv import (InstanceEngine, ProxResult, detect_unbounded, engine,
                       env_conjugate_crosscheck, euclid_crosscheck, hull_function,
                       hull_instance, left_env, left_prox, prox_hull, range_probe,
                       right_env, right_prox, threshold_scan)
-from .subdiff import (CoincidenceReport, SingleValuedness, SubdiffSet,
-                      coincidence_check, left_lpsubdiff_definitional,
-                      left_lpsubdiff_hull, resolvent_check,
-                      right_lpsubdiff_definitional, single_valuedness_at)
+from .subdiff import (SingleValuedness, SubdiffSet, left_lpsubdiff_definitional,
+                      left_lpsubdiff_hull, right_lpsubdiff_definitional,
+                      single_valuedness_at)
 from .verify import (VerifyReport, check_bcoco, check_bsmooth, check_dfne,
                      check_env_convexity, check_strong_convexity_sufficient,
-                     check_two_sided, check_weak_convexity, reports_to_json,
-                     run_suite)
+                     check_two_sided, check_weak_convexity, coincidence_check,
+                     reports_to_json, resolvent_check, run_suite)
 
 __version__ = "0.1.0"

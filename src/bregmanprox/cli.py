@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import get_instance, instance_names
 from .errors import HypothesesUnmetError, UnknownInstanceError
 from .kernels import BURG
-from .proxenv import engine, range_probe, threshold_scan
+from .proxenv import engine, threshold_scan
 from .subdiff import left_lpsubdiff_hull, monotone_related
 from .verify import reports_to_json, run_suite
 
@@ -168,8 +168,7 @@ def _reproduce_411() -> bool:
     only01 = all(abs(m) <= 1e-4 or abs(m - 1.0) <= 1e-4 for m in outputs)
     ok &= _report_line("prox range is {0, 1}", near0 and near1 and only01,
                        f"outputs {sorted(outputs)}")
-    probe_ok, _ = range_probe(inst, n=200, seed=0)
-    ok &= _report_line("range-assumption probe fails", not probe_ok)
+    ok &= _report_line("range-assumption probe fails", not engine(inst).range_assumption[0])
     graph = [(0.0, u) for u in (-10.0, -1.0, 0.0, 0.5)]
     ok &= _report_line("non-maximality witness (0.5, 1.0) monotonically related",
                        monotone_related(graph, 0.5, 1.0))
@@ -187,10 +186,9 @@ def _reproduce_envelope(name: str, closed_form, label: str) -> bool:
 
 def _reproduce_419() -> bool:
     ok = _reproduce_envelope("ex419", lambda y: -y, "dual envelope equals -y")
-    from .verify import _h_convexity, _fn_convexity
     eng = engine(get_instance("ex419"))
-    ok &= _report_line("dual envelope convex", _h_convexity(eng).holds)
-    ok &= _report_line("f nonconvex", not _fn_convexity(eng).holds)
+    ok &= _report_line("dual envelope convex", eng.h_convex.holds)
+    ok &= _report_line("f nonconvex", not eng.f_convex.holds)
     return ok
 
 
@@ -200,10 +198,9 @@ def _reproduce_420() -> bool:
 
     ok = _reproduce_envelope("ex420", h,
                              "dual envelope equals (2/3)|y|^{3/2} - (2/3)|y-1|^{3/2}")
-    from .verify import _h_convexity, _fn_convexity
     eng = engine(get_instance("ex420"))
-    ok &= _report_line("f convex", _fn_convexity(eng).holds)
-    ok &= _report_line("dual envelope nonconvex", not _h_convexity(eng).holds)
+    ok &= _report_line("f convex", eng.f_convex.holds)
+    ok &= _report_line("dual envelope nonconvex", not eng.h_convex.holds)
     return ok
 
 

@@ -45,13 +45,5 @@ class HypothesesUnmetError(BregmanError):
     """Theorem hypotheses (Legendre / 1-coercive / threshold) do not hold."""
 
 
-class RangeAssumptionFailedError(BregmanError):
-    """A sampled proximal output landed outside the interior of the kernel domain."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses or []
-
-
 class AllUnboundedError(BregmanError):
     """Every lambda in the scan grid was diagnosed unbounded."""

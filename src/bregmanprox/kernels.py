@@ -309,12 +309,12 @@ def scale_kernel(k: Kernel, L: float) -> Kernel:
     )
 
 
-def conjugate_by_grid(k: Kernel, eta: float, n: int = 4001) -> float:
+def conjugate_by_grid(k: Kernel, eta: float) -> float:
     """kappa*(eta) = sup_x eta x - kappa(x) by grid search plus refinement.
 
     Independent of the closed-form conjugates; used to cross-check them.
     """
-    return grid_conjugate(k.eval, build_grid(k.domain, n=n, window=k.sample_window), eta)
+    return grid_conjugate(k.eval, build_grid(k.domain, n=4001, window=k.sample_window), eta)
 
 
 def grad_conj_by_inversion(k: Kernel, eta: float) -> float:

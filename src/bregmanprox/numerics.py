@@ -1,6 +1,6 @@
 """Generic 1D numerical engine: grid minimization with tie detection, lower
 convex envelopes, monotone inversion, finite differences, a grid convexity
-test and a grid conjugate.
+test (also as a named ``Condition``) and a grid conjugate.
 
 All routines are pure functions of their inputs. Objectives are array
 functions of x returning extended reals (+inf marks points outside a
@@ -40,6 +40,8 @@ __all__ = [
     "lower_convex_envelope",
     "monotone_invert",
     "second_difference_convexity_test",
+    "Condition",
+    "convexity_condition",
     "grid_conjugate",
     "finite_diff_grad",
 ]
@@ -52,7 +54,8 @@ __all__ = [
 DEFAULT_GRID_N = 2001
 DEFAULT_TOL_TIE = 1e-7
 DEFAULT_UNBOUNDED_CAP = 1e12
-DEFAULT_BOUNDARY_INSET = 1e-9
+BOUNDARY_INSET = 1e-9
+TOL_CONV = 1e-8  # second-difference convexity slack (scaled by data size)
 # Relative x-resolution: closer refined basins merge, narrower brackets close.
 X_RESOLUTION = 1e-9
 # Bracket refinement: samples per bracket per round (each round keeps two of
@@ -68,7 +71,6 @@ class Grid:
     lo: float
     hi: float
     n: int
-    boundary_inset: float = DEFAULT_BOUNDARY_INSET
     points: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,14 +87,13 @@ class Grid:
 
 
 def build_grid(interval: Interval, n: int = DEFAULT_GRID_N,
-               inset: float = DEFAULT_BOUNDARY_INSET,
                window: tuple[float, float] | None = None) -> Grid:
     """Sample ``interval`` uniformly with ``n`` points.
 
     Closed sides include their endpoint exactly; open sides are inset by
-    ``inset * span`` so essentially smooth kernels are never evaluated where
-    their gradient blows up. ``window`` clips unbounded intervals to a finite
-    working range.
+    ``BOUNDARY_INSET * span`` so essentially smooth kernels are never
+    evaluated where their gradient blows up. ``window`` clips unbounded
+    intervals to a finite working range.
     """
     lo, hi = interval.lo, interval.hi
     lo_closed, hi_closed = interval.lo_closed, interval.hi_closed
@@ -106,10 +107,10 @@ def build_grid(interval: Interval, n: int = DEFAULT_GRID_N,
         raise ValueError("cannot sample an unbounded interval without a window")
     span = hi - lo
     if not lo_closed:
-        lo += inset * span
+        lo += BOUNDARY_INSET * span
     if not hi_closed:
-        hi -= inset * span
-    return Grid(lo, hi, n, inset)
+        hi -= BOUNDARY_INSET * span
+    return Grid(lo, hi, n)
 
 
 def sample_inset(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
@@ -378,8 +379,7 @@ def lower_convex_envelope(samples: Sequence[tuple[float, float]]) -> HullCurve:
 
 def monotone_invert(m: Callable[[float], float], target: float,
                     bracket: tuple[float, float],
-                    domain: Interval | None = None,
-                    tol_inv: float = 1e-12, max_expand: int = 200) -> float:
+                    domain: Interval | None = None) -> float:
     """Solve m(x) = target for strictly increasing ``m`` by bisection.
 
     The bracket auto-expands while it stays inside the open ``domain``
@@ -404,7 +404,7 @@ def monotone_invert(m: Callable[[float], float], target: float,
         return 0.5 * (x + domain.hi)
 
     flo, fhi = m(lo), m(hi)
-    for _ in range(max_expand):
+    for _ in range(200):
         if flo <= target:
             break
         new = expand_left(lo)
@@ -414,7 +414,7 @@ def monotone_invert(m: Callable[[float], float], target: float,
         flo = m(lo)
     else:
         raise OutOfRangeError(f"target {target} below range of map")
-    for _ in range(max_expand):
+    for _ in range(200):
         if fhi >= target:
             break
         new = expand_right(hi)
@@ -428,7 +428,7 @@ def monotone_invert(m: Callable[[float], float], target: float,
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         fmid = m(mid)
-        if abs(fmid - target) <= tol_inv or (hi - lo) <= 1e-14:
+        if abs(fmid - target) <= 1e-12 or (hi - lo) <= 1e-14:
             return mid
         if fmid < target:
             lo = mid
@@ -461,6 +461,28 @@ def second_difference_convexity_test(xs: np.ndarray, values: np.ndarray,
     k = int(np.argmin(d2))
     worst = float(d2[k])
     return worst >= -tol, worst, (float(x[k]), float(x[k + 1]), float(x[k + 2]))
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A named verdict, its worst sampled value and where that was attained."""
+
+    label: str
+    holds: bool
+    worst: float
+    witness: tuple = ()
+
+    def to_dict(self):
+        return {"label": self.label, "holds": bool(self.holds),
+                "worst": float(self.worst),
+                "witness": [float(w) for w in self.witness]}
+
+
+def convexity_condition(label: str, xs: np.ndarray, vals: np.ndarray) -> Condition:
+    """``second_difference_convexity_test`` of possibly partially-infinite
+    samples, with ``TOL_CONV`` scaled by the largest finite |value| (at least 1)."""
+    scale = float(np.max(np.abs(vals), where=np.isfinite(vals), initial=1.0))
+    return Condition(label, *second_difference_convexity_test(xs, vals, TOL_CONV * scale))
 
 
 def grid_conjugate(g: Callable, grid: Grid, eta: float) -> float:

@@ -13,6 +13,10 @@ Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
 the same row blocks as queries, in O(N) memory.
+
+The engine also keeps the instance's facts (hypotheses and check gates,
+convexity of f and of h = env o grad kappa*, the range assumption), each
+decided on first use, so queries never pay for them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import os
 import weakref
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,14 +38,15 @@ from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
-                       GridMin, build_grid, grid_conjugate, grid_minimize,
-                       lower_convex_envelope, refine_best, sample_inset)
+                       Condition, GridMin, build_grid, convexity_condition,
+                       grid_conjugate, grid_minimize, lower_convex_envelope,
+                       refine_best, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
     "left_prox", "right_prox", "left_env", "right_env", "prox_hull",
-    "threshold_scan", "detect_unbounded", "range_probe", "range_assumption",
-    "require_hypotheses", "euclid_crosscheck", "env_conjugate_crosscheck",
+    "threshold_scan", "detect_unbounded", "range_probe", "prox_escapes",
+    "euclid_crosscheck", "env_conjugate_crosscheck",
     "hull_function", "hull_instance",
 ]
 
@@ -49,6 +55,25 @@ RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
 # Grid samples per solved block of queries (rows x grid points), above the
 # floor of ZOOM_POINTS rows that keeps a prox_hull refinement round in one block.
 BLOCK_SAMPLES = 2 ** 15
+
+# The standing hypotheses of the theorem checks and of the hull route.
+STANDING = ("legendre", "one-coercive", "below-threshold")
+# Each gate by its report key: the fact that decides it, and the skip reason.
+_GATES = {
+    "legendre": (lambda e: e.kernel.is_legendre, "kernel {} is not Legendre"),
+    "one-coercive": (lambda e: e.kernel.is_one_coercive, "kernel {} is not 1-coercive"),
+    "below-threshold": (lambda e: e._instance().below_threshold,
+                        "lambda not below the prox-boundedness threshold"),
+    "whole-line-domain": (lambda e: e.kernel.domain.is_all_reals,
+                          "kernel domain is not the whole line"),
+    "f-real-valued": (lambda e: np.isfinite(e.F).all(),
+                      "f is not real-valued on the kernel domain"),
+    "grad-lipschitz": (lambda e: e.kernel.grad_lipschitz is not None,
+                       "grad of kernel {} is not globally Lipschitz"),
+    "strongly-convex": (lambda e: e.strongly_convex.holds,
+                        "lam f + kappa is not L-strongly convex"),
+    "range-assumption": (lambda e: e.range_assumption[0], "range assumption failed"),
+}
 
 
 @dataclass(frozen=True)
@@ -70,9 +95,11 @@ def _grid_n() -> int:
 
 
 class InstanceEngine:
-    """Cached grids and sample arrays for one (kernel, fn, lambda) instance."""
+    """Cached grids, samples and facts for one (kernel, fn, lambda) instance."""
 
     def __init__(self, inst: Instance, grid_n: int | None = None):
+        # weak, so that an engine cached for its instance never keeps it alive
+        self._instance = weakref.ref(inst)
         self.kernel = inst.kernel
         self.fn = inst.fn
         self.lam = inst.lam
@@ -90,7 +117,7 @@ class InstanceEngine:
         self._hull_curve = None
         self._contact_mask: np.ndarray | None = None
         self._env_memo: dict[float, float] = {}
-        self._range_fact: tuple[bool, tuple] | None = None
+        self._gates: dict[str, bool] = {}
 
     # -- sample access ----------------------------------------------------
 
@@ -282,6 +309,74 @@ class InstanceEngine:
             out = np.where(in_contact, self.fn.eval(x1), out)
         return out.reshape(shape) if shape else float(out[0])
 
+    # -- instance facts, each decided on first use and kept ------------------
+
+    @property
+    def hypotheses(self) -> dict[str, bool]:
+        """The standing hypotheses by report key."""
+        return {key: self.holds(key) for key in STANDING}
+
+    def holds(self, gate: str) -> bool:
+        """Whether the instance passes the gate named by its report key."""
+        if gate not in self._gates:
+            self._gates[gate] = bool(_GATES[gate][0](self))
+        return self._gates[gate]
+
+    def require(self, *gates: str) -> None:
+        """Raise ``HypothesesUnmetError`` with the skip reason of the first
+        failing gate: the standing hypotheses, then ``gates`` in order."""
+        for gate in STANDING + gates:
+            if not self.holds(gate):
+                raise HypothesesUnmetError(_GATES[gate][1].format(self.kernel.name))
+
+    @cached_property
+    def f_bounds(self) -> tuple[float, float]:
+        """The first and last x-grid points where f is finite."""
+        idx = np.nonzero(np.isfinite(self.F))[0]
+        return float(self.X[idx[0]]), float(self.X[idx[-1]])
+
+    @cached_property
+    def conv_dom_inside(self) -> bool:
+        """conv dom f, as sampled, is a nondegenerate interval inside dom kappa."""
+        lo, hi = self.f_bounds
+        dom = self.kernel.domain
+        return lo >= dom.lo and hi <= dom.hi and lo < hi
+
+    @cached_property
+    def strongly_convex(self) -> Condition:
+        """lam f + kappa - L x^2 / 2 convex on the x grid, L = Lip(grad kappa)."""
+        L = self.kernel.grad_lipschitz
+        if L is None:
+            return Condition("strongly-convex", False, -math.inf)
+        return convexity_condition("strongly-convex", self.X,
+                                   self.lam * self.F + self.K - 0.5 * L * np.square(self.X))
+
+    @cached_property
+    def f_convex(self) -> Condition:
+        """Convexity of f on the full domain grid (closed endpoints included)."""
+        return convexity_condition("f-convex", self.X, self.F)
+
+    @cached_property
+    def xi_window(self) -> tuple[float, float]:
+        """A dual (gradient-space) working range clipped to the primal window."""
+        g_lo, g_hi = self.kernel.grad([self.y_grid.lo, self.y_grid.hi]).tolist()
+        margin = 0.05 * (g_hi - g_lo)
+        return max(-4.0, g_lo + margin), min(4.0, g_hi - margin)
+
+    @cached_property
+    def h_convex(self) -> Condition:
+        """Convexity of h(xi) = env(grad kappa*(xi)) on a uniform dual grid."""
+        xis = np.linspace(*self.xi_window, 161)
+        return convexity_condition("h-convex", xis, self.env(self.kernel.grad_conj(xis)))
+
+    @cached_property
+    def range_assumption(self) -> tuple[bool, tuple]:
+        """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points, with a
+        seed derived from the instance name alone."""
+        inst = self._instance()
+        ok, witnesses = range_probe(inst, n=RANGE_PROBE_N, seed=zlib.crc32(inst.name.encode()))
+        return ok, tuple(witnesses)
+
 
 # An engine holds no reference to its instance, so it is dropped with it.
 _ENGINES: weakref.WeakKeyDictionary[Instance, InstanceEngine] = weakref.WeakKeyDictionary()
@@ -439,7 +534,7 @@ def threshold_scan(kernel: Kernel, fn: ProperFn,
 
 
 # ---------------------------------------------------------------------------
-# Instance hypotheses and the range assumption
+# The range assumption
 # ---------------------------------------------------------------------------
 
 def range_probe(inst: Instance, n: int = 500, seed: int = 0):
@@ -450,36 +545,14 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0):
     """
     eng = engine(inst)
     ys = sample_inset(np.random.default_rng(seed), eng.y_grid.lo, eng.y_grid.hi, n)
-    witnesses = []
-    for y, res in zip(ys.tolist(), eng.prox(ys)):
-        for m, ok in zip(res.minimizers, res.in_interior):
-            if not ok:
-                witnesses.append((y, float(m)))
-    return len(witnesses) == 0, witnesses
+    witnesses = prox_escapes(ys.tolist(), eng.prox(ys))
+    return not witnesses, witnesses
 
 
-def require_hypotheses(inst: Instance):
-    """Raise ``HypothesesUnmetError`` unless the instance meets the standing
-    hypotheses of the theorem checks and of the hull route."""
-    k = inst.kernel
-    if not k.is_legendre:
-        raise HypothesesUnmetError(f"kernel {k.name} is not Legendre")
-    if not k.is_one_coercive:
-        raise HypothesesUnmetError(f"kernel {k.name} is not 1-coercive")
-    if not inst.below_threshold:
-        raise HypothesesUnmetError("lambda not below the prox-boundedness threshold")
-
-
-def range_assumption(inst: Instance) -> tuple[bool, tuple]:
-    """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points, run once
-    per engine with a seed derived from the instance name alone.
-    """
-    eng = engine(inst)
-    if eng._range_fact is None:
-        ok, witnesses = range_probe(inst, n=RANGE_PROBE_N,
-                                    seed=zlib.crc32(inst.name.encode()))
-        eng._range_fact = (ok, tuple(witnesses))
-    return eng._range_fact
+def prox_escapes(ys, results) -> list[tuple[float, float]]:
+    """(ybar, minimizer) pairs of the prox ``results`` at ``ys`` off the interior."""
+    return [(y, float(m)) for y, res in zip(ys, results)
+            for m, ok in zip(res.minimizers, res.in_interior) if not ok]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +568,7 @@ def _hausdorff(a, b) -> float:
     return max(d1, d2)
 
 
-def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
+def euclid_crosscheck(inst: Instance, ybar: float) -> float:
     """Hausdorff gap between the Bregman prox and its Euclidean representation.
 
     The right side evaluates the ordinary proximal map of the tilted function
@@ -506,7 +579,7 @@ def euclid_crosscheck(inst: Instance, ybar: float, grid_n: int = 3001) -> float:
     left = eng.prox(ybar)
     z = eng.kernel.grad(ybar)
     lam = eng.lam
-    grid = build_grid(eng.kernel.domain, grid_n, window=eng.fn.window)
+    grid = build_grid(eng.kernel.domain, 3001, window=eng.fn.window)
 
     def psi(w):
         shifted = eng.fn.eval(w) + (eng.kernel.eval(w) - 0.5 * np.square(w)) / lam

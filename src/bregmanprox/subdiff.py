@@ -10,8 +10,9 @@ themselves against each other:
   differences wherever the envelope touches the function (a chord side keeps
   the envelope segment slope).
 
-The resolvent check, single-valuedness test, and coincidence report are built
-on both routes.
+The single-valuedness test reads the hull route. The resolvent and
+coincidence checks, which read both routes, are theorem reports in
+``verify``.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Instance
-from .errors import HypothesesUnmetError, RangeAssumptionFailedError
 from .extreal import Interval
-from .numerics import refine_best, sample_inset
-from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
+from .numerics import refine_best
+from .proxenv import InstanceEngine, engine
 
 __all__ = [
     "SubdiffSet", "TOL_CERT", "TOL_HULL", "TOL_WIDTH",
     "left_lpsubdiff_definitional", "left_lpsubdiff_hull",
-    "right_lpsubdiff_definitional", "resolvent_check",
+    "right_lpsubdiff_definitional",
     "single_valuedness_at", "SingleValuedness",
-    "coincidence_check", "CoincidenceReport",
     "frechet_lower_probe", "subdiff_samples", "monotone_related",
 ]
 
@@ -164,11 +163,10 @@ def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
 # Hull characterization
 # ---------------------------------------------------------------------------
 
-def _one_sided_slope(eng: InstanceEngine, x: float, side: str,
-                     h: float = 1e-6) -> float:
+def _one_sided_slope(eng: InstanceEngine, x: float, side: str) -> float:
     """Second-order one-sided derivative of lam f + kappa at x."""
     sgn = -1.0 if side == "left" else 1.0
-    for step in (h, h * 1e-2):
+    for step in (1e-6, 1e-8):
         v0, v1, v2 = map(float, eng.tilted(x + sgn * step * np.arange(3.0)))
         if all(map(math.isfinite, (v0, v1, v2))):
             return sgn * (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * step)
@@ -226,18 +224,22 @@ def left_lpsubdiff_hull(inst: Instance, xbar: float,
     at xbar; otherwise the slope interval of the envelope mapped through
     u = (s - grad kappa(xbar)) / lam.
     """
-    require_hypotheses(inst)
+    return _hull_route(inst, float(xbar), tol_hull)[0]
+
+
+def _hull_route(inst: Instance, xbar: float, tol_hull: float):
+    """(hull-route set at xbar, the ``hull_slopes`` read there or None)."""
     eng = engine(inst)
-    xbar = float(xbar)
+    eng.require()
     if not eng.kernel.domain.interior_contains(xbar):
-        return SubdiffSet.empty()
+        return SubdiffSet.empty(), None
     curve = eng.hull_curve()
     tol = _SPAN_CELLS * eng.x_grid.h
     if xbar < curve.x_min - tol or xbar > curve.x_max + tol:
-        return SubdiffSet.empty()
-    s_l, s_r, gap = hull_slopes(inst, xbar)
+        return SubdiffSet.empty(), None
+    slopes = s_l, s_r, gap = hull_slopes(inst, xbar)
     if not gap <= tol_hull:
-        return SubdiffSet.empty()
+        return SubdiffSet.empty(), slopes
     g = eng.kernel.grad(xbar)
     lam = eng.lam
     u_lo, u_hi = (s_l - g) / lam, (s_r - g) / lam
@@ -250,25 +252,24 @@ def left_lpsubdiff_hull(inst: Instance, xbar: float,
         member, _, _ = left_lpsubdiff_definitional(inst, xbar, -_PROBE_MEMBER_AT)
         if not member:
             u_hi, hi_closed = -_PROBE_MEMBER_AT, False
-    return SubdiffSet.interval(u_lo, u_hi, lo_closed, hi_closed)
+    return SubdiffSet.interval(u_lo, u_hi, lo_closed, hi_closed), slopes
 
 
-def subdiff_samples(s: SubdiffSet, pad: float = 1.0) -> list[float]:
+def subdiff_samples(s: SubdiffSet) -> list[float]:
     """Representative subgradients of an interval set: endpoints and midpoint.
 
-    Infinite endpoints are replaced by a padded finite stand-in.
+    Infinite endpoints are replaced by a finite stand-in one unit beyond.
     """
     if s.is_empty:
         return []
-    lo = s.lo if math.isfinite(s.lo) else (s.hi if math.isfinite(s.hi) else 0.0) - pad
-    hi = s.hi if math.isfinite(s.hi) else (s.lo if math.isfinite(s.lo) else 0.0) + pad
+    lo = s.lo if math.isfinite(s.lo) else (s.hi if math.isfinite(s.hi) else 0.0) - 1.0
+    hi = s.hi if math.isfinite(s.hi) else (s.lo if math.isfinite(s.lo) else 0.0) + 1.0
     if hi - lo <= TOL_WIDTH:
         return [0.5 * (lo + hi)]
     return [lo, 0.5 * (lo + hi), hi]
 
 
-def frechet_lower_probe(inst: Instance, xbar: float, u: float,
-                        radii=(1e-2, 1e-3, 1e-4)) -> bool:
+def frechet_lower_probe(inst: Instance, xbar: float, u: float) -> bool:
     """Local lower-expansion test: f(x) >= f(xbar) + u (x - xbar) - o(|x - xbar|).
 
     On each shrinking radius the worst local slack must be bounded below by a
@@ -282,7 +283,7 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float,
     vp, v0, vm = map(float, eng.tilted(xbar + h * np.array([1.0, 0.0, -1.0])))
     kdd = abs(vp - 2.0 * v0 + vm) / h ** 2
     c = 10.0 * (1.0 + kdd) / eng.lam
-    for r in radii:
+    for r in (1e-2, 1e-3, 1e-4):
         ts = np.linspace(-r, r, 41)
         fv = eng.fn.eval(xbar + ts)
         finite = np.isfinite(fv)
@@ -292,64 +293,10 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float,
     return True
 
 
-# ---------------------------------------------------------------------------
-# Resolvent representation check
-# ---------------------------------------------------------------------------
-
-def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
-                    ybar_values=None) -> float:
-    """Max violation of the warped-resolvent representation in both directions.
-
-    Forward: every prox output xbar at sampled ybar must carry the certificate
-    u = (grad kappa(ybar) - grad kappa(xbar)) / lam. Converse: subgradients
-    sampled at xbar must reproduce xbar as a prox output at the warped point
-    grad kappa*(lam u + grad kappa(xbar)).
-
-    Raises ``RangeAssumptionFailedError`` when a sampled prox output is not
-    strictly interior (the representation's standing assumption).
-    """
-    eng = engine(inst)
-    if ybar_values is None:
-        ybar_values = sample_inset(np.random.default_rng(seed),
-                                   eng.y_grid.lo, eng.y_grid.hi, n)
-    try:
-        require_hypotheses(inst)
-        hull_available = True
-    except HypothesesUnmetError:
-        hull_available = False
-    ys = np.atleast_1d(np.asarray(ybar_values, dtype=float)).tolist()
-    results = eng.prox(ys)
-    bad = [(y, m) for y, res in zip(ys, results)
-           for m, ok in zip(res.minimizers, res.in_interior) if not ok]
-    if bad:
-        raise RangeAssumptionFailedError(
-            f"{inst.name}: prox output left the interior at {len(bad)} samples",
-            witnesses=bad)
-    # violations in sampling order; a converse term waits for its envelope,
-    # and all envelopes are solved as one block
-    terms, converse = [], []
-    for y, res in zip(ys, results):
-        gy = eng.kernel.grad(y)
-        for m in res.minimizers:
-            u = (gy - eng.kernel.grad(m)) / eng.lam
-            member, slack, _ = left_lpsubdiff_definitional(inst, m, u)
-            if not member:
-                terms.append(-slack)
-            us = subdiff_samples(left_lpsubdiff_hull(inst, m)) if hull_available else [u]
-            for u2 in us:
-                eta = eng.lam * u2 + eng.kernel.grad(m)
-                if not eng.kernel.grad_range.contains(eta):
-                    continue
-                y2 = eng.kernel.grad_conj(eta)
-                if not eng.kernel.domain.interior_contains(y2):
-                    continue
-                d = float(eng.kernel.eval(m)) - float(eng.kernel.eval(y2)) \
-                    - eng.kernel.grad(y2) * (m - y2)
-                converse.append((len(terms), y2))
-                terms.append(float(eng.fn.eval(m)) + d / eng.lam)
-    for (k, _), env2 in zip(converse, eng.env([y2 for _, y2 in converse]).tolist()):
-        terms[k] -= env2
-    return max([0.0] + terms)
+def monotone_related(graph_pairs, x: float, u: float) -> bool:
+    """(x, u) is monotonically related to every pair in ``graph_pairs``, up
+    to 1e-9."""
+    return all((x - xi) * (u - ui) >= -1e-9 for xi, ui in graph_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,150 +319,13 @@ class SingleValuedness:
 
 
 def single_valuedness_at(inst: Instance, xbar: float) -> SingleValuedness:
-    """Singleton test of the hull-route subdifferential at xbar."""
-    require_hypotheses(inst)
-    s_l, s_r, gap = hull_slopes(inst, float(xbar))
+    """Singleton test of the hull-route subdifferential at xbar, from one
+    evaluation of ``hull_slopes``."""
+    subdiff, slopes = _hull_route(inst, float(xbar), TOL_HULL)
+    s_l, s_r, gap = slopes or hull_slopes(inst, float(xbar))
     touches = gap <= TOL_HULL
     width_u = (s_r - s_l) / inst.lam
     differentiable = math.isfinite(s_l) and math.isfinite(s_r) and width_u <= TOL_WIDTH
-    subdiff = left_lpsubdiff_hull(inst, xbar)
     if subdiff.is_empty:
         return SingleValuedness(True, None, differentiable, touches)
     return SingleValuedness(False, subdiff.is_singleton, differentiable, touches)
-
-
-# ---------------------------------------------------------------------------
-# Coincidence report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    env_shift_constant: bool     # (a)
-    hull_shift_constant: bool    # (b)
-    prox_graphs_equal: bool      # (c)
-    subdiff_graphs_equal: bool   # (d)
-    env_shift: float
-    hull_shift: float
-    implications: tuple          # (name, asserted, holds)
-
-    @property
-    def violated(self) -> list[str]:
-        return [name for name, asserted, holds in self.implications
-                if asserted and not holds]
-
-
-def _critical_etas(eng: InstanceEngine, min_cells: int = 3) -> list[float]:
-    """Slopes of long envelope segments: the etas where prox is set-valued."""
-    curve = eng.hull_curve()
-    h = eng.x_grid.h
-    return [float(s) for dx, s in zip(np.diff(curve.xs), curve.segment_slopes())
-            if dx > min_cells * h]
-
-
-def _cluster_sets_equal(a, b, x_tol: float, w_tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    for ca, cb in zip(a, b):
-        if abs(ca.x - cb.x) > x_tol:
-            return False
-        if abs((ca.x_hi - ca.x_lo) - (cb.x_hi - cb.x_lo)) > w_tol:
-            return False
-    return True
-
-
-def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0,
-                      n_samples: int = 30, tol: float = 1e-5) -> CoincidenceReport:
-    """Compare two instances over the same kernel and lambda.
-
-    Checks whether the envelopes and hulls differ by constants and whether
-    the prox and subdifferential graphs agree on sampled points; sampling
-    includes the chord slopes of both envelopes, where set-valuedness and
-    graph differences concentrate. subdiff-equal => prox-equal is asserted
-    when both instances meet their cached ``range_assumption``.
-    """
-    if inst_a.kernel is not inst_b.kernel or inst_a.lam != inst_b.lam:
-        raise ValueError("coincidence requires the same kernel and lambda")
-    eng_a, eng_b = engine(inst_a), engine(inst_b)
-    kernel, lam = inst_a.kernel, inst_a.lam
-    rng = np.random.default_rng(seed)
-
-    lo = max(eng_a.y_grid.lo, eng_b.y_grid.lo)
-    hi = min(eng_a.y_grid.hi, eng_b.y_grid.hi)
-    ys_env = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 41)
-    diff_env = eng_a.env(ys_env) - eng_b.env(ys_env)
-    a_ok = bool(np.ptp(diff_env) <= tol)
-    env_shift = float(np.median(diff_env))
-
-    xs = np.linspace(lo, hi, 61)
-    ha = np.asarray(eng_a.hull_fn_value(xs), dtype=float)
-    hb = np.asarray(eng_b.hull_fn_value(xs), dtype=float)
-    both = np.isfinite(ha) & np.isfinite(hb)
-    same_dom = bool((np.isfinite(ha) == np.isfinite(hb)).all()) and both.any()
-    diff_hull = ha[both] - hb[both]
-    b_ok = same_dom and bool(np.ptp(diff_hull) <= tol)
-    hull_shift = float(np.median(diff_hull)) if both.any() else math.nan
-
-    ys = list(sample_inset(rng, lo, hi, n_samples))
-    if kernel.is_legendre:
-        etas = np.array(_critical_etas(eng_a) + _critical_etas(eng_b), dtype=float)
-        crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
-        ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
-    h = max(eng_a.x_grid.h, eng_b.x_grid.h)
-    c_ok = True
-    prox_pairs: list[tuple[float, float]] = []
-    for y, ra, rb in zip(ys, eng_a.prox(ys), eng_b.prox(ys)):
-        if not _cluster_sets_equal(ra.clusters, rb.clusters, x_tol=1e-5, w_tol=3 * h):
-            c_ok = False
-        gy = kernel.grad(y)
-        for res in (ra, rb):
-            for m, interior in zip(res.minimizers, res.in_interior):
-                if interior and len(prox_pairs) < 120:
-                    prox_pairs.append((m, (gy - kernel.grad(m)) / lam))
-
-    # Probe the graphs where the prox outputs live (membership may differ
-    # there even when random abscissae miss the disagreement region) plus
-    # random abscissae with hull-derived subgradient candidates.
-    d_ok = True
-    for x, u in prox_pairs:
-        ma, _, _ = left_lpsubdiff_definitional(inst_a, x, u)
-        mb, _, _ = left_lpsubdiff_definitional(inst_b, x, u)
-        if ma != mb:
-            d_ok = False
-            break
-    xs_probe = list(sample_inset(rng, lo, hi, n_samples))
-    for x in xs_probe:
-        if not d_ok:
-            break
-        probes = set()
-        for inst in (inst_a, inst_b):
-            try:
-                s = left_lpsubdiff_hull(inst, x)
-            except HypothesesUnmetError:
-                s = SubdiffSet.empty()
-            for u in subdiff_samples(s):
-                probes.add(round(u, 12))
-        if not probes:
-            probes = {0.0}
-        for u in probes:
-            ma, _, _ = left_lpsubdiff_definitional(inst_a, x, u)
-            mb, _, _ = left_lpsubdiff_definitional(inst_b, x, u)
-            if ma != mb:
-                d_ok = False
-                break
-
-    probe_a, _ = range_assumption(inst_a)
-    probe_b, _ = range_assumption(inst_b)
-    implications = (
-        ("env-const => hull-const", True, (not a_ok) or b_ok),
-        ("hull-const => env-const", True, (not b_ok) or a_ok),
-        ("prox-equal => subdiff-equal", True, (not c_ok) or d_ok),
-        ("subdiff-equal => prox-equal", probe_a and probe_b, (not d_ok) or c_ok),
-        ("prox-equal => env-const", kernel.is_legendre, (not c_ok) or a_ok),
-    )
-    return CoincidenceReport(a_ok, b_ok, c_ok, d_ok, env_shift, hull_shift,
-                             implications)
-
-
-def monotone_related(graph_pairs, x: float, u: float, tol: float = 1e-9) -> bool:
-    """(x, u) is monotonically related to every pair in ``graph_pairs``."""
-    return all((x - xi) * (u - ui) >= -tol for xi, ui in graph_pairs)

@@ -4,7 +4,8 @@ on catalog instances and asserts their implication structure.
 Finite-sample semantics: a violated inequality is a certificate (with a
 recorded witness); a passing condition is evidence at the sampled points.
 Implications are asserted only when their hypotheses hold; otherwise they are
-recorded as skipped with a reason. Conditions whose truth concentrates on
+recorded as skipped with a reason; hypotheses and gates are instance facts
+that the engine decides once. Conditions whose truth concentrates on
 measure-zero inputs (set-valuedness of the prox, coincidence of graphs) are
 additionally sampled at the critical slopes of the convex envelope, where
 those events live.
@@ -15,16 +16,16 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalog import Instance, ProperFn, get_instance
 from .errors import HypothesesUnmetError
 from .kernels import scale_kernel
-from .numerics import sample_inset, second_difference_convexity_test
-from .proxenv import InstanceEngine, engine, range_assumption, require_hypotheses
-from .subdiff import (TOL_CERT, _critical_etas, left_lpsubdiff_definitional,
+from .numerics import TOL_CONV, Condition, convexity_condition, sample_inset
+from .proxenv import InstanceEngine, engine, prox_escapes
+from .subdiff import (TOL_CERT, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
 
 __all__ = [
@@ -32,30 +33,21 @@ __all__ = [
     "check_weak_convexity", "check_dfne", "check_env_convexity",
     "check_bcoco", "check_bsmooth", "check_two_sided",
     "check_strong_convexity_sufficient", "run_suite", "ALL_CHECKS",
-    "reports_to_json",
+    "reports_to_json", "resolvent_check", "coincidence_check",
 ]
 
 # Monotonicity / pair-inequality slack: refined minimizers are only
 # sqrt(eps)-accurate in x, so pair products carry ~1e-7 noise on unit windows;
 # genuine violations in the catalog are orders of magnitude larger.
 TOL_MONO = 1e-6
-TOL_CONV = 1e-8      # second-difference convexity slack (scaled by data size)
 TOL_LIP = 1e-4       # slack of the sampled prox Lipschitz ratio over 1/L
+TOL_HULL_EQ = 1e-5   # largest f - hull gap on the grid that counts as equal
+TOL_GRAD = 1e-4      # gradient identity of the dual envelope vs differences
+TOL_BOUNDARY = 1e-5  # boundary value of f vs its interior limit
+FD_STEP = 1e-6       # finite-difference step, relative to the y-window span
+TOL_SHIFT = 1e-5     # spread of a difference that still counts as a constant
 N_POINT_SAMPLES = 200
 N_PAIR_SAMPLES = 200
-
-
-@dataclass(frozen=True)
-class Condition:
-    label: str
-    holds: bool
-    worst: float
-    witness: tuple = ()
-
-    def to_dict(self):
-        return {"label": self.label, "holds": bool(self.holds),
-                "worst": float(self.worst),
-                "witness": [float(w) for w in self.witness]}
 
 
 @dataclass(frozen=True)
@@ -144,36 +136,21 @@ def _seeded(seed: int, *labels: str) -> np.random.Generator:
 # Shared condition evaluators
 # ---------------------------------------------------------------------------
 
-def _convexity_of_samples(xs: np.ndarray, vals: np.ndarray, tol: float,
-                          label: str) -> Condition:
-    """``second_difference_convexity_test`` of possibly partially-infinite
-    samples, with ``tol`` scaled by the largest finite |value| (at least 1)."""
-    scale = float(np.max(np.abs(vals), where=np.isfinite(vals), initial=1.0))
-    return Condition(label, *second_difference_convexity_test(xs, vals, tol * scale))
+def _fd_step(eng: InstanceEngine) -> float:
+    """The finite-difference step on the y window."""
+    return FD_STEP * max(1.0, eng.y_grid.hi - eng.y_grid.lo)
 
 
-def _fn_convexity(eng: InstanceEngine, label: str = "f-convex") -> Condition:
-    """Convexity of f on the full domain grid (closed endpoints included)."""
-    return _convexity_of_samples(eng.X, eng.F, TOL_CONV, label)
-
-
-def _xi_window(eng: InstanceEngine) -> tuple[float, float]:
-    """A dual (gradient-space) working range clipped to the primal window."""
-    g_lo, g_hi = eng.kernel.grad([eng.y_grid.lo, eng.y_grid.hi]).tolist()
-    margin = 0.05 * (g_hi - g_lo)
-    return max(-4.0, g_lo + margin), min(4.0, g_hi - margin)
-
-
-def _h_convexity(eng: InstanceEngine, label: str = "env-dual-convex") -> Condition:
-    """Convexity of h(xi) = env(grad kappa*(xi)) on a uniform dual grid."""
-    lo, hi = _xi_window(eng)
-    xis = np.linspace(lo, hi, 161)
-    return _convexity_of_samples(xis, eng.env(eng.kernel.grad_conj(xis)),
-                                 TOL_CONV, label)
+def _critical_etas(eng: InstanceEngine) -> list[float]:
+    """Slopes of envelope segments over three cells long: the set-valued etas."""
+    curve = eng.hull_curve()
+    h = eng.x_grid.h
+    return [float(s) for dx, s in zip(np.diff(curve.xs), curve.segment_slopes())
+            if dx > 3 * h]
 
 
 def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
-    lo, hi = _xi_window(eng)
+    lo, hi = eng.xi_window
     etas = list(lo + (hi - lo) * rng.random(n))
     if with_critical:
         etas += _critical_etas(eng)
@@ -210,30 +187,21 @@ def _worst_pair(label: str, slack: np.ndarray, witness: tuple) -> Condition:
                      + tuple(float(a[j]) for a in witness))
 
 
-def _finite_dom_bounds(eng: InstanceEngine) -> tuple[float, float]:
-    idx = np.nonzero(np.isfinite(eng.F))[0]
-    return float(eng.X[idx[0]]), float(eng.X[idx[-1]])
-
-
 def _base_report(inst: Instance, theorem: str, seed: int) -> VerifyReport:
+    """A report citing the instance's standing hypotheses."""
     return VerifyReport(instance=inst.name, theorem=theorem, seed=seed,
-                        hypotheses={
-                            "legendre": inst.kernel.is_legendre,
-                            "one-coercive": inst.kernel.is_one_coercive,
-                            "below-threshold": inst.below_threshold,
-                        })
+                        hypotheses=engine(inst).hypotheses)
 
 
-def _start(inst: Instance, theorem: str, seed: int, stream: str):
-    """The standing hypotheses, then the engine, the report and the check's
-    random stream (named apart from the theorem so draws stay fixed)."""
-    require_hypotheses(inst)
-    return engine(inst), _base_report(inst, theorem, seed), _seeded(seed, inst.name, stream)
-
-
-def _require_range(inst: Instance):
-    if not range_assumption(inst)[0]:
-        raise HypothesesUnmetError("range assumption failed")
+def _start(inst: Instance, theorem: str, seed: int, stream: str, *gates: str):
+    """The engine once the standing hypotheses and ``gates`` hold, the report
+    citing them, and the check's random stream (named apart from the theorem
+    so draws stay fixed)."""
+    eng = engine(inst)
+    eng.require(*gates)
+    rep = _base_report(inst, theorem, seed)
+    rep.hypotheses.update(dict.fromkeys(gates, True))
+    return eng, rep, _seeded(seed, inst.name, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +218,16 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     """
     eng, rep, rng = _start(inst, "weak-convexity", seed, "weak")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV,
-                      "tol_hull_eq": 1e-5}
+                      "tol_hull_eq": TOL_HULL_EQ}
 
-    a = _convexity_of_samples(eng.X, eng.F + eng.K / eng.lam, TOL_CONV, "a-weakly-convex")
+    a = convexity_condition("a-weakly-convex", eng.X, eng.F + eng.K / eng.lam)
 
     hull_vals = np.asarray(eng.hull_fn_value(eng.X), dtype=float)
     both = np.isfinite(eng.F) & np.isfinite(hull_vals)
     gap = np.zeros_like(eng.F)
     gap[both] = eng.F[both] - hull_vals[both]
     kb = int(np.argmax(gap))
-    b = Condition("b-hull-equals-f", float(gap[kb]) <= 1e-5, float(gap[kb]),
+    b = Condition("b-hull-equals-f", float(gap[kb]) <= TOL_HULL_EQ, float(gap[kb]),
                   (float(eng.X[kb]),))
 
     etas = _sample_etas(eng, rng, N_POINT_SAMPLES)
@@ -271,7 +239,7 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
             break
     d = Condition("d-prox-convex-valued", d_holds, d_worst, d_wit)
 
-    lo_f, hi_f = _finite_dom_bounds(eng)
+    lo_f, hi_f = eng.f_bounds
     f_holds, f_wit = True, ()
     if hi_f - lo_f > 0:
         pts = sample_inset(rng, lo_f, hi_f, 60)
@@ -282,8 +250,7 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     f = Condition("f-subdiff-nonempty", f_holds, 0.0, f_wit)
 
     rep.conditions = [a, b, d, f]
-    dom_inside = (lo_f >= eng.kernel.domain.lo and hi_f <= eng.kernel.domain.hi
-                  and lo_f < hi_f)
+    dom_inside = eng.conv_dom_inside
     rep.hypotheses["conv-dom-inside-interior"] = dom_inside
     rep.implications = (
         _equiv(a, b) + _equiv(b, d)
@@ -298,10 +265,10 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 # Convexity / firm nonexpansiveness correspondence
 # ---------------------------------------------------------------------------
 
-def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng, n: int = 60):
-    """Sampled (x, u) pairs of the hull-route subdifferential graph."""
-    lo_f, hi_f = _finite_dom_bounds(eng)
-    pts = sample_inset(rng, lo_f, hi_f, n)
+def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng):
+    """(x, u) pairs of the hull-route subdifferential graph at 60 sampled x."""
+    lo_f, hi_f = eng.f_bounds
+    pts = sample_inset(rng, lo_f, hi_f, 60)
     return [(p, float(u)) for p in pts[eng.kernel.domain.interior_contains(pts)].tolist()
             for u in subdiff_samples(left_lpsubdiff_hull(inst, p))]
 
@@ -324,13 +291,13 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     eng, rep, rng = _start(inst, "dfne", seed, "dfne")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV}
 
-    probe_ok, witnesses = range_assumption(inst)
+    probe_ok, witnesses = eng.range_assumption
     rep.hypotheses["range-assumption"] = probe_ok
     if not probe_ok:
         rep.status = "range-assumption-failed"
         rep.notes.append(f"prox left the interior at {len(witnesses)} sampled points")
 
-    a = _fn_convexity(eng, "a-f-convex")
+    a = replace(eng.f_convex, label="a-f-convex")
     graph = _subdiff_graph(inst, eng, rng)
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
@@ -385,13 +352,11 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     lam grad h = grad kappa* - prox o grad kappa* is checked against finite
     differences of h. Requires the instance's range assumption.
     """
-    eng, rep, rng = _start(inst, "env-convexity", seed, "envcvx")
-    _require_range(inst)
-    rep.hypotheses["range-assumption"] = True
+    eng, rep, rng = _start(inst, "env-convexity", seed, "envcvx", "range-assumption")
     rep.tolerances = {"tol_mono": TOL_MONO, "tol_conv": TOL_CONV,
-                      "tol_grad": 1e-4}
+                      "tol_grad": TOL_GRAD}
 
-    a = _h_convexity(eng, "a-h-convex")
+    a = replace(eng.h_convex, label="a-h-convex")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, 150), interior_only=False)
     gc = eng.kernel.grad_conj(ee)
@@ -403,8 +368,7 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     rep.implications = _equiv(a, d)
 
     if a.holds:
-        lo, hi = _xi_window(eng)
-        xis = lo + (hi - lo) * rng.random(40)
+        xis = np.array(_sample_etas(eng, rng, 40, with_critical=False))
         delta = 1e-5
         gcj = eng.kernel.grad_conj
         env_p = eng.env(gcj(xis + delta)).tolist()
@@ -418,7 +382,7 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
             err = abs(eng.lam * fd - eng.lam * ident)
             if err > worst:
                 worst, wit = err, (xi,)
-        g = Condition("grad-identity", worst <= 1e-4, worst, wit)
+        g = Condition("grad-identity", worst <= TOL_GRAD, worst, wit)
         rep.conditions.append(g)
         rep.implications.append(_implies(a, g, a.label, g.label))
     return rep
@@ -428,16 +392,13 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
     """Dual cocoercivity inequality for h on sampled pairs; asserted exactly
     when h is convex. Requires a whole-line kernel domain and the range assumption.
     """
-    eng, rep, rng = _start(inst, "bcoco", seed, "bcoco")
-    if not inst.kernel.domain.is_all_reals:
-        raise HypothesesUnmetError("kernel domain is not the whole line")
-    _require_range(inst)
+    eng, rep, rng = _start(inst, "bcoco", seed, "bcoco",
+                           "whole-line-domain", "range-assumption")
     rep.tolerances = {"tol_mono": TOL_MONO}
 
-    a = _h_convexity(eng, "a-h-convex")
+    a = replace(eng.h_convex, label="a-h-convex")
 
-    lo, hi = _xi_window(eng)
-    xis = np.asarray(lo + (hi - lo) * rng.random(100), dtype=float)
+    xis = np.array(_sample_etas(eng, rng, 100, with_critical=False))
     gc = eng.kernel.grad_conj(xis)
     h_vals = eng.env(gc)
     proxes = eng.prox(gc)
@@ -488,12 +449,10 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     (iii) boundary values of f agree with interior limits at closed endpoints.
     Asserts (i) => (ii) and (ii) and (iii) => (i).
     """
-    eng, rep, rng = _start(inst, "bsmooth", seed, "bsmooth")
-    if not np.isfinite(eng.F).all():
-        raise HypothesesUnmetError("f is not real-valued on the kernel domain")
+    eng, rep, rng = _start(inst, "bsmooth", seed, "bsmooth", "f-real-valued")
     L = inst.lam
     rep.tolerances = {"tol_cert": TOL_CERT, "tol_conv": TOL_CONV,
-                      "tol_boundary": 1e-5}
+                      "tol_boundary": TOL_BOUNDARY}
 
     kL = scale_kernel(inst.kernel, L) if L != 1.0 else inst.kernel
     fn_neg = _negate_fn(inst.fn)
@@ -505,7 +464,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     pts = sorted(set(
         list(sample_inset(rng, lo, hi, 20))
         + [lo + span * q for q in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]))
-    h_fd = 1e-6 * max(1.0, span)
+    h_fd = _fd_step(eng)
     pts = np.array(pts)
     us = (eng.fn.eval(pts + h_fd) - eng.fn.eval(pts - h_fd)) / (2 * h_fd)
     i_holds, i_worst, i_wit = True, math.inf, ()
@@ -522,8 +481,8 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
 
     FY = eng.fn.eval(eng.Y)
     KYL = L * eng.KY
-    ii_plus = _convexity_of_samples(eng.Y, KYL + FY, TOL_CONV, "ii-plus")
-    ii_minus = _convexity_of_samples(eng.Y, KYL - FY, TOL_CONV, "ii-minus")
+    ii_plus = convexity_condition("ii-plus", eng.Y, KYL + FY)
+    ii_minus = convexity_condition("ii-minus", eng.Y, KYL - FY)
     ii = Condition("ii-relative-smooth", ii_plus.holds and ii_minus.holds,
                    min(ii_plus.worst, ii_minus.worst),
                    ii_plus.witness if ii_plus.worst <= ii_minus.worst else ii_minus.witness)
@@ -540,7 +499,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
         gap = abs(fb - lim)
         if gap > iii_worst:
             iii_worst, iii_wit = gap, (float(b), fb, lim)
-        if gap > 1e-5:
+        if gap > TOL_BOUNDARY:
             iii_holds = False
     iii = Condition("iii-boundary-limits", iii_holds, iii_worst, iii_wit)
 
@@ -564,12 +523,10 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     full-line kernel domain the anisotropic strong-convexity inequality of
     lam f + kappa joins the equivalence. Requires the range assumption.
     """
-    eng, rep, rng = _start(inst, "two-sided", seed, "two-sided")
-    _require_range(inst)
+    eng, rep, rng = _start(inst, "two-sided", seed, "two-sided", "range-assumption")
     rep.tolerances = {"tol_mono": TOL_MONO}
 
-    fcvx = _fn_convexity(eng, "f-convex")
-    hcvx = _h_convexity(eng, "h-convex")
+    fcvx, hcvx = eng.f_convex, eng.h_convex
     ab = Condition("f-and-h-convex", fcvx.holds and hcvx.holds,
                    min(fcvx.worst, hcvx.worst))
 
@@ -589,7 +546,7 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     rep.conditions = [fcvx, hcvx, ab, lower, upper, two]
     rep.implications = _equiv(ab, two)
 
-    if inst.kernel.domain.is_all_reals:
+    if eng.holds("whole-line-domain"):
         aniso = _anisotropic_condition(inst, eng, rng)
         c = Condition("b-and-aniso-strongly-convex",
                       fcvx.holds and aniso.holds, aniso.worst, aniso.witness)
@@ -604,7 +561,7 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random(25))
     phi_vals = eng.tilted(eng.X)
-    h_fd = 1e-6 * max(1.0, hi - lo)
+    h_fd = _fd_step(eng)
     grads = (eng.tilted(pts + h_fd) - eng.tilted(pts - h_fd)) / (2 * h_fd)
     worst, wit = math.inf, ()
     for p, v, phi_p in zip(map(float, pts), map(float, grads), map(float, eng.tilted(pts))):
@@ -629,21 +586,13 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     L-strongly convex, the dual envelope must be convex and the prox
     single-valued with sampled Lipschitz ratio at most 1/L.
     """
-    eng, rep, rng = _start(inst, "strong-convexity", seed, "strong")
+    eng, rep, rng = _start(inst, "strong-convexity", seed, "strong",
+                           "grad-lipschitz", "strongly-convex")
     L = inst.kernel.grad_lipschitz
-    if L is None:
-        raise HypothesesUnmetError(
-            f"grad of kernel {inst.kernel.name} is not globally Lipschitz")
-    strong = _convexity_of_samples(
-        eng.X, eng.lam * eng.F + eng.K - 0.5 * L * np.square(eng.X),
-        TOL_CONV, "strongly-convex")
-    if not strong.holds:
-        raise HypothesesUnmetError("lam f + kappa is not L-strongly convex")
-    rep.hypotheses["grad-lipschitz"] = True
-    rep.hypotheses["strongly-convex"] = True
     rep.tolerances = {"tol_lip": TOL_LIP}
 
-    hcvx = _h_convexity(eng)
+    strong = eng.strongly_convex
+    hcvx = replace(eng.h_convex, label="env-dual-convex")
 
     sols = _prox_at_etas(eng, _sample_etas(eng, rng, 120, with_critical=False))
     single = not any(res.multiple for _, res in sols)
@@ -662,6 +611,162 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
         _implies(True, lip, "hypotheses", lip.label),
     ]
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Resolvent representation
+# ---------------------------------------------------------------------------
+
+def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
+                    ybar_values=None) -> VerifyReport:
+    """The warped-resolvent representation at sampled ybar, each direction's
+    worst its largest violation. Forward: every prox output xbar carries the
+    certificate u = (grad kappa(ybar) - grad kappa(xbar)) / lam. Converse:
+    subgradients sampled at xbar reproduce xbar as a prox output at the warped
+    point grad kappa*(lam u + grad kappa(xbar)). Both are asserted under the
+    range assumption at the sampled points; when it fails, the status says so
+    and its condition lists the (ybar, minimizer) witnesses, flattened.
+    """
+    eng = engine(inst)
+    rep = _base_report(inst, "resolvent", seed)
+    rep.tolerances = {"tol_cert": TOL_CERT}
+    if ybar_values is None:
+        ybar_values = sample_inset(np.random.default_rng(seed),
+                                   eng.y_grid.lo, eng.y_grid.hi, n)
+    ys = np.atleast_1d(np.asarray(ybar_values, dtype=float)).tolist()
+    results = eng.prox(ys)
+    bad = prox_escapes(ys, results)
+    in_range = Condition("range-assumption", not bad, float(len(bad)),
+                         tuple(v for pair in bad for v in pair))
+    rep.conditions = [in_range]
+    if bad:
+        rep.status = "range-assumption-failed"
+        rep.notes.append(f"prox output left the interior at {len(bad)} samples")
+        return rep
+    # (violation, witness) per term; a converse term waits for the envelope
+    # at its warped point, and all envelopes are solved as one block
+    hull_ok = all(eng.hypotheses.values())
+    forward, converse, y2s = [(0.0, ())], [], []
+    for y, res in zip(ys, results):
+        gy = eng.kernel.grad(y)
+        for m in res.minimizers:
+            u = (gy - eng.kernel.grad(m)) / eng.lam
+            member, slack, _ = left_lpsubdiff_definitional(inst, m, u)
+            if not member:
+                forward.append((-slack, (y, m)))
+            us = subdiff_samples(left_lpsubdiff_hull(inst, m)) if hull_ok else [u]
+            for u2 in us:
+                eta = eng.lam * u2 + eng.kernel.grad(m)
+                if not eng.kernel.grad_range.contains(eta):
+                    continue
+                y2 = eng.kernel.grad_conj(eta)
+                if not eng.kernel.domain.interior_contains(y2):
+                    continue
+                d = float(eng.kernel.eval(m)) - float(eng.kernel.eval(y2)) \
+                    - eng.kernel.grad(y2) * (m - y2)
+                converse.append((float(eng.fn.eval(m)) + d / eng.lam, (m, u2)))
+                y2s.append(y2)
+    converse = [(0.0, ())] + [(v - e, wit) for (v, wit), e
+                              in zip(converse, eng.env(y2s).tolist())]
+    (worst_f, wit_f), (worst_c, wit_c) = max(forward), max(converse)
+    fwd = Condition("forward-certificate", worst_f <= TOL_CERT, worst_f, wit_f)
+    conv = Condition("converse-prox", worst_c <= TOL_CERT, worst_c, wit_c)
+    rep.conditions += [fwd, conv]
+    rep.implications = [_implies(in_range, c, in_range.label, c.label) for c in (fwd, conv)]
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# Coincidence of two instances
+# ---------------------------------------------------------------------------
+
+def _cluster_sets_equal(a, b, x_tol: float, w_tol: float) -> bool:
+    return len(a) == len(b) and all(
+        abs(ca.x - cb.x) <= x_tol and abs((ca.x_hi - ca.x_lo) - (cb.x_hi - cb.x_lo)) <= w_tol
+        for ca, cb in zip(a, b))
+
+
+def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> VerifyReport:
+    """Compare two instances over the same kernel and lambda.
+
+    Conditions: envelopes and hulls differ by constants (the witness is the
+    median shift), prox and subdifferential graphs agree at sampled points,
+    which include the chord slopes of both envelopes, where graph
+    differences concentrate. subdiff-equal => prox-equal is asserted under
+    both range assumptions, prox-equal => env-const for Legendre kernels.
+    """
+    if inst_a.kernel is not inst_b.kernel or inst_a.lam != inst_b.lam:
+        raise ValueError("coincidence requires the same kernel and lambda")
+    eng_a, eng_b = engine(inst_a), engine(inst_b)
+    kernel, lam, legendre = inst_a.kernel, inst_a.lam, eng_a.holds("legendre")
+    rng = np.random.default_rng(seed)
+
+    lo = max(eng_a.y_grid.lo, eng_b.y_grid.lo)
+    hi = min(eng_a.y_grid.hi, eng_b.y_grid.hi)
+    ys_env = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 41)
+    diff_env = eng_a.env(ys_env) - eng_b.env(ys_env)
+    spread = float(np.ptp(diff_env))
+    env_c = Condition("env-const", spread <= TOL_SHIFT, spread, (float(np.median(diff_env)),))
+
+    xs = np.linspace(lo, hi, 61)
+    ha = np.asarray(eng_a.hull_fn_value(xs), dtype=float)
+    hb = np.asarray(eng_b.hull_fn_value(xs), dtype=float)
+    both = np.isfinite(ha) & np.isfinite(hb)
+    same_dom = bool((np.isfinite(ha) == np.isfinite(hb)).all()) and both.any()
+    diff_hull = ha[both] - hb[both]
+    spread = float(np.ptp(diff_hull)) if both.any() else math.inf
+    hull_c = Condition("hull-const", same_dom and spread <= TOL_SHIFT, spread,
+                       (float(np.median(diff_hull)) if both.any() else math.nan,))
+
+    ys = list(sample_inset(rng, lo, hi, 30))
+    if legendre:
+        etas = np.array(_critical_etas(eng_a) + _critical_etas(eng_b), dtype=float)
+        crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
+        ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
+    h = max(eng_a.x_grid.h, eng_b.x_grid.h)
+    prox_wit: tuple = ()
+    prox_pairs: list[tuple[float, float]] = []
+    for y, ra, rb in zip(ys, eng_a.prox(ys), eng_b.prox(ys)):
+        if not prox_wit and not _cluster_sets_equal(ra.clusters, rb.clusters,
+                                                    x_tol=1e-5, w_tol=3 * h):
+            prox_wit = (float(y),)
+        gy = kernel.grad(y)
+        for res in (ra, rb):
+            for m, interior in zip(res.minimizers, res.in_interior):
+                if interior and len(prox_pairs) < 120:
+                    prox_pairs.append((m, (gy - kernel.grad(m)) / lam))
+    prox_c = Condition("prox-equal", not prox_wit, 0.0, prox_wit)
+
+    # Probe the graphs where the prox outputs live (membership may differ
+    # there even when random abscissae miss the disagreement region) plus
+    # random abscissae with hull-derived subgradient candidates.
+    def differs(x, u):
+        return (left_lpsubdiff_definitional(inst_a, x, u)[0]
+                != left_lpsubdiff_definitional(inst_b, x, u)[0])
+
+    sub_wit = next(((x, u) for x, u in prox_pairs if differs(x, u)), ())
+    for x in sample_inset(rng, lo, hi, 30).tolist():
+        if sub_wit:
+            break
+        probes = {round(u, 12) for inst in (inst_a, inst_b)
+                  if all(engine(inst).hypotheses.values())
+                  for u in subdiff_samples(left_lpsubdiff_hull(inst, x))}
+        sub_wit = next(((x, u) for u in probes or {0.0} if differs(x, u)), ())
+    sub_c = Condition("subdiff-equal", not sub_wit, 0.0, tuple(map(float, sub_wit)))
+
+    range_ok = eng_a.range_assumption[0] and eng_b.range_assumption[0]
+    return VerifyReport(
+        instance=f"{inst_a.name}~{inst_b.name}", theorem="coincidence", seed=seed,
+        status="ok" if range_ok else "range-assumption-failed",
+        hypotheses={"legendre": legendre, "range-assumption": range_ok},
+        conditions=[env_c, hull_c, prox_c, sub_c],
+        implications=_equiv(env_c, hull_c) + [
+            _implies(prox_c, sub_c, prox_c.label, sub_c.label),
+            _implies(sub_c, prox_c, sub_c.label, prox_c.label, asserted=range_ok,
+                     reason="" if range_ok else "range assumption failed"),
+            _implies(prox_c, env_c, prox_c.label, env_c.label, asserted=legendre,
+                     reason="" if legendre else "kernel is not Legendre")],
+        tolerances={"tol_shift": TOL_SHIFT})
 
 
 # ---------------------------------------------------------------------------

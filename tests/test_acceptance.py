@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bregmanprox.catalog import get_instance, instance_names
-from bregmanprox.errors import RangeAssumptionFailedError
 from bregmanprox.kernels import (ALL_KERNELS, BURG, LEGENDRE_KERNELS,
                                  bregman_distance, dual_distance,
                                  three_point_residual)
@@ -18,9 +17,8 @@ from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
                                  euclid_crosscheck, left_prox, range_probe,
                                  threshold_scan)
 from bregmanprox.subdiff import (left_lpsubdiff_definitional,
-                                 left_lpsubdiff_hull, monotone_related,
-                                 resolvent_check)
-from bregmanprox.verify import reports_to_json, run_suite
+                                 left_lpsubdiff_hull, monotone_related)
+from bregmanprox.verify import reports_to_json, resolvent_check, run_suite
 
 
 # Per report of the seed-42 suite: status, each condition's verdict and each
@@ -115,9 +113,8 @@ def test_criterion_3_duality_gap_closed_forms():
                    for x in map(float, xis))
     assert worst420 <= 1e-4
 
-    from bregmanprox.verify import _h_convexity
-    assert _h_convexity(engine(get_instance("ex419"))).holds
-    assert not _h_convexity(engine(get_instance("ex420"))).holds
+    assert engine(get_instance("ex419")).h_convex.holds
+    assert not engine(get_instance("ex420")).h_convex.holds
     print(f"\nPASS criterion 3: |h - closed form| = {worst419:.2e} (convex) and "
           f"{worst420:.2e} (nonconvex) at 241 points")
 
@@ -138,7 +135,10 @@ def test_criterion_5_resolvent_representation():
         ok, _ = range_probe(inst, n=500, seed=42)
         if not ok:
             continue
-        residual = resolvent_check(inst, seed=42, n=20)
+        rep = resolvent_check(inst, seed=42, n=20)
+        assert rep.status == "ok", f"{name}: {rep.notes}"
+        residual = max(rep.condition("forward-certificate").worst,
+                       rep.condition("converse-prox").worst)
         assert residual <= 1e-6, f"{name}: residual {residual}"
         checked.append((name, residual))
     assert checked

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from bregmanprox import subdiff
 from bregmanprox.catalog import F_ABS, Instance, ProperFn, get_instance, shift_scale
-from bregmanprox.errors import HypothesesUnmetError, RangeAssumptionFailedError
+from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import ENERGY, QUARTIC
 from bregmanprox.proxenv import engine, hull_instance
-from bregmanprox.subdiff import (SubdiffSet, coincidence_check,
-                                 frechet_lower_probe,
+from bregmanprox.subdiff import (SubdiffSet, frechet_lower_probe,
                                  left_lpsubdiff_definitional,
                                  left_lpsubdiff_hull, monotone_related,
-                                 resolvent_check,
                                  right_lpsubdiff_definitional,
                                  single_valuedness_at, subdiff_samples)
+from bregmanprox.verify import coincidence_check, resolvent_check
 
 
 # -- definitional certificates ---------------------------------------------------
@@ -133,28 +133,39 @@ def test_right_consistency_with_left_prox():
 
 # -- resolvent representation -------------------------------------------------------
 
+def resolvent_residual(rep):
+    """The largest violation of either direction of a resolvent report whose
+    range assumption held."""
+    assert rep.status == "ok" and rep.condition("range-assumption").holds
+    return max(rep.condition("forward-certificate").worst,
+               rep.condition("converse-prox").worst)
+
+
 def test_resolvent_euclid_abs_classical():
-    assert resolvent_check(get_instance("euclid_abs"), seed=1) <= 1e-6
+    assert resolvent_residual(resolvent_check(get_instance("euclid_abs"), seed=1)) <= 1e-6
 
 
 def test_resolvent_ex411_range_failure():
-    with pytest.raises(RangeAssumptionFailedError) as exc:
-        resolvent_check(get_instance("ex411"), seed=1)
-    assert any(abs(m - 1.0) < 1e-6 for _, m in exc.value.witnesses)
+    rep = resolvent_check(get_instance("ex411"), seed=1)
+    assert rep.status == "range-assumption-failed"
+    cond = rep.condition("range-assumption")
+    assert not cond.holds and cond.worst == len(cond.witness) // 2 > 0
+    assert any(abs(m - 1.0) < 1e-6 for m in cond.witness[1::2])
 
 
 def test_resolvent_ex310_range_failure_and_restricted_validity():
     # prox sends points with grad kappa(y) > 1 to the boundary, so the range
     # assumption fails on the full interior; on the subdomain where outputs
     # stay interior the representation holds
-    with pytest.raises(RangeAssumptionFailedError):
-        resolvent_check(get_instance("ex310"), seed=1)
+    rep = resolvent_check(get_instance("ex310"), seed=1)
+    assert rep.status == "range-assumption-failed"
+    assert not rep.condition("range-assumption").holds
     ys = np.linspace(-0.65, 0.65, 20)
-    assert resolvent_check(get_instance("ex310"), ybar_values=ys) <= 1e-6
+    assert resolvent_residual(resolvent_check(get_instance("ex310"), ybar_values=ys)) <= 1e-6
 
 
 def test_resolvent_ex_ln():
-    assert resolvent_check(get_instance("ex_ln"), seed=1) <= 1e-6
+    assert resolvent_residual(resolvent_check(get_instance("ex_ln"), seed=1)) <= 1e-6
 
 
 # -- single-valuedness ---------------------------------------------------------------
@@ -180,6 +191,26 @@ def test_single_valuedness_empty_branch():
     assert sv.equivalence_consistent
 
 
+def test_single_valuedness_evaluates_hull_slopes_once(monkeypatch):
+    # a smooth point, a kink, a point off the hull, and points just outside
+    # and far outside the hull span of ex411
+    calls = []
+    real = subdiff.hull_slopes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subdiff, "hull_slopes", counted)
+    eng = engine(get_instance("ex411"))
+    near = eng.hull_curve().x_min - 0.375 * eng.x_grid.h
+    for name, x in (("ex310", -0.5), ("euclid_abs", 0.0), ("ex310", 0.5),
+                    ("ex411", near), ("ex411", -0.5)):
+        calls.clear()
+        single_valuedness_at(get_instance(name), x)
+        assert len(calls) == 1, (name, x)
+
+
 def test_hull_route_accepts_points_just_outside_span():
     # the hull route admits x up to half a cell past the hull span; ex411's
     # span starts at 0, where f becomes finite
@@ -194,13 +225,19 @@ def test_hull_route_accepts_points_just_outside_span():
 
 # -- coincidence ------------------------------------------------------------------------
 
+def coincidence(rep):
+    """(env-const, hull-const, prox-equal, subdiff-equal) of a coincidence report."""
+    return tuple(rep.condition(label).holds
+                 for label in ("env-const", "hull-const", "prox-equal", "subdiff-equal"))
+
+
 def test_coincidence_additive_constant():
     inst_a = get_instance("euclid_abs")
     inst_b = Instance("abs_plus3", ENERGY, shift_scale(F_ABS, 0.0, 1.0, 3.0), 1.0)
     rep = coincidence_check(inst_a, inst_b, seed=3)
-    assert rep.env_shift_constant and rep.hull_shift_constant
-    assert rep.prox_graphs_equal and rep.subdiff_graphs_equal
-    assert abs(abs(rep.env_shift) - 3.0) <= 1e-6
+    assert coincidence(rep) == (True, True, True, True)
+    env_shift, = rep.condition("env-const").witness
+    assert abs(abs(env_shift) - 3.0) <= 1e-6
     assert rep.violated == []
 
 
@@ -210,10 +247,9 @@ def test_coincidence_with_own_hull():
     # the asserted implications stay consistent
     inst = get_instance("ex310")
     rep = coincidence_check(inst, hull_instance(inst), seed=3)
-    assert rep.env_shift_constant and rep.hull_shift_constant
-    assert abs(rep.env_shift) <= 1e-6
-    assert not rep.prox_graphs_equal
-    assert not rep.subdiff_graphs_equal
+    assert coincidence(rep) == (True, True, False, False)
+    env_shift, = rep.condition("env-const").witness
+    assert abs(env_shift) <= 1e-6
     assert rep.violated == []
 
 
@@ -221,8 +257,8 @@ def test_coincidence_shifted_abs_differs():
     inst_a = get_instance("euclid_abs")
     inst_c = Instance("abs_shift", ENERGY, shift_scale(F_ABS, 0.5, 1.0, 0.0), 1.0)
     rep = coincidence_check(inst_a, inst_c, seed=3)
-    assert not rep.env_shift_constant
-    assert not rep.prox_graphs_equal
+    env_const, _, prox_equal, _ = coincidence(rep)
+    assert not env_const and not prox_equal
     assert rep.violated == []
 
 

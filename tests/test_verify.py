@@ -1,11 +1,13 @@
+import collections
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from bregmanprox import proxenv
-from bregmanprox.catalog import Instance, get_instance
+from bregmanprox.catalog import Instance, get_instance, instance_names
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import ENERGY, HELLINGER
@@ -265,6 +267,28 @@ def test_range_assumption_probed_once_per_instance(monkeypatch):
     facts = [check_dfne(inst, seed=s).hypotheses["range-assumption"] for s in (1, 2)]
     assert facts[0] == facts[1]
     assert len(probes) == 1
+
+
+def test_suite_decides_each_instance_fact_once(monkeypatch):
+    """On fresh engines a seed-42 suite decides h convexity on the 8
+    instances whose checks read it, f convexity on the 11 that meet the
+    standing hypotheses, and probes the range assumption on those 11."""
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    decided = collections.Counter()
+    real_condition, real_probe = proxenv.convexity_condition, proxenv.range_probe
+
+    def counted_condition(label, *args):
+        decided[label] += 1
+        return real_condition(label, *args)
+
+    def counted_probe(*args, **kwargs):
+        decided["range-probe"] += 1
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(proxenv, "convexity_condition", counted_condition)
+    monkeypatch.setattr(proxenv, "range_probe", counted_probe)
+    run_suite(instance_names(), seed=42)
+    assert (decided["h-convex"], decided["f-convex"], decided["range-probe"]) == (8, 11, 11)
 
 
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
