@@ -5,6 +5,8 @@ level proximal subdifferentials, and a harness that checks the governing
 equivalence theorems on concrete instances.
 """
 
+import importlib
+
 from .extreal import ExtReal, Interval, NEG_INF, POS_INF
 from .numerics import (Grid, HullCurve, build_grid, finite_diff_grad,
                        grid_minimize, lower_convex_envelope, monotone_invert,
@@ -22,9 +24,20 @@ from .proxenv import (InstanceEngine, ProxResult, detect_unbounded, engine,
 from .subdiff import (SingleValuedness, SubdiffSet, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, right_lpsubdiff_definitional,
                       single_valuedness_at)
-from .verify import (VerifyReport, check_bcoco, check_bsmooth, check_dfne,
-                     check_env_convexity, check_strong_convexity_sufficient,
-                     check_two_sided, check_weak_convexity, coincidence_check,
-                     reports_to_json, resolvent_check, run_suite)
+
+# The theorem harness is imported on first use of one of its names (PEP
+# 562), so importing the package or its command line does not load it.
+_VERIFY = ("VerifyReport", "check_bcoco", "check_bsmooth", "check_dfne",
+           "check_env_convexity", "check_strong_convexity_sufficient",
+           "check_two_sided", "check_weak_convexity", "coincidence_check",
+           "reports_to_json", "resolvent_check", "run_suite")
+
+
+def __getattr__(name):
+    if name == "verify" or name in _VERIFY:
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

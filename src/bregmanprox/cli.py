@@ -19,7 +19,6 @@ from .errors import HypothesesUnmetError, UnknownInstanceError
 from .kernels import BURG
 from .proxenv import engine, threshold_scan
 from .subdiff import left_lpsubdiff_hull, monotone_related
-from .verify import reports_to_json, run_suite
 
 QUANTITIES = ("f", "env", "hull", "prox", "subdiff-lo", "subdiff-hi", "h_lambda")
 
@@ -232,6 +231,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import reports_to_json, run_suite  # only this command loads the harness
     if args.all:
         names = instance_names()
     elif args.instance:

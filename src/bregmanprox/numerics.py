@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -218,8 +218,24 @@ def refine_best(phi: Callable, xs: np.ndarray, values: np.ndarray):
     return float(x[0]), float(v[0])
 
 
+def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
+    """(row, i0, i1) of every run of grid cells within ``tol_tie`` of its
+    row's minimum, for a 2-D block of rows; checks every row as it scans."""
+    finite = np.isfinite(values)
+    if not finite.any(axis=1).all():
+        raise AllInfiniteError("objective is +inf at every grid sample")
+    vmin = values.min(axis=1, where=finite, initial=np.inf)
+    if vmin.min() < -cap:
+        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
+    # int8 throughout: a block of rows allocates no float-sized temporaries here
+    tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
+    edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
+    row, i0 = np.nonzero(edge == 1)
+    return row, i0, np.nonzero(edge == -1)[1] - 1
+
+
 def grid_minimize(phi: Callable, grid: Grid,
-                  values: np.ndarray | None = None,
+                  values: np.ndarray | Iterable[np.ndarray] | None = None,
                   tol_tie: float = DEFAULT_TOL_TIE,
                   cap: float = DEFAULT_UNBOUNDED_CAP):
     """Global minimization of ``phi`` over ``grid`` with set-valued detection.
@@ -231,9 +247,13 @@ def grid_minimize(phi: Callable, grid: Grid,
     set-valued proximal mappings are observed at grid resolution.
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
-    ``grid.points``. A 2-D ``values`` is a block of objectives, one per row:
-    ``phi`` is then called as ``phi(x, rows)`` (see ``refine``) and a list
-    with one ``GridMin`` per row is returned.
+    ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
+    and an iterable of 2-D blocks is a batch of rows numbered across its
+    blocks: the blocks are scanned one at a time and only their tie runs are
+    kept, so one block bounds the scan's memory, and every row of the batch
+    is refined in the one ``refine`` call. With rows, ``phi`` is called as
+    ``phi(x, rows)`` (see ``refine``) and a list with one ``GridMin`` per
+    row is returned.
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-cap``.
@@ -241,29 +261,27 @@ def grid_minimize(phi: Callable, grid: Grid,
     xs = grid.points
     if values is None:
         values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
-    block = np.ndim(values) == 2
-    values = np.atleast_2d(values)
-    finite = np.isfinite(values)
-    if not finite.any(axis=1).all():
-        raise AllInfiniteError("objective is +inf at every grid sample")
-    vmin = values.min(axis=1, where=finite, initial=np.inf)
-    if vmin.min() < -cap:
-        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
-    # int8 throughout: a block of rows allocates no float-sized temporaries here
-    tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
-    edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
-    row, i0 = np.nonzero(edge == 1)
-    i1 = np.nonzero(edge == -1)[1] - 1
+    single = isinstance(values, np.ndarray) and values.ndim == 1
+    if isinstance(values, np.ndarray):
+        values = [np.atleast_2d(values)]
+    scans, n_rows = [], 0
+    for block in values:
+        row, i0, i1 = _tie_runs(block, tol_tie, cap)
+        scans.append((row + n_rows, i0, i1))
+        n_rows += len(block)
+        del block  # free it before the generator builds the next one
+    row, i0, i1 = map(np.concatenate, zip(*scans))
     a = xs[np.maximum(i0 - 1, 0)]
     b = xs[np.minimum(i1 + 1, len(xs) - 1)]
-    x_ref, v_ref = refine(phi, a, b, row if block else None)
+    x_ref, v_ref = refine(phi, a, b, None if single else row)
     if v_ref.min() < -cap:
         raise UnboundedBelowError(f"refined objective reached {v_ref.min():.3e}")
+    runs = list(zip(x_ref.tolist(), v_ref.tolist(), xs[i0].tolist(), xs[i1].tolist()))
+    # runs come row by row: row r owns runs[starts[r]:starts[r + 1]]
+    starts = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
     out = []
-    for r in range(values.shape[0]):
-        clusters = [MinimizerCluster(float(x_ref[k]), float(v_ref[k]),
-                                     float(xs[i0[k]]), float(xs[i1[k]]))
-                    for k in np.nonzero(row == r)[0]]
+    for r in range(n_rows):
+        clusters = [MinimizerCluster(*run) for run in runs[starts[r]:starts[r + 1]]]
         best = min(c.value for c in clusters)
         clusters = [c for c in clusters if c.value <= best + tol_tie]
         # Distinct grid basins can refine into the same point; merge those.
@@ -278,7 +296,7 @@ def grid_minimize(phi: Callable, grid: Grid,
                 merged.append(c)
         winner = min(merged, key=lambda c: c.value)
         out.append(GridMin(winner.x, winner.value, len(merged) > 1, tuple(merged)))
-    return out if block else out[0]
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)

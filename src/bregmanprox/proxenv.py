@@ -2,13 +2,15 @@
 prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
-values, kernel values, kernel gradients). Prox and envelope queries are
-solved in blocks of rows, one ybar per row: each block is one vectorized
-objective build plus one batched bracket refinement, with at least
+values, kernel values, kernel gradients). A batch of prox and envelope
+queries, one ybar per row, is solved in two phases: its x-grid samples are
+scanned in blocks of rows that keep only their tie runs (at least
 ``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
-grid samples, and a row gets the same bits in a block as alone (``prox``
-and ``env`` take one ybar or an array of them). Every objective is one array
-function of x, used for the grid samples and for the refinement alike.
+grid samples, so a block bounds only the scan's memory), then every row is
+refined in one batched bracket refinement. A row gets the same bits in a
+batch as alone (``prox`` and ``env`` take one ybar or an array of them).
+Every objective is one array function of x, used for the grid samples and
+for the refinement alike.
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
@@ -52,8 +54,9 @@ __all__ = [
 
 INTERIOR_MARGIN = 1e-9
 RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
-# Grid samples per solved block of queries (rows x grid points), above the
-# floor of ZOOM_POINTS rows that keeps a prox_hull refinement round in one block.
+# Grid samples per scanned block of rows (rows x grid points): it bounds only
+# the memory of a grid scan, never the refinement, which takes a whole batch.
+# Above the floor of ZOOM_POINTS rows a prox_hull refinement round is one block.
 BLOCK_SAMPLES = 2 ** 15
 
 # The standing hypotheses of the theorem checks and of the hull route.
@@ -146,8 +149,8 @@ class InstanceEngine:
     # -- left objective ----------------------------------------------------
 
     def _left_rows(self, ys):
-        """f + D(., y)/lam for a block of ybar rows: the array function
-        ``phi(x, rows)`` and its samples on the x grid, one row per ybar."""
+        """f + D(., y)/lam for a batch of ybar rows, as the array function
+        ``phi(x, rows)``: ``rows`` gives the row of each point of x."""
         ys = np.asarray(ys, dtype=float)
         ky, gy = self.kg(ys)
 
@@ -162,40 +165,37 @@ class InstanceEngine:
             out += fx
             return out
 
-        return phi, phi(self.X, np.arange(ys.size)[:, None])
+        return phi
 
     def _row_blocks(self, n_rows: int):
-        """Slices of ``n_rows`` rows, ``max(ZOOM_POINTS, BLOCK_SAMPLES //
-        grid_n)`` rows each: the block rule of every solve and of the
-        envelope cache."""
+        """Index columns of ``n_rows`` rows, ``max(ZOOM_POINTS, BLOCK_SAMPLES
+        // grid_n)`` rows each: the block rule of every grid scan."""
         step = max(ZOOM_POINTS, BLOCK_SAMPLES // self.grid_n)
-        return (slice(i, i + step) for i in range(0, n_rows, step))
+        return (np.arange(i, min(i + step, n_rows))[:, None]
+                for i in range(0, n_rows, step))
 
     def _solve(self, ys) -> list[GridMin]:
-        """The left subproblem at each interior ybar, solved in row blocks."""
+        """The left subproblem at each interior ybar: the x grid is scanned
+        in row blocks, then every row is refined in one batch."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        out: list[GridMin] = []
-        for rows in self._row_blocks(ys.size):
-            block = ys[rows]
-            try:
-                out += self._solve_block(block)
-            except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
-                # a failing row fails alone too: raise what the first failing
-                # row raises, as a loop of single queries would
-                for j in range(block.size - 1):
-                    self._solve_block(block[j:j + 1])
-                raise
-        return out
-
-    def _solve_block(self, ys: np.ndarray) -> list[GridMin]:
-        self.check_interior(ys)
-        phi, vals = self._left_rows(ys)
-        return grid_minimize(phi, self.x_grid, values=vals)
+        if not ys.size:
+            return []
+        try:
+            self.check_interior(ys)
+            phi = self._left_rows(ys)
+            blocks = (phi(self.X, rows) for rows in self._row_blocks(ys.size))
+            return grid_minimize(phi, self.x_grid, values=blocks)
+        except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
+            # a failing row fails alone too: raise what the first failing
+            # row raises, as a loop of single queries would
+            for j in range(ys.size - 1):
+                self._solve(ys[j:j + 1])
+            raise
 
     def left_values(self, ybar: float) -> np.ndarray:
         """f + D(., ybar)/lam sampled on the x grid (vectorized)."""
         self.check_interior(ybar)
-        return self._left_rows([ybar])[1][0]
+        return self._left_rows([ybar])(self.X, 0)
 
     def check_interior(self, ys):
         """Raise ``OutsideInteriorError`` naming the first ybar, of a float or
@@ -244,11 +244,12 @@ class InstanceEngine:
         built in row blocks: O(N) memory besides one block."""
         if self._env_coarse is None:
             env = np.empty(self.Y.size)
+            phi = self._left_rows(self.Y)
             for rows in self._row_blocks(self.Y.size):
                 # objective block: rows ybar in Y[rows], columns x in X
-                vals = self._left_rows(self.Y[rows])[1]
+                vals = phi(self.X, rows)
                 vals[np.isnan(vals)] = np.inf
-                env[rows] = vals.min(axis=1)
+                env[rows[:, 0]] = vals.min(axis=1)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
                 raise UnboundedBelowError("envelope cache fell below the cap")
             self._env_coarse = env
@@ -487,7 +488,8 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
     inst = Instance(f"_scan_{fn.name}_{lam:g}", kernel, probe_fn, lam)
     eng = InstanceEngine(inst, grid_n=513)
     eng.check_interior(probe_y)
-    phi, vals = eng._left_rows([probe_y])
+    phi = eng._left_rows([probe_y])
+    vals = phi(eng.X, 0)
     finite = vals[np.isfinite(vals)]
     if finite.size and finite.min() < -cap:
         return True

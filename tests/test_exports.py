@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,17 @@ def test_package_names_resolve():
     for module, name in imported:
         source = importlib.import_module(f"bregmanprox.{module}")
         assert getattr(bregmanprox, name) is getattr(source, name), name
+    for name in bregmanprox._VERIFY:  # resolved on first use
+        assert getattr(bregmanprox, name) is getattr(bregmanprox.verify, name), name
+
+
+def test_the_command_line_does_not_load_the_harness():
+    """In a fresh process: the CLI leaves the harness unloaded, and the
+    package loads it on first use of one of its names."""
+    code = ("import sys, bregmanprox, bregmanprox.cli; "
+            "assert 'bregmanprox.verify' not in sys.modules, 'loaded'; "
+            "assert bregmanprox.run_suite is sys.modules['bregmanprox.verify'].run_suite; "
+            "assert bregmanprox.verify is sys.modules['bregmanprox.verify']; "
+            "from bregmanprox import check_dfne, verify")
+    src = str(Path(bregmanprox.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

@@ -87,6 +87,40 @@ def test_a_bracket_that_is_infinite_throughout_still_closes():
     assert len(calls) <= math.ceil(math.log((b - a) / X_RESOLUTION, 8)) + 1
 
 
+def _row_objective(params):
+    """An array function ``phi(x, rows)``: a kinked, curved objective per
+    row, +inf right of the row's domain edge."""
+    c, s, d, e = (np.array(p, dtype=float) for p in zip(*params))
+
+    def phi(x, rows):
+        r = np.broadcast_to(rows, np.shape(x))
+        out = s[r] * np.abs(x - c[r]) + np.square(x - d[r])
+        return np.where(x > e[r], np.inf, out)
+
+    return phi
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.lists(st.tuples(_coord, st.floats(0.0, 4.0), _coord, _coord),
+                       min_size=1, max_size=4),
+       brackets=st.lists(st.tuples(st.integers(0, 3), _coord, st.floats(1e-7, 2.0)),
+                         min_size=1, max_size=12))
+def test_refine_on_concatenated_rows_matches_each_bracket_alone(params, brackets):
+    """Brackets of several rows refined in one call get, bit for bit, what
+    each gets alone: a batch may refine all its rows at once."""
+    phi = _row_objective(params)
+    rows = np.array([r % len(params) for r, _, _ in brackets])
+    a = np.array([lo for _, lo, _ in brackets])
+    b = a + np.array([w for _, _, w in brackets])
+    x, v = refine(phi, a, b, rows)
+    for k in range(rows.size):
+        xk, vk = refine(phi, a[k], b[k], rows[k:k + 1])
+        assert (x[k].hex(), v[k].hex()) == (xk[0].hex(), vk[0].hex())
+
+
 def test_the_resolution_stop_keeps_the_ex411_tie():
     res = left_prox(get_instance("ex411"), 1 / math.sqrt(2))
     assert res.minimizers == pytest.approx([0.0, 1.0], abs=X_RESOLUTION)

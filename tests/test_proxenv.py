@@ -1,12 +1,14 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bregmanprox import numerics, proxenv
 from bregmanprox.catalog import F_ZERO, Instance, get_instance
-from bregmanprox.errors import OutsideInteriorError
+from bregmanprox.errors import (AllInfiniteError, OutsideInteriorError,
+                                UnboundedBelowError)
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import BURG, ENERGY, SHANNON, Kernel, bregman_distance
 from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
@@ -237,12 +239,58 @@ def _count_grid_minimize(monkeypatch):
     return calls
 
 
-def test_range_probe_solves_in_blocks(monkeypatch):
+def test_range_probe_solves_in_blocks(monkeypatch, refine_brackets):
+    """250 rows scan the grid in 15 blocks and refine in one call."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     inst = get_instance("hell_halfk")
     calls = _count_grid_minimize(monkeypatch)
     proxenv.range_probe(inst, n=250, seed=3)
-    assert len(calls) <= 15  # ceil(250 / 17) blocks
+    assert len(calls) == len(refine_brackets) == 1
+    assert refine_brackets[0] >= 250
+
+
+def test_empty_batches_solve_nothing():
+    eng = proxenv.InstanceEngine(get_instance("ex310"), grid_n=2001)
+    assert eng.prox([]) == []
+    assert eng.env([]).tolist() == []
+    assert eng.prox(np.array([])) == []
+
+
+def _faulty_engine(monkeypatch):
+    """An ex310 engine whose objective row is +inf at ybar = 0.5 and falls
+    below the unboundedness cap at ybar = -0.5; 1.5 is outside its domain."""
+    eng = proxenv.InstanceEngine(get_instance("ex310"), grid_n=2001)
+    real = eng._left_rows
+
+    def left_rows(ys):
+        phi, ys = real(ys), np.asarray(ys, dtype=float)
+
+        def faulty(x, rows):
+            y = ys[rows]
+            out = phi(x, rows)
+            return np.where(y == 0.5, np.inf, np.where(y == -0.5, out - 2e12, out))
+
+        return faulty
+
+    monkeypatch.setattr(eng, "_left_rows", left_rows)
+    return eng
+
+
+@pytest.mark.parametrize("bad", [
+    [0.5, -0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5], [-0.5, 1.5]])
+def test_a_batch_raises_what_its_first_failing_row_raises_alone(monkeypatch, bad):
+    """The first failing row, row 20, sits in the second row block (17 rows
+    each at N = 2001), after a clean first block."""
+    eng = _faulty_engine(monkeypatch)
+    clean = np.linspace(-0.9, 0.9, 20).tolist()
+    with pytest.raises((OutsideInteriorError, AllInfiniteError,
+                        UnboundedBelowError)) as alone:
+        eng.prox(bad[0])
+    expected = (type(alone.value), f"^{re.escape(str(alone.value))}$")
+    for query in (eng.prox, eng.env):
+        with pytest.raises(expected[0], match=expected[1]):
+            query(np.array(clean + bad + clean))
+    assert len(eng.prox(np.array(clean + clean))) == 40
 
 
 def test_prox_many_memory_is_bounded_by_blocks():

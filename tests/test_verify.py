@@ -291,6 +291,17 @@ def test_suite_decides_each_instance_fact_once(monkeypatch):
     assert (decided["h-convex"], decided["f-convex"], decided["range-probe"]) == (8, 11, 11)
 
 
+def test_suite_refinement_calls_are_pinned(monkeypatch, refine_brackets):
+    """A prox or envelope batch refines every row in one call: a seed-42
+    suite on two instances makes 11 refine calls (111 with one call per
+    17-row block) for the same 1817 brackets."""
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    run_suite(["ex411", "shannon_abs"], seed=42)
+    assert len(refine_brackets) <= 11
+    assert sum(refine_brackets) == 1817
+
+
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
     """Scalar f, -f and kernel-gradient evaluations test membership on a
     float: no Interval membership test receives a 0-d array."""
