@@ -33,14 +33,6 @@ class ExtReal(float):
     def is_finite(self) -> bool:
         return math.isfinite(self)
 
-    @property
-    def is_pos_inf(self) -> bool:
-        return self == math.inf
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self == -math.inf
-
     def _combine(self, other, op):
         r = op(float(self), float(other))
         if math.isnan(r):
@@ -120,14 +112,3 @@ class Interval:
 
     def interior(self) -> "Interval":
         return Interval(self.lo, self.hi, False, False)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
-            lo, lo_c = self.lo, self.lo_closed
-        else:
-            lo, lo_c = other.lo, other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and not self.hi_closed):
-            hi, hi_c = self.hi, self.hi_closed
-        else:
-            hi, hi_c = other.hi, other.hi_closed
-        return Interval(lo, hi, lo_c, hi_c)

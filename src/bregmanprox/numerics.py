@@ -328,31 +328,27 @@ class HullCurve:
         out = np.where((x < self.xs[0]) | (x > self.xs[-1]), np.inf, out)
         return float(out) if out.ndim == 0 else out
 
-    def slopes_at(self, x: float, x_tol: float = 1e-12) -> tuple[float, float]:
-        """(left slope, right slope) of the curve at x; infinite at the span edges."""
-        if x < self.xs[0] - x_tol or x > self.xs[-1] + x_tol:
+    def slopes_at(self, x, x_tol: float = 1e-12):
+        """(left slope, right slope) of the curve at x, as floats for a float
+        and arrays for an array; infinite at the span edges. A point within
+        ``x_tol`` of a breakpoint (the first one first, then the last) takes
+        the slopes on either side of it."""
+        x = np.asarray(x, dtype=float)
+        xs, m = self.xs, len(self.xs)
+        if ((x < xs[0] - x_tol) | (x > xs[-1] + x_tol)).any():
             raise ValueError(f"{x} outside hull span")
-        slopes = self.segment_slopes()
-        left: float
-        right: float
-        if x <= self.xs[0] + x_tol:
-            left = -math.inf
-            right = slopes[0] if len(slopes) else math.inf
-            return left, float(right)
-        if x >= self.xs[-1] - x_tol:
-            left = slopes[-1] if len(slopes) else -math.inf
-            return float(left), math.inf
-        j = int(np.searchsorted(self.xs, x))
-        # xs[j-1] < x <= xs[j] up to tolerance
-        if abs(x - self.xs[j]) <= x_tol:        # at breakpoint j
-            left = slopes[j - 1]
-            right = slopes[j] if j < len(slopes) else math.inf
-        elif abs(x - self.xs[j - 1]) <= x_tol:  # at breakpoint j-1
-            left = slopes[j - 2] if j >= 2 else -math.inf
-            right = slopes[j - 1]
-        else:                                   # strictly inside segment j-1
-            left = right = slopes[j - 1]
-        return float(left), float(right)
+        # s[k] is the slope between breakpoints k - 1 and k, -inf/+inf past the ends
+        s = np.concatenate(([-math.inf], self.segment_slopes(), [math.inf]))
+        j = np.minimum(np.maximum(np.searchsorted(xs, x), 1), m - 1)  # xs[j-1] < x <= xs[j]
+        first = x <= xs[0] + x_tol
+        last = ~first & (x >= xs[-1] - x_tol)
+        at_j = np.abs(x - xs[j]) <= x_tol
+        at_prev = ~at_j & (np.abs(x - xs[j - 1]) <= x_tol)
+        left = np.where(first, 0, np.where(last, m - 1, j - at_prev))
+        right = left + (first | last | at_j | at_prev)
+        if x.ndim == 0:
+            return float(s[left]), float(s[right])
+        return s[left], s[right]
 
 
 def lower_convex_envelope(samples: Sequence[tuple[float, float]]) -> HullCurve:

@@ -10,6 +10,11 @@ themselves against each other:
   differences wherever the envelope touches the function (a chord side keeps
   the envelope segment slope).
 
+Both routes take a float or an array of points and answer an array in one
+batch, a point getting the same bits in a batch as alone: the hull route in
+array arithmetic, the certificates by scanning every row in the engine's
+row blocks and refining all rows in one ``refine`` call.
+
 The single-valuedness test reads the hull route. The resolvent and
 coincidence checks, which read both routes, are theorem reports in
 ``verify``.
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .catalog import Instance
 from .extreal import Interval
-from .numerics import refine_best
 from .proxenv import InstanceEngine, engine
 
 __all__ = [
@@ -92,167 +97,185 @@ class SubdiffSet:
 # Definitional certificates
 # ---------------------------------------------------------------------------
 
-def _refined_min_slack(slack, xs: np.ndarray) -> tuple[float, float]:
-    """(worst slack, witness) of the array function ``slack`` over ``xs``,
-    refined around the worst sample."""
-    vals = slack(xs)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return math.inf, math.nan
-    x_ref, v_ref = refine_best(slack, xs, vals)
-    j = int(np.argmin(np.where(finite, vals, np.inf)))
-    if vals[j] < v_ref:
-        x_ref, v_ref = float(xs[j]), float(vals[j])
-    return v_ref, x_ref
+def _rows(a, b):
+    """The 1-D float rows of two points or arrays, broadcast together."""
+    return map(np.ravel, np.broadcast_arrays(np.asarray(a, dtype=float),
+                                             np.asarray(b, dtype=float)))
 
 
-def left_lpsubdiff_definitional(inst: Instance, xbar: float, u: float,
-                                tol: float = TOL_CERT):
-    """Certificate that u is a level proximal subgradient of f at xbar.
+def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid):
+    """(member, worst slack, witness) of the rows ``pts`` of ``a`` and ``b``:
+    floats for two points, 1-D arrays otherwise.
+
+    A row that is not ``ok`` gives (False, -inf, its point). The others,
+    which ``slack(x, rows)`` numbers among themselves, take their worst
+    slack over ``grid``: the grid is scanned in the engine's row blocks,
+    then every row is refined around its worst sample in one ``refine``
+    call, and a grid sample still beats a worse refinement. A row with no
+    finite sample gives (True, inf, nan).
+    """
+    n = int(ok.sum())
+    j, low = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
+    for rows in eng._row_blocks(n):
+        vals = slack(grid, rows)
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        r = rows[:, 0]
+        j[r] = vals.argmin(axis=1)
+        low[r] = vals[np.arange(r.size), j[r]]
+    at = np.full(n, np.nan)
+    live = np.nonzero(np.isfinite(low))[0]
+    if live.size:
+        jl = j[live]
+        x_ref, v_ref = numerics.refine(slack, grid[np.maximum(jl - 1, 0)],
+                                       grid[np.minimum(jl + 1, len(grid) - 1)], live)
+        on_grid = low[live] < v_ref
+        at[live] = np.where(on_grid, grid[jl], x_ref)
+        low[live] = np.where(on_grid, low[live], v_ref)
+    worst, witness = np.full(pts.size, -np.inf), pts.copy()
+    worst[ok], witness[ok] = low, at
+    member = worst >= -TOL_CERT
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return bool(member[0]), float(worst[0]), float(witness[0])
+    return member, worst, witness
+
+
+def left_lpsubdiff_definitional(inst: Instance, xbar, u):
+    """Certificate that u is a level proximal subgradient of f at xbar, for
+    one (xbar, u) or for arrays of them, broadcast together.
 
     Tests f(x) >= f(xbar) + u (x - xbar) - D(x, xbar)/lam over the domain
-    grid, refining the worst slack. Returns (member, worst_slack, witness_x);
-    membership requires xbar interior to the kernel domain and worst slack
-    >= -tol. Points outside the interior are non-members by definition.
+    grid, refining the worst slack. Returns (member, worst_slack, witness_x),
+    three 1-D arrays for arrays; membership requires xbar interior to the
+    kernel domain and worst slack >= -TOL_CERT. Points outside the interior
+    are non-members by definition.
     """
     eng = engine(inst)
-    xbar, u = float(xbar), float(u)
-    if not eng.kernel.domain.interior_contains(xbar):
-        return False, -math.inf, xbar
-    fxbar = float(eng.fn.eval(xbar))
-    if not math.isfinite(fxbar):
-        return False, -math.inf, xbar
-    kxbar = float(eng.kernel.eval(xbar))
-    gxbar = eng.kernel.grad(xbar)
+    xb, uu = _rows(xbar, u)
+    fxb = eng.fn.eval(xb)
+    ok = eng.kernel.domain.interior_contains(xb) & np.isfinite(fxb)
+    xb_ok, u_ok, fxb = xb[ok], uu[ok], fxb[ok]
+    kxb, gxb = eng.kernel.eval(xb_ok), eng.kernel.grad(xb_ok)
 
-    def slack(x):
+    def slack(x, rows):
         fx, kx = eng.fk(x)
-        dx = x - xbar
-        return fx - fxbar - u * dx + (kx - kxbar - gxbar * dx) / eng.lam
+        dx = x - xb_ok[rows]
+        return fx - fxb[rows] - u_ok[rows] * dx + (kx - kxb[rows] - gxb[rows] * dx) / eng.lam
 
-    worst, witness = _refined_min_slack(slack, eng.X)
-    return worst >= -tol, worst, witness
+    return _certify(eng, xbar, u, xb, ok, slack, eng.X)
 
 
-def right_lpsubdiff_definitional(inst: Instance, ybar: float, v: float,
-                                 tol: float = TOL_CERT):
-    """Certificate for the right subdifferential of g at interior ybar.
+def right_lpsubdiff_definitional(inst: Instance, ybar, v):
+    """Certificate for the right subdifferential of g at interior ybar, for
+    one (ybar, v) or for arrays of them, broadcast together.
 
     Tests g(y) >= g(ybar) + v (grad kappa(y) - grad kappa(ybar)) - D(ybar, y)/lam
     over the interior grid. Returns (member, worst_slack, witness_y).
     """
     eng = engine(inst)
-    ybar, v = float(ybar), float(v)
-    eng.check_interior(ybar)
-    gybar = float(eng.fn.eval(ybar))
-    if not math.isfinite(gybar):
-        return False, -math.inf, ybar
-    kybar = float(eng.kernel.eval(ybar))
-    grad_ybar = eng.kernel.grad(ybar)
+    yb, vv = _rows(ybar, v)
+    eng.check_interior(yb)
+    gyb = eng.fn.eval(yb)
+    ok = np.isfinite(gyb)
+    yb_ok, v_ok, gyb = yb[ok], vv[ok], gyb[ok]
+    kyb, grad_yb = eng.kernel.eval(yb_ok), eng.kernel.grad(yb_ok)
 
-    def slack(y):
+    def slack(y, rows):
         ky, gy = eng.kg(y)
-        d = kybar - ky - gy * (ybar - y)
-        return eng.fn.eval(y) - gybar - v * (gy - grad_ybar) + d / eng.lam
+        d = kyb[rows] - ky - gy * (yb_ok[rows] - y)
+        return eng.fn.eval(y) - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
 
-    worst, witness = _refined_min_slack(slack, eng.Y)
-    return worst >= -tol, worst, witness
+    return _certify(eng, ybar, v, yb, ok, slack, eng.Y)
 
 
 # ---------------------------------------------------------------------------
 # Hull characterization
 # ---------------------------------------------------------------------------
 
-def _one_sided_slope(eng: InstanceEngine, x: float, side: str) -> float:
-    """Second-order one-sided derivative of lam f + kappa at x."""
-    sgn = -1.0 if side == "left" else 1.0
-    for step in (1e-6, 1e-8):
-        v0, v1, v2 = map(float, eng.tilted(x + sgn * step * np.arange(3.0)))
-        if all(map(math.isfinite, (v0, v1, v2))):
-            return sgn * (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * step)
-    return math.nan
+def hull_slopes(inst: Instance, xbar):
+    """(left slope, right slope, touching gap) of conv(lam f + kappa) at
+    xbar: floats for a float, 1-D arrays for an array.
 
-
-def _hull_gap(eng: InstanceEngine, x: float) -> float:
-    """(lam f + kappa)(x) minus the lower convex envelope at x."""
-    return float(eng.tilted(x)) - float(eng.hull_curve().value(x))
-
-
-def _side_slope(eng: InstanceEngine, curve, xbar: float, side: str) -> float:
-    """Refined slope of conv(lam f + kappa) at xbar on one side.
-
-    Near the span edge the slope is unbounded. Otherwise the adjacent grid
-    point decides between a *contact* side (envelope touches the function,
-    so the exact one-sided derivative of lam f + kappa is the slope) and a
-    *chord* side (the envelope segment slope is already exact; it is read at
-    xbar clipped to the span).
+    Near the span edge a side's slope is unbounded. Otherwise the adjacent
+    grid point decides between a *contact* side (envelope touches the
+    function, so the second-order one-sided difference of lam f + kappa on
+    a finite stencil, of step 1e-6 or else 1e-8, is the slope) and a *chord*
+    side (the envelope segment slope is already exact; it is read at xbar
+    clipped to the span).
     """
-    h = eng.x_grid.h
-    if side == "left" and xbar <= curve.x_min + _SPAN_CELLS * h:
-        return -math.inf
-    if side == "right" and xbar >= curve.x_max - _SPAN_CELLS * h:
-        return math.inf
-    probe = xbar - h if side == "left" else xbar + h
-    gap = _hull_gap(eng, probe)
-    tol_contact = 1e-8 * (1.0 + abs(float(eng.tilted(probe)))) + 1e-12
-    if math.isfinite(gap) and gap <= max(tol_contact, TOL_HULL):
-        s = _one_sided_slope(eng, xbar, side)
-        if math.isfinite(s):
-            return s
-    sl, sr = curve.slopes_at(min(max(xbar, curve.x_min), curve.x_max), x_tol=0.25 * h)
-    return sl if side == "left" else sr
-
-
-def hull_slopes(inst: Instance, xbar: float) -> tuple[float, float, float]:
-    """(left slope, right slope, touching gap) of conv(lam f + kappa) at xbar."""
     eng = engine(inst)
     curve = eng.hull_curve()
-    gap = _hull_gap(eng, float(xbar))
-    s_l = _side_slope(eng, curve, float(xbar), "left")
-    s_r = _side_slope(eng, curve, float(xbar), "right")
-    if math.isfinite(s_l) and math.isfinite(s_r) and s_l > s_r:
-        mid = 0.5 * (s_l + s_r)  # refinement jitter can cross; collapse
-        s_l = s_r = mid
-    return s_l, s_r, gap
+    x = np.atleast_1d(np.asarray(xbar, dtype=float))
+    h, reach = eng.x_grid.h, _SPAN_CELLS * eng.x_grid.h
+    # lam f + kappa and its gap above the envelope (NaN where both are +inf)
+    # at x, then at the grid neighbours x - h and x + h of the two sides
+    pts = np.array([x, x - h, x + h])
+    phi, conv = eng.tilted(pts.ravel()).reshape(pts.shape), curve.value(pts)
+    gap = np.subtract(phi, conv, out=np.full_like(phi, np.nan),
+                      where=~(np.isinf(phi) & np.isinf(conv)))
+    # one row per side, left then right
+    edge = np.array([x <= curve.x_min + reach, x >= curve.x_max - reach])
+    side_gap = gap[1:]
+    contact = ~edge & np.isfinite(side_gap) & (
+        side_gap <= np.maximum(1e-8 * (1.0 + np.abs(phi[1:])) + 1e-12, TOL_HULL))
+    s = np.full((2, x.size), np.nan)
+    for step in (1e-6, 1e-8):
+        todo = np.flatnonzero(contact & np.isnan(s))
+        if not todo.size:
+            break
+        sg = np.where(todo < x.size, -1.0, 1.0)
+        stencil = x[todo % x.size, None] + sg[:, None] * step * np.arange(3.0)
+        v = eng.tilted(stencil.ravel()).reshape(-1, 3)
+        fin = np.isfinite(v).all(axis=1)
+        v, sg = v[fin], sg[fin]
+        s.flat[todo[fin]] = sg * (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * step)
+    chord = ~edge & ~np.isfinite(s)
+    if chord.any():
+        read = curve.slopes_at(np.clip(x, curve.x_min, curve.x_max), x_tol=0.25 * h)
+        s = np.where(chord, np.stack(read), s)
+    s_l, s_r = np.where(edge, np.array([[-math.inf], [math.inf]]), s)
+    # refinement jitter can cross; collapse
+    cross = np.isfinite(s_l) & np.isfinite(s_r) & (s_l > s_r)
+    s_l[cross] = s_r[cross] = 0.5 * (s_l[cross] + s_r[cross])
+    if np.ndim(xbar) == 0:
+        return float(s_l[0]), float(s_r[0]), float(gap[0, 0])
+    return s_l, s_r, gap[0]
 
 
-def left_lpsubdiff_hull(inst: Instance, xbar: float,
-                        tol_hull: float = TOL_HULL) -> SubdiffSet:
-    """Subdifferential via the convex-hull characterization.
+def left_lpsubdiff_hull(inst: Instance, xbar) -> SubdiffSet | list[SubdiffSet]:
+    """Subdifferential via the convex-hull characterization, at one point
+    (a ``SubdiffSet``) or at each of an array of points (a list).
 
     Empty when the envelope of lam f + kappa lies strictly below the function
     at xbar; otherwise the slope interval of the envelope mapped through
     u = (s - grad kappa(xbar)) / lam.
     """
-    return _hull_route(inst, float(xbar), tol_hull)[0]
+    sets = _hull_route(inst, np.atleast_1d(np.asarray(xbar, dtype=float)))[0]
+    return sets[0] if np.ndim(xbar) == 0 else sets
 
 
-def _hull_route(inst: Instance, xbar: float, tol_hull: float):
-    """(hull-route set at xbar, the ``hull_slopes`` read there or None)."""
+def _hull_route(inst: Instance, x: np.ndarray):
+    """(hull-route sets at the points of the 1-D array x, the ``hull_slopes``
+    read there)."""
     eng = engine(inst)
     eng.require()
-    if not eng.kernel.domain.interior_contains(xbar):
-        return SubdiffSet.empty(), None
     curve = eng.hull_curve()
+    slopes = s_l, s_r, gap = hull_slopes(inst, x)
     tol = _SPAN_CELLS * eng.x_grid.h
-    if xbar < curve.x_min - tol or xbar > curve.x_max + tol:
-        return SubdiffSet.empty(), None
-    slopes = s_l, s_r, gap = hull_slopes(inst, xbar)
-    if not gap <= tol_hull:
-        return SubdiffSet.empty(), slopes
-    g = eng.kernel.grad(xbar)
-    lam = eng.lam
-    u_lo, u_hi = (s_l - g) / lam, (s_r - g) / lam
-    lo_closed, hi_closed = True, True
-    if math.isinf(u_lo):
-        member, _, _ = left_lpsubdiff_definitional(inst, xbar, _PROBE_MEMBER_AT)
-        if not member:
-            u_lo, lo_closed = _PROBE_MEMBER_AT, False
-    if math.isinf(u_hi):
-        member, _, _ = left_lpsubdiff_definitional(inst, xbar, -_PROBE_MEMBER_AT)
-        if not member:
-            u_hi, hi_closed = -_PROBE_MEMBER_AT, False
-    return SubdiffSet.interval(u_lo, u_hi, lo_closed, hi_closed), slopes
+    ok = np.nonzero(eng.kernel.domain.interior_contains(x) & (x >= curve.x_min - tol)
+                    & (x <= curve.x_max + tol) & (gap <= TOL_HULL))[0]
+    # rows u_lo, u_hi; an unbounded end stays where one certificate batch
+    # accepts its probe -+_PROBE_MEMBER_AT, and is cut open there otherwise
+    ends = (np.array([s_l[ok], s_r[ok]]) - eng.kernel.grad(x[ok])) / eng.lam
+    cut = np.isinf(ends)
+    if cut.any():
+        probes = np.broadcast_to([[_PROBE_MEMBER_AT], [-_PROBE_MEMBER_AT]], ends.shape)
+        cut[cut] = ~left_lpsubdiff_definitional(
+            inst, np.broadcast_to(x[ok], ends.shape)[cut], probes[cut])[0]
+        ends[cut] = probes[cut]
+    sets = [SubdiffSet.empty()] * x.size
+    for i, lo, hi, lo_cut, hi_cut in zip(ok.tolist(), *ends.tolist(), *cut.tolist()):
+        sets[i] = SubdiffSet.interval(lo, hi, not lo_cut, not hi_cut)
+    return sets, slopes
 
 
 def subdiff_samples(s: SubdiffSet) -> list[float]:
@@ -321,8 +344,8 @@ class SingleValuedness:
 def single_valuedness_at(inst: Instance, xbar: float) -> SingleValuedness:
     """Singleton test of the hull-route subdifferential at xbar, from one
     evaluation of ``hull_slopes``."""
-    subdiff, slopes = _hull_route(inst, float(xbar), TOL_HULL)
-    s_l, s_r, gap = slopes or hull_slopes(inst, float(xbar))
+    (subdiff,), slopes = _hull_route(inst, np.array([float(xbar)]))
+    s_l, s_r, gap = (float(a[0]) for a in slopes)
     touches = gap <= TOL_HULL
     width_u = (s_r - s_l) / inst.lam
     differentiable = math.isfinite(s_l) and math.isfinite(s_r) and width_u <= TOL_WIDTH

@@ -240,14 +240,13 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     d = Condition("d-prox-convex-valued", d_holds, d_worst, d_wit)
 
     lo_f, hi_f = eng.f_bounds
-    f_holds, f_wit = True, ()
+    f_wit = ()
     if hi_f - lo_f > 0:
         pts = sample_inset(rng, lo_f, hi_f, 60)
-        for p in pts[eng.kernel.domain.interior_contains(pts)].tolist():
-            if left_lpsubdiff_hull(inst, p).is_empty:
-                f_holds, f_wit = False, (p,)
-                break
-    f = Condition("f-subdiff-nonempty", f_holds, 0.0, f_wit)
+        pts = pts[eng.kernel.domain.interior_contains(pts)].tolist()
+        f_wit = next(((p,) for p, s in zip(pts, left_lpsubdiff_hull(inst, pts))
+                      if s.is_empty), ())
+    f = Condition("f-subdiff-nonempty", not f_wit, 0.0, f_wit)
 
     rep.conditions = [a, b, d, f]
     dom_inside = eng.conv_dom_inside
@@ -269,8 +268,9 @@ def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng):
     """(x, u) pairs of the hull-route subdifferential graph at 60 sampled x."""
     lo_f, hi_f = eng.f_bounds
     pts = sample_inset(rng, lo_f, hi_f, 60)
-    return [(p, float(u)) for p in pts[eng.kernel.domain.interior_contains(pts)].tolist()
-            for u in subdiff_samples(left_lpsubdiff_hull(inst, p))]
+    pts = pts[eng.kernel.domain.interior_contains(pts)].tolist()
+    return [(p, float(u)) for p, s in zip(pts, left_lpsubdiff_hull(inst, pts))
+            for u in subdiff_samples(s)]
 
 
 def _pairwise_monotone(pairs, label: str) -> Condition:
@@ -331,13 +331,11 @@ def _nonmaximality_witness(inst: Instance, eng: InstanceEngine, graph):
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     xs = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 21)
     us = np.linspace(-2.0, 2.0, 17)
-    for x in xs:
-        for u in us:
-            member, _, _ = left_lpsubdiff_definitional(inst, float(x), float(u))
-            if member:
-                continue
-            if monotone_related(graph, float(x), float(u)):
-                return (float(x), float(u))
+    for x in xs.tolist():
+        member = left_lpsubdiff_definitional(inst, x, us)[0]
+        for u in us[~member].tolist():
+            if monotone_related(graph, x, u):
+                return (x, u)
     return None
 
 
@@ -467,17 +465,15 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     h_fd = _fd_step(eng)
     pts = np.array(pts)
     us = (eng.fn.eval(pts + h_fd) - eng.fn.eval(pts - h_fd)) / (2 * h_fd)
-    i_holds, i_worst, i_wit = True, math.inf, ()
-    for p, u in zip(pts.tolist(), us.tolist()):
-        mp, sp, _ = left_lpsubdiff_definitional(inst_plus, p, u)
-        mm, sm, _ = left_lpsubdiff_definitional(inst_minus, p, -u)
-        worst_here = min(sp, sm)
-        if worst_here < i_worst:
-            i_worst, i_wit = worst_here, (p, u)
-        if not (mp and mm):
-            i_holds = False
-            break
-    i_cond = Condition("i-two-sided-subdiff-nonempty", i_holds, i_worst, i_wit)
+    mp, sp, _ = left_lpsubdiff_definitional(inst_plus, pts, us)
+    mm, sm, _ = left_lpsubdiff_definitional(inst_minus, pts, -us)
+    # the worst slack up to and including the first point that fails
+    fails = ~(mp & mm)
+    worst = np.minimum(sp, sm)[:int(np.argmax(fails)) + 1 if fails.any() else None]
+    k = int(np.argmin(worst))
+    i_worst, i_wit = (float(worst[k]), (float(pts[k]), float(us[k]))) \
+        if worst[k] < math.inf else (math.inf, ())
+    i_cond = Condition("i-two-sided-subdiff-nonempty", not fails.any(), i_worst, i_wit)
 
     FY = eng.fn.eval(eng.Y)
     KYL = L * eng.KY
@@ -645,27 +641,27 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
         return rep
     # (violation, witness) per term; a converse term waits for the envelope
     # at its warped point, and all envelopes are solved as one block
-    hull_ok = all(eng.hypotheses.values())
-    forward, converse, y2s = [(0.0, ())], [], []
-    for y, res in zip(ys, results):
-        gy = eng.kernel.grad(y)
-        for m in res.minimizers:
-            u = (gy - eng.kernel.grad(m)) / eng.lam
-            member, slack, _ = left_lpsubdiff_definitional(inst, m, u)
-            if not member:
-                forward.append((-slack, (y, m)))
-            us = subdiff_samples(left_lpsubdiff_hull(inst, m)) if hull_ok else [u]
-            for u2 in us:
-                eta = eng.lam * u2 + eng.kernel.grad(m)
-                if not eng.kernel.grad_range.contains(eta):
-                    continue
-                y2 = eng.kernel.grad_conj(eta)
-                if not eng.kernel.domain.interior_contains(y2):
-                    continue
-                d = float(eng.kernel.eval(m)) - float(eng.kernel.eval(y2)) \
-                    - eng.kernel.grad(y2) * (m - y2)
-                converse.append((float(eng.fn.eval(m)) + d / eng.lam, (m, u2)))
-                y2s.append(y2)
+    pairs = [(y, m, (eng.kernel.grad(y) - eng.kernel.grad(m)) / eng.lam)
+             for y, res in zip(ys, results) for m in res.minimizers]
+    ms = [m for _, m, _ in pairs]
+    members, slacks, _ = left_lpsubdiff_definitional(inst, ms, [u for *_, u in pairs])
+    forward = [(0.0, ())] + [(-slack, (y, m)) for (y, m, _), member, slack
+                             in zip(pairs, members, slacks.tolist()) if not member]
+    hull = [subdiff_samples(s) for s in left_lpsubdiff_hull(inst, ms)] \
+        if all(eng.hypotheses.values()) else [[u] for *_, u in pairs]
+    converse, y2s = [], []
+    for m, us in zip(ms, hull):
+        for u2 in us:
+            eta = eng.lam * u2 + eng.kernel.grad(m)
+            if not eng.kernel.grad_range.contains(eta):
+                continue
+            y2 = eng.kernel.grad_conj(eta)
+            if not eng.kernel.domain.interior_contains(y2):
+                continue
+            d = float(eng.kernel.eval(m)) - float(eng.kernel.eval(y2)) \
+                - eng.kernel.grad(y2) * (m - y2)
+            converse.append((float(eng.fn.eval(m)) + d / eng.lam, (m, u2)))
+            y2s.append(y2)
     converse = [(0.0, ())] + [(v - e, wit) for (v, wit), e
                               in zip(converse, eng.env(y2s).tolist())]
     (worst_f, wit_f), (worst_c, wit_c) = max(forward), max(converse)
@@ -740,18 +736,21 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
     # Probe the graphs where the prox outputs live (membership may differ
     # there even when random abscissae miss the disagreement region) plus
     # random abscissae with hull-derived subgradient candidates.
-    def differs(x, u):
-        return (left_lpsubdiff_definitional(inst_a, x, u)[0]
-                != left_lpsubdiff_definitional(inst_b, x, u)[0])
+    def first_difference(pairs):
+        """The first (x, u) of ``pairs`` where the two certificates disagree, or ()."""
+        xs, us = [x for x, _ in pairs], [u for _, u in pairs]
+        differs = (left_lpsubdiff_definitional(inst_a, xs, us)[0]
+                   != left_lpsubdiff_definitional(inst_b, xs, us)[0])
+        return pairs[int(np.argmax(differs))] if differs.any() else ()
 
-    sub_wit = next(((x, u) for x, u in prox_pairs if differs(x, u)), ())
-    for x in sample_inset(rng, lo, hi, 30).tolist():
-        if sub_wit:
-            break
-        probes = {round(u, 12) for inst in (inst_a, inst_b)
-                  if all(engine(inst).hypotheses.values())
-                  for u in subdiff_samples(left_lpsubdiff_hull(inst, x))}
-        sub_wit = next(((x, u) for u in probes or {0.0} if differs(x, u)), ())
+    sub_wit = first_difference(prox_pairs)
+    if not sub_wit:
+        xs = sample_inset(rng, lo, hi, 30).tolist()
+        hulls = [left_lpsubdiff_hull(inst, xs) for inst in (inst_a, inst_b)
+                 if all(engine(inst).hypotheses.values())]
+        probes = [{round(u, 12) for sets in hulls for u in subdiff_samples(sets[i])} or {0.0}
+                  for i in range(len(xs))]
+        sub_wit = first_difference([(x, u) for x, us in zip(xs, probes) for u in us])
     sub_c = Condition("subdiff-equal", not sub_wit, 0.0, tuple(map(float, sub_wit)))
 
     range_ok = eng_a.range_assumption[0] and eng_b.range_assumption[0]

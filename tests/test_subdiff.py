@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bregmanprox import subdiff
 from bregmanprox.catalog import F_ABS, Instance, ProperFn, get_instance, shift_scale
@@ -125,10 +126,10 @@ def test_right_consistency_with_left_prox():
     for ybar in (-1.2, 0.4, 1.9):
         xbar = eng.prox(ybar).minimizers[0]
         v = (xbar - ybar) / inst.lam
-        member, worst, _ = right_lpsubdiff_definitional(ginst, ybar, v, tol=1e-4)
-        assert member, f"ybar={ybar}: worst={worst}"
-        off, _, _ = right_lpsubdiff_definitional(ginst, ybar, v + 0.5, tol=1e-4)
-        assert not off
+        _, worst, _ = right_lpsubdiff_definitional(ginst, ybar, v)
+        assert worst >= -1e-4, f"ybar={ybar}: worst={worst}"
+        _, worst_off, _ = right_lpsubdiff_definitional(ginst, ybar, v + 0.5)
+        assert not worst_off >= -1e-4
 
 
 # -- resolvent representation -------------------------------------------------------
@@ -223,6 +224,104 @@ def test_hull_route_accepts_points_just_outside_span():
         assert single_valuedness_at(inst, x).empty
 
 
+# -- batches ---------------------------------------------------------------------------
+
+# A batch entry is a fraction of the x grid's span or a named point where the
+# routes branch.
+BRANCH_POINTS = ("lo", "hi", "below", "above", "zero", "half",
+                 "span-start-outside", "span-start-inside")
+BATCH = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(BRANCH_POINTS)), max_size=6)
+BATCH_INSTANCES = st.sampled_from(["ex310", "ex411", "euclid_abs"])
+
+
+def batch_points(inst, batch) -> list[float]:
+    """The x of every batch entry. The named points: the ends of the x grid
+    and one past them (not interior for ex310 and ex411), 0 (the kink of
+    euclid_abs, the unbounded lower endpoint of ex411), 0.5 (on ex310's
+    empty branch), and within half a cell of the hull span's start on either
+    side (an unbounded endpoint for ex411)."""
+    eng = engine(inst)
+    lo, hi, h = eng.x_grid.lo, eng.x_grid.hi, eng.x_grid.h
+    x_min = eng.hull_curve().x_min
+    named = {"lo": lo, "hi": hi, "below": lo - 1.0, "above": hi + 1.0, "zero": 0.0,
+             "half": 0.5, "span-start-outside": x_min - 0.375 * h,
+             "span-start-inside": x_min + 0.25 * h}
+    return [named[e] if isinstance(e, str) else lo + (hi - lo) * e for e in batch]
+
+
+def bits(values) -> tuple:
+    """Floats by their bit patterns (NaN included), other values as they are."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def set_bits(s: SubdiffSet) -> tuple:
+    return bits((s.lo, s.hi, s.lo_closed, s.hi_closed, s.is_empty))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=BATCH_INSTANCES, batch=BATCH)
+@example(name="ex411", batch=[])
+@example(name="ex411", batch=list(BRANCH_POINTS))
+@example(name="ex310", batch=list(BRANCH_POINTS))
+@example(name="euclid_abs", batch=list(BRANCH_POINTS))
+def test_hull_batch_is_each_point_alone(name, batch):
+    inst = get_instance(name)
+    xs = batch_points(inst, batch)
+    assert [set_bits(s) for s in left_lpsubdiff_hull(inst, xs)] == \
+        [set_bits(left_lpsubdiff_hull(inst, x)) for x in xs]
+    assert [bits(p) for p in zip(*(a.tolist() for a in subdiff.hull_slopes(inst, xs)))] == \
+        [bits(subdiff.hull_slopes(inst, x)) for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=BATCH_INSTANCES, batch=st.lists(st.one_of(
+    st.floats(-0.01, 1.01), st.tuples(st.integers(0, 10 ** 6),
+                                      st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0]))),
+    max_size=8))
+@example(name="ex411", batch=[])
+@example(name="euclid_abs", batch=[(0, 0.0), (0, -0.5), (-1, 0.5), (1, 0.5), (1, 2.0)])
+def test_slopes_at_batch_is_each_point_alone(name, batch):
+    # a fraction of the span, or a breakpoint moved by a multiple of x_tol
+    eng = engine(get_instance(name))
+    curve, tol = eng.hull_curve(), 0.25 * eng.x_grid.h
+    xs = [curve.xs[e[0] % len(curve.xs)] + e[1] * tol if isinstance(e, tuple)
+          else curve.x_min + (curve.x_max - curve.x_min) * e for e in batch]
+    xs = np.clip(xs, curve.x_min - tol, curve.x_max + tol).tolist()
+    sl, sr = curve.slopes_at(xs, x_tol=tol)
+    assert [bits(p) for p in zip(sl.tolist(), sr.tolist())] == \
+        [bits(curve.slopes_at(x, x_tol=tol)) for x in xs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=BATCH_INSTANCES, batch=BATCH, data=st.data())
+def test_certificate_batches_are_each_point_alone(name, batch, data):
+    inst = get_instance(name)
+    xs = batch_points(inst, batch)
+    us = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs), max_size=len(xs)))
+    ys = [y for y in xs if engine(inst).kernel.domain.interior_contains(y)]
+    for route, pts in ((left_lpsubdiff_definitional, xs),
+                       (right_lpsubdiff_definitional, ys)):
+        vs = us[:len(pts)]
+        member, worst, witness = route(inst, pts, vs)
+        assert member.dtype == bool and member.shape == worst.shape == (len(pts),)
+        assert [bits(c) for c in zip(member.tolist(), worst.tolist(), witness.tolist())] == \
+            [bits(route(inst, p, v)) for p, v in zip(pts, vs)]
+
+
+def test_certificate_batches_cover_the_branch_points():
+    # every named point at once, each against u = 0.3
+    for name in ("ex310", "ex411", "euclid_abs"):
+        inst = get_instance(name)
+        xs = batch_points(inst, BRANCH_POINTS)
+        ys = [y for y in xs if engine(inst).kernel.domain.interior_contains(y)]
+        for route, pts in ((left_lpsubdiff_definitional, xs),
+                           (right_lpsubdiff_definitional, ys)):
+            batch = zip(*(a.tolist() for a in route(inst, pts, 0.3)))
+            assert [bits(c) for c in batch] == [bits(route(inst, p, 0.3)) for p in pts]
+        for route in (left_lpsubdiff_definitional, right_lpsubdiff_definitional):
+            assert all(a.shape == (0,) for a in route(inst, [], []))
+
+
 # -- coincidence ------------------------------------------------------------------------
 
 def coincidence(rep):
@@ -293,8 +392,8 @@ def test_hull_and_definitional_routes_agree(name):
         if math.isfinite(s.hi):
             probes_in.append(s.hi - eps)
         for u in probes_in:
-            member, worst, _ = left_lpsubdiff_definitional(inst, x, u, tol=1e-4)
-            assert member, f"{name} x={x} u={u} worst={worst}"
+            _, worst, _ = left_lpsubdiff_definitional(inst, x, u)
+            assert worst >= -1e-4, f"{name} x={x} u={u} worst={worst}"
         # exterior probes must clear the certificate's u-resolution, which is
         # sqrt(2 tol curvature); 0.1 covers catalog curvatures comfortably
         probes_out = []
@@ -303,8 +402,8 @@ def test_hull_and_definitional_routes_agree(name):
         if math.isfinite(s.hi):
             probes_out.append(s.hi + 0.1)
         for u in probes_out:
-            member, _, _ = left_lpsubdiff_definitional(inst, x, u, tol=1e-6)
-            assert not member, f"{name} x={x} u={u}"
+            _, worst, _ = left_lpsubdiff_definitional(inst, x, u)
+            assert not worst >= -1e-6, f"{name} x={x} u={u}"
 
 
 @pytest.mark.parametrize("name", ["ex310", "euclid_abs", "ex419"])

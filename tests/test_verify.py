@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bregmanprox import proxenv
+from bregmanprox import proxenv, subdiff
 from bregmanprox.catalog import Instance, get_instance, instance_names
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
@@ -292,14 +292,36 @@ def test_suite_decides_each_instance_fact_once(monkeypatch):
 
 
 def test_suite_refinement_calls_are_pinned(monkeypatch, refine_brackets):
-    """A prox or envelope batch refines every row in one call: a seed-42
-    suite on two instances makes 11 refine calls (111 with one call per
-    17-row block) for the same 1817 brackets."""
+    """A prox, envelope or certificate batch refines every row in one call:
+    a seed-42 suite on two instances makes 11 refine calls (111 with one
+    call per 17-row block) for 1815 prox and envelope brackets, plus the 54
+    rows of shannon_abs's two bsmooth certificate batches (27 points, each
+    sign)."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
     run_suite(["ex411", "shannon_abs"], seed=42)
     assert len(refine_brackets) <= 11
-    assert sum(refine_brackets) == 1817
+    assert sum(refine_brackets) == 1815 + 54
+
+
+def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, refine_brackets):
+    """check_weak_convexity(ex310) reads f-subdiff-nonempty from one
+    hull_slopes call for all its sampled points, and check_bsmooth(euclid_abs)
+    certifies its 27 points in at most two refine calls (a loop over the
+    points would make one per point and sign)."""
+    calls = []
+    real = subdiff.hull_slopes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subdiff, "hull_slopes", counted)
+    rep = check_weak_convexity(get_instance("ex310"), seed=0)
+    assert len(calls) == 1 and not holds(rep, "f-subdiff-nonempty")
+    refine_brackets.clear()
+    check_bsmooth(get_instance("euclid_abs"), seed=0)
+    assert len(refine_brackets) <= 2 and sum(refine_brackets) == 2 * 27
 
 
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
