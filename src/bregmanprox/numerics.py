@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -221,17 +222,19 @@ def refine_best(phi: Callable, xs: np.ndarray, values: np.ndarray):
 def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
     """(row, i0, i1) of every run of grid cells within ``tol_tie`` of its
     row's minimum, for a 2-D block of rows; checks every row as it scans."""
-    finite = np.isfinite(values)
-    if not finite.any(axis=1).all():
-        raise AllInfiniteError("objective is +inf at every grid sample")
-    vmin = values.min(axis=1, where=finite, initial=np.inf)
+    vmin = values.min(axis=1)
+    if not np.isfinite(vmin).all():  # NaN, -inf or a row of +inf: mask the finite
+        vmin = values.min(axis=1, where=np.isfinite(values), initial=np.inf)
+        if np.isinf(vmin).any():
+            raise AllInfiniteError("objective is +inf at every grid sample")
     if vmin.min() < -cap:
         raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
-    # int8 throughout: a block of rows allocates no float-sized temporaries here
-    tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
-    edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
-    row, i0 = np.nonzero(edge == 1)
-    return row, i0, np.nonzero(edge == -1)[1] - 1
+    # only indices leave (``values`` may be a buffer the next block overwrites);
+    # padded with False on each side, run starts and ends alternate in a row
+    tie = np.zeros((len(values), values.shape[1] + 2), dtype=bool)
+    np.less_equal(values, (vmin + tol_tie)[:, None], out=tie[:, 1:-1])
+    row, col = np.nonzero(tie[:, 1:] != tie[:, :-1])
+    return row[::2], col[::2], col[1::2] - 1
 
 
 def grid_minimize(phi: Callable, grid: Grid,
@@ -250,10 +253,10 @@ def grid_minimize(phi: Callable, grid: Grid,
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
     and an iterable of 2-D blocks is a batch of rows numbered across its
     blocks: the blocks are scanned one at a time and only their tie runs are
-    kept, so one block bounds the scan's memory, and every row of the batch
-    is refined in the one ``refine`` call. With rows, ``phi`` is called as
-    ``phi(x, rows)`` (see ``refine``) and a list with one ``GridMin`` per
-    row is returned.
+    kept (a block may be a buffer that the next one overwrites), so one block
+    bounds the scan's memory, and every row of the batch is refined in the one
+    ``refine`` call. With rows, ``phi`` is called as ``phi(x, rows)`` (see
+    ``refine``) and a list with one ``GridMin`` per row is returned.
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-cap``.
@@ -282,6 +285,9 @@ def grid_minimize(phi: Callable, grid: Grid,
     out = []
     for r in range(n_rows):
         clusters = [MinimizerCluster(*run) for run in runs[starts[r]:starts[r + 1]]]
+        if len(clusters) == 1:  # one basin: nothing to filter or merge
+            out.append(GridMin(clusters[0].x, clusters[0].value, False, tuple(clusters)))
+            continue
         best = min(c.value for c in clusters)
         clusters = [c for c in clusters if c.value <= best + tol_tie]
         # Distinct grid basins can refine into the same point; merge those.
@@ -318,8 +324,15 @@ class HullCurve:
     def x_max(self) -> float:
         return float(self.xs[-1])
 
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        # s[k] is the slope between breakpoints k - 1 and k, -inf/+inf past the ends
+        s = np.concatenate(([-math.inf], np.diff(self.vs) / np.diff(self.xs), [math.inf]))
+        s.flags.writeable = False  # computed once per curve and shared by every call
+        return s
+
     def segment_slopes(self) -> np.ndarray:
-        return np.diff(self.vs) / np.diff(self.xs)
+        return self._slopes[1:-1]
 
     def value(self, x):
         """Evaluate the curve (vectorized); +inf outside the finite span."""
@@ -337,8 +350,6 @@ class HullCurve:
         xs, m = self.xs, len(self.xs)
         if ((x < xs[0] - x_tol) | (x > xs[-1] + x_tol)).any():
             raise ValueError(f"{x} outside hull span")
-        # s[k] is the slope between breakpoints k - 1 and k, -inf/+inf past the ends
-        s = np.concatenate(([-math.inf], self.segment_slopes(), [math.inf]))
         j = np.minimum(np.maximum(np.searchsorted(xs, x), 1), m - 1)  # xs[j-1] < x <= xs[j]
         first = x <= xs[0] + x_tol
         last = ~first & (x >= xs[-1] - x_tol)
@@ -347,8 +358,8 @@ class HullCurve:
         left = np.where(first, 0, np.where(last, m - 1, j - at_prev))
         right = left + (first | last | at_j | at_prev)
         if x.ndim == 0:
-            return float(s[left]), float(s[right])
-        return s[left], s[right]
+            return float(self._slopes[left]), float(self._slopes[right])
+        return self._slopes[left], self._slopes[right]
 
 
 def lower_convex_envelope(samples: Sequence[tuple[float, float]]) -> HullCurve:

@@ -4,11 +4,12 @@ prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
 values, kernel values, kernel gradients). A batch of prox and envelope
 queries, one ybar per row, is solved in two phases: its x-grid samples are
-scanned in blocks of rows that keep only their tie runs (at least
-``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
-grid samples, so a block bounds only the scan's memory), then every row is
-refined in one batched bracket refinement. A row gets the same bits in a
-batch as alone (``prox`` and ``env`` take one ybar or an array of them).
+scanned in blocks of rows, written in turn into one buffer, that keep only
+their tie runs (at least ``ZOOM_POINTS`` (17) rows and otherwise at most
+``BLOCK_SAMPLES`` (2**15) grid samples, so a block bounds only the scan's
+memory), then every row is refined in one batched bracket refinement. A row
+gets the same bits in a batch as alone (``prox`` and ``env`` take one ybar
+or an array of them).
 Every objective is one array function of x, used for the grid samples and
 for the refinement alike.
 Envelope values are memoized per engine (``env`` reads and fills the memo),
@@ -153,13 +154,20 @@ class InstanceEngine:
         ``phi(x, rows)``: ``rows`` gives the row of each point of x."""
         ys = np.asarray(ys, dtype=float)
         ky, gy = self.kg(ys)
+        buf = None
 
         def phi(x, rows):
-            # in place, so a block of rows holds two (rows x points) arrays
+            # a block of rows on the x grid reuses one (2, rows, points) buffer:
+            # grid_minimize and env_coarse consume a block before the next
+            nonlocal buf
             fx, kx = self.fk(x)
-            lin = x - ys[rows]
+            lin = out = None
+            if x is self.X and np.ndim(rows) == 2:
+                buf = np.empty((2, len(rows), x.size)) if buf is None else buf
+                lin, out = buf[:, :len(rows)]
+            lin = np.subtract(x, ys[rows], out=lin)
             lin *= gy[rows]
-            out = kx - ky[rows]
+            out = np.subtract(kx, ky[rows], out=out)
             out -= lin
             out /= self.lam
             out += fx
@@ -208,13 +216,15 @@ class InstanceEngine:
     def prox(self, ys) -> ProxResult | list[ProxResult]:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
         array of them (a list), solved in blocks of rows."""
-        res = [self._to_result(gm) for gm in self._solve(ys)]
+        res = self._results(self._solve(ys))
         return res[0] if np.ndim(ys) == 0 else res
 
-    def _to_result(self, gm: GridMin) -> ProxResult:
-        interior = tuple(self.kernel.domain.interior_contains(m, INTERIOR_MARGIN)
-                         for m in gm.minimizers)
-        return ProxResult(tuple(gm.minimizers), ExtReal(gm.value), interior, gm.clusters)
+    def _results(self, gms: list[GridMin]) -> list[ProxResult]:
+        xs = np.array([c.x for gm in gms for c in gm.clusters])
+        inside = iter(self.kernel.domain.interior_contains(xs, INTERIOR_MARGIN).tolist())
+        return [ProxResult(tuple(gm.minimizers), ExtReal(gm.value),
+                           tuple(itertools.islice(inside, len(gm.clusters))), gm.clusters)
+                for gm in gms]
 
     def env(self, ys) -> float | np.ndarray:
         """Envelope at one interior ybar (a float) or at each of an array of
@@ -266,7 +276,7 @@ class InstanceEngine:
             ky, gy = self.kg(y)
             return self.fn.eval(y) + (kx - ky - gy * (xbar - y)) / self.lam
 
-        return self._to_result(grid_minimize(psi, self.y_grid))
+        return self._results([grid_minimize(psi, self.y_grid)])[0]
 
     # -- hull curve of lam*f + kappa -----------------------------------------
 

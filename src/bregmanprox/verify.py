@@ -145,8 +145,7 @@ def _critical_etas(eng: InstanceEngine) -> list[float]:
     """Slopes of envelope segments over three cells long: the set-valued etas."""
     curve = eng.hull_curve()
     h = eng.x_grid.h
-    return [float(s) for dx, s in zip(np.diff(curve.xs), curve.segment_slopes())
-            if dx > 3 * h]
+    return curve.segment_slopes()[np.diff(curve.xs) > 3 * h].tolist()
 
 
 def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):

@@ -4,11 +4,13 @@ the measured quantities (run with -s to see them)."""
 import importlib.util
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bregmanprox import cli, proxenv, verify
 from bregmanprox.catalog import get_instance, instance_names
 from bregmanprox.kernels import (ALL_KERNELS, BURG, LEGENDRE_KERNELS,
                                  bregman_distance, dual_distance,
@@ -266,3 +268,24 @@ def test_suite42_passes_the_benchmark_report_checks(suite42):
               for r in suite42]
     assert [f for f in failed if f[2] is not None] == []
     print(f"\nPASS benchmark report checks: {len(failed)} reports")
+
+
+def test_verdict_text_does_not_depend_on_the_grid(suite42, monkeypatch, capsys):
+    """`verify --all --seed 42` prints the same verdict text, and exits with
+    the same code, at N = 1001 as at the default N (read from ``suite42``)."""
+    def seeded_suite(names, seed):
+        assert (list(names), seed) == (instance_names(), 42)
+        return suite42
+
+    argv = ["verify", "--all", "--seed", "42"]
+    monkeypatch.setattr(verify, "run_suite", seeded_suite)
+    code = cli.main(argv)
+    default_text = capsys.readouterr().out
+    monkeypatch.undo()
+    # fresh engines, so the cached default-N engines outlive the test
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    monkeypatch.setenv("BREGMAN_GRID_N", "1001")
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == default_text
+    print(f"\nPASS verdict text at N = 1001 matches the default N "
+          f"({default_text.count(chr(10))} lines)")

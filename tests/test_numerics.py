@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bregmanprox.errors import (AllInfiniteError, DomainEdgeError,
                                 OutOfRangeError, TooFewFiniteError,
                                 UnboundedBelowError)
 from bregmanprox.extreal import Interval
+from bregmanprox import numerics
 from bregmanprox.catalog import get_instance
 from bregmanprox.numerics import (X_RESOLUTION, Grid, build_grid,
                                   finite_diff_grad, grid_minimize,
@@ -150,6 +151,60 @@ def test_precomputed_values_path():
     vals = np.square(g.points)
     res = grid_minimize(lambda x: x * x, g, values=vals)
     assert abs(res.x) < 1e-9
+
+
+def _tie_runs_reference(values, tol_tie, cap):
+    """The tie-run scan as first written: a finite mask on every block, and
+    two nonzero passes over an int8 difference of the tie mask."""
+    finite = np.isfinite(values)
+    if not finite.any(axis=1).all():
+        raise AllInfiniteError("objective is +inf at every grid sample")
+    vmin = values.min(axis=1, where=finite, initial=np.inf)
+    if vmin.min() < -cap:
+        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
+    tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
+    edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
+    row, i0 = np.nonzero(edge == 1)
+    return row, i0, np.nonzero(edge == -1)[1] - 1
+
+
+# near-ties, exact ties, both infinities, NaN and values past a cap of 3.5
+_CELL = st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 5e-8, 1.0, -3.0, -4.0, math.inf,
+                                   -math.inf, math.nan]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def _tie_blocks(draw):
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    cells = draw(st.lists(_CELL, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    values = np.array(cells).reshape(n_rows, n_cols)
+    inf_row = draw(st.integers(0, 3 * n_rows))  # a row that is +inf everywhere
+    if inf_row < n_rows:
+        values[inf_row] = math.inf
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_tie_blocks(), tol_tie=st.sampled_from([0.0, 1e-7, 0.6]),
+       cap=st.sampled_from([1e12, 3.5]))
+# runs at both ends and one-cell runs; one column; -inf ties and NaN never does
+@example(values=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+         tol_tie=1e-7, cap=1e12)
+@example(values=np.array([[2.0], [-1.0]]), tol_tie=1e-7, cap=1e12)
+@example(values=np.array([[math.inf, -math.inf, 0.0, math.nan, 0.0]]), tol_tie=1e-7, cap=1e12)
+def test_tie_runs_match_the_reference_scan(values, tol_tie, cap):
+    """Same (row, i0, i1) arrays, or the same exception and message, for
+    blocks with runs at both ends, one-cell runs, +-inf, NaN and +inf rows."""
+    try:
+        want = _tie_runs_reference(values, tol_tie, cap)
+    except (AllInfiniteError, UnboundedBelowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            numerics._tie_runs(values, tol_tie, cap)
+        assert str(got.value) == str(exc)
+        return
+    got = numerics._tie_runs(values, tol_tie, cap)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 # -- lower_convex_envelope ---------------------------------------------------
