@@ -251,12 +251,13 @@ def grid_minimize(phi: Callable, grid: Grid,
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
-    and an iterable of 2-D blocks is a batch of rows numbered across its
-    blocks: the blocks are scanned one at a time and only their tie runs are
-    kept (a block may be a buffer that the next one overwrites), so one block
-    bounds the scan's memory, and every row of the batch is refined in the one
-    ``refine`` call. With rows, ``phi`` is called as ``phi(x, rows)`` (see
-    ``refine``) and a list with one ``GridMin`` per row is returned.
+    and an iterable of ``(start, block)`` pairs, each block on the columns
+    from ``start`` on (a window holding every tie cell of its rows), is a
+    batch of rows numbered across its blocks: they are scanned one at a time
+    and only their tie runs kept (a block may be a buffer that the next one
+    overwrites), so one block bounds the scan's memory, and every row is
+    refined in the one ``refine`` call. With rows, ``phi`` is called as
+    ``phi(x, rows)`` (see ``refine``) and one ``GridMin`` per row returned.
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-cap``.
@@ -266,11 +267,11 @@ def grid_minimize(phi: Callable, grid: Grid,
         values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
     single = isinstance(values, np.ndarray) and values.ndim == 1
     if isinstance(values, np.ndarray):
-        values = [np.atleast_2d(values)]
+        values = [(0, np.atleast_2d(values))]
     scans, n_rows = [], 0
-    for block in values:
+    for start, block in values:
         row, i0, i1 = _tie_runs(block, tol_tie, cap)
-        scans.append((row + n_rows, i0, i1))
+        scans.append((row + n_rows, i0 + start, i1 + start))
         n_rows += len(block)
         del block  # free it before the generator builds the next one
     row, i0, i1 = map(np.concatenate, zip(*scans))

@@ -3,19 +3,20 @@ prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
 values, kernel values, kernel gradients). A batch of prox and envelope
-queries, one ybar per row, is solved in two phases: its x-grid samples are
-scanned in blocks of rows, written in turn into one buffer, that keep only
-their tie runs (at least ``ZOOM_POINTS`` (17) rows and otherwise at most
-``BLOCK_SAMPLES`` (2**15) grid samples, so a block bounds only the scan's
-memory), then every row is refined in one batched bracket refinement. A row
-gets the same bits in a batch as alone (``prox`` and ``env`` take one ybar
-or an array of them).
+queries, one ybar per row, is solved in two phases: its rows, sorted by
+ybar, are scanned on the x grid in blocks that keep only their tie runs (at
+least ``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES``
+(2**15) grid samples, so a block bounds only the scan's memory), each block
+of several rows only on the columns where one of them can tie (a bound from
+f, kappa and the rows' slopes that never supplies a value), then every row
+is refined in one batched bracket refinement. A row gets the same bits in a
+batch as alone (``prox`` and ``env`` take one ybar or an array of them).
 Every objective is one array function of x, used for the grid samples and
 for the refinement alike.
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
-the same row blocks as queries, in O(N) memory.
+the same windowed row blocks as queries, in O(N) memory.
 
 The engine also keeps the instance's facts (hypotheses and check gates,
 convexity of f and of h = env o grad kappa*, the range assumption), each
@@ -40,7 +41,7 @@ from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
                      OutsideInteriorError, UnboundedBelowError)
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
-from .numerics import (DEFAULT_GRID_N, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
+from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
                        Condition, GridMin, build_grid, convexity_condition,
                        grid_conjugate, grid_minimize, lower_convex_envelope,
                        refine_best, sample_inset)
@@ -151,20 +152,16 @@ class InstanceEngine:
 
     def _left_rows(self, ys):
         """f + D(., y)/lam for a batch of ybar rows, as the array function
-        ``phi(x, rows)``: ``rows`` gives the row of each point of x."""
+        ``phi(x, rows)``: ``rows`` gives the row of each point of x. A block
+        is ``phi(cols, rows, buf)`` on a slice ``cols`` of x-grid columns,
+        written into ``buf``, a flat scratch array of twice its size."""
         ys = np.asarray(ys, dtype=float)
         ky, gy = self.kg(ys)
-        buf = None
 
-        def phi(x, rows):
-            # a block of rows on the x grid reuses one (2, rows, points) buffer:
-            # grid_minimize and env_coarse consume a block before the next
-            nonlocal buf
-            fx, kx = self.fk(x)
-            lin = out = None
-            if x is self.X and np.ndim(rows) == 2:
-                buf = np.empty((2, len(rows), x.size)) if buf is None else buf
-                lin, out = buf[:, :len(rows)]
+        def phi(x, rows, buf=None):
+            block = isinstance(x, slice)
+            fx, kx, x = (self.F[x], self.K[x], self.X[x]) if block else (*self.fk(x), x)
+            lin, out = (None, None) if buf is None else buf.reshape(2, len(rows), x.size)
             lin = np.subtract(x, ys[rows], out=lin)
             lin *= gy[rows]
             out = np.subtract(kx, ky[rows], out=out)
@@ -182,23 +179,75 @@ class InstanceEngine:
         return (np.arange(i, min(i + step, n_rows))[:, None]
                 for i in range(0, n_rows, step))
 
+    def _scan(self, phi, ys):
+        """(first column, values) of each row block of ``phi`` at the rows
+        ``ys``: a block of several rows on its ``_tilt_window``, one row on the
+        whole grid. The blocks share one buffer, dropped when the scan ends."""
+        buf, window = np.empty(0), None
+        for rows in self._row_blocks(len(ys)):
+            c0, c1 = 0, self.grid_n
+            if len(rows) > 1:
+                window = window or self._tilt_window(ys)
+                c0, c1 = window(rows[:, 0])
+            size = 2 * len(rows) * (c1 - c0)
+            buf = np.empty(size) if buf.size < size else buf
+            yield c0, phi(slice(c0, c1), rows, buf[:size])
+
+    def _tilt_window(self, ys):
+        """``window(rows)``: x-grid columns [c0, c1) that hold every tie cell
+        of the rows ``ys[rows]``, or all columns if the bound is not finite.
+
+        Up to a row constant, lam (f + D(., y)/lam) is G(x) - s x, with
+        G = lam f + kappa and s = grad kappa(y). For s in [s_lo, s_hi] that
+        is at least G(x) - max(s_lo x, s_hi x), with a minimum of at most
+        top = min_z G(z) - min(s_lo z, s_hi z): a tie cell has
+        G(x) - max(s_lo x, s_hi x) <= top + lam tol.
+        Margin, with u = 2**-53 and T = lam|F| + |K| + |kappa(y)| +
+        |s|(|x| + |y|) + lam tol: the scan's six roundings leave lam v within
+        5uT of its exact value, and with the rounding of ``vmin + tol`` a tie
+        cell meets that inequality within 12uT; the bound's own roundings
+        (G, s x, differences, sums) add 12uT. ``g_mag + row_mag`` bounds T
+        over a block; the margin, 8192u (2**-40) times that, covers 24uT.
+        """
+        X, lam, tol = self.X, self.lam, DEFAULT_TOL_TIE
+        lf = lam * self.F
+        g, a = lf + self.K, np.abs(lf) + np.abs(self.K)
+        g_mag = np.max(a, where=np.isfinite(a), initial=0.0) + lam * tol
+        ky, s = self.kg(ys)
+        row_mag = np.abs(ky) + np.abs(s) * (max(abs(X[0]), abs(X[-1])) + np.abs(ys))
+
+        def window(rows):
+            sx_lo, sx_hi = s[rows].min() * X, s[rows].max() * X
+            top = np.min(g - np.minimum(sx_lo, sx_hi))
+            lim = top + lam * tol + 2.0 ** -40 * (g_mag + row_mag[rows].max())
+            if not math.isfinite(lim):
+                return 0, X.size
+            cols = np.flatnonzero(g - np.maximum(sx_lo, sx_hi) <= lim)
+            return int(cols[0]), int(cols[-1]) + 1
+
+        return window
+
     def _solve(self, ys) -> list[GridMin]:
-        """The left subproblem at each interior ybar: the x grid is scanned
-        in row blocks, then every row is refined in one batch."""
+        """The left subproblem at each interior ybar: the rows, sorted by ybar
+        so that a block's slopes are close, are scanned in blocks (``_scan``),
+        then refined in one batch; results come in the caller's order."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if not ys.size:
             return []
         try:
             self.check_interior(ys)
-            phi = self._left_rows(ys)
-            blocks = (phi(self.X, rows) for rows in self._row_blocks(ys.size))
-            return grid_minimize(phi, self.x_grid, values=blocks)
+            # a stable sort; numpy's sorts page in about 0.3 MB of code on first use
+            order = sorted(range(ys.size), key=ys.tolist().__getitem__)
+            rows = ys[order]
+            phi = self._left_rows(rows)
+            gms = dict(zip(order, grid_minimize(phi, self.x_grid, values=self._scan(phi, rows))))
         except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
             # a failing row fails alone too: raise what the first failing
             # row raises, as a loop of single queries would
             for j in range(ys.size - 1):
                 self._solve(ys[j:j + 1])
             raise
+        return [gms[i] for i in range(ys.size)]
 
     def left_values(self, ybar: float) -> np.ndarray:
         """f + D(., ybar)/lam sampled on the x grid (vectorized)."""
@@ -253,13 +302,13 @@ class InstanceEngine:
         """Grid-resolution envelope on the interior grid (no refinement),
         built in row blocks: O(N) memory besides one block."""
         if self._env_coarse is None:
-            env = np.empty(self.Y.size)
+            env, i = np.empty(self.Y.size), 0
             phi = self._left_rows(self.Y)
-            for rows in self._row_blocks(self.Y.size):
-                # objective block: rows ybar in Y[rows], columns x in X
-                vals = phi(self.X, rows)
+            for _, vals in self._scan(phi, self.Y):
+                # objective block: rows ybar in Y[i:], columns x in a window of X
                 vals[np.isnan(vals)] = np.inf
-                env[rows[:, 0]] = vals.min(axis=1)
+                env[i:i + len(vals)] = vals.min(axis=1)
+                i += len(vals)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
                 raise UnboundedBelowError("envelope cache fell below the cap")
             self._env_coarse = env

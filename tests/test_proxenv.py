@@ -1,12 +1,16 @@
 import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bregmanprox import numerics, proxenv
-from bregmanprox.catalog import F_ZERO, Instance, get_instance
+from bregmanprox.catalog import (F_ZERO, Instance, get_instance, instance_names,
+                                 shift_scale)
 from bregmanprox.errors import (AllInfiniteError, OutsideInteriorError,
                                 UnboundedBelowError)
 from bregmanprox.extreal import Interval
@@ -16,6 +20,7 @@ from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
                                  left_prox, prox_hull, right_prox,
                                  threshold_scan)
 from bregmanprox.subdiff import right_lpsubdiff_definitional
+from bregmanprox.verify import run_suite
 
 
 def make_fn(name, formula, domain=None, window=(-8.0, 8.0), threshold=math.inf):
@@ -265,9 +270,9 @@ def _faulty_engine(monkeypatch):
     def left_rows(ys):
         phi, ys = real(ys), np.asarray(ys, dtype=float)
 
-        def faulty(x, rows):
+        def faulty(x, rows, *buf):
             y = ys[rows]
-            out = phi(x, rows)
+            out = phi(x, rows, *buf)
             return np.where(y == 0.5, np.inf, np.where(y == -0.5, out - 2e12, out))
 
         return faulty
@@ -277,12 +282,15 @@ def _faulty_engine(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [
-    [0.5, -0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5], [-0.5, 1.5]])
+    [0.5, -0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5], [-0.5, 1.5], [-0.5, 0.5]])
 def test_a_batch_raises_what_its_first_failing_row_raises_alone(monkeypatch, bad):
-    """The first failing row, row 20, sits in the second row block (17 rows
-    each at N = 2001), after a clean first block."""
+    """The first failing row, row 20, sorts by ybar into the third row block
+    (17 rows each at N = 2001), after two clean blocks. Without 1.5 the batch
+    scan itself fails: the block holding 0.5 raises ``AllInfiniteError``
+    while -0.5 alone raises ``UnboundedBelowError``."""
     eng = _faulty_engine(monkeypatch)
-    clean = np.linspace(-0.9, 0.9, 20).tolist()
+    clean = np.linspace(-0.95, -0.55, 20).tolist()
+    assert np.sort(clean + bad + clean).tolist().index(bad[0]) >= 2 * 17
     with pytest.raises((OutsideInteriorError, AllInfiniteError,
                         UnboundedBelowError)) as alone:
         eng.prox(bad[0])
@@ -309,10 +317,11 @@ def test_prox_many_memory_is_bounded_by_blocks():
 
 
 @pytest.mark.parametrize("n, step", [(1001, 32), (2001, 17)])
-@pytest.mark.parametrize("name", ["ex310", "shannon_abs", "euclid_abs"])
+@pytest.mark.parametrize("name", instance_names())
 def test_env_coarse_equals_row_minima_bit_for_bit(name, n, step):
     """The blocked cache holds each row's minimum of left_values (NaN read as
-    +inf), on either side of every block boundary and in the partial last block."""
+    +inf), on either side of every block boundary and in the partial last block.
+    Those rows carry each windowed block's least and greatest slope."""
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=n)
     size = eng.Y.size
     assert max(numerics.ZOOM_POINTS, proxenv.BLOCK_SAMPLES // n) == step
@@ -336,6 +345,153 @@ def test_env_coarse_memory_is_bounded_by_blocks():
         tracemalloc.stop()
     # one N x N objective matrix and its temporary take 244 MB at N = 4001
     assert peak < 8 * 2 ** 20
+
+
+# -- the windowed scan against a whole-grid scan -------------------------------
+
+def _whole_grid_solve(eng, ys):
+    """The left scan without windows: every row on all N columns, rows in the
+    caller's order, with the same first-failing-row fallback."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    try:
+        eng.check_interior(ys)
+        phi = eng._left_rows(ys)
+        blocks = ((0, phi(eng.X, rows)) for rows in eng._row_blocks(ys.size))
+        return numerics.grid_minimize(phi, eng.x_grid, values=blocks)
+    except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
+        for j in range(ys.size - 1):
+            _whole_grid_solve(eng, ys[j:j + 1])
+        raise
+
+
+def _outcome(solve, eng, ys):
+    """The bits of every ``GridMin`` of ``solve``, or its exception and message."""
+    try:
+        gms = solve(eng, ys)
+    except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError) as exc:
+        return type(exc), str(exc)
+    return [(gm.x.hex(), gm.value.hex(), gm.multiple,
+             [tuple(v.hex() for v in (c.x, c.value, c.x_lo, c.x_hi)) for c in gm.clusters])
+            for gm in gms]
+
+
+def _assert_windowed_scan_is_exact(eng, ys):
+    want = _outcome(_whole_grid_solve, eng, ys)
+    assert _outcome(type(eng)._solve, eng, ys) == want
+
+
+# (a, b, c) of x -> b f(x - a) + c: a domain shift that leaves +inf cells on
+# bounded kernels, a rescale, and offsets large enough that rounding decides ties
+_VARIANTS = [None, (0.0, 1.0, 1e9), (0.1, 1.5, -3.0), (-0.2, 0.6, 1e6)]
+_WINDOW_ENGINES = {}
+
+
+def _window_engine(name, variant):
+    key = (name, variant)
+    if key not in _WINDOW_ENGINES:
+        inst = get_instance(name)
+        if variant is not None:
+            inst = Instance(f"{name}_shifted", inst.kernel, shift_scale(inst.fn, *variant), inst.lam)
+        _WINDOW_ENGINES[key] = inst, proxenv.InstanceEngine(inst, grid_n=2001)  # 17-row blocks
+    return _WINDOW_ENGINES[key][1]
+
+
+# the y-grid ends, points a hair inside them, one past each end, and where
+# grad kappa = 0 (0, or 1/e for Shannon): rows on both sides of it
+_SPECIAL = [0.0, 1.0, 1e-12, 1.0 - 1e-12, -0.01, 1.01]
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(instance_names()), variant=st.sampled_from(_VARIANTS),
+       where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+       special=st.lists(st.sampled_from(_SPECIAL + ["zero"]), max_size=4),
+       repeats=st.lists(st.integers(0, 59), max_size=10), data=st.data())
+@example(name="ex411", variant=None, where=[0.2, 0.9], special=["zero"], repeats=[0, 0],
+         data=None)
+def test_the_windowed_scan_matches_a_whole_grid_scan(name, variant, where, special,
+                                                    repeats, data):
+    """Bit-identical ``GridMin``s, or the same exception and message, for
+    unsorted batches with duplicates on every catalog instance and shifted
+    and rescaled variants of them."""
+    eng = _window_engine(name, variant)
+    lo, hi = eng.y_grid.lo, eng.y_grid.hi
+    zero = {"shannon": 1.0 / math.e}.get(eng.kernel.name, 0.0)
+    ts = where + [(zero - lo) / (hi - lo) if t == "zero" else t for t in special]
+    ys = [lo + (hi - lo) * t for t in ts]
+    ys += [ys[i % len(ys)] for i in repeats]
+    if data is not None:
+        ys = data.draw(st.permutations(ys))
+    _assert_windowed_scan_is_exact(eng, ys)
+
+
+@pytest.mark.parametrize("name, variant, ys", [
+    # a two-basin tie at 1/sqrt(2), between rows tilted either way
+    ("ex411", None, [2 ** -0.5] * 3 + [0.70, 0.71, 2 ** -0.5 - 1e-9, 2 ** -0.5 + 1e-9, -0.3]),
+    # minimizers on the edge of the +inf cells of ex411 (f = +inf below 0)
+    ("ex411", None, np.linspace(-0.99, 0.2, 40)),
+    ("euclid_abs", None, np.linspace(-8.0, 8.0, 35)[::-1]),
+    ("shannon_abs", None, [12.0, 1e-8 + 3e-9, 1.0 / math.e, 1.0 / math.e, 5.0] * 5),
+    # two equal rows where an offset of 1e9 leaves ties to rounding: a window
+    # without its margin drops a tie cell at its end
+    ("ex310", (0.0, 1.0, 1e9), [0.422818791100671] * 2),
+    ("hell_halfk", (0.0, 1.0, 1e9), [-0.2885906034496645] * 2),
+])
+def test_the_windowed_scan_is_exact_on_ties_and_infinite_cells(name, variant, ys):
+    _assert_windowed_scan_is_exact(_window_engine(name, variant), ys)
+
+
+@pytest.mark.parametrize("bad", [[0.5], [-0.5], [0.5, -0.5], [-0.5, 0.5]])
+def test_the_windowed_scan_fails_as_a_whole_grid_scan(monkeypatch, bad):
+    """An all-+inf row (0.5) and a row shifted below the cap (-0.5), among
+    clean rows in blocks before, with and after them, and as the last row."""
+    eng = _faulty_engine(monkeypatch)
+    clean = np.linspace(-0.9, 0.9, 40).tolist()
+    for ys in (clean + bad, bad + clean, clean[:30] + bad + clean[30:], bad):
+        _assert_windowed_scan_is_exact(eng, ys)
+
+
+def _scanned_cells(monkeypatch):
+    """The grid cells ``InstanceEngine._scan`` evaluates, summed over its blocks."""
+    cells = [0]
+    real = proxenv.InstanceEngine._scan
+
+    def counted(self, phi, ys):
+        for start, block in real(self, phi, ys):
+            cells[0] += block.size
+            yield start, block
+
+    monkeypatch.setattr(proxenv.InstanceEngine, "_scan", counted)
+    return cells
+
+
+def test_the_scan_work_is_pinned(monkeypatch):
+    """A work gate that does not depend on the machine. At N = 2001,
+    ``env_coarse`` of euclid_abs evaluates 388,541 of its N**2 = 4,004,001
+    cells, and a seed-42 suite on ex419 and euclid_abs 882,298, against
+    6,167,082 when every row is scanned on the whole grid."""
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    cells = _scanned_cells(monkeypatch)
+    proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001).env_coarse()
+    assert cells[0] <= 400_000
+    cells[0] = 0
+    run_suite(["ex419", "euclid_abs"], seed=42)
+    assert cells[0] <= 900_000
+
+
+def test_prox_batch_memory_at_4001_points():
+    """One 250-row batch on a warm ex419 engine at N = 4001 peaks below
+    1.12 MiB, the peak of per-block temporaries freed after their block."""
+    import tracemalloc
+    eng = proxenv.InstanceEngine(get_instance("ex419"), grid_n=4001)
+    eng.prox(0.1)
+    tracemalloc.start()
+    try:
+        eng.prox(np.linspace(-1.3, 1.3, 250))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.12 * 2 ** 20
 
 
 def test_env_many_reads_and_fills_the_memo():
