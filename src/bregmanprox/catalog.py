@@ -65,10 +65,6 @@ class Instance:
         if t is not None and not self.lam < t:
             raise ValueError(f"lambda {self.lam} not below threshold {t}")
 
-    @property
-    def below_threshold(self) -> bool:
-        return self.fn.pb_threshold is None or self.lam < self.fn.pb_threshold
-
     def __repr__(self):
         return f"Instance({self.name})"
 

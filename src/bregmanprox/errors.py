@@ -42,7 +42,7 @@ class UnknownInstanceError(BregmanError, KeyError):
 
 
 class HypothesesUnmetError(BregmanError):
-    """Theorem hypotheses (Legendre / 1-coercive / threshold) do not hold."""
+    """Theorem hypotheses (Legendre, 1-coercive, or a check's gate) do not hold."""
 
 
 class AllUnboundedError(BregmanError):

@@ -310,7 +310,7 @@ def scale_kernel(k: Kernel, L: float) -> Kernel:
 
 
 def conjugate_by_grid(k: Kernel, eta: float) -> float:
-    """kappa*(eta) = sup_x eta x - kappa(x) by grid search plus refinement.
+    """kappa*(eta) = sup_x eta x - kappa(x) by grid search plus a zoom (``grid_conjugate``).
 
     Independent of the closed-form conjugates; used to cross-check them.
     """

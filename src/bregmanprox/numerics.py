@@ -35,8 +35,9 @@ __all__ = [
     "GridMin",
     "MinimizerCluster",
     "grid_minimize",
+    "zoom",
     "refine",
-    "refine_best",
+    "min_value",
     "HullCurve",
     "lower_convex_envelope",
     "monotone_invert",
@@ -141,41 +142,40 @@ class GridMin:
         return [c.x for c in self.clusters]
 
 
-def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
-    """Minimize ``phi`` on every bracket [a_k, b_k] at once; returns the best
-    point seen and its value per bracket, as arrays.
+def _on_brackets(phi: Callable, rows, sel, x):
+    """phi on the (brackets, points) array x of the brackets ``sel``."""
+    flat = x.ravel()
+    v = phi(flat) if rows is None else phi(flat, np.repeat(rows[sel], x.shape[1]))
+    return np.asarray(v, dtype=float).reshape(x.shape)
+
+
+def zoom(phi: Callable, a, b, rows: np.ndarray | None = None):
+    """Minimize ``phi`` on every bracket [a_k, b_k] at once by value
+    comparisons alone; returns the best point seen and its value per
+    bracket, as arrays.
 
     Each round samples ``ZOOM_POINTS`` evenly spaced points in every open
     bracket and keeps the two cells around the best one (at least an 8-fold
     shrink); a bracket closes below ``X_RESOLUTION * max(1, |lo|, |hi|)``,
-    the width at which ``grid_minimize`` merges basins. A parabolic polish
-    then sharpens smooth interior minimizers, which value comparisons only
-    locate to about sqrt(eps) in x: a step is accepted only when it does not
-    increase the value, so kinks and boundary minimizers are left in place.
-    +inf values inside a bracket are tolerated, so brackets may straddle the
-    edge of a domain.
+    the width at which ``grid_minimize`` merges basins. +inf values inside a
+    bracket are tolerated, so brackets may straddle the edge of a domain.
+    The value is final; a smooth interior minimizer is located only to
+    about sqrt(eps) in x (``refine`` polishes it).
 
     ``phi`` is an array function of a 1-D x. With ``rows`` (one row index
     per bracket) it is called as ``phi(x, r)``, where ``r`` gives the row of
     each point of x. Brackets never interact: each one gets the same result
-    as when refined alone.
+    as when zoomed alone.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
-
-    def ev(sel, x):
-        """phi on the (brackets, points) array x of the brackets ``sel``."""
-        flat = x.ravel()
-        v = phi(flat) if rows is None else phi(flat, np.repeat(rows[sel], x.shape[1]))
-        return np.asarray(v, dtype=float).reshape(x.shape)
-
     x_best, v_best = a.copy(), np.full_like(a, np.inf)
     # the open brackets and their ends
     live, lo, hi = np.arange(a.size), a.copy(), b.copy()
     while live.size:
         x = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
         x[:, -1] = hi
-        v = ev(live, x)
+        v = _on_brackets(phi, rows, live, x)
         j = np.arange(live.size)
         k = v.argmin(axis=1)
         better = v[j, k] < v_best[live]
@@ -183,9 +183,28 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
         lo, hi = x[j, np.maximum(k - 1, 0)], x[j, np.minimum(k + 1, ZOOM_POINTS - 1)]
         keep = hi - lo > X_RESOLUTION * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         live, lo, hi = live[keep], lo[keep], hi[keep]
+    return x_best, v_best
 
-    # parabolic polish on a shrinking stencil, two rounds
-    x, v = x_best, v_best
+
+def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
+    """``zoom`` every bracket, then polish its best point for location;
+    returns the point and its value per bracket, as arrays.
+
+    The polish places smooth interior minimizers more finely than the
+    sqrt(eps) that value comparisons allow: two rounds of parabolic steps
+    on a shrinking stencil, each step accepted only when it does not
+    increase the value, so kinks and boundary minimizers are left in place.
+    It never raises a value, and on the catalog it lowers one by a few ulps
+    at most, so a caller that reads only the value calls ``zoom`` (see
+    ``min_value``). Arguments and batching are those of ``zoom``.
+    """
+    return _polish(phi, a, b, rows, *zoom(phi, a, b, rows))
+
+
+def _polish(phi: Callable, a, b, rows, x, v):
+    """Two rounds of parabolic polish of the bracket minima (x, v), in place."""
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     live = np.arange(a.size)
     for _ in range(2):
@@ -193,7 +212,7 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
         if not live.size:
             break
         xl, hl, vl = x[live], h[live], v[live]
-        st = ev(live, np.stack([xl - hl, xl + hl], axis=1))
+        st = _on_brackets(phi, rows, live, np.stack([xl - hl, xl + hl], axis=1))
         # a parabola needs finite values and positive curvature
         ok = np.isfinite(st).all(axis=1) & np.isfinite(vl)
         ok[ok] = st[ok, 0] - 2.0 * vl[ok] + st[ok, 1] > 0.0
@@ -201,7 +220,7 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
         if not live.size:
             break
         xn = np.clip(xl + 0.5 * (v1 - v2) / (v1 - 2.0 * vl + v2) * hl, a[live], b[live])
-        vn = ev(live, xn[:, None])[:, 0]
+        vn = _on_brackets(phi, rows, live, xn[:, None])[:, 0]
         # near the minimum the true improvement is below float resolution of
         # the values; accept within rounding
         take = vn <= vl + 1e-14 * np.maximum(1.0, np.abs(vl))
@@ -211,12 +230,12 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
     return x, v
 
 
-def refine_best(phi: Callable, xs: np.ndarray, values: np.ndarray):
-    """``refine`` on the two cells around the best finite sample of ``phi``
-    on ``xs`` (``values``); returns (x, value) as floats."""
+def min_value(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
+    """The least value of ``phi`` that ``zoom`` finds on the two cells around
+    the best finite sample of ``phi`` on ``xs`` (``values``). Value only: no
+    location is polished, since no caller reads one."""
     j = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
-    x, v = refine(phi, xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])
-    return float(x[0]), float(v[0])
+    return float(zoom(phi, xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])[1][0])
 
 
 def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
@@ -513,13 +532,13 @@ def convexity_condition(label: str, xs: np.ndarray, vals: np.ndarray) -> Conditi
 
 def grid_conjugate(g: Callable, grid: Grid, eta: float) -> float:
     """g*(eta) = sup_x eta x - g(x) over ``grid``: the best grid sample,
-    refined on the two cells around it."""
+    zoomed on the two cells around it (``min_value``, a value-only search)."""
     xs = grid.points
 
     def neg(x):
         return -(float(eta) * x - g(x))
 
-    return -refine_best(neg, xs, neg(xs))[1]
+    return -min_value(neg, xs, neg(xs))
 
 
 def finite_diff_grad(phi: Callable[[float], float], x: float, h: float) -> float:

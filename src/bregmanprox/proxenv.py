@@ -44,7 +44,7 @@ from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
                        Condition, GridMin, build_grid, convexity_condition,
                        grid_conjugate, grid_minimize, lower_convex_envelope,
-                       refine_best, sample_inset)
+                       min_value, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
@@ -58,17 +58,15 @@ INTERIOR_MARGIN = 1e-9
 RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
 # Grid samples per scanned block of rows (rows x grid points): it bounds only
 # the memory of a grid scan, never the refinement, which takes a whole batch.
-# Above the floor of ZOOM_POINTS rows a prox_hull refinement round is one block.
+# Above the floor of ZOOM_POINTS rows a prox_hull zoom round is one block.
 BLOCK_SAMPLES = 2 ** 15
 
 # The standing hypotheses of the theorem checks and of the hull route.
-STANDING = ("legendre", "one-coercive", "below-threshold")
+STANDING = ("legendre", "one-coercive")
 # Each gate by its report key: the fact that decides it, and the skip reason.
 _GATES = {
     "legendre": (lambda e: e.kernel.is_legendre, "kernel {} is not Legendre"),
     "one-coercive": (lambda e: e.kernel.is_one_coercive, "kernel {} is not 1-coercive"),
-    "below-threshold": (lambda e: e._instance().below_threshold,
-                        "lambda not below the prox-boundedness threshold"),
     "whole-line-domain": (lambda e: e.kernel.domain.is_all_reals,
                           "kernel domain is not the whole line"),
     "f-real-valued": (lambda e: np.isfinite(e.F).all(),
@@ -475,8 +473,12 @@ def right_env(inst: Instance, xbar: float) -> ExtReal:
 
 
 def prox_hull(inst: Instance, x: float) -> ExtReal:
-    """sup over interior y of env(y) - D(x, y)/lam, refined locally.
+    """sup over interior y of env(y) - D(x, y)/lam: the best y-grid sample
+    of the grid-resolution envelope, zoomed on the two cells around it.
 
+    Each zoom round solves its sampled envelopes (polished, through the
+    memo) as one block of rows; the sup is a value-only search
+    (``numerics.min_value``), since no caller reads the optimal y.
     This is the definitional route; the geometric route through the lower
     convex envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
     """
@@ -488,13 +490,12 @@ def prox_hull(inst: Instance, x: float) -> ExtReal:
         return ExtReal(math.inf)
 
     def neg_psi(y):
-        # the y grid reads the grid-resolution envelope; each refinement
-        # round solves its sampled envelopes as one block of rows
+        # the y grid reads the grid-resolution envelope
         env = eng.env_coarse() if y is eng.Y else eng.env(y)
         ky, gy = eng.kg(y)
         return -(env - (kx - ky - gy * (x - y)) / eng.lam)
 
-    return ExtReal(-refine_best(neg_psi, eng.Y, neg_psi(eng.Y))[1])
+    return ExtReal(-min_value(neg_psi, eng.Y, neg_psi(eng.Y)))
 
 
 def hull_function(inst: Instance) -> ProperFn:

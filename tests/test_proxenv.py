@@ -520,17 +520,37 @@ def test_warm_prox_hull_refinement_work_is_pinned(monkeypatch):
     inst = Instance(base.name, base.kernel, base.fn, base.lam)  # an empty memo
     engine(inst).env_coarse()
     points = []
-    real = numerics.refine
 
-    def counted(phi, a, b, rows=None):
-        def phi_counted(x, *r):
-            points.append(np.size(x))
-            return phi(x, *r)
-        return real(phi_counted, a, b, rows)
+    def counting(real):
+        def counted(phi, a, b, rows=None, *best):
+            def phi_counted(x, *r):
+                points.append(np.size(x))
+                return phi(x, *r)
+            return real(phi_counted, a, b, rows, *best)
+        return counted
 
-    monkeypatch.setattr(numerics, "refine", counted)
+    # refine is zoom then _polish, and the value-only sup calls zoom alone
+    for name in ("zoom", "_polish"):
+        monkeypatch.setattr(numerics, name, counting(getattr(numerics, name)))
     prox_hull(inst, 0.3)
     assert sum(points) <= 20_000
+
+
+@pytest.mark.parametrize("name, x", [
+    ("hell_halfk", 0.3), ("hell_halfk", -0.6), ("hell_halfk", 0.85),
+    ("ex310", -0.4), ("ex310", 0.5), ("euclid_abs", -2.0), ("euclid_abs", 0.7),
+])
+def test_warm_prox_hull_envelope_solves_are_pinned(monkeypatch, name, x):
+    """The sup over ybar reads only a value, so it stops after the zoom: one
+    envelope solve per zoom round and none for a location polish, which
+    took the count to 10-12."""
+    monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
+    base = get_instance(name)
+    inst = Instance(base.name, base.kernel, base.fn, base.lam)  # an empty memo
+    engine(inst).env_coarse()
+    calls = _count_grid_minimize(monkeypatch)
+    prox_hull(inst, x)
+    assert 1 <= len(calls) <= 8
 
 
 def test_env_decreases_in_lambda():
@@ -597,7 +617,7 @@ def test_hull_routes_agree():
     # definitional sup route vs geometric envelope route; compared on the
     # inner 80% of the window, since near an artificial window edge of an
     # unbounded domain the sup's optimal point falls outside the window
-    for name in ("ex310", "euclid_abs", "ex419"):
+    for name in ("ex310", "euclid_abs", "ex419", "hell_halfk", "ex420"):
         inst = get_instance(name)
         eng = engine(inst)
         rng = np.random.default_rng(1)
