@@ -5,9 +5,9 @@ test (also as a named ``Condition``) and a grid conjugate.
 All routines are pure functions of their inputs. Objectives are array
 functions of x returning extended reals (+inf marks points outside a
 domain); the helpers never form inf - inf because only +inf-valued terms are
-added. The root finder and the finite difference stay scalar. Minimizers are
-resolved in x to ``X_RESOLUTION`` relative: closer basins merge into one,
-and bracket refinement stops at that width.
+added. The root finder stays scalar; the finite difference takes a float or
+an array. Minimizers are resolved in x to ``X_RESOLUTION`` relative: closer
+basins merge into one, and bracket refinement stops at that width.
 """
 
 from __future__ import annotations
@@ -73,15 +73,14 @@ class Grid:
     lo: float
     hi: float
     n: int
-    points: np.ndarray = field(default=None, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("grid requires lo < hi")
         if self.n < 3:
             raise ValueError("grid requires n >= 3")
-        if self.points is None:
-            object.__setattr__(self, "points", np.linspace(self.lo, self.hi, self.n))
+        object.__setattr__(self, "points", np.linspace(self.lo, self.hi, self.n))
 
     @property
     def h(self) -> float:
@@ -257,16 +256,14 @@ def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
 
 
 def grid_minimize(phi: Callable, grid: Grid,
-                  values: np.ndarray | Iterable[np.ndarray] | None = None,
-                  tol_tie: float = DEFAULT_TOL_TIE,
-                  cap: float = DEFAULT_UNBOUNDED_CAP):
+                  values: np.ndarray | Iterable[np.ndarray] | None = None):
     """Global minimization of ``phi`` over ``grid`` with set-valued detection.
 
-    The coarse grid locates every cell within ``tol_tie`` of the minimum;
-    each contiguous run of such cells is refined on its bracketing interval,
-    all runs in one ``refine`` call. ``multiple`` is set when at least two
-    refined basins remain within ``tol_tie`` of each other, which is how
-    set-valued proximal mappings are observed at grid resolution.
+    The coarse grid locates every cell within ``DEFAULT_TOL_TIE`` of the
+    minimum; each contiguous run of such cells is refined on its bracketing
+    interval, all runs in one ``refine`` call. ``multiple`` is set when at
+    least two refined basins remain within ``DEFAULT_TOL_TIE`` of each other,
+    which is how set-valued proximal mappings are observed at grid resolution.
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
@@ -279,7 +276,7 @@ def grid_minimize(phi: Callable, grid: Grid,
     ``phi(x, rows)`` (see ``refine``) and one ``GridMin`` per row returned.
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
-    ``UnboundedBelowError`` if a value falls below ``-cap``.
+    ``UnboundedBelowError`` if a value falls below ``-DEFAULT_UNBOUNDED_CAP``.
     """
     xs = grid.points
     if values is None:
@@ -289,7 +286,7 @@ def grid_minimize(phi: Callable, grid: Grid,
         values = [(0, np.atleast_2d(values))]
     scans, n_rows = [], 0
     for start, block in values:
-        row, i0, i1 = _tie_runs(block, tol_tie, cap)
+        row, i0, i1 = _tie_runs(block, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP)
         scans.append((row + n_rows, i0 + start, i1 + start))
         n_rows += len(block)
         del block  # free it before the generator builds the next one
@@ -297,7 +294,7 @@ def grid_minimize(phi: Callable, grid: Grid,
     a = xs[np.maximum(i0 - 1, 0)]
     b = xs[np.minimum(i1 + 1, len(xs) - 1)]
     x_ref, v_ref = refine(phi, a, b, None if single else row)
-    if v_ref.min() < -cap:
+    if v_ref.min() < -DEFAULT_UNBOUNDED_CAP:
         raise UnboundedBelowError(f"refined objective reached {v_ref.min():.3e}")
     runs = list(zip(x_ref.tolist(), v_ref.tolist(), xs[i0].tolist(), xs[i1].tolist()))
     # runs come row by row: row r owns runs[starts[r]:starts[r + 1]]
@@ -309,7 +306,7 @@ def grid_minimize(phi: Callable, grid: Grid,
             out.append(GridMin(clusters[0].x, clusters[0].value, False, tuple(clusters)))
             continue
         best = min(c.value for c in clusters)
-        clusters = [c for c in clusters if c.value <= best + tol_tie]
+        clusters = [c for c in clusters if c.value <= best + DEFAULT_TOL_TIE]
         # Distinct grid basins can refine into the same point; merge those.
         merged: list[MinimizerCluster] = []
         for c in sorted(clusters, key=lambda c: c.x):
@@ -541,9 +538,16 @@ def grid_conjugate(g: Callable, grid: Grid, eta: float) -> float:
     return -min_value(neg, xs, neg(xs))
 
 
-def finite_diff_grad(phi: Callable[[float], float], x: float, h: float) -> float:
-    """Centered difference (phi(x+h) - phi(x-h)) / (2h) on a finite stencil."""
-    vp, vm = float(phi(x + h)), float(phi(x - h))
-    if not (math.isfinite(vp) and math.isfinite(vm)):
-        raise DomainEdgeError(f"stencil [{x - h}, {x + h}] leaves the finite domain")
-    return (vp - vm) / (2.0 * h)
+def finite_diff_grad(phi: Callable, x, h: float):
+    """Centered difference (phi(x+h) - phi(x-h)) / (2h) on a finite stencil,
+    a float at a float x and an array at an array of them (``phi`` is then
+    an array function). Raises ``DomainEdgeError`` naming the first point
+    whose stencil holds a value that is not finite."""
+    vp = np.asarray(phi(x + h), dtype=float)
+    vm = np.asarray(phi(x - h), dtype=float)
+    bad = ~(np.isfinite(vp) & np.isfinite(vm))
+    if bad.any():
+        at = x if bad.ndim == 0 else np.asarray(x)[bad][0]
+        raise DomainEdgeError(f"stencil [{at - h}, {at + h}] leaves the finite domain")
+    d = (vp - vm) / (2.0 * h)
+    return float(d) if d.ndim == 0 else d

@@ -93,20 +93,16 @@ class ProxResult:
         return len(self.minimizers) > 1
 
 
-def _grid_n() -> int:
-    return int(os.environ.get("BREGMAN_GRID_N", DEFAULT_GRID_N))
-
-
 class InstanceEngine:
     """Cached grids, samples and facts for one (kernel, fn, lambda) instance."""
 
-    def __init__(self, inst: Instance, grid_n: int | None = None):
+    def __init__(self, inst: Instance, grid_n: int):
         # weak, so that an engine cached for its instance never keeps it alive
         self._instance = weakref.ref(inst)
         self.kernel = inst.kernel
         self.fn = inst.fn
         self.lam = inst.lam
-        self.grid_n = n = grid_n or _grid_n()
+        self.grid_n = n = grid_n
         dom = self.kernel.domain
         self.x_grid = build_grid(dom, n, window=self.fn.window)
         self.X = self.x_grid.points
@@ -441,8 +437,9 @@ _ENGINES: weakref.WeakKeyDictionary[Instance, InstanceEngine] = weakref.WeakKeyD
 
 
 def engine(inst: Instance) -> InstanceEngine:
-    """The instance's engine at the current grid size, rebuilt when it changes."""
-    n = _grid_n()
+    """The instance's engine at the current grid size (``BREGMAN_GRID_N``,
+    default ``DEFAULT_GRID_N``), rebuilt when it changes."""
+    n = int(os.environ.get("BREGMAN_GRID_N", DEFAULT_GRID_N))
     eng = _ENGINES.get(inst)
     if eng is None or eng.grid_n != n:
         eng = _ENGINES[inst] = InstanceEngine(inst, n)
@@ -516,32 +513,28 @@ def hull_instance(inst: Instance) -> Instance:
 # ---------------------------------------------------------------------------
 
 def _tail_points(side: str, interval: Interval, window: tuple[float, float]):
-    """Geometric probe sequence toward one non-closed side of ``interval``."""
-    wlo, whi = window
-    span = max(whi - wlo, 1.0)
-    if side == "lo":
-        if interval.lo_closed:
-            return []
-        if math.isinf(interval.lo):
-            return [wlo - span * 4.0 ** k for k in range(1, 100)]
-        x0 = wlo if wlo > interval.lo else interval.lo + span * 1e-3
-        return [interval.lo + (x0 - interval.lo) * 0.01 ** k for k in range(1, 150)]
-    if interval.hi_closed:
+    """Geometric probe sequence toward one non-closed side ("lo" or "hi") of
+    ``interval``: outward from the window's edge toward an infinite end, and
+    toward a finite open end from the window's edge when it lies inside."""
+    i, s = (0, -1.0) if side == "lo" else (1, 1.0)  # s: the outward direction
+    end = (interval.lo, interval.hi)[i]
+    if (interval.lo_closed, interval.hi_closed)[i]:
         return []
-    if math.isinf(interval.hi):
-        return [whi + span * 4.0 ** k for k in range(1, 100)]
-    x0 = whi if whi < interval.hi else interval.hi - span * 1e-3
-    return [interval.hi - (interval.hi - x0) * 0.01 ** k for k in range(1, 150)]
+    span = max(window[1] - window[0], 1.0)
+    if math.isinf(end):
+        return [window[i] + s * span * 4.0 ** k for k in range(1, 100)]
+    x0 = window[i] if s * (end - window[i]) > 0 else end - s * span * 1e-3
+    return [end + (x0 - end) * 0.01 ** k for k in range(1, 150)]
 
 
-def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
-                     cap: float = DEFAULT_UNBOUNDED_CAP) -> bool:
+def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float) -> bool:
     """True when f + D(., probe_y)/lam is diagnosed unbounded below.
 
-    Fires either on values below ``-cap`` on the working grid, or on a
-    monotone divergence along a geometric tail toward an open or unbounded
-    side (logarithmic divergences never cross a fixed cap on any float grid,
-    so a strictly decreasing tail with macroscopic total drop is the signal).
+    Fires either on values below ``-DEFAULT_UNBOUNDED_CAP`` on the working
+    grid, or on a monotone divergence along a geometric tail toward an open
+    or unbounded side (logarithmic divergences never cross a fixed cap on any
+    float grid, so a strictly decreasing tail with macroscopic total drop is
+    the signal).
     """
     # scanning deliberately probes lambdas above any annotated threshold
     probe_fn = dataclasses.replace(fn, pb_threshold=None)
@@ -551,7 +544,7 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
     phi = eng._left_rows([probe_y])
     vals = phi(eng.X, 0)
     finite = vals[np.isfinite(vals)]
-    if finite.size and finite.min() < -cap:
+    if finite.size and finite.min() < -DEFAULT_UNBOUNDED_CAP:
         return True
     for side in ("lo", "hi"):
         ts = np.array(_tail_points(side, kernel.domain, fn.window))
@@ -564,7 +557,7 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float,
             drops = [b < a for a, b in zip(tail, tail[1:])]
             if all(drops) and tail[-1] < tail[0] - 1.0:
                 return True
-            if tail[-1] < -cap:
+            if tail[-1] < -DEFAULT_UNBOUNDED_CAP:
                 return True
     return False
 

@@ -23,7 +23,8 @@ import numpy as np
 from .catalog import Instance, ProperFn, get_instance
 from .errors import HypothesesUnmetError
 from .kernels import scale_kernel
-from .numerics import TOL_CONV, Condition, convexity_condition, sample_inset
+from .numerics import (TOL_CONV, Condition, convexity_condition, finite_diff_grad,
+                       sample_inset)
 from .proxenv import InstanceEngine, engine, prox_escapes
 from .subdiff import (TOL_CERT, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
@@ -109,20 +110,15 @@ def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=1)
 
 
-def _implies(premise: Condition | bool, conclusion: Condition | bool,
-             name_p: str, name_c: str, asserted: bool = True,
+def _implies(premise: Condition, conclusion: Condition, asserted: bool = True,
              reason: str = "") -> Implication:
-    p = premise.holds if isinstance(premise, Condition) else bool(premise)
-    c = conclusion.holds if isinstance(conclusion, Condition) else bool(conclusion)
-    return Implication((name_p,), name_c, asserted, ((not p) or c) if asserted else None,
-                       reason)
+    """premise => conclusion, named by the two labels; None when not asserted."""
+    holds = ((not premise.holds) or conclusion.holds) if asserted else None
+    return Implication((premise.label,), conclusion.label, asserted, holds, reason)
 
 
-def _equiv(a: Condition, b: Condition, asserted: bool = True, reason: str = ""):
-    return [
-        _implies(a, b, a.label, b.label, asserted, reason),
-        _implies(b, a, b.label, a.label, asserted, reason),
-    ]
+def _equiv(a: Condition, b: Condition):
+    return [_implies(a, b), _implies(b, a)]
 
 
 def _seeded(seed: int, *labels: str) -> np.random.Generator:
@@ -239,12 +235,8 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     d = Condition("d-prox-convex-valued", d_holds, d_worst, d_wit)
 
     lo_f, hi_f = eng.f_bounds
-    f_wit = ()
-    if hi_f - lo_f > 0:
-        pts = sample_inset(rng, lo_f, hi_f, 60)
-        pts = pts[eng.kernel.domain.interior_contains(pts)].tolist()
-        f_wit = next(((p,) for p, s in zip(pts, left_lpsubdiff_hull(inst, pts))
-                      if s.is_empty), ())
+    f_wit = next(((p,) for p, s in _hull_sets(inst, eng, rng) if s.is_empty), ()) \
+        if hi_f > lo_f else ()
     f = Condition("f-subdiff-nonempty", not f_wit, 0.0, f_wit)
 
     rep.conditions = [a, b, d, f]
@@ -252,8 +244,8 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     rep.hypotheses["conv-dom-inside-interior"] = dom_inside
     rep.implications = (
         _equiv(a, b) + _equiv(b, d)
-        + [_implies(d, f, d.label, f.label),
-           _implies(f, a, f.label, a.label, asserted=dom_inside,
+        + [_implies(d, f),
+           _implies(f, a, asserted=dom_inside,
                     reason="" if dom_inside else "relint conv dom f not inside interior")]
     )
     return rep
@@ -263,13 +255,13 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 # Convexity / firm nonexpansiveness correspondence
 # ---------------------------------------------------------------------------
 
-def _subdiff_graph(inst: Instance, eng: InstanceEngine, rng):
-    """(x, u) pairs of the hull-route subdifferential graph at 60 sampled x."""
+def _hull_sets(inst: Instance, eng: InstanceEngine, rng):
+    """(x, hull-route subdifferential at x) for the x among 60 drawn from
+    conv dom f, as sampled, that are interior to dom kappa."""
     lo_f, hi_f = eng.f_bounds
     pts = sample_inset(rng, lo_f, hi_f, 60)
     pts = pts[eng.kernel.domain.interior_contains(pts)].tolist()
-    return [(p, float(u)) for p, s in zip(pts, left_lpsubdiff_hull(inst, pts))
-            for u in subdiff_samples(s)]
+    return zip(pts, left_lpsubdiff_hull(inst, pts))
 
 
 def _pairwise_monotone(pairs, label: str) -> Condition:
@@ -297,7 +289,7 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
         rep.notes.append(f"prox left the interior at {len(witnesses)} sampled points")
 
     a = replace(eng.f_convex, label="a-f-convex")
-    graph = _subdiff_graph(inst, eng, rng)
+    graph = [(p, float(u)) for p, s in _hull_sets(inst, eng, rng) for u in subdiff_samples(s)]
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
@@ -366,22 +358,18 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 
     if a.holds:
         xis = np.array(_sample_etas(eng, rng, 40, with_critical=False))
-        delta = 1e-5
         gcj = eng.kernel.grad_conj
-        env_p = eng.env(gcj(xis + delta)).tolist()
-        env_m = eng.env(gcj(xis - delta)).tolist()
+        fds = finite_diff_grad(lambda xi: eng.env(gcj(xi)), xis, 1e-5).tolist()
         ys = gcj(xis)
         worst, wit = 0.0, ()
-        for xi, y, ep, em, res in zip(xis.tolist(), ys.tolist(), env_p, env_m,
-                                      eng.prox(ys)):
-            fd = (ep - em) / (2 * delta)
+        for xi, y, fd, res in zip(xis.tolist(), ys.tolist(), fds, eng.prox(ys)):
             ident = (y - res.minimizers[0]) / eng.lam
             err = abs(eng.lam * fd - eng.lam * ident)
             if err > worst:
                 worst, wit = err, (xi,)
         g = Condition("grad-identity", worst <= TOL_GRAD, worst, wit)
         rep.conditions.append(g)
-        rep.implications.append(_implies(a, g, a.label, g.label))
+        rep.implications.append(_implies(a, g))
     return rep
 
 
@@ -417,7 +405,7 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
         coco = _worst_pair("bcoco-inequality", eng.lam * DH - RHS, (xis,))
     rep.conditions = [a, coco]
     rep.implications = [
-        _implies(a, coco, a.label, coco.label, asserted=a.holds,
+        _implies(a, coco, asserted=a.holds,
                  reason="" if a.holds else "envelope convexity fails: vacuous")
     ]
     return rep
@@ -461,9 +449,8 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     pts = sorted(set(
         list(sample_inset(rng, lo, hi, 20))
         + [lo + span * q for q in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]))
-    h_fd = _fd_step(eng)
     pts = np.array(pts)
-    us = (eng.fn.eval(pts + h_fd) - eng.fn.eval(pts - h_fd)) / (2 * h_fd)
+    us = finite_diff_grad(eng.fn.eval, pts, _fd_step(eng))
     mp, sp, _ = left_lpsubdiff_definitional(inst_plus, pts, us)
     mm, sm, _ = left_lpsubdiff_definitional(inst_minus, pts, -us)
     # the worst slack up to and including the first point that fails
@@ -502,8 +489,8 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
                      min(ii.worst, -iii.worst))
     rep.conditions = [i_cond, ii, iii]
     rep.implications = [
-        _implies(i_cond, ii, i_cond.label, ii.label),
-        _implies(both, i_cond, "ii-and-iii", i_cond.label),
+        _implies(i_cond, ii),
+        _implies(both, i_cond),
     ]
     return rep
 
@@ -526,15 +513,13 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
                    min(fcvx.worst, hcvx.worst))
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    lower = upper = Condition("placeholder", True, math.inf)
-    if len(xx) >= 2:
-        gg = eng.kernel.grad(xx)
-        gc = eng.kernel.grad_conj(ee)
-        mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-        dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
-        ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-        lower = _worst_pair("lower-bound", mid - dd, (ee,))
-        upper = _worst_pair("upper-bound", ddual - mid, (ee,))
+    gg = eng.kernel.grad(xx)
+    gc = eng.kernel.grad_conj(ee)
+    mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
+    dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
+    ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
+    lower = _worst_pair("lower-bound", mid - dd, (ee,))
+    upper = _worst_pair("upper-bound", ddual - mid, (ee,))
     two = Condition("two-sided-bounds", lower.holds and upper.holds,
                     min(lower.worst, upper.worst))
 
@@ -556,8 +541,7 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random(25))
     phi_vals = eng.tilted(eng.X)
-    h_fd = _fd_step(eng)
-    grads = (eng.tilted(pts + h_fd) - eng.tilted(pts - h_fd)) / (2 * h_fd)
+    grads = finite_diff_grad(eng.tilted, pts, _fd_step(eng))
     worst, wit = math.inf, ()
     for p, v, phi_p in zip(map(float, pts), map(float, grads), map(float, eng.tilted(pts))):
         ref = eng.kernel.grad_conj(v)
@@ -601,9 +585,10 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
                     ratio)
 
     rep.conditions = [strong, hcvx, lip]
+    hyp = Condition("hypotheses", True, math.inf)  # the gates passed by ``_start``
     rep.implications = [
-        _implies(True, hcvx, "hypotheses", hcvx.label),
-        _implies(True, lip, "hypotheses", lip.label),
+        _implies(hyp, hcvx),
+        _implies(hyp, lip),
     ]
     return rep
 
@@ -667,7 +652,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
     fwd = Condition("forward-certificate", worst_f <= TOL_CERT, worst_f, wit_f)
     conv = Condition("converse-prox", worst_c <= TOL_CERT, worst_c, wit_c)
     rep.conditions += [fwd, conv]
-    rep.implications = [_implies(in_range, c, in_range.label, c.label) for c in (fwd, conv)]
+    rep.implications = [_implies(in_range, c) for c in (fwd, conv)]
     return rep
 
 
@@ -759,10 +744,10 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
         hypotheses={"legendre": legendre, "range-assumption": range_ok},
         conditions=[env_c, hull_c, prox_c, sub_c],
         implications=_equiv(env_c, hull_c) + [
-            _implies(prox_c, sub_c, prox_c.label, sub_c.label),
-            _implies(sub_c, prox_c, sub_c.label, prox_c.label, asserted=range_ok,
+            _implies(prox_c, sub_c),
+            _implies(sub_c, prox_c, asserted=range_ok,
                      reason="" if range_ok else "range assumption failed"),
-            _implies(prox_c, env_c, prox_c.label, env_c.label, asserted=legendre,
+            _implies(prox_c, env_c, asserted=legendre,
                      reason="" if legendre else "kernel is not Legendre")],
         tolerances={"tol_shift": TOL_SHIFT})
 

@@ -409,6 +409,21 @@ def test_fd_domain_edge():
         finite_diff_grad(phi, 1.0, 1e-3)
 
 
+def test_fd_array_equals_the_scalar_calls_bit_for_bit():
+    phi = lambda x: np.exp(np.sin(3.0 * x)) + np.square(x)
+    xs = np.linspace(-1.3, 2.1, 37)
+    got = finite_diff_grad(phi, xs, 1e-6)
+    want = [finite_diff_grad(phi, float(x), 1e-6) for x in xs]
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+
+
+def test_fd_array_raises_on_one_bad_point():
+    phi = lambda x: np.where(np.abs(x) <= 1.0, -np.sqrt(np.clip(1.0 - x * x, 0.0, None)),
+                             np.inf)
+    with pytest.raises(DomainEdgeError, match=r"\[0\.9985, 1\.0005\]"):
+        finite_diff_grad(phi, np.array([-0.5, 0.0, 0.9995, 0.5]), 1e-3)
+
+
 # -- grid construction -------------------------------------------------------
 
 def test_build_grid_insets_open_sides():

@@ -659,6 +659,27 @@ def test_threshold_all_unbounded():
         threshold_scan(ENERGY, fn, np.geomspace(0.5, 2.0, 5))
 
 
+def test_tail_points_follow_the_written_out_sequences():
+    tail = proxenv._tail_points
+    window = (-2.0, 3.0)  # span 5
+    closed = Interval(-4.0, 6.0, True, True)
+    assert tail("lo", closed, window) == [] and tail("hi", closed, window) == []
+    line = Interval.reals()
+    assert tail("lo", line, window) == [-2.0 - 5.0 * 4.0 ** k for k in range(1, 100)]
+    assert tail("hi", line, window) == [3.0 + 5.0 * 4.0 ** k for k in range(1, 100)]
+    # an open finite side outside the window: from the window's edge
+    wide = Interval(-4.0, 6.0, False, False)
+    assert tail("lo", wide, window) == [-4.0 + 2.0 * 0.01 ** k for k in range(1, 150)]
+    assert tail("hi", wide, window) == [6.0 - 3.0 * 0.01 ** k for k in range(1, 150)]
+    # the window reaches the open end: from 1e-3 of the span inside it
+    tight = Interval(-2.0, 3.0, False, False)
+    x_lo, x_hi = -2.0 + 5.0 * 1e-3, 3.0 - 5.0 * 1e-3
+    assert tail("lo", tight, window) == [-2.0 + (x_lo + 2.0) * 0.01 ** k
+                                         for k in range(1, 150)]
+    assert tail("hi", tight, window) == [3.0 - (3.0 - x_hi) * 0.01 ** k
+                                         for k in range(1, 150)]
+
+
 def test_right_env_matches_right_prox_value():
     from bregmanprox.proxenv import right_env
     inst = get_instance("euclid_abs")

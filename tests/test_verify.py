@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bregmanprox import proxenv, subdiff
+from bregmanprox import proxenv, subdiff, verify
 from bregmanprox.catalog import Instance, get_instance, instance_names
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
@@ -201,6 +201,22 @@ def test_two_sided_ex420_upper_fails():
     assert rep.violated == []
 
 
+@pytest.mark.parametrize("keep", [0, 1])
+def test_two_sided_below_two_selections_keeps_the_bound_labels(monkeypatch, keep):
+    real = verify._selections
+
+    def first(eng, etas, interior_only):
+        ee, xx = real(eng, etas, interior_only)
+        return ee[:keep], xx[:keep]
+
+    monkeypatch.setattr(verify, "_selections", first)
+    rep = check_two_sided(get_instance("euclid_abs"), seed=6)
+    labels = [c.label for c in rep.conditions]
+    assert "placeholder" not in labels
+    assert holds(rep, "lower-bound") and holds(rep, "upper-bound")
+    assert holds(rep, "two-sided-bounds")
+
+
 # -- strong convexity sufficiency ----------------------------------------------------------
 
 def test_strong_convexity_euclid_sq():
@@ -246,6 +262,12 @@ def test_run_suite_euclid_classical_equivalences():
     assert by_theorem["weak-convexity"].condition("a-weakly-convex").holds
     assert by_theorem["dfne"].condition("e-dfne").holds
     assert by_theorem["env-convexity"].condition("a-h-convex").holds
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_catalog_suite_violates_no_implication(seed):
+    reports = run_suite(instance_names(), seed=seed)
+    assert [f"{r.instance}/{r.theorem}" for r in reports if r.violated] == []
 
 
 def test_range_assumption_probed_once_per_instance(monkeypatch):
