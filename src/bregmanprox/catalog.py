@@ -131,7 +131,7 @@ _F_LN = _fn(
 
 _F_EX419 = _fn(
     "quartic_gap", Interval.reals(),
-    lambda x: 0.25 * np.power(x - 1.0, 4) - 0.25 * np.power(x, 4),
+    lambda x: 0.25 * np.square(np.square(x - 1.0)) - 0.25 * np.square(np.square(x)),
     window=(-8.0, 8.0),
     deriv=lambda x: (x - 1.0) ** 3 - x ** 3, convex=False, threshold=math.inf,
 )

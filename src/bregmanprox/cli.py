@@ -37,8 +37,8 @@ def _parse_grid(spec: str):
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ValueError(f"bad grid spec {spec!r}, expected lo:hi:n")
-    if not (lo < hi and n >= 2):
-        raise ValueError(f"bad grid spec {spec!r}: need lo < hi and n >= 2")
+    if not (lo < hi and math.isfinite(hi - lo) and n >= 2):
+        raise ValueError(f"bad grid spec {spec!r}: need finite lo < hi and n >= 2")
     return np.linspace(lo, hi, n)
 
 

@@ -196,8 +196,8 @@ HELLINGER = Kernel(
 QUARTIC = Kernel(
     name="quartic",
     domain=Interval.reals(),
-    eval_arr=lambda x: 0.25 * np.power(x, 4),
-    grad_arr=lambda x: np.power(x, 3),
+    eval_arr=lambda x: 0.25 * np.square(np.square(x)),
+    grad_arr=lambda x: np.square(x) * x,
     conj_arr=lambda e: 0.75 * np.power(np.abs(e), 4.0 / 3.0),
     grad_conj_arr=np.cbrt,
     is_legendre=True,
@@ -210,7 +210,7 @@ QUARTIC = Kernel(
 CUBIC_ABS = Kernel(
     name="cubic_abs",
     domain=Interval.reals(),
-    eval_arr=lambda x: np.power(np.abs(x), 3) / 3.0,
+    eval_arr=lambda x: np.square(x) * np.abs(x) / 3.0,
     grad_arr=lambda x: np.asarray(x, dtype=float) * np.abs(x),
     conj_arr=lambda e: (2.0 / 3.0) * np.power(np.abs(e), 1.5),
     grad_conj_arr=lambda e: np.sign(e) * np.sqrt(np.abs(e)),

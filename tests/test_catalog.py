@@ -56,6 +56,14 @@ def test_ex419_entry():
     assert inst.kernel is QUARTIC
     x = 1.7
     assert float(inst.fn.eval(x)) == pytest.approx(0.25 * (x - 1) ** 4 - 0.25 * x ** 4)
+    # the products agree with the np.power form; its two terms cancel (by up
+    # to 5 ulps of |f| near x = -7.3), so the bound is 4 ulps of their sum
+    xs = np.concatenate([np.linspace(-8.0, 8.0, 4001), [0.0, 1.0]])  # the window is [-8, 8]
+    a, b = 0.25 * np.power(xs - 1.0, 4), 0.25 * np.power(xs, 4)
+    gap = np.abs(inst.fn.eval(xs) - (a - b))
+    assert (gap <= 4 * np.finfo(float).eps * np.maximum(1.0, a + b)).all()
+    assert (inst.fn.eval(np.array([-math.inf, math.inf, math.nan])) == math.inf).all()
+    assert inst.fn.eval(math.nan) == math.inf
 
 
 def test_ex420_entry():

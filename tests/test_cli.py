@@ -110,9 +110,11 @@ def test_curve_unknown_quantity(capsys):
 
 
 def test_curve_bad_grid(capsys):
-    code, _, err = run_cli(capsys, "curve", "--instance", "ex310",
-                           "--what", "f", "--grid", "1:0:3")
-    assert code == 2
+    """Reversed, infinite or overflowing ends exit 2 instead of printing nan abscissae."""
+    for spec in ("1:0:3", "-inf:1:3", "0:1e400:3", "-1e308:1e308:3"):
+        code, out, err = run_cli(capsys, "curve", "--instance", "euclid_abs",
+                                 "--what", "f,env", f"--grid={spec}")
+        assert code == 2 and "bad grid spec" in err and out == "", spec
 
 
 def test_curve_hypotheses_unmet_column(capsys):

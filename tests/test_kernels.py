@@ -34,7 +34,8 @@ def test_grad_conj_array_equals_scalar_bit_for_bit(k):
     float call per point (an ExtReal for the values, a float for the gradients)."""
     lo, hi = k.sample_window
     span = hi - lo
-    around = np.linspace(lo - span, hi + span, 2000)  # the values read +inf outside
+    around = np.concatenate([np.linspace(lo - span, hi + span, 2000),  # +inf outside
+                             [0.0, -math.inf, math.inf, math.nan]])
     primal = interior_samples(k, 2000, np.random.default_rng(8))
     etas = dual_interior_samples(k, 2000, np.random.default_rng(8))
     for method, pts, kind in (("eval", around, ExtReal), ("grad", primal, float),
@@ -45,6 +46,27 @@ def test_grad_conj_array_equals_scalar_bit_for_bit(k):
         scalar = [fn(float(p)) for p in pts]
         assert all(type(v) is kind for v in scalar), method
         assert [float(v).hex() for v in arr] == [float(v).hex() for v in scalar], method
+
+
+@pytest.mark.parametrize("k, method, pow_form", [
+    (QUARTIC, "eval", lambda x: 0.25 * np.power(x, 4)),
+    (QUARTIC, "grad", lambda x: np.power(x, 3)),
+    (CUBIC_ABS, "eval", lambda x: np.power(np.abs(x), 3) / 3.0),
+], ids=["quartic-eval", "quartic-grad", "cubic_abs-eval"])
+def test_integral_powers_agree_with_the_pow_forms(k, method, pow_form):
+    """The closed forms write integral powers as products; they stay within
+    4 ulps * max(1, |v|) of np.power, infinities included, and NaN still
+    reads as +inf."""
+    mags = 10.0 ** np.linspace(-8.0, 8.0, 161)
+    xs = np.concatenate([np.linspace(-8.0, 8.0, 4001), mags, -mags,
+                         [0.0, -math.inf, math.inf]])
+    ref, v = pow_form(xs), getattr(k, f"{method}_arr")(xs)
+    inf = np.isinf(ref)
+    assert (v[inf] == ref[inf]).all()
+    gap = np.abs(v[~inf] - ref[~inf])
+    assert (gap <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref[~inf]))).all()
+    if method == "eval":
+        assert k.eval(math.nan) == math.inf
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)

@@ -1,0 +1,28 @@
+"""Guards read from the package source rather than from its behaviour."""
+
+import ast
+from pathlib import Path
+
+import bregmanprox
+
+SOURCES = sorted(Path(bregmanprox.__file__).parent.glob("*.py"))
+
+
+def _integral_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and float(node.value).is_integer())
+
+
+def test_no_np_power_with_an_integral_exponent():
+    """np.power with an integral exponent costs about 70 multiplies per
+    element on negative bases (numpy 2.4, x86-64); write such powers as
+    products of np.square and *. Fractional exponents are left to np.power."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "power" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")
+             and len(node.args) == 2 and _integral_literal(node.args[1])]
+    assert not found, f"np.power with an integral exponent at {found}"
