@@ -90,7 +90,7 @@ def shift_scale(fn: ProperFn, a: float, b: float, c: float) -> ProperFn:
     return ProperFn(
         name=f"{fn.name}_shifted",
         domain=dom,
-        eval_arr=lambda x: b * fn.eval_arr(np.asarray(x, dtype=float) - a) + c,
+        eval_arr=lambda x: b * fn.eval_arr(x - a) + c,
         window=(fn.window[0] + a, fn.window[1] + a),
         deriv=deriv,
         convex=fn.convex,
@@ -143,7 +143,6 @@ _F_LINEAR = _fn(
 
 
 def _bsmooth_eval(x):
-    x = np.asarray(x, dtype=float)
     v = np.where(np.abs(x) < 1.0, _unit(x), -1.0)
     return np.where(np.abs(x) > 1.0, np.inf, v)
 

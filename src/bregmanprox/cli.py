@@ -1,9 +1,9 @@
 """Command-line surface: catalog listing, curve dumps, example reproduction,
 and the verification suite.
 
-Exit codes: 0 pass, 1 asserted-implication or reproduction failure, 2 usage
-or unknown input. CSV output uses 17 significant digits so files round-trip
-bit-exactly.
+Exit codes: 0 pass, 1 asserted-implication or reproduction failure, 2 usage,
+unknown or out-of-range input. CSV output uses 17 significant digits so
+files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .catalog import get_instance, instance_names
-from .errors import HypothesesUnmetError, UnknownInstanceError
+from .errors import HypothesesUnmetError, OutOfRangeError, UnknownInstanceError
 from .kernels import BURG
 from .proxenv import engine, threshold_scan
 from .subdiff import left_lpsubdiff_hull, monotone_related
@@ -101,6 +101,9 @@ def cmd_curve(args) -> int:
         rows = list(zip(xs, *[_column(inst, w, xs) for w in what]))
     except HypothesesUnmetError as exc:
         print(f"hypotheses unmet for requested column: {exc}", file=sys.stderr)
+        return 2
+    except OutOfRangeError as exc:
+        print(f"requested column out of range: {exc}", file=sys.stderr)
         return 2
     out = args.output or sys.stdout
     close = False

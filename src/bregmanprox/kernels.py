@@ -3,10 +3,10 @@
 This module is the single home of kappa, its conjugate, their gradients and
 gradient inverses, and the primal/dual Bregman distances built from them.
 ``Kernel.eval``, ``grad``, ``conj_eval`` and ``grad_conj`` each take a float
-or an array. Each catalog kernel carries closed forms for the conjugate and
-the gradient inverse; the generic fallbacks (grid conjugation, monotone
-inversion) exist so tests can cross-check the closed forms against an
-independent route.
+or an array and evaluate it as one float array. Each catalog kernel carries
+closed forms for the conjugate and the gradient inverse; the generic
+fallbacks (grid conjugation, monotone inversion) exist so tests can
+cross-check the closed forms against an independent route.
 """
 
 from __future__ import annotations
@@ -81,13 +81,10 @@ class Kernel:
 
 
 def _coerce(fn, xs) -> ExtReal | np.ndarray:
-    """``fn`` at a float (an ``ExtReal``; ``fn`` sees a numpy scalar) or a
-    float array, with NaN read as +inf: the one NaN policy of kernels and
-    catalog functions."""
+    """``fn`` at the points of ``xs`` as one float array, with NaN read as
+    +inf: the one NaN policy of kernels and catalog functions. A float gives
+    an ``ExtReal``."""
     with np.errstate(all="ignore"):
-        if isinstance(xs, (float, int)):
-            v = float(fn(np.float64(xs)))
-            return ExtReal(math.inf if math.isnan(v) else v)
         v = np.asarray(fn(np.asarray(xs, dtype=float)), dtype=float)
     v = np.where(np.isnan(v), np.inf, v)
     return ExtReal(v) if v.ndim == 0 else v
@@ -100,12 +97,9 @@ def _at(fn, x: float) -> float:
 
 
 def _interior(fn, dom: Interval, x, name: str):
-    """``fn`` at points of int ``dom``: a float for a float, a new array for
-    an array. Raises ``OutsideInteriorError`` naming the first point outside."""
-    if isinstance(x, (float, int)):
-        if not dom.interior_contains(x):
-            raise OutsideInteriorError(f"{float(x)} not in the interior of dom {name}")
-        return _at(fn, float(x))
+    """``fn`` at points of int ``dom``, as one float array: a float for a
+    float, a new array for an array. Raises ``OutsideInteriorError`` naming
+    the first point outside."""
     e = np.asarray(x, dtype=float)
     inside = dom.interior_contains(e)
     if not inside.all():
@@ -117,12 +111,9 @@ def _interior(fn, dom: Interval, x, name: str):
 
 
 def _masked(domain: Interval, formula):
-    """Vectorized evaluation that is +inf outside ``domain``; floats skip the arrays."""
+    """``formula`` on a float array, +inf outside ``domain``."""
 
     def ev(x):
-        if isinstance(x, float):
-            return formula(x) if domain.contains(x) else math.inf
-        x = np.asarray(x, dtype=float)
         # the formula sees clipped points only; inside points are unchanged
         safe = np.minimum(np.maximum(x, domain.lo), domain.hi)
         return np.where(domain.contains(x), formula(safe), np.inf)
@@ -131,7 +122,6 @@ def _masked(domain: Interval, formula):
 
 
 def _shannon_eval(x):
-    x = np.asarray(x, dtype=float)
     v = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), np.inf)
     return np.where(x == 0.0, 0.0, v)  # 0 log 0 = 0
 
@@ -231,16 +221,7 @@ def bregman_distance(k: Kernel, x: float, y: float) -> ExtReal:
     Total on pairs: +inf when y is not interior or x lies outside the domain.
     Tiny negative values from roundoff are floored at zero.
     """
-    x, y = float(x), float(y)
-    if not k.domain.interior_contains(y):
-        return ExtReal(math.inf)
-    kx = k.eval(x)
-    if not kx.is_finite:
-        return ExtReal(math.inf)
-    d = float(kx) - float(k.eval(y)) - _at(k.grad_arr, y) * (x - y)
-    if -1e-9 < d < 0.0:
-        d = 0.0
-    return ExtReal(d)
+    return _distance(k.eval, k.grad_arr, k.domain, x, y)
 
 
 def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
@@ -251,13 +232,18 @@ def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
     """
     if not k.is_legendre:
         raise NotLegendreError(f"{k.name} is not Legendre")
-    xi, eta = float(xi), float(eta)
-    if not k.conj_domain.interior_contains(eta):
+    return _distance(k.conj_eval, k.grad_conj_arr, k.conj_domain, xi, eta)
+
+
+def _distance(ev, grad, dom: Interval, x: float, y: float) -> ExtReal:
+    """The Bregman distance of ``ev`` (gradient ``grad`` on int ``dom``)."""
+    x, y = float(x), float(y)
+    if not dom.interior_contains(y):
         return ExtReal(math.inf)
-    cxi = k.conj_eval(xi)
-    if not cxi.is_finite:
+    vx = ev(x)
+    if not vx.is_finite:
         return ExtReal(math.inf)
-    d = float(cxi) - float(k.conj_eval(eta)) - _at(k.grad_conj_arr, eta) * (xi - eta)
+    d = float(vx) - float(ev(y)) - _at(grad, y) * (x - y)
     if -1e-9 < d < 0.0:
         d = 0.0
     return ExtReal(d)
@@ -297,8 +283,8 @@ def scale_kernel(k: Kernel, L: float) -> Kernel:
         domain=k.domain,
         eval_arr=lambda x: L * k.eval_arr(x),
         grad_arr=lambda x: L * k.grad_arr(x),
-        conj_arr=lambda e: L * k.conj_arr(np.asarray(e, dtype=float) / L),
-        grad_conj_arr=lambda e: k.grad_conj_arr(np.asarray(e, dtype=float) / L),
+        conj_arr=lambda e: L * k.conj_arr(e / L),
+        grad_conj_arr=lambda e: k.grad_conj_arr(e / L),
         is_legendre=k.is_legendre,
         is_one_coercive=k.is_one_coercive,
         grad_range=Interval(L * gr.lo, L * gr.hi, gr.lo_closed, gr.hi_closed),

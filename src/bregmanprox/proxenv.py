@@ -38,7 +38,7 @@ import numpy as np
 
 from .catalog import Instance, ProperFn
 from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
-                     OutsideInteriorError, UnboundedBelowError)
+                     OutOfRangeError, OutsideInteriorError, UnboundedBelowError)
 from .extreal import ExtReal, Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
@@ -148,9 +148,16 @@ class InstanceEngine:
         """f + D(., y)/lam for a batch of ybar rows, as the array function
         ``phi(x, rows)``: ``rows`` gives the row of each point of x. A block
         is ``phi(cols, rows, buf)`` on a slice ``cols`` of x-grid columns,
-        written into ``buf``, a flat scratch array of twice its size."""
+        written into ``buf``, a flat scratch array of twice its size. Raises
+        ``OutOfRangeError`` naming the first ybar whose kappa(ybar), or tilt
+        grad kappa(ybar)(x - ybar) at an end of the x grid, overflows."""
         ys = np.asarray(ys, dtype=float)
-        ky, gy = self.kg(ys)
+        with np.errstate(over="ignore"):
+            ky, gy = self.kg(ys)
+            ok = np.isfinite([ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)]).all(axis=0)
+        if not ok.all():
+            raise OutOfRangeError(f"{float(ys[~ok][0])} out of range for {self.kernel.name}: "
+                                  "kappa or its tilt overflows on the x grid")
 
         def phi(x, rows, buf=None):
             block = isinstance(x, slice)
@@ -235,7 +242,7 @@ class InstanceEngine:
             rows = ys[order]
             phi = self._left_rows(rows)
             gms = dict(zip(order, grid_minimize(phi, self.x_grid, values=self._scan(phi, rows))))
-        except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
+        except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
             # a failing row fails alone too: raise what the first failing
             # row raises, as a loop of single queries would
             for j in range(ys.size - 1):

@@ -471,13 +471,13 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
 
     iii_holds, iii_worst, iii_wit = True, 0.0, ()
     dom = inst.kernel.domain
-    for b, closed, sgn in ((dom.lo, dom.lo_closed, +1), (dom.hi, dom.hi_closed, -1)):
-        if not (closed and math.isfinite(b)):
-            continue
-        fb = float(eng.fn.eval(b))
-        # probe very close to the endpoint: sqrt-type interior slopes still
-        # converge below tolerance at this distance
-        lim = float(eng.fn.eval(b + sgn * 1e-13 * span))
+    ends = [(b, step) for b, closed, step in ((dom.lo, dom.lo_closed, 1e-13),
+                                              (dom.hi, dom.hi_closed, -1e-13))
+            if closed and math.isfinite(b)]
+    # f at each closed end and very close to it, in one call: sqrt-type
+    # interior slopes still converge below tolerance at this distance
+    vals = eng.fn.eval(np.array([(b, b + step * span) for b, step in ends]).ravel()).tolist()
+    for (b, _), fb, lim in zip(ends, vals[::2], vals[1::2]):
         gap = abs(fb - lim)
         if gap > iii_worst:
             iii_worst, iii_wit = gap, (float(b), fb, lim)
@@ -542,10 +542,12 @@ def _anisotropic_condition(inst: Instance, eng: InstanceEngine, rng) -> Conditio
     pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random(25))
     phi_vals = eng.tilted(eng.X)
     grads = finite_diff_grad(eng.tilted, pts, _fd_step(eng))
+    refs = eng.kernel.grad_conj(grads)
     worst, wit = math.inf, ()
-    for p, v, phi_p in zip(map(float, pts), map(float, grads), map(float, eng.tilted(pts))):
-        ref = eng.kernel.grad_conj(v)
-        shift = eng.kernel.eval(eng.X - p + ref) - float(eng.kernel.eval(ref))
+    # kappa(x - p + ref) one row at a time: 25 rows at once would raise peak memory
+    for p, phi_p, ref, k_ref in zip(pts.tolist(), eng.tilted(pts).tolist(),
+                                    refs.tolist(), eng.kernel.eval(refs).tolist()):
+        shift = eng.kernel.eval(eng.X - p + ref) - k_ref
         slack = phi_vals - phi_p - shift
         finite = np.isfinite(slack)
         if not finite.any():

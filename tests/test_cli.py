@@ -117,6 +117,14 @@ def test_curve_bad_grid(capsys):
         assert code == 2 and "bad grid spec" in err and out == "", spec
 
 
+def test_curve_ybar_out_of_range(capsys):
+    """A finite grid whose ybar overflows kappa exits 2 naming that ybar."""
+    code, out, err = run_cli(capsys, "curve", "--instance", "euclid_abs",
+                             "--what", "f,env", "--grid=0:1e200:3")
+    assert code == 2 and out == ""
+    assert "out of range" in err and "5e+199 " in err
+
+
 def test_curve_hypotheses_unmet_column(capsys):
     code, _, err = run_cli(capsys, "curve", "--instance", "ex_ln",
                            "--what", "subdiff-lo", "--grid", "0.5:2:5")

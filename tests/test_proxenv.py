@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from bregmanprox import numerics, proxenv
 from bregmanprox.catalog import (F_ZERO, Instance, get_instance, instance_names,
                                  shift_scale)
-from bregmanprox.errors import (AllInfiniteError, OutsideInteriorError,
-                                UnboundedBelowError)
+from bregmanprox.errors import (AllInfiniteError, OutOfRangeError,
+                                OutsideInteriorError, UnboundedBelowError)
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import BURG, ENERGY, SHANNON, Kernel, bregman_distance
 from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
@@ -87,6 +87,28 @@ def test_a_block_names_its_first_non_interior_ybar():
         eng.prox(ys)
     with pytest.raises(OutsideInteriorError, match="^1.5 not interior to dom hellinger$"):
         eng.env(ys[21:])
+
+
+@pytest.mark.parametrize("name, ys, bad", [
+    ("euclid_abs", 1e155, 1e155),  # kappa(ybar) overflows
+    ("euclid_abs", [1.0, 2e155, 1e155], 2e155),  # the first in the caller's order
+    ("shannon_abs", [1.0, 2.555e305], 2.555e305),  # kappa(ybar) is finite, the tilt is not
+    ("ex419", [0.5, 1e155], 1e155),  # grad kappa(ybar) overflows too
+])
+def test_a_ybar_whose_objective_overflows_is_out_of_range(name, ys, bad):
+    """Past some ybar, kappa(ybar) or the tilt grad kappa(ybar)(x - ybar) at
+    an end of the x grid is not a float, and so is every grid sample of
+    f + D(., ybar)/lam: the query names the first such ybar instead of
+    finding the objective +inf everywhere."""
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=1001)
+    for query in (eng.prox, eng.env):
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(bad))} "):
+            query(ys)
+
+
+def test_env_just_below_the_overflow_is_solved():
+    eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=1001)
+    assert eng.env(1e154) == pytest.approx(5e307)
 
 
 def test_warm_queries_check_no_point_the_engine_made(monkeypatch):
@@ -358,7 +380,7 @@ def _whole_grid_solve(eng, ys):
         phi = eng._left_rows(ys)
         blocks = ((0, phi(eng.X, rows)) for rows in eng._row_blocks(ys.size))
         return numerics.grid_minimize(phi, eng.x_grid, values=blocks)
-    except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError):
+    except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
         for j in range(ys.size - 1):
             _whole_grid_solve(eng, ys[j:j + 1])
         raise

@@ -26,3 +26,17 @@ def test_no_np_power_with_an_integral_exponent():
              and node.func.value.id in ("np", "numpy")
              and len(node.args) == 2 and _integral_literal(node.args[1])]
     assert not found, f"np.power with an integral exponent at {found}"
+
+
+def test_no_float_branch_in_the_evaluation_path():
+    """Kernels and catalog functions evaluate floats and arrays alike through
+    numpy: no ``isinstance(..., float)`` or ``isinstance(..., (float, int))``
+    branch keeps a second, scalar route."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name in ("kernels.py", "catalog.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and len(node.args) == 2
+             and {"float", "int"} & {n.id for n in ast.walk(node.args[1])
+                                     if isinstance(n, ast.Name)}]
+    assert not found, f"float branch at {found}"

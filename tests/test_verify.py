@@ -347,8 +347,10 @@ def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, refine_brac
 
 
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
-    """Scalar f, -f and kernel-gradient evaluations test membership on a
-    float: no Interval membership test receives a 0-d array."""
+    """The harness evaluates f, -f and the kernel at its sampled points in
+    batches, so no Interval membership test receives a 0-d array. hell_halfk
+    has closed kernel-domain ends, where check_bsmooth compares f with a
+    nearby interior value."""
     zero_d = []
     for method in ("contains", "interior_contains"):
         real = getattr(Interval, method)
@@ -360,5 +362,6 @@ def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
 
         monkeypatch.setattr(Interval, method, counted)
     check_bsmooth(get_instance("ex419"), seed=42)
+    check_bsmooth(get_instance("hell_halfk"), seed=42)
     check_two_sided(get_instance("ex420"), seed=42)
     assert not zero_d
