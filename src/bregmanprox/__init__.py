@@ -7,7 +7,7 @@ equivalence theorems on concrete instances.
 
 import importlib
 
-from .extreal import ExtReal, Interval, NEG_INF, POS_INF
+from .extreal import Interval
 from .numerics import (Grid, HullCurve, build_grid, finite_diff_grad,
                        grid_minimize, lower_convex_envelope, monotone_invert,
                        second_difference_convexity_test)

@@ -42,8 +42,8 @@ class ProperFn:
     pb_threshold: float | None = None
 
     def eval(self, x):
-        """f at a float (an ``ExtReal``) or at an array of points."""
-        return _coerce(self.eval_arr, x)
+        """f at a float (a float) or at an array of points (an array)."""
+        return _coerce(self.eval_arr, x, self.name)
 
     def __repr__(self):
         return f"ProperFn({self.name})"

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .catalog import get_instance, instance_names
-from .errors import HypothesesUnmetError, OutOfRangeError, UnknownInstanceError
+from .errors import (HypothesesUnmetError, InfMinusInfError, OutOfRangeError,
+                     UnknownInstanceError)
 from .kernels import BURG
 from .proxenv import engine, threshold_scan
 from .subdiff import left_lpsubdiff_hull, monotone_related
@@ -102,7 +103,8 @@ def cmd_curve(args) -> int:
     except HypothesesUnmetError as exc:
         print(f"hypotheses unmet for requested column: {exc}", file=sys.stderr)
         return 2
-    except OutOfRangeError as exc:
+    except (OutOfRangeError, InfMinusInfError) as exc:
+        # InfMinusInfError: f or kappa overflowed to inf - inf at a grid point
         print(f"requested column out of range: {exc}", file=sys.stderr)
         return 2
     out = args.output or sys.stdout

@@ -6,7 +6,10 @@ class BregmanError(Exception):
 
 
 class InfMinusInfError(BregmanError):
-    """Raised when extended-real arithmetic would form inf - inf (or 0 * inf)."""
+    """A function or kernel is NaN at a point that is not NaN: its formula
+    formed inf - inf or 0 * inf there, an undefined form or an overflow.
+    Raised where f and kappa are evaluated (``kernels._coerce``), naming the
+    function and the point."""
 
 
 class TooFewFiniteError(BregmanError):

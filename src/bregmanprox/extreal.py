@@ -1,11 +1,10 @@
-"""Extended reals with guarded arithmetic, and 1D intervals with open/closed sides.
+"""1D intervals with open/closed sides.
 
-``ExtReal`` is a ``float`` subclass, so values flow into numpy arrays and
-``math`` functions unchanged.  What the subclass adds is loud failure on the
-two operations that silently produce NaN on plain floats: ``inf - inf`` and
-``0 * inf``.  Every function in this package that can legitimately take the
-value +inf (a point outside a domain, an unbounded conjugate) returns an
-``ExtReal`` so that downstream arithmetic stays guarded.
+The paper's functions are extended-real valued: +inf off their domains. The
+package holds those values in plain ``float`` (a float gives a float, an
+array an array), and keeps NaN out where f and kappa are evaluated
+(``kernels._coerce``): a NaN point lies in no domain and reads +inf, and a
+NaN value at any other point raises ``InfMinusInfError``.
 """
 
 from __future__ import annotations
@@ -13,65 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfMinusInfError
-
-__all__ = ["ExtReal", "POS_INF", "NEG_INF", "Interval"]
-
-
-class ExtReal(float):
-    """An extended real number: finite, +inf, or -inf. Never NaN."""
-
-    __slots__ = ()
-
-    def __new__(cls, value=0.0):
-        v = float(value)
-        if math.isnan(v):
-            raise InfMinusInfError("ExtReal cannot hold NaN")
-        return super().__new__(cls, v)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self)
-
-    def _combine(self, other, op):
-        r = op(float(self), float(other))
-        if math.isnan(r):
-            raise InfMinusInfError(
-                f"undefined extended-real operation: {float(self)!r} with {float(other)!r}"
-            )
-        return ExtReal(r)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __neg__(self):
-        return ExtReal(-float(self))
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._combine(other, lambda a, b: b / a)
-
-    def __repr__(self):
-        return f"ExtReal({float(self)!r})"
-
-
-POS_INF = ExtReal(math.inf)
-NEG_INF = ExtReal(-math.inf)
+__all__ = ["Interval"]
 
 
 @dataclass(frozen=True)

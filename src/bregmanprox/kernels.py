@@ -3,7 +3,12 @@
 This module is the single home of kappa, its conjugate, their gradients and
 gradient inverses, and the primal/dual Bregman distances built from them.
 ``Kernel.eval``, ``grad``, ``conj_eval`` and ``grad_conj`` each take a float
-or an array and evaluate it as one float array. Each catalog kernel carries
+or an array and evaluate it as one float array, returning a float for a float
+and an array for an array. Kappa, its conjugate and the catalog functions
+are evaluated in ``_coerce`` alone, which keeps NaN out of every value: a NaN
+point lies in no domain and reads +inf, and a NaN value at any other point
+(inf - inf or 0 * inf inside a formula) raises ``InfMinusInfError`` naming
+the function and the point. Each catalog kernel carries
 closed forms for the conjugate and the gradient inverse; the generic
 fallbacks (grid conjugation, monotone inversion) exist so tests can
 cross-check the closed forms against an independent route.
@@ -17,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotLegendreError, OutsideInteriorError
-from .extreal import ExtReal, Interval
+from .errors import InfMinusInfError, NotLegendreError, OutsideInteriorError
+from .extreal import Interval
 from .numerics import build_grid, grid_conjugate, monotone_invert
 
 __all__ = [
@@ -63,14 +68,14 @@ class Kernel:
             raise ValueError(f"kernel {self.name} is Legendre and 1-coercive, "
                              "so its gradient range must be the reals")
 
-    def eval(self, x) -> ExtReal | np.ndarray:
-        return _coerce(self.eval_arr, x)
+    def eval(self, x) -> float | np.ndarray:
+        return _coerce(self.eval_arr, x, self.name)
 
     def grad(self, x) -> float | np.ndarray:
         return _interior(self.grad_arr, self.domain, x, self.name)
 
-    def conj_eval(self, eta) -> ExtReal | np.ndarray:
-        return _coerce(self.conj_arr, eta)
+    def conj_eval(self, eta) -> float | np.ndarray:
+        return _coerce(self.conj_arr, eta, f"{self.name}*")
 
     def grad_conj(self, eta):
         """grad kappa* on int dom kappa*, for a float or an array of points."""
@@ -80,14 +85,23 @@ class Kernel:
         return f"Kernel({self.name})"
 
 
-def _coerce(fn, xs) -> ExtReal | np.ndarray:
-    """``fn`` at the points of ``xs`` as one float array, with NaN read as
-    +inf: the one NaN policy of kernels and catalog functions. A float gives
-    an ``ExtReal``."""
+def _coerce(fn, xs, name: str) -> float | np.ndarray:
+    """``fn`` (named ``name``) at the points of ``xs`` as one float array: a
+    float for a float, an array for an array. The one NaN rule of kernels and
+    catalog functions: a NaN point reads +inf, and a NaN value at any other
+    point raises ``InfMinusInfError`` naming the first such point."""
+    xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        v = np.asarray(fn(np.asarray(xs, dtype=float)), dtype=float)
-    v = np.where(np.isnan(v), np.inf, v)
-    return ExtReal(v) if v.ndim == 0 else v
+        v = np.asarray(fn(xs), dtype=float)
+    nan = np.isnan(v)
+    if nan.any():
+        bad = nan & ~np.isnan(xs)
+        if bad.any():
+            raise InfMinusInfError(f"{name} is NaN at {float(xs[bad].flat[0])}: its "
+                                   "formula formed inf - inf or 0 * inf (an overflow "
+                                   "or an undefined form)")
+        v = np.where(nan, np.inf, v)
+    return float(v) if v.ndim == 0 else v
 
 
 def _at(fn, x: float) -> float:
@@ -215,7 +229,7 @@ ALL_KERNELS = (ENERGY, SHANNON, BURG, HELLINGER, QUARTIC, CUBIC_ABS)
 LEGENDRE_KERNELS = tuple(k for k in ALL_KERNELS if k.is_legendre)
 
 
-def bregman_distance(k: Kernel, x: float, y: float) -> ExtReal:
+def bregman_distance(k: Kernel, x: float, y: float) -> float:
     """D(x, y) = kappa(x) - kappa(y) - <grad kappa(y), x - y>.
 
     Total on pairs: +inf when y is not interior or x lies outside the domain.
@@ -224,7 +238,7 @@ def bregman_distance(k: Kernel, x: float, y: float) -> ExtReal:
     return _distance(k.eval, k.grad_arr, k.domain, x, y)
 
 
-def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
+def dual_distance(k: Kernel, xi: float, eta: float) -> float:
     """Bregman distance generated by the conjugate kernel.
 
     Satisfies D(x, y) = D*(grad kappa(y), grad kappa(x)) on interior pairs for
@@ -235,18 +249,18 @@ def dual_distance(k: Kernel, xi: float, eta: float) -> ExtReal:
     return _distance(k.conj_eval, k.grad_conj_arr, k.conj_domain, xi, eta)
 
 
-def _distance(ev, grad, dom: Interval, x: float, y: float) -> ExtReal:
+def _distance(ev, grad, dom: Interval, x: float, y: float) -> float:
     """The Bregman distance of ``ev`` (gradient ``grad`` on int ``dom``)."""
     x, y = float(x), float(y)
     if not dom.interior_contains(y):
-        return ExtReal(math.inf)
+        return math.inf
     vx = ev(x)
-    if not vx.is_finite:
-        return ExtReal(math.inf)
-    d = float(vx) - float(ev(y)) - _at(grad, y) * (x - y)
+    if not math.isfinite(vx):
+        return math.inf
+    d = vx - ev(y) - _at(grad, y) * (x - y)
     if -1e-9 < d < 0.0:
         d = 0.0
-    return ExtReal(d)
+    return d
 
 
 def symmetrized_gap(k: Kernel, x1: float, x2: float) -> float:
@@ -266,11 +280,11 @@ def three_point_residual(k: Kernel, x: float, y: float, z: float) -> float:
     dxz = bregman_distance(k, x, z)
     dxy = bregman_distance(k, x, y)
     dyz = bregman_distance(k, y, z)
-    if not (dxz.is_finite and dxy.is_finite and dyz.is_finite):
+    if not (math.isfinite(dxz) and math.isfinite(dxy) and math.isfinite(dyz)):
         return math.inf
     # finite distances have already found y and z interior
     cross = (x - y) * (_at(k.grad_arr, y) - _at(k.grad_arr, z))
-    return abs(float(dxz) - float(dxy) - float(dyz) - cross)
+    return abs(dxz - dxy - dyz - cross)
 
 
 def scale_kernel(k: Kernel, L: float) -> Kernel:

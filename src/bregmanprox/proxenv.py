@@ -39,7 +39,7 @@ import numpy as np
 from .catalog import Instance, ProperFn
 from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
                      OutOfRangeError, OutsideInteriorError, UnboundedBelowError)
-from .extreal import ExtReal, Interval
+from .extreal import Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
                        Condition, GridMin, build_grid, convexity_condition,
@@ -84,7 +84,7 @@ class ProxResult:
     """Minimizer set of one proximal subproblem plus the envelope value."""
 
     minimizers: tuple[float, ...]
-    value: ExtReal
+    value: float
     in_interior: tuple[bool, ...]
     clusters: tuple
 
@@ -154,10 +154,7 @@ class InstanceEngine:
         ys = np.asarray(ys, dtype=float)
         with np.errstate(over="ignore"):
             ky, gy = self.kg(ys)
-            ok = np.isfinite([ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)]).all(axis=0)
-        if not ok.all():
-            raise OutOfRangeError(f"{float(ys[~ok][0])} out of range for {self.kernel.name}: "
-                                  "kappa or its tilt overflows on the x grid")
+            self._check_range(ys, [ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)], "x")
 
         def phi(x, rows, buf=None):
             block = isinstance(x, slice)
@@ -172,6 +169,16 @@ class InstanceEngine:
             return out
 
         return phi
+
+    def _check_range(self, pts, vals, grid: str):
+        """Raise ``OutOfRangeError`` naming the first of the points ``pts``
+        where one of ``vals`` (kappa there, and the tilt at each end of the
+        ``grid`` grid) is not finite: the objective overflows on that grid."""
+        ok = np.isfinite(vals).all(axis=0)
+        if not ok.all():
+            bad = float(np.extract(~ok, pts)[0])
+            raise OutOfRangeError(f"{bad} out of range for {self.kernel.name}: "
+                                  f"kappa or its tilt overflows on the {grid} grid")
 
     def _row_blocks(self, n_rows: int):
         """Index columns of ``n_rows`` rows, ``max(ZOOM_POINTS, BLOCK_SAMPLES
@@ -272,7 +279,7 @@ class InstanceEngine:
     def _results(self, gms: list[GridMin]) -> list[ProxResult]:
         xs = np.array([c.x for gm in gms for c in gm.clusters])
         inside = iter(self.kernel.domain.interior_contains(xs, INTERIOR_MARGIN).tolist())
-        return [ProxResult(tuple(gm.minimizers), ExtReal(gm.value),
+        return [ProxResult(tuple(gm.minimizers), gm.value,
                            tuple(itertools.islice(inside, len(gm.clusters))), gm.clusters)
                 for gm in gms]
 
@@ -307,7 +314,6 @@ class InstanceEngine:
             phi = self._left_rows(self.Y)
             for _, vals in self._scan(phi, self.Y):
                 # objective block: rows ybar in Y[i:], columns x in a window of X
-                vals[np.isnan(vals)] = np.inf
                 env[i:i + len(vals)] = vals.min(axis=1)
                 i += len(vals)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
@@ -318,9 +324,15 @@ class InstanceEngine:
     # -- right objective ----------------------------------------------------
 
     def right_prox(self, xbar: float) -> ProxResult:
+        """Global minimizers over interior y of f(y) + D(xbar, y)/lam. Raises
+        ``OutOfRangeError`` when kappa(xbar), or the tilt
+        grad kappa(y)(xbar - y) at an end of the y grid, overflows."""
         if not self.kernel.domain.contains(float(xbar)):
             raise OutsideInteriorError(f"{xbar} not in dom {self.kernel.name}")
-        kx = float(self.kernel.eval(xbar))
+        kx = self.kernel.eval(xbar)
+        with np.errstate(over="ignore"):
+            self._check_range(xbar, [kx, self.GY[0] * (xbar - self.Y[0]),
+                                     self.GY[-1] * (xbar - self.Y[-1])], "y")
 
         def psi(y):
             ky, gy = self.kg(y)
@@ -462,9 +474,9 @@ def left_prox(inst: Instance, ybar: float) -> ProxResult:
     return engine(inst).prox(ybar)
 
 
-def left_env(inst: Instance, ybar: float) -> ExtReal:
+def left_env(inst: Instance, ybar: float) -> float:
     """Infimal value of the left proximal subproblem."""
-    return ExtReal(engine(inst).env(ybar))
+    return engine(inst).env(ybar)
 
 
 def right_prox(inst: Instance, xbar: float) -> ProxResult:
@@ -472,11 +484,11 @@ def right_prox(inst: Instance, xbar: float) -> ProxResult:
     return engine(inst).right_prox(xbar)
 
 
-def right_env(inst: Instance, xbar: float) -> ExtReal:
+def right_env(inst: Instance, xbar: float) -> float:
     return right_prox(inst, xbar).value
 
 
-def prox_hull(inst: Instance, x: float) -> ExtReal:
+def prox_hull(inst: Instance, x: float) -> float:
     """sup over interior y of env(y) - D(x, y)/lam: the best y-grid sample
     of the grid-resolution envelope, zoomed on the two cells around it.
 
@@ -488,10 +500,10 @@ def prox_hull(inst: Instance, x: float) -> ExtReal:
     """
     eng = engine(inst)
     if not eng.kernel.domain.contains(float(x)):
-        return ExtReal(math.inf)
-    kx = float(eng.kernel.eval(x))
+        return math.inf
+    kx = eng.kernel.eval(x)
     if math.isinf(kx):
-        return ExtReal(math.inf)
+        return math.inf
 
     def neg_psi(y):
         # the y grid reads the grid-resolution envelope
@@ -499,7 +511,7 @@ def prox_hull(inst: Instance, x: float) -> ExtReal:
         ky, gy = eng.kg(y)
         return -(env - (kx - ky - gy * (x - y)) / eng.lam)
 
-    return ExtReal(-min_value(neg_psi, eng.Y, neg_psi(eng.Y)))
+    return -min_value(neg_psi, eng.Y, neg_psi(eng.Y))
 
 
 def hull_function(inst: Instance) -> ProperFn:
@@ -659,5 +671,5 @@ def env_conjugate_crosscheck(inst: Instance, ybar: float) -> float:
     eta = float(eng.kernel.grad_arr(ybar))
     lhs = eng.lam * eng.env(ybar)
     grid = build_grid(eng.kernel.domain, 4001, window=eng.fn.window)
-    rhs = float(eng.kernel.conj_eval(eta)) - grid_conjugate(eng.tilted, grid, eta)
+    rhs = eng.kernel.conj_eval(eta) - grid_conjugate(eng.tilted, grid, eta)
     return abs(lhs - rhs)

@@ -299,7 +299,7 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float) -> bool:
     quadratic in the radius (the Bregman term itself is quadratic locally).
     """
     eng = engine(inst)
-    fx = float(eng.fn.eval(xbar))
+    fx = eng.fn.eval(xbar)
     if not math.isfinite(fx):
         return False
     h = 1e-5

@@ -644,9 +644,8 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
             y2 = eng.kernel.grad_conj(eta)
             if not eng.kernel.domain.interior_contains(y2):
                 continue
-            d = float(eng.kernel.eval(m)) - float(eng.kernel.eval(y2)) \
-                - eng.kernel.grad(y2) * (m - y2)
-            converse.append((float(eng.fn.eval(m)) + d / eng.lam, (m, u2)))
+            d = eng.kernel.eval(m) - eng.kernel.eval(y2) - eng.kernel.grad(y2) * (m - y2)
+            converse.append((eng.fn.eval(m) + d / eng.lam, (m, u2)))
             y2s.append(y2)
     converse = [(0.0, ())] + [(v - e, wit) for (v, wit), e
                               in zip(converse, eng.env(y2s).tolist())]

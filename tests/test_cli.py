@@ -125,6 +125,16 @@ def test_curve_ybar_out_of_range(capsys):
     assert "out of range" in err and "5e+199 " in err
 
 
+@pytest.mark.parametrize("what", ["f", "f,env", "hull"])
+def test_curve_f_overflow_exits_2(capsys, what):
+    """ex419's f = (x-1)^4/4 - x^4/4 overflows to inf - inf far out: every
+    column that evaluates f there exits 2 naming the point, not a traceback."""
+    code, out, err = run_cli(capsys, "curve", "--instance", "ex419",
+                             "--what", what, "--grid=0:1e200:3")
+    assert code == 2 and out == ""
+    assert "out of range" in err and "5e+199" in err
+
+
 def test_curve_hypotheses_unmet_column(capsys):
     code, _, err = run_cli(capsys, "curve", "--instance", "ex_ln",
                            "--what", "subdiff-lo", "--grid", "0.5:2:5")

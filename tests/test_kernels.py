@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bregmanprox.errors import NotLegendreError, OutsideInteriorError
-from bregmanprox.extreal import ExtReal, Interval
+from bregmanprox.catalog import ProperFn
+from bregmanprox.errors import InfMinusInfError, NotLegendreError, OutsideInteriorError
+from bregmanprox.extreal import Interval
 from bregmanprox.kernels import (ALL_KERNELS, BURG, CUBIC_ABS, ENERGY,
                                  HELLINGER, LEGENDRE_KERNELS, QUARTIC, SHANNON,
                                  Kernel, bregman_distance, conjugate_by_grid,
@@ -31,20 +33,20 @@ def dual_interior_samples(k, n, rng):
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
 def test_grad_conj_array_equals_scalar_bit_for_bit(k):
     """eval, grad, conj_eval and grad_conj: an array gives the bits of one
-    float call per point (an ExtReal for the values, a float for the gradients)."""
+    float call per point, and each float call gives a plain ``float``."""
     lo, hi = k.sample_window
     span = hi - lo
     around = np.concatenate([np.linspace(lo - span, hi + span, 2000),  # +inf outside
                              [0.0, -math.inf, math.inf, math.nan]])
     primal = interior_samples(k, 2000, np.random.default_rng(8))
     etas = dual_interior_samples(k, 2000, np.random.default_rng(8))
-    for method, pts, kind in (("eval", around, ExtReal), ("grad", primal, float),
-                              ("conj_eval", around, ExtReal), ("grad_conj", etas, float)):
+    for method, pts in (("eval", around), ("grad", primal),
+                        ("conj_eval", around), ("grad_conj", etas)):
         fn = getattr(k, method)
         arr = fn(pts)
         assert isinstance(arr, np.ndarray) and arr.shape == pts.shape, method
         scalar = [fn(float(p)) for p in pts]
-        assert all(type(v) is kind for v in scalar), method
+        assert all(type(v) is float for v in scalar), method
         assert [float(v).hex() for v in arr] == [float(v).hex() for v in scalar], method
 
 
@@ -234,6 +236,26 @@ def test_gradient_of_nan_names_the_point(k):
         k.grad(math.nan)
     with pytest.raises(OutsideInteriorError, match="^nan not in the interior"):
         k.grad_conj(math.nan)
+
+
+def test_a_nan_value_at_a_point_raises_naming_it():
+    """log x - log x on [0, inf) is -inf - -inf at x = 0, inside the domain:
+    a function value, kernel value or conjugate value that is NaN at a point
+    that is not NaN raises, naming the function and the point, for a float
+    and inside an array. A NaN point lies in no domain and still reads +inf."""
+    def loglog(x):
+        return np.log(x) - np.log(x)
+
+    dom = Interval(0.0, math.inf, True, False)
+    fn = ProperFn("loglog", dom, loglog, (0.0, 8.0))
+    k = dataclasses.replace(SHANNON, name="loglog", eval_arr=loglog, conj_arr=loglog)
+    for ev, name in ((fn.eval, "loglog"), (k.eval, "loglog"), (k.conj_eval, "loglog*")):
+        assert ev(2.0) == 0.0
+        for x in (0.0, np.array([1.0, math.nan, 0.0, 0.0])):
+            with pytest.raises(InfMinusInfError, match=rf"^{re.escape(name)} is NaN at 0\.0[ :,]"):
+                ev(x)
+        assert ev(math.nan) == math.inf
+        assert ev(np.array([2.0, math.nan])).tolist() == [0.0, math.inf]
 
 
 # -- dual distance ------------------------------------------------------------

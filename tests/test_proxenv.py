@@ -17,7 +17,7 @@ from bregmanprox.extreal import Interval
 from bregmanprox.kernels import BURG, ENERGY, SHANNON, Kernel, bregman_distance
 from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
                                  euclid_crosscheck, hull_instance, left_env,
-                                 left_prox, prox_hull, right_prox,
+                                 left_prox, prox_hull, right_env, right_prox,
                                  threshold_scan)
 from bregmanprox.subdiff import right_lpsubdiff_definitional
 from bregmanprox.verify import run_suite
@@ -104,6 +104,28 @@ def test_a_ybar_whose_objective_overflows_is_out_of_range(name, ys, bad):
     for query in (eng.prox, eng.env):
         with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(bad))} "):
             query(ys)
+
+
+@pytest.mark.parametrize("name, xbar", [
+    ("euclid_abs", 1e155),  # kappa(xbar) overflows
+    ("ex419", 1e155),
+    ("shannon_abs", 1e308),
+    ("burg_linear", 1.7e308),  # kappa(xbar) is finite, the tilt at the first y is not
+])
+def test_an_xbar_whose_objective_overflows_is_out_of_range(name, xbar):
+    """The right prox names an xbar whose kappa(xbar), or tilt
+    grad kappa(y)(xbar - y) at an end of the y grid, is not a float, as the
+    left rows name such a ybar."""
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=1001)
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(xbar))} out of range "):
+        eng.right_prox(xbar)
+
+
+def test_right_prox_and_right_env_name_an_overflowing_xbar():
+    with pytest.raises(OutOfRangeError, match=r"^1e\+155 "):
+        right_prox(get_instance("euclid_abs"), 1e155)
+    with pytest.raises(OutOfRangeError, match=r"^1e\+155 "):
+        right_env(get_instance("ex419"), 1e155)
 
 
 def test_env_just_below_the_overflow_is_solved():
@@ -341,9 +363,9 @@ def test_prox_many_memory_is_bounded_by_blocks():
 @pytest.mark.parametrize("n, step", [(1001, 32), (2001, 17)])
 @pytest.mark.parametrize("name", instance_names())
 def test_env_coarse_equals_row_minima_bit_for_bit(name, n, step):
-    """The blocked cache holds each row's minimum of left_values (NaN read as
-    +inf), on either side of every block boundary and in the partial last block.
-    Those rows carry each windowed block's least and greatest slope."""
+    """The blocked cache holds each row's minimum of left_values (which
+    holds no NaN), on either side of every block boundary and in the partial
+    last block. Those rows carry each windowed block's least and greatest slope."""
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=n)
     size = eng.Y.size
     assert max(numerics.ZOOM_POINTS, proxenv.BLOCK_SAMPLES // n) == step
@@ -352,7 +374,7 @@ def test_env_coarse_equals_row_minima_bit_for_bit(name, n, step):
     env = eng.env_coarse()
     for i in sorted(rows):
         vals = eng.left_values(float(eng.Y[i]))
-        vals[np.isnan(vals)] = np.inf
+        assert not np.isnan(vals).any(), i
         assert env[i].hex() == vals.min().hex(), i
 
 
@@ -702,8 +724,20 @@ def test_tail_points_follow_the_written_out_sequences():
                                          for k in range(1, 150)]
 
 
+def test_values_are_plain_floats():
+    """Every value accessor returns a float for a float, +inf included, and
+    an array for an array."""
+    inst = get_instance("euclid_abs")
+    values = [left_env(inst, 0.5), right_env(inst, 0.5), left_prox(inst, 0.5).value,
+              prox_hull(inst, 0.5), prox_hull(get_instance("hell_halfk"), 2.0),
+              bregman_distance(ENERGY, 1.0, 2.0), bregman_distance(BURG, 1.0, -1.0)]
+    assert [type(v) for v in values] == [float] * len(values)
+    assert values[-1] == values[-3] == math.inf
+    env = left_env(inst, np.array([0.5, 1.0]))
+    assert isinstance(env, np.ndarray) and env.tolist() == [values[0], left_env(inst, 1.0)]
+
+
 def test_right_env_matches_right_prox_value():
-    from bregmanprox.proxenv import right_env
     inst = get_instance("euclid_abs")
     assert float(right_env(inst, 2.0)) == pytest.approx(
         1.0 + 0.5 * 1.0, abs=1e-8)  # |1| + (2-1)^2/2

@@ -40,3 +40,31 @@ def test_no_float_branch_in_the_evaluation_path():
              and {"float", "int"} & {n.id for n in ast.walk(node.args[1])
                                      if isinstance(n, ast.Name)}]
     assert not found, f"float branch at {found}"
+
+
+def _is_np_isnan(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "isnan" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy"))
+
+
+def test_one_real_type_and_one_home_for_the_nan_rule():
+    """Values are plain floats: no class subclasses ``float``. NaN from f or
+    kappa is read in ``kernels._coerce`` alone (+inf at a NaN point, an error
+    anywhere else), so no other module maps NaN to +inf with
+    ``np.where(np.isnan(...), ...)`` or ``a[np.isnan(...)] = ...``."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "float" for b in node.bases):
+                found.append(f"{path.name}:{node.lineno} subclasses float")
+            if path.name == "kernels.py":
+                continue
+            where = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "where" and node.args and _is_np_isnan(node.args[0]))
+            masked = (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Subscript) and _is_np_isnan(t.slice) for t in node.targets))
+            if where or masked:
+                found.append(f"{path.name}:{node.lineno} maps NaN")
+    assert not found, found
