@@ -19,7 +19,7 @@ from .errors import (HypothesesUnmetError, InfMinusInfError, OutOfRangeError,
                      UnknownInstanceError)
 from .kernels import BURG
 from .proxenv import engine, threshold_scan
-from .subdiff import left_lpsubdiff_hull, monotone_related
+from .subdiff import left_lpsubdiff_definitional, left_lpsubdiff_hull, monotone_related
 
 QUANTITIES = ("f", "env", "hull", "prox", "subdiff-lo", "subdiff-hi", "h_lambda")
 
@@ -171,9 +171,12 @@ def _reproduce_411() -> bool:
     ok &= _report_line("prox range is {0, 1}", near0 and near1 and only01,
                        f"outputs {sorted(outputs)}")
     ok &= _report_line("range-assumption probe fails", not engine(inst).range_assumption[0])
-    graph = [(0.0, u) for u in (-10.0, -1.0, 0.0, 0.5)]
+    xs = np.linspace(0.0, 1.0, 101)
+    graph = [(x, u) for x, s in zip(xs.tolist(), left_lpsubdiff_hull(inst, xs))
+             if not s.is_empty for u in (s.lo, s.hi)]
+    outside = not left_lpsubdiff_definitional(inst, 0.5, 1.0)[0]
     ok &= _report_line("non-maximality witness (0.5, 1.0) monotonically related",
-                       monotone_related(graph, 0.5, 1.0))
+                       outside and monotone_related(graph, 0.5, 1.0))
     return ok
 
 

@@ -7,7 +7,8 @@ functions of x returning extended reals (+inf marks points outside a
 domain); the helpers never form inf - inf because only +inf-valued terms are
 added. The root finder stays scalar; the finite difference takes a float or
 an array. Minimizers are resolved in x to ``X_RESOLUTION`` relative: closer
-basins merge into one, and bracket refinement stops at that width.
+basins merge into one, and bracket refinement stops at that width. A grid
+minimization returns a ``ProxResult``, which the proximal maps hand on.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "Grid",
     "build_grid",
     "sample_inset",
-    "GridMin",
+    "ProxResult",
     "MinimizerCluster",
     "grid_minimize",
     "zoom",
@@ -130,15 +131,20 @@ class MinimizerCluster:
 
 
 @dataclass(frozen=True)
-class GridMin:
-    x: float
+class ProxResult:
+    """One grid minimization: its basins in increasing x, each refined to
+    a minimizer, and the least refined value."""
+
     value: float
-    multiple: bool
     clusters: tuple[MinimizerCluster, ...]
 
     @property
-    def minimizers(self) -> list[float]:
-        return [c.x for c in self.clusters]
+    def minimizers(self) -> tuple[float, ...]:
+        return tuple(c.x for c in self.clusters)
+
+    @property
+    def multiple(self) -> bool:
+        return len(self.clusters) > 1
 
 
 def _on_brackets(phi: Callable, rows, sel, x):
@@ -261,9 +267,10 @@ def grid_minimize(phi: Callable, grid: Grid,
 
     The coarse grid locates every cell within ``DEFAULT_TOL_TIE`` of the
     minimum; each contiguous run of such cells is refined on its bracketing
-    interval, all runs in one ``refine`` call. ``multiple`` is set when at
-    least two refined basins remain within ``DEFAULT_TOL_TIE`` of each other,
-    which is how set-valued proximal mappings are observed at grid resolution.
+    interval, all runs in one ``refine`` call. The result keeps the refined
+    basins within ``DEFAULT_TOL_TIE`` of the best one; two or more of them
+    (``multiple``) is how set-valued proximal mappings are observed at grid
+    resolution.
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
@@ -273,7 +280,7 @@ def grid_minimize(phi: Callable, grid: Grid,
     and only their tie runs kept (a block may be a buffer that the next one
     overwrites), so one block bounds the scan's memory, and every row is
     refined in the one ``refine`` call. With rows, ``phi`` is called as
-    ``phi(x, rows)`` (see ``refine``) and one ``GridMin`` per row returned.
+    ``phi(x, rows)`` (see ``refine``) and one ``ProxResult`` per row returned.
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-DEFAULT_UNBOUNDED_CAP``.
@@ -303,7 +310,7 @@ def grid_minimize(phi: Callable, grid: Grid,
     for r in range(n_rows):
         clusters = [MinimizerCluster(*run) for run in runs[starts[r]:starts[r + 1]]]
         if len(clusters) == 1:  # one basin: nothing to filter or merge
-            out.append(GridMin(clusters[0].x, clusters[0].value, False, tuple(clusters)))
+            out.append(ProxResult(clusters[0].value, tuple(clusters)))
             continue
         best = min(c.value for c in clusters)
         clusters = [c for c in clusters if c.value <= best + DEFAULT_TOL_TIE]
@@ -317,8 +324,7 @@ def grid_minimize(phi: Callable, grid: Grid,
                                               min(last.x_lo, c.x_lo), max(last.x_hi, c.x_hi))
             else:
                 merged.append(c)
-        winner = min(merged, key=lambda c: c.value)
-        out.append(GridMin(winner.x, winner.value, len(merged) > 1, tuple(merged)))
+        out.append(ProxResult(min(c.value for c in merged), tuple(merged)))
     return out[0] if single else out
 
 

@@ -12,7 +12,10 @@ f, kappa and the rows' slopes that never supplies a value), then every row
 is refined in one batched bracket refinement. A row gets the same bits in a
 batch as alone (``prox`` and ``env`` take one ybar or an array of them).
 Every objective is one array function of x, used for the grid samples and
-for the refinement alike.
+for the refinement alike. ``prox`` and ``right_prox`` return the
+``numerics.ProxResult`` that the grid minimization builds; whether its
+minimizers are interior is asked only where the range assumption is read
+(``InstanceEngine.interior``, one batched call each).
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
@@ -31,7 +34,6 @@ import math
 import os
 import weakref
 import zlib
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
 from .extreal import Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
-                       Condition, GridMin, build_grid, convexity_condition,
+                       Condition, ProxResult, build_grid, convexity_condition,
                        grid_conjugate, grid_minimize, lower_convex_envelope,
                        min_value, sample_inset)
 
@@ -77,20 +79,6 @@ _GATES = {
                         "lam f + kappa is not L-strongly convex"),
     "range-assumption": (lambda e: e.range_assumption[0], "range assumption failed"),
 }
-
-
-@dataclass(frozen=True)
-class ProxResult:
-    """Minimizer set of one proximal subproblem plus the envelope value."""
-
-    minimizers: tuple[float, ...]
-    value: float
-    in_interior: tuple[bool, ...]
-    clusters: tuple
-
-    @property
-    def multiple(self) -> bool:
-        return len(self.minimizers) > 1
 
 
 class InstanceEngine:
@@ -222,7 +210,8 @@ class InstanceEngine:
         g, a = lf + self.K, np.abs(lf) + np.abs(self.K)
         g_mag = np.max(a, where=np.isfinite(a), initial=0.0) + lam * tol
         ky, s = self.kg(ys)
-        row_mag = np.abs(ky) + np.abs(s) * (max(abs(X[0]), abs(X[-1])) + np.abs(ys))
+        with np.errstate(over="ignore"):  # an overflowed bound selects every column
+            row_mag = np.abs(ky) + np.abs(s) * (max(abs(X[0]), abs(X[-1])) + np.abs(ys))
 
         def window(rows):
             sx_lo, sx_hi = s[rows].min() * X, s[rows].max() * X
@@ -235,7 +224,7 @@ class InstanceEngine:
 
         return window
 
-    def _solve(self, ys) -> list[GridMin]:
+    def _solve(self, ys) -> list[ProxResult]:
         """The left subproblem at each interior ybar: the rows, sorted by ybar
         so that a block's slopes are close, are scanned in blocks (``_scan``),
         then refined in one batch; results come in the caller's order."""
@@ -273,15 +262,13 @@ class InstanceEngine:
     def prox(self, ys) -> ProxResult | list[ProxResult]:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
         array of them (a list), solved in blocks of rows."""
-        res = self._results(self._solve(ys))
+        res = self._solve(ys)
         return res[0] if np.ndim(ys) == 0 else res
 
-    def _results(self, gms: list[GridMin]) -> list[ProxResult]:
-        xs = np.array([c.x for gm in gms for c in gm.clusters])
-        inside = iter(self.kernel.domain.interior_contains(xs, INTERIOR_MARGIN).tolist())
-        return [ProxResult(tuple(gm.minimizers), gm.value,
-                           tuple(itertools.islice(inside, len(gm.clusters))), gm.clusters)
-                for gm in gms]
+    def interior(self, xs) -> np.ndarray:
+        """Whether each of the prox outputs ``xs`` lies ``INTERIOR_MARGIN``
+        inside int dom kappa (a bool array): the range assumption's test."""
+        return self.kernel.domain.interior_contains(np.asarray(xs, dtype=float), INTERIOR_MARGIN)
 
     def env(self, ys) -> float | np.ndarray:
         """Envelope at one interior ybar (a float) or at each of an array of
@@ -329,16 +316,22 @@ class InstanceEngine:
         grad kappa(y)(xbar - y) at an end of the y grid, overflows."""
         if not self.kernel.domain.contains(float(xbar)):
             raise OutsideInteriorError(f"{xbar} not in dom {self.kernel.name}")
-        kx = self.kernel.eval(xbar)
-        with np.errstate(over="ignore"):
-            self._check_range(xbar, [kx, self.GY[0] * (xbar - self.Y[0]),
-                                     self.GY[-1] * (xbar - self.Y[-1])], "y")
+        kx = self._right_kappa(xbar)
 
         def psi(y):
             ky, gy = self.kg(y)
             return self.fn.eval(y) + (kx - ky - gy * (xbar - y)) / self.lam
 
-        return self._results([grid_minimize(psi, self.y_grid)])[0]
+        return grid_minimize(psi, self.y_grid)
+
+    def _right_kappa(self, xbar: float) -> float:
+        """kappa(xbar) for D(xbar, y) on the y grid (``right_prox``,
+        ``prox_hull``), checked as ``right_prox`` says."""
+        kx = self.kernel.eval(xbar)
+        with np.errstate(over="ignore"):
+            self._check_range(xbar, [kx, self.GY[0] * (xbar - self.Y[0]),
+                                     self.GY[-1] * (xbar - self.Y[-1])], "y")
+        return kx
 
     # -- hull curve of lam*f + kappa -----------------------------------------
 
@@ -497,13 +490,12 @@ def prox_hull(inst: Instance, x: float) -> float:
     (``numerics.min_value``), since no caller reads the optimal y.
     This is the definitional route; the geometric route through the lower
     convex envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
+    +inf outside dom kappa; an x that overflows raises as in ``right_prox``.
     """
     eng = engine(inst)
     if not eng.kernel.domain.contains(float(x)):
         return math.inf
-    kx = eng.kernel.eval(x)
-    if math.isinf(kx):
-        return math.inf
+    kx = eng._right_kappa(x)
 
     def neg_psi(y):
         # the y grid reads the grid-resolution envelope
@@ -619,14 +611,15 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0):
     """
     eng = engine(inst)
     ys = sample_inset(np.random.default_rng(seed), eng.y_grid.lo, eng.y_grid.hi, n)
-    witnesses = prox_escapes(ys.tolist(), eng.prox(ys))
+    witnesses = prox_escapes(eng, ys.tolist(), eng.prox(ys))
     return not witnesses, witnesses
 
 
-def prox_escapes(ys, results) -> list[tuple[float, float]]:
-    """(ybar, minimizer) pairs of the prox ``results`` at ``ys`` off the interior."""
-    return [(y, float(m)) for y, res in zip(ys, results)
-            for m, ok in zip(res.minimizers, res.in_interior) if not ok]
+def prox_escapes(eng: InstanceEngine, ys, results) -> list[tuple[float, float]]:
+    """(ybar, minimizer) pairs of the prox ``results`` at ``ys`` off the
+    interior, all tested in one ``eng.interior`` call."""
+    pairs = [(y, m) for y, res in zip(ys, results) for m in res.minimizers]
+    return list(itertools.compress(pairs, ~eng.interior([m for _, m in pairs])))
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +652,7 @@ def euclid_crosscheck(inst: Instance, ybar: float) -> float:
         shifted = eng.fn.eval(w) + (eng.kernel.eval(w) - 0.5 * np.square(w)) / lam
         return shifted + 0.5 * np.square(w - z) / lam
 
-    gm = grid_minimize(psi, grid)
-    return _hausdorff(left.minimizers, gm.minimizers)
+    return _hausdorff(left.minimizers, grid_minimize(psi, grid).minimizers)
 
 
 def env_conjugate_crosscheck(inst: Instance, ybar: float) -> float:

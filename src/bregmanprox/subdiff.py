@@ -318,8 +318,8 @@ def frechet_lower_probe(inst: Instance, xbar: float, u: float) -> bool:
 
 def monotone_related(graph_pairs, x: float, u: float) -> bool:
     """(x, u) is monotonically related to every pair in ``graph_pairs``, up
-    to 1e-9."""
-    return all((x - xi) * (u - ui) >= -1e-9 for xi, ui in graph_pairs)
+    to 1e-9; a pair at x itself always is, an infinite ui included."""
+    return all(x == xi or (x - xi) * (u - ui) >= -1e-9 for xi, ui in graph_pairs)
 
 
 # ---------------------------------------------------------------------------

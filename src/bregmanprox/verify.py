@@ -163,10 +163,10 @@ def _prox_at_etas(eng: InstanceEngine, etas):
 def _selections(eng: InstanceEngine, etas, interior_only: bool):
     """Prox selections (eta, x) at grad kappa*(eta) as two arrays: every
     minimizer, or only those interior to the kernel domain."""
-    sels = [(e, float(m)) for e, res in _prox_at_etas(eng, etas)
-            for m, interior in zip(res.minimizers, res.in_interior)
-            if interior or not interior_only]
-    return np.array([s[0] for s in sels]), np.array([s[1] for s in sels])
+    sels = [(e, m) for e, res in _prox_at_etas(eng, etas) for m in res.minimizers]
+    ee, xx = np.array([s[0] for s in sels]), np.array([s[1] for s in sels])
+    keep = eng.interior(xx) if interior_only else slice(None)
+    return ee[keep], xx[keep]
 
 
 def _worst_pair(label: str, slack: np.ndarray, witness: tuple) -> Condition:
@@ -617,7 +617,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
                                    eng.y_grid.lo, eng.y_grid.hi, n)
     ys = np.atleast_1d(np.asarray(ybar_values, dtype=float)).tolist()
     results = eng.prox(ys)
-    bad = prox_escapes(ys, results)
+    bad = prox_escapes(eng, ys, results)
     in_range = Condition("range-assumption", not bad, float(len(bad)),
                          tuple(v for pair in bad for v in pair))
     rep.conditions = [in_range]
@@ -705,17 +705,14 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
         crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
         ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
     h = max(eng_a.x_grid.h, eng_b.x_grid.h)
-    prox_wit: tuple = ()
-    prox_pairs: list[tuple[float, float]] = []
-    for y, ra, rb in zip(ys, eng_a.prox(ys), eng_b.prox(ys)):
-        if not prox_wit and not _cluster_sets_equal(ra.clusters, rb.clusters,
-                                                    x_tol=1e-5, w_tol=3 * h):
-            prox_wit = (float(y),)
-        gy = kernel.grad(y)
-        for res in (ra, rb):
-            for m, interior in zip(res.minimizers, res.in_interior):
-                if interior and len(prox_pairs) < 120:
-                    prox_pairs.append((m, (gy - kernel.grad(m)) / lam))
+    proxes = list(zip(ys, eng_a.prox(ys), eng_b.prox(ys)))
+    prox_wit = next(((float(y),) for y, ra, rb in proxes if not _cluster_sets_equal(
+        ra.clusters, rb.clusters, x_tol=1e-5, w_tol=3 * h)), ())
+    # the first 120 interior outputs (one kernel: one interior test serves
+    # both instances), each with its resolvent certificate
+    outs = [(y, m) for y, ra, rb in proxes for res in (ra, rb) for m in res.minimizers]
+    firsts = [outs[i] for i in np.flatnonzero(eng_a.interior([m for _, m in outs]))[:120]]
+    prox_pairs = [(m, (kernel.grad(y) - kernel.grad(m)) / lam) for y, m in firsts]
     prox_c = Condition("prox-equal", not prox_wit, 0.0, prox_wit)
 
     # Probe the graphs where the prox outputs live (membership may differ

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bregmanprox import cli
 from bregmanprox.cli import main
 
 
@@ -157,6 +159,36 @@ def test_reproduce_all_pass(capsys, example):
     code, out, _ = run_cli(capsys, "reproduce", example)
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def _witness_line(out):
+    return next(l for l in out.splitlines() if "non-maximality witness" in l)
+
+
+def test_reproduce_411_witness_needs_the_certificate_to_reject_it(capsys, monkeypatch):
+    """The witness line reads the program's certificate: one that accepts
+    (0.5, 1.0) fails the line and the command."""
+    monkeypatch.setattr(cli, "left_lpsubdiff_definitional",
+                        lambda inst, x, u: (True, 0.0, 1.0), raising=False)
+    code, out, _ = run_cli(capsys, "reproduce", "4.11")
+    assert _witness_line(out).startswith("[FAIL]")
+    assert code == 1
+
+
+def test_reproduce_411_witness_reads_the_computed_graph(capsys, monkeypatch):
+    """The witness line reads the hull-route graph over [0, 1]: raising its
+    upper end at 0 from 1/2 to 2 makes (0.5, 1.0) unrelated, and the line fails."""
+    real = cli.left_lpsubdiff_hull
+
+    def raised(inst, xs):
+        sets = real(inst, xs)
+        lift = lambda s: s if s.is_empty else dataclasses.replace(s, hi=2.0)
+        return lift(sets) if np.ndim(xs) == 0 else [lift(s) for s in sets]
+
+    monkeypatch.setattr(cli, "left_lpsubdiff_hull", raised)
+    code, out, _ = run_cli(capsys, "reproduce", "4.11")
+    assert _witness_line(out).startswith("[FAIL]")
+    assert code == 1
 
 
 def test_reproduce_unknown(capsys):

@@ -26,7 +26,8 @@ def unit_grid(n=1001, lo=-1.0, hi=1.0):
 
 def test_minimize_parabola():
     res = grid_minimize(lambda x: x * x, unit_grid())
-    assert abs(res.x) < 1e-9
+    (x,) = res.minimizers
+    assert abs(x) < 1e-9
     assert abs(res.value) < 1e-15
     assert not res.multiple
 
@@ -38,7 +39,8 @@ def test_minimize_abs_kink_against_scan_oracle():
     oracle_x = g.points[np.argmin(vals)]
     res = grid_minimize(lambda x: abs(x - 0.3), g)
     assert abs(oracle_x - 0.3) < g.h
-    assert abs(res.x - 0.3) < 1e-9
+    (x,) = res.minimizers
+    assert abs(x - 0.3) < 1e-9
     assert res.value < 1e-9
 
 
@@ -71,7 +73,8 @@ def test_double_well_refinement_work_is_pinned():
 def test_refinement_locates_an_off_grid_kink_to_the_x_resolution():
     c = 0.3 + 1e-4 * math.sqrt(2)
     res = grid_minimize(lambda x: np.abs(x - c), build_grid(Interval(-1.0, 1.0), 2001))
-    assert abs(res.x - c) <= X_RESOLUTION
+    (x,) = res.minimizers
+    assert abs(x - c) <= X_RESOLUTION
     assert res.value <= 1e-9
 
 
@@ -180,11 +183,44 @@ def test_minimize_unbounded_cap():
         grid_minimize(lambda x: -x ** 4, Grid(-1e5, 1e5, 101))
 
 
+def test_refinement_below_the_cap_raises():
+    """Every grid sample stays above the cap (the nearest lies 1e-3 from the
+    spike at c); the refined bracket reaches it and falls below the cap."""
+    g = unit_grid()
+    c = 0.5 * (g.points[700] + g.points[701])
+    with pytest.raises(UnboundedBelowError, match="refined objective reached"):
+        grid_minimize(lambda x: 1e15 * np.abs(x - c) - 1.5e12, g)
+
+
+def test_basins_closer_than_the_x_resolution_merge():
+    """At |x| = 1e7 the x resolution is 1e-2, twenty cells of 5e-4: two
+    single-cell tie runs twelve cells apart refine to two points that merge
+    into one cluster spanning both runs, with the lower refined value and its
+    point (the left one on a tie), so the result is single-valued."""
+    g = Grid(1e7, 1e7 + 1, 2001)
+    xs = g.points
+    a, b = xs[800], xs[812]
+
+    def phi(x):
+        return np.minimum(np.abs(x - a), np.abs(x - b))
+
+    x_ref, v_ref = refine(phi, [xs[799], xs[811]], [xs[801], xs[813]])
+    k = 1 if v_ref[1] < v_ref[0] else 0
+    res = grid_minimize(phi, g)
+    assert not res.multiple
+    assert len(res.clusters) == 1
+    c = res.clusters[0]
+    assert (c.x, c.value, c.x_lo, c.x_hi) == (x_ref[k], v_ref[k], a, b)
+    assert res.value == v_ref[k]
+    assert list(res.minimizers) == [x_ref[k]]
+
+
 def test_precomputed_values_path():
     g = unit_grid(101)
     vals = np.square(g.points)
     res = grid_minimize(lambda x: x * x, g, values=vals)
-    assert abs(res.x) < 1e-9
+    (x,) = res.minimizers
+    assert abs(x) < 1e-9
 
 
 def _tie_runs_reference(values, tol_tie, cap):

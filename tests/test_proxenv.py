@@ -106,12 +106,15 @@ def test_a_ybar_whose_objective_overflows_is_out_of_range(name, ys, bad):
             query(ys)
 
 
-@pytest.mark.parametrize("name, xbar", [
+_OVERFLOWING_XBAR = [
     ("euclid_abs", 1e155),  # kappa(xbar) overflows
     ("ex419", 1e155),
     ("shannon_abs", 1e308),
     ("burg_linear", 1.7e308),  # kappa(xbar) is finite, the tilt at the first y is not
-])
+]
+
+
+@pytest.mark.parametrize("name, xbar", _OVERFLOWING_XBAR)
 def test_an_xbar_whose_objective_overflows_is_out_of_range(name, xbar):
     """The right prox names an xbar whose kappa(xbar), or tilt
     grad kappa(y)(xbar - y) at an end of the y grid, is not a float, as the
@@ -119,6 +122,33 @@ def test_an_xbar_whose_objective_overflows_is_out_of_range(name, xbar):
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=1001)
     with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(xbar))} out of range "):
         eng.right_prox(xbar)
+
+
+@pytest.mark.parametrize("name, xbar", _OVERFLOWING_XBAR)
+def test_prox_hull_names_an_overflowing_xbar(name, xbar):
+    """The definitional hull has the right prox's D(xbar, y) on the y grid,
+    and the same entry check: an xbar in dom kappa whose objective overflows
+    is out of range, not outside the domain."""
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(xbar))} out of range "):
+        prox_hull(get_instance(name), xbar)
+
+
+def test_a_tilt_window_bound_that_overflows_scans_the_whole_grid():
+    """Two rows whose window bound overflows, though each passes the range
+    check: the block is scanned on every column, without a warning (Tier-1
+    turns RuntimeWarnings into errors), and each row gets its one-row bits."""
+    eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=1001)
+    ys = [1.2e154, 1.25e154]
+    batched = eng.env(np.array(ys)).tolist()
+    alone = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=1001)
+    assert [v.hex() for v in batched] == [alone.env(y).hex() for y in ys]
+
+
+def test_an_envelope_cache_below_the_cap_raises():
+    fn = make_fn("abs_low", lambda x: np.abs(x) - 2e12)
+    eng = proxenv.InstanceEngine(Instance("abs_low", ENERGY, fn, 1.0), grid_n=201)
+    with pytest.raises(UnboundedBelowError, match="envelope cache fell below the cap"):
+        eng.env_coarse()
 
 
 def test_right_prox_and_right_env_name_an_overflowing_xbar():
@@ -256,11 +286,12 @@ def test_batched_env_equals_env_bit_for_bit(name, ys):
         assert eng.prox(2.0 ** -0.5).multiple
 
 
-def _bits(res):
-    """Every float of a ProxResult, as exact hex strings."""
+def _bits(eng, res):
+    """Every float of a ProxResult, as exact hex strings, and whether each
+    minimizer is interior."""
     floats = (res.minimizers + (float(res.value),)
               + tuple(v for c in res.clusters for v in (c.x, c.value, c.x_lo, c.x_hi)))
-    return tuple(float(v).hex() for v in floats), res.in_interior
+    return tuple(float(v).hex() for v in floats), eng.interior(res.minimizers).tolist()
 
 
 @pytest.mark.parametrize("name, ys", [
@@ -271,7 +302,7 @@ def test_prox_many_equals_prox_bit_for_bit(name, ys):
     # 40 points at N = 2001 make three blocks (17 + 17 + 6 rows)
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
     many = eng.prox(ys)
-    assert [_bits(r) for r in many] == [_bits(eng.prox(float(y))) for y in ys]
+    assert [_bits(eng, r) for r in many] == [_bits(eng, eng.prox(float(y))) for y in ys]
     if name == "ex411":
         assert many[-1].multiple  # prox {0, 1} at 1/sqrt(2)
 
@@ -409,14 +440,14 @@ def _whole_grid_solve(eng, ys):
 
 
 def _outcome(solve, eng, ys):
-    """The bits of every ``GridMin`` of ``solve``, or its exception and message."""
+    """The bits of every ``ProxResult`` of ``solve``, or its exception and message."""
     try:
-        gms = solve(eng, ys)
+        results = solve(eng, ys)
     except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError) as exc:
         return type(exc), str(exc)
-    return [(gm.x.hex(), gm.value.hex(), gm.multiple,
-             [tuple(v.hex() for v in (c.x, c.value, c.x_lo, c.x_hi)) for c in gm.clusters])
-            for gm in gms]
+    return [([m.hex() for m in res.minimizers], res.value.hex(), res.multiple,
+             [tuple(v.hex() for v in (c.x, c.value, c.x_lo, c.x_hi)) for c in res.clusters])
+            for res in results]
 
 
 def _assert_windowed_scan_is_exact(eng, ys):
@@ -454,7 +485,7 @@ _SPECIAL = [0.0, 1.0, 1e-12, 1.0 - 1e-12, -0.01, 1.01]
          data=None)
 def test_the_windowed_scan_matches_a_whole_grid_scan(name, variant, where, special,
                                                     repeats, data):
-    """Bit-identical ``GridMin``s, or the same exception and message, for
+    """Bit-identical ``ProxResult``s, or the same exception and message, for
     unsorted batches with duplicates on every catalog instance and shifted
     and rescaled variants of them."""
     eng = _window_engine(name, variant)
@@ -787,9 +818,10 @@ def test_prox_value_is_minimum_over_minimizers():
 
 
 def test_prox_interior_flags():
-    res = left_prox(get_instance("ex411"), 0.9)
+    inst = get_instance("ex411")
+    res = left_prox(inst, 0.9)
     assert res.minimizers[0] == pytest.approx(1.0, abs=1e-6)
-    assert res.in_interior == (False,)
+    assert engine(inst).interior(res.minimizers).tolist() == [False]
 
 
 # -- engine registry ------------------------------------------------------------

@@ -458,3 +458,7 @@ def test_monotone_related_helper():
     graph = [(0.0, u) for u in (-5.0, 0.0, 0.5)]
     assert monotone_related(graph, 0.5, 1.0)
     assert not monotone_related(graph, -0.5, 1.0)
+    # the ends of a set unbounded below, at 0 and at the point itself
+    graph = [(x, u) for x in (0.0, 0.5) for u in (-math.inf, 0.5)]
+    assert monotone_related(graph, 0.5, 1.0)
+    assert not monotone_related(graph, -0.5, 1.0)
