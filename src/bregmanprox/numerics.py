@@ -9,6 +9,9 @@ added. The root finder stays scalar; the finite difference takes a float or
 an array. Minimizers are resolved in x to ``X_RESOLUTION`` relative: closer
 basins merge into one, and bracket refinement stops at that width. A grid
 minimization returns a ``ProxResult``, which the proximal maps hand on.
+Searches that read only a value skip the location polish: ``grid_min_value``
+(the same scan, a least value per row), ``min_value`` and ``concave_sup``,
+which stops early where concavity bounds the sup to within rounding.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ __all__ = [
     "ProxResult",
     "MinimizerCluster",
     "grid_minimize",
+    "grid_min_value",
     "zoom",
     "refine",
     "min_value",
+    "concave_sup",
     "HullCurve",
     "lower_convex_envelope",
     "monotone_invert",
@@ -65,6 +70,10 @@ X_RESOLUTION = 1e-9
 # 16 cells, shrinking the bracket at least 8-fold).
 ZOOM_POINTS = 17
 _ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
+# ``concave_sup`` stops once its upper bound is this many ulps of
+# max(1, |best|) above the best sample.
+SUP_STOP_ULPS = 8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,33 @@ def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
     return row[::2], col[::2], col[1::2] - 1
 
 
+def _grid_runs(phi: Callable, grid: Grid, values, search: Callable):
+    """The shared front of ``grid_minimize`` and ``grid_min_value``: scan
+    ``values`` (see ``grid_minimize``) for each row's tie runs, ``search``
+    (``refine`` or ``zoom``) every run's bracketing interval in one call and
+    check the searched values against the cap. Returns (single, n_rows, row,
+    i0, i1, x, v): runs in row order, row r owning ``row == r``."""
+    xs = grid.points
+    if values is None:
+        values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
+    single = isinstance(values, np.ndarray) and values.ndim == 1
+    if isinstance(values, np.ndarray):
+        values = [(0, np.atleast_2d(values))]
+    scans, n_rows = [], 0
+    for start, block in values:
+        row, i0, i1 = _tie_runs(block, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP)
+        scans.append((row + n_rows, i0 + start, i1 + start))
+        n_rows += len(block)
+        del block  # free it before the generator builds the next one
+    row, i0, i1 = map(np.concatenate, zip(*scans))
+    a = xs[np.maximum(i0 - 1, 0)]
+    b = xs[np.minimum(i1 + 1, len(xs) - 1)]
+    x, v = search(phi, a, b, None if single else row)
+    if v.min() < -DEFAULT_UNBOUNDED_CAP:
+        raise UnboundedBelowError(f"refined objective reached {v.min():.3e}")
+    return single, n_rows, row, i0, i1, x, v
+
+
 def grid_minimize(phi: Callable, grid: Grid,
                   values: np.ndarray | Iterable[np.ndarray] | None = None):
     """Global minimization of ``phi`` over ``grid`` with set-valued detection.
@@ -286,23 +322,7 @@ def grid_minimize(phi: Callable, grid: Grid,
     ``UnboundedBelowError`` if a value falls below ``-DEFAULT_UNBOUNDED_CAP``.
     """
     xs = grid.points
-    if values is None:
-        values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
-    single = isinstance(values, np.ndarray) and values.ndim == 1
-    if isinstance(values, np.ndarray):
-        values = [(0, np.atleast_2d(values))]
-    scans, n_rows = [], 0
-    for start, block in values:
-        row, i0, i1 = _tie_runs(block, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP)
-        scans.append((row + n_rows, i0 + start, i1 + start))
-        n_rows += len(block)
-        del block  # free it before the generator builds the next one
-    row, i0, i1 = map(np.concatenate, zip(*scans))
-    a = xs[np.maximum(i0 - 1, 0)]
-    b = xs[np.minimum(i1 + 1, len(xs) - 1)]
-    x_ref, v_ref = refine(phi, a, b, None if single else row)
-    if v_ref.min() < -DEFAULT_UNBOUNDED_CAP:
-        raise UnboundedBelowError(f"refined objective reached {v_ref.min():.3e}")
+    single, n_rows, row, i0, i1, x_ref, v_ref = _grid_runs(phi, grid, values, refine)
     runs = list(zip(x_ref.tolist(), v_ref.tolist(), xs[i0].tolist(), xs[i1].tolist()))
     # runs come row by row: row r owns runs[starts[r]:starts[r + 1]]
     starts = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
@@ -326,6 +346,75 @@ def grid_minimize(phi: Callable, grid: Grid,
                 merged.append(c)
         out.append(ProxResult(min(c.value for c in merged), tuple(merged)))
     return out[0] if single else out
+
+
+def grid_min_value(phi: Callable, grid: Grid,
+                   values: np.ndarray | Iterable[np.ndarray] | None = None):
+    """The least value of ``phi`` over ``grid``: ``grid_minimize``'s scan and
+    tie runs, each run searched by ``zoom`` alone, since no location is
+    read. A float, or a list of floats for a batch of rows; never below the
+    ``grid_minimize`` value of the same row, and above it only by what the
+    skipped polish would gain, a few ulps of the objective's largest term.
+    Arguments and errors are those of ``grid_minimize``."""
+    single, n_rows, row, _, _, _, v = _grid_runs(phi, grid, values, zoom)
+    # every row owns at least one run, the runs in row order
+    out = np.minimum.reduceat(v, np.searchsorted(row, np.arange(n_rows))).tolist()
+    return out[0] if single else out
+
+
+def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
+    """The greatest value of ``phi`` that a zoom finds on the two cells
+    around the best finite sample of ``phi`` on ``xs`` (``values``), for a
+    ``phi`` concave in the slope s that it returns with its values:
+    ``phi(x)`` gives (values, s) at a 1-D x, s increasing in x.
+
+    Each round samples ``ZOOM_POINTS`` evenly spaced points of the bracket
+    and keeps the two cells around the best one, as ``zoom`` does. Concavity
+    in s bounds the sup from above by the two chord extensions around each
+    cell next to the best sample (the sandwich bound); the search stops once
+    that bound is within ``SUP_STOP_ULPS`` ulps of max(1, |best|). Where no
+    bound exists (the best sample among the two at either end of the
+    bracket, samples that are not concave or not finite, or equal chord
+    slopes) it goes on to ``zoom``'s width rule. Value only: no location is
+    returned.
+    """
+    j = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
+    lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)]
+    best = -math.inf
+    while True:
+        x = lo + (hi - lo) * _ZOOM_STEPS
+        x[-1] = hi
+        v, s = (np.asarray(a, dtype=float) for a in phi(x))
+        k = int(np.argmax(v))
+        vk = float(v[k])
+        best = max(best, vk)
+        if _sup_bound(v, s, k) - vk <= SUP_STOP_ULPS * _EPS * max(1.0, abs(vk)):
+            return best
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, ZOOM_POINTS - 1)]
+        if not hi - lo > X_RESOLUTION * max(1.0, abs(lo), abs(hi)):
+            return best
+
+
+def _sup_bound(v: np.ndarray, s: np.ndarray, k: int) -> float:
+    """An upper bound on a function concave in s over [s[k-1], s[k+1]],
+    from its samples v at s[k-2 .. k+2] with v[k] the largest: on each cell
+    next to k, the lower of the two chord extensions that reach over it.
+    +inf where the five samples give none."""
+    if not 2 <= k <= len(v) - 3:
+        return math.inf
+    v, s = v[k - 2:k + 3], s[k - 2:k + 3]
+    if not (np.isfinite(v).all() and np.isfinite(s).all()):
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.diff(s)
+        c = np.diff(v) / d  # chord slopes, decreasing if concave
+        # where the outer chord's extension meets the inner one's, per side
+        t_left = d[1] * (c[0] - c[1]) / (c[0] - c[2])
+        t_right = d[2] * (c[2] - c[3]) / (c[1] - c[3])
+        bounds = np.array([v[2] - c[2] * t_left, v[2] + c[1] * t_right])
+    if c[0] >= c[1] >= c[2] >= c[3] and np.isfinite(bounds).all():
+        return float(bounds.max())
+    return math.inf
 
 
 @dataclass(frozen=True)

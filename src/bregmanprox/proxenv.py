@@ -9,8 +9,10 @@ least ``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES``
 (2**15) grid samples, so a block bounds only the scan's memory), each block
 of several rows only on the columns where one of them can tie (a bound from
 f, kappa and the rows' slopes that never supplies a value), then every row
-is refined in one batched bracket refinement. A row gets the same bits in a
-batch as alone (``prox`` and ``env`` take one ybar or an array of them).
+is finished in one batch: refined to a ``ProxResult`` for ``prox``, zoomed
+by value alone for ``env``, which reads no minimizer. A row gets the same
+bits in a batch as alone (``prox`` and ``env`` take one ybar or an array of
+them).
 Every objective is one array function of x, used for the grid samples and
 for the refinement alike. ``prox`` and ``right_prox`` return the
 ``numerics.ProxResult`` that the grid minimization builds; whether its
@@ -19,7 +21,9 @@ minimizers are interior is asked only where the range assumption is read
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
-the same windowed row blocks as queries, in O(N) memory.
+the same windowed row blocks as queries, in O(N) memory. The supremum is
+concave in grad kappa(ybar), so ``prox_hull`` stops its zoom once its
+samples bound it to within rounding (``numerics.concave_sup``).
 
 The engine also keeps the instance's facts (hypotheses and check gates,
 convexity of f and of h = env o grad kappa*, the range assumption), each
@@ -44,9 +48,9 @@ from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
 from .extreal import Interval
 from .kernels import Kernel
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
-                       Condition, ProxResult, build_grid, convexity_condition,
-                       grid_conjugate, grid_minimize, lower_convex_envelope,
-                       min_value, sample_inset)
+                       Condition, ProxResult, build_grid, concave_sup, convexity_condition,
+                       grid_conjugate, grid_min_value, grid_minimize,
+                       lower_convex_envelope, sample_inset)
 
 __all__ = [
     "ProxResult", "InstanceEngine", "engine",
@@ -126,9 +130,22 @@ class InstanceEngine:
         return self.kernel.eval(y), self.kernel.grad_arr(y)
 
     def tilted(self, x):
-        """(lam f + kappa)(x), vectorized."""
+        """(lam f + kappa)(x), vectorized; read from the grid cache (read-only)
+        when x is the x grid."""
+        if x is self.X:
+            return self._tilt[0]
         fx, kx = self.fk(x)
         return self.lam * fx + kx
+
+    @cached_property
+    def _tilt(self) -> tuple[np.ndarray, float]:
+        """lam f + kappa on the x grid, read-only, and the largest finite
+        lam |f| + |kappa| there: computed once per engine, with the bits of
+        ``tilted`` at any other x."""
+        lf = self.lam * self.F
+        g, a = lf + self.K, np.abs(lf) + np.abs(self.K)
+        g.flags.writeable = False
+        return g, float(np.max(a, where=np.isfinite(a), initial=0.0))
 
     # -- left objective ----------------------------------------------------
 
@@ -206,9 +223,8 @@ class InstanceEngine:
         over a block; the margin, 8192u (2**-40) times that, covers 24uT.
         """
         X, lam, tol = self.X, self.lam, DEFAULT_TOL_TIE
-        lf = lam * self.F
-        g, a = lf + self.K, np.abs(lf) + np.abs(self.K)
-        g_mag = np.max(a, where=np.isfinite(a), initial=0.0) + lam * tol
+        g, g_mag = self._tilt
+        g_mag += lam * tol
         ky, s = self.kg(ys)
         with np.errstate(over="ignore"):  # an overflowed bound selects every column
             row_mag = np.abs(ky) + np.abs(s) * (max(abs(X[0]), abs(X[-1])) + np.abs(ys))
@@ -224,10 +240,12 @@ class InstanceEngine:
 
         return window
 
-    def _solve(self, ys) -> list[ProxResult]:
+    def _solve(self, ys, finish) -> list:
         """The left subproblem at each interior ybar: the rows, sorted by ybar
         so that a block's slopes are close, are scanned in blocks (``_scan``),
-        then refined in one batch; results come in the caller's order."""
+        then finished in one batch by ``finish``: ``grid_minimize`` (a
+        ``ProxResult`` per row) or ``grid_min_value`` (a value per row).
+        Results come in the caller's order."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if not ys.size:
             return []
@@ -237,12 +255,12 @@ class InstanceEngine:
             order = sorted(range(ys.size), key=ys.tolist().__getitem__)
             rows = ys[order]
             phi = self._left_rows(rows)
-            gms = dict(zip(order, grid_minimize(phi, self.x_grid, values=self._scan(phi, rows))))
+            gms = dict(zip(order, finish(phi, self.x_grid, values=self._scan(phi, rows))))
         except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
             # a failing row fails alone too: raise what the first failing
             # row raises, as a loop of single queries would
             for j in range(ys.size - 1):
-                self._solve(ys[j:j + 1])
+                self._solve(ys[j:j + 1], finish)
             raise
         return [gms[i] for i in range(ys.size)]
 
@@ -262,7 +280,7 @@ class InstanceEngine:
     def prox(self, ys) -> ProxResult | list[ProxResult]:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
         array of them (a list), solved in blocks of rows."""
-        res = self._solve(ys)
+        res = self._solve(ys, grid_minimize)
         return res[0] if np.ndim(ys) == 0 else res
 
     def interior(self, xs) -> np.ndarray:
@@ -275,7 +293,8 @@ class InstanceEngine:
         them (an array), memoized.
 
         Values in the memo are read first; the other points are solved once
-        each, in blocks of rows, and stored. Past ``grid_n`` values the memo
+        each, in blocks of rows, by value alone (``grid_min_value``: no
+        minimizer is located), and stored. Past ``grid_n`` values the memo
         evicts the oldest ones.
         """
         keys = np.atleast_1d(np.asarray(ys, dtype=float)).tolist()
@@ -283,7 +302,7 @@ class InstanceEngine:
         out = [memo.get(y) for y in keys]
         miss = list(dict.fromkeys(y for y, v in zip(keys, out) if v is None))
         if miss:
-            solved = dict(zip(miss, (gm.value for gm in self._solve(miss))))
+            solved = dict(zip(miss, self._solve(miss, grid_min_value)))
             out = [solved[y] if v is None else v for y, v in zip(keys, out)]
             memo.update(solved)
             # dicts keep insertion order: the first keys are the oldest
@@ -415,7 +434,7 @@ class InstanceEngine:
         if L is None:
             return Condition("strongly-convex", False, -math.inf)
         return convexity_condition("strongly-convex", self.X,
-                                   self.lam * self.F + self.K - 0.5 * L * np.square(self.X))
+                                   self.tilted(self.X) - 0.5 * L * np.square(self.X))
 
     @cached_property
     def f_convex(self) -> Condition:
@@ -485,11 +504,14 @@ def prox_hull(inst: Instance, x: float) -> float:
     """sup over interior y of env(y) - D(x, y)/lam: the best y-grid sample
     of the grid-resolution envelope, zoomed on the two cells around it.
 
-    Each zoom round solves its sampled envelopes (polished, through the
-    memo) as one block of rows; the sup is a value-only search
-    (``numerics.min_value``), since no caller reads the optimal y.
-    This is the definitional route; the geometric route through the lower
-    convex envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
+    Each zoom round solves its sampled envelopes (by value, through the
+    memo) as one block of rows. With s = grad kappa(y) the objective is
+    (s x - kappa(x) - (lam f + kappa)*(s)) / lam, concave in s since a
+    conjugate is convex, so the sup is ``numerics.concave_sup``: a
+    value-only search that stops once its samples bound the sup to within
+    rounding. This is the definitional route; it reads only envelope values
+    and grad kappa, and the geometric route through the lower convex
+    envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
     +inf outside dom kappa; an x that overflows raises as in ``right_prox``.
     """
     eng = engine(inst)
@@ -497,13 +519,13 @@ def prox_hull(inst: Instance, x: float) -> float:
         return math.inf
     kx = eng._right_kappa(x)
 
-    def neg_psi(y):
+    def psi(y):
         # the y grid reads the grid-resolution envelope
         env = eng.env_coarse() if y is eng.Y else eng.env(y)
         ky, gy = eng.kg(y)
-        return -(env - (kx - ky - gy * (x - y)) / eng.lam)
+        return env - (kx - ky - gy * (x - y)) / eng.lam, gy
 
-    return -min_value(neg_psi, eng.Y, neg_psi(eng.Y))
+    return concave_sup(psi, eng.Y, psi(eng.Y)[0])
 
 
 def hull_function(inst: Instance) -> ProperFn:

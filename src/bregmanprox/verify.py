@@ -385,8 +385,8 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
 
     xis = np.array(_sample_etas(eng, rng, 100, with_critical=False))
     gc = eng.kernel.grad_conj(xis)
-    h_vals = eng.env(gc)
     proxes = eng.prox(gc)
+    h_vals = np.array([res.value for res in proxes])
     prox_pts = np.array([res.minimizers[0] for res in proxes])
     single = not any(res.multiple for res in proxes)
     grad_h = (gc - prox_pts) / eng.lam
@@ -426,7 +426,10 @@ def _negate_fn(fn: ProperFn) -> ProperFn:
 
 
 def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
-    """Two-sided relative smoothness with modulus L = the instance lambda.
+    """Two-sided relative smoothness with modulus L = 1 / lambda. It has the
+    units of f / kappa (D(., y) / lambda has those of f), so rescaling f or
+    kappa together with lambda, which leaves the prox unchanged, leaves
+    whether L kappa +/- f is convex unchanged too.
 
     Conditions: (i) level proximal subdifferentials of +f and -f (kernel
     scaled by L) nonempty at every sampled interior point with u equal to the
@@ -435,7 +438,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     Asserts (i) => (ii) and (ii) and (iii) => (i).
     """
     eng, rep, rng = _start(inst, "bsmooth", seed, "bsmooth", "f-real-valued")
-    L = inst.lam
+    L = 1.0 / inst.lam
     rep.tolerances = {"tol_cert": TOL_CERT, "tol_conv": TOL_CONV,
                       "tol_boundary": TOL_BOUNDARY}
 

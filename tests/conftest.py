@@ -11,14 +11,16 @@ settings.load_profile("repeatable")
 
 
 @pytest.fixture
-def refine_brackets(monkeypatch):
-    """The number of brackets of each ``numerics.refine`` call the test makes."""
+def zoom_brackets(monkeypatch):
+    """The number of brackets of each ``numerics.zoom`` call the test makes:
+    every bracket search goes through it (``refine``, ``grid_min_value`` and
+    ``min_value``)."""
     brackets = []
-    real = numerics.refine
+    real = numerics.zoom
 
     def counted(phi, a, b, rows=None):
         brackets.append(np.size(a))
         return real(phi, a, b, rows)
 
-    monkeypatch.setattr(numerics, "refine", counted)
+    monkeypatch.setattr(numerics, "zoom", counted)
     return brackets

@@ -23,9 +23,9 @@ from bregmanprox.subdiff import (left_lpsubdiff_definitional,
 from bregmanprox.verify import reports_to_json, resolvent_check, run_suite
 
 
-# Per report of the seed-42 suite: status, each condition's verdict and each
-# implication's asserted/holds; no floats.
-VERDICTS_SEED42 = Path(__file__).parent / "data" / "verdicts_seed42.json"
+# Per report of the suite at a seed: status, each condition's verdict and
+# each implication's asserted/holds; no floats.
+VERDICTS = Path(__file__).parent / "data" / "verdicts_seed{}.json"
 
 
 def verdicts(reports):
@@ -246,14 +246,16 @@ def test_criterion_9_determinism(suite42):
           f"({len(a.encode())} bytes)")
 
 
-def test_verdicts_match_seed42_golden(suite42):
-    want = json.loads(VERDICTS_SEED42.read_text())
-    got = verdicts(suite42)
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_verdicts_match_golden(suite42, seed):
+    path = Path(str(VERDICTS).format(seed))
+    want = json.loads(path.read_text())
+    got = verdicts(suite42 if seed == 42 else run_suite(instance_names(), seed=seed))
     assert [(v["instance"], v["theorem"]) for v in got] == \
         [(v["instance"], v["theorem"]) for v in want]
     moved = [f"{g['instance']}/{g['theorem']}" for g, w in zip(got, want) if g != w]
     assert moved == [], f"verdicts moved: {moved}"
-    print(f"\nPASS verdict golden: {len(got)} reports match {VERDICTS_SEED42.name}")
+    print(f"\nPASS verdict golden: {len(got)} reports match {path.name}")
 
 
 def test_suite42_passes_the_benchmark_report_checks(suite42):

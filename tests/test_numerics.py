@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bregmanprox.extreal import Interval
 from bregmanprox import numerics
 from bregmanprox.catalog import get_instance
 from bregmanprox.numerics import (X_RESOLUTION, Grid, build_grid,
-                                  finite_diff_grad, grid_minimize,
+                                  concave_sup, finite_diff_grad, grid_minimize,
                                   lower_convex_envelope, min_value,
                                   monotone_invert, refine,
                                   second_difference_convexity_test)
@@ -162,6 +163,56 @@ def test_min_value_matches_the_polished_refinement(phi, xs):
     v = min_value(phi, xs, values)
     assert abs(v - v_ref[0]) <= 4 * np.spacing(1.0) * max(1.0, abs(v))
     assert v <= values[j]
+
+
+# -- the concave sup -------------------------------------------------------------
+
+def _rounds(search, phi, xs):
+    """(value, rounds) of ``concave_sup`` on ``phi`` over ``xs``, or of the
+    width rule alone, ``min_value`` on -phi."""
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return phi(x)
+
+    if search == "concave":
+        v = concave_sup(counted, xs, phi(xs)[0])
+    else:
+        v = -min_value(lambda x: -counted(x)[0], xs, -phi(xs)[0])
+    return v, len(calls)
+
+
+def _in_s(g):
+    """phi(y) = (g(s), s) with the increasing slope s = sinh(y)."""
+    return lambda y: (g(np.sinh(y)), np.sinh(y))
+
+
+_XS = np.linspace(-1.0, 1.0, 2001)
+
+
+@pytest.mark.parametrize("g, sup", [
+    (lambda s: 1.5 - np.cosh(s - _C), 0.5),
+    (lambda s: -3.0 * np.square(s + 0.2 * _C) + 40.0, 40.0),
+])
+def test_concave_sup_stops_within_rounding_before_the_width_rule(g, sup):
+    v, rounds = _rounds("concave", _in_s(g), _XS)
+    _, width_rounds = _rounds("width", _in_s(g), _XS)
+    assert abs(v - sup) <= numerics.SUP_STOP_ULPS * np.spacing(max(1.0, sup))
+    assert v <= sup and rounds < width_rounds
+
+
+@pytest.mark.parametrize("g", [
+    lambda s: -np.abs(s - _C),  # a kink at the max, off every sample
+    lambda s: s,  # the best sample at the bracket's right end
+    lambda s: np.full_like(s, 2.0),  # equal chord slopes
+    lambda s: np.where(s < _C, -np.inf, -s),  # samples that are not finite
+])
+def test_concave_sup_without_a_bound_falls_back_to_the_width_rule(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _rounds("concave", _in_s(g), _XS)
+    assert got == _rounds("width", _in_s(g), _XS)
 
 
 def test_minimize_convex_matches_finer_scan():

@@ -258,14 +258,7 @@ def test_env_memo_is_bounded_by_grid_size():
 
 def test_env_memo_evicts_only_the_oldest_values(monkeypatch):
     eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=65)
-    rows = []
-    solve = eng._solve
-
-    def counted(ys):
-        rows.append(len(ys))
-        return solve(ys)
-
-    monkeypatch.setattr(eng, "_solve", counted)
+    rows = _count_env_solves(monkeypatch, eng)
     eng.env(eng.Y)
     eng.env([0.01, 0.02, 0.03])  # three points off the grid
     assert len(eng._env_memo) == 65
@@ -284,6 +277,41 @@ def test_batched_env_equals_env_bit_for_bit(name, ys):
     assert [float(v) for v in batched] == [eng.env(y) for y in ys]
     if name == "ex411":
         assert eng.prox(2.0 ** -0.5).multiple
+
+
+@pytest.mark.parametrize("name", instance_names())
+def test_value_only_env_is_the_unpolished_prox_value(monkeypatch, name):
+    """env searches by value alone: never below the prox value, which the
+    polish can only lower, and within 16 ulps of it, at 1,000 points across
+    the y grid. The ulps are those of max(1, |v|, |kappa(ybar)| / lam), the
+    largest term the objective rounds: ex420 near the window's end reads
+    22 ulps of |v| = 7.9 there, 2 of kappa(ybar) / lam = 166."""
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
+    ys = numerics.sample_inset(np.random.default_rng(0), eng.y_grid.lo, eng.y_grid.hi, 1000)
+    polished = []
+    real = numerics._polish
+
+    def counted(*args):
+        polished.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(numerics, "_polish", counted)
+    env = eng.env(ys)
+    assert not polished
+    v = np.array([res.value for res in eng.prox(ys)])
+    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(eng.kernel.eval(ys)) / eng.lam)
+    assert (env >= v).all()
+    assert (env - v <= 16 * np.spacing(scale)).all()
+
+
+def test_tilted_on_the_x_grid_is_cached_with_the_same_bits():
+    eng = proxenv.InstanceEngine(get_instance("ex419"), grid_n=2001)
+    g = eng.tilted(eng.X)
+    assert g is eng.tilted(eng.X) and not g.flags.writeable
+    assert g.tobytes() == eng.tilted(eng.X.copy()).tobytes()
+    lf = eng.lam * eng.F
+    a = np.abs(lf) + np.abs(eng.K)
+    assert eng._tilt[1] == np.max(a, where=np.isfinite(a), initial=0.0)
 
 
 def _bits(eng, res):
@@ -319,14 +347,15 @@ def _count_grid_minimize(monkeypatch):
     return calls
 
 
-def test_range_probe_solves_in_blocks(monkeypatch, refine_brackets):
-    """250 rows scan the grid in 15 blocks and refine in one call."""
+def test_range_probe_solves_in_blocks(monkeypatch, zoom_brackets):
+    """250 rows scan the grid in 15 blocks and search their brackets in one
+    zoom call."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     inst = get_instance("hell_halfk")
     calls = _count_grid_minimize(monkeypatch)
     proxenv.range_probe(inst, n=250, seed=3)
-    assert len(calls) == len(refine_brackets) == 1
-    assert refine_brackets[0] >= 250
+    assert len(calls) == len(zoom_brackets) == 1
+    assert zoom_brackets[0] >= 250
 
 
 def test_empty_batches_solve_nothing():
@@ -452,7 +481,7 @@ def _outcome(solve, eng, ys):
 
 def _assert_windowed_scan_is_exact(eng, ys):
     want = _outcome(_whole_grid_solve, eng, ys)
-    assert _outcome(type(eng)._solve, eng, ys) == want
+    assert _outcome(lambda e, y: e._solve(y, numerics.grid_minimize), eng, ys) == want
 
 
 # (a, b, c) of x -> b f(x - a) + c: a domain shift that leaves +inf cells on
@@ -577,19 +606,34 @@ def test_env_many_reads_and_fills_the_memo():
     assert len(eng._env_memo) == 3
 
 
+def _count_env_solves(monkeypatch, eng):
+    """The number of rows of each batch of envelope solves ``eng`` makes."""
+    rows = []
+    solve = eng._solve
+
+    def counted(ys, finish):
+        assert finish is proxenv.grid_min_value
+        rows.append(len(ys))
+        return solve(ys, finish)
+
+    monkeypatch.setattr(eng, "_solve", counted)
+    return rows
+
+
 def test_repeated_prox_hull_reads_the_memo(monkeypatch):
     inst = get_instance("ex310")
     engine(inst)._env_memo.clear()
     first = prox_hull(inst, -0.4)
-    calls = _count_grid_minimize(monkeypatch)
+    solves = _count_env_solves(monkeypatch, engine(inst))
     assert prox_hull(inst, -0.4) == first
-    assert not calls
+    assert not solves
 
 
 def test_warm_prox_hull_refinement_work_is_pinned(monkeypatch):
-    """The definitional hull nests the envelope's refinement inside its own;
-    both go through numerics.refine, so wrapping it counts every objective
-    point that one warm prox_hull refines."""
+    """The definitional hull nests the envelope's zoom inside its own sup;
+    wrapping ``numerics.zoom``, ``_polish`` and ``concave_sup`` counts every
+    objective point that one warm prox_hull refines (about 12,800 when each
+    envelope was polished and the sup ran to the width rule)."""
     monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
     base = get_instance("hell_halfk")
     inst = Instance(base.name, base.kernel, base.fn, base.lam)  # an empty memo
@@ -597,18 +641,18 @@ def test_warm_prox_hull_refinement_work_is_pinned(monkeypatch):
     points = []
 
     def counting(real):
-        def counted(phi, a, b, rows=None, *best):
+        def counted(phi, *args):
             def phi_counted(x, *r):
                 points.append(np.size(x))
                 return phi(x, *r)
-            return real(phi_counted, a, b, rows, *best)
+            return real(phi_counted, *args)
         return counted
 
-    # refine is zoom then _polish, and the value-only sup calls zoom alone
-    for name in ("zoom", "_polish"):
+    for name in ("zoom", "_polish", "concave_sup"):
         monkeypatch.setattr(numerics, name, counting(getattr(numerics, name)))
+    monkeypatch.setattr(proxenv, "concave_sup", numerics.concave_sup)
     prox_hull(inst, 0.3)
-    assert sum(points) <= 20_000
+    assert sum(points) <= 10_000
 
 
 @pytest.mark.parametrize("name, x", [
@@ -616,16 +660,17 @@ def test_warm_prox_hull_refinement_work_is_pinned(monkeypatch):
     ("ex310", -0.4), ("ex310", 0.5), ("euclid_abs", -2.0), ("euclid_abs", 0.7),
 ])
 def test_warm_prox_hull_envelope_solves_are_pinned(monkeypatch, name, x):
-    """The sup over ybar reads only a value, so it stops after the zoom: one
-    envelope solve per zoom round and none for a location polish, which
-    took the count to 10-12."""
+    """One batch of envelope solves per round of the sup, which stops once
+    its samples bound the sup to within rounding (at ex310 0.5 the sup sits
+    on a kink and runs to the width rule). Polishing each sup took the count
+    to 10-12, and the width rule alone to 6-8."""
     monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
     base = get_instance(name)
     inst = Instance(base.name, base.kernel, base.fn, base.lam)  # an empty memo
     engine(inst).env_coarse()
-    calls = _count_grid_minimize(monkeypatch)
+    solves = _count_env_solves(monkeypatch, engine(inst))
     prox_hull(inst, x)
-    assert 1 <= len(calls) <= 8
+    assert 1 <= len(solves) <= 7
 
 
 def test_env_decreases_in_lambda():

@@ -2,15 +2,16 @@ import collections
 import dataclasses
 import math
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 
 from bregmanprox import proxenv, subdiff, verify
-from bregmanprox.catalog import Instance, get_instance, instance_names
+from bregmanprox.catalog import Instance, get_instance, instance_names, shift_scale
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
-from bregmanprox.kernels import ENERGY, HELLINGER
+from bregmanprox.kernels import ENERGY, HELLINGER, scale_kernel
 from bregmanprox.verify import (ALL_CHECKS, check_bcoco, check_bsmooth,
                                 check_dfne, check_env_convexity,
                                 check_strong_convexity_sufficient,
@@ -177,6 +178,31 @@ def test_bsmooth_rejects_extended_valued_f():
         check_bsmooth(get_instance("ex411"), seed=5)
 
 
+def _bsmooth_verdict(inst, seed):
+    rep = check_bsmooth(inst, seed=seed)
+    return (rep.status, {c.label: c.holds for c in rep.conditions},
+            [(i.premises, i.conclusion) for i in rep.violated])
+
+
+@pytest.mark.parametrize("name", ["euclid_abs", "shannon_abs", "ex419"])
+def test_bsmooth_verdict_does_not_depend_on_units(name):
+    """(f, lam) -> (b f, lam / b) and (kappa, lam) -> (L kappa, L lam) leave
+    the prox unchanged, and with the modulus 1 / lam (units f / kappa) they
+    leave the bsmooth report's verdicts unchanged too, at the suite's
+    seed-42 child seed and scales 10^-2, 10^-1.5, ..., 10^2."""
+    inst = get_instance(name)
+    seed = (42 * 1000003 + zlib.crc32(f"{name}:bsmooth".encode())) & 0x7FFFFFFF
+    want = _bsmooth_verdict(inst, seed)
+    moved = []
+    for b in 10.0 ** np.arange(-2.0, 2.25, 0.5):
+        for kind, scaled in (
+                ("f", Instance(name, inst.kernel, shift_scale(inst.fn, 0.0, b, 0.0), inst.lam / b)),
+                ("kappa", Instance(name, scale_kernel(inst.kernel, b), inst.fn, inst.lam * b))):
+            if _bsmooth_verdict(scaled, seed) != want:
+                moved.append((kind, float(b)))
+    assert moved == []
+
+
 # -- two-sided --------------------------------------------------------------------------
 
 def test_two_sided_euclid_abs():
@@ -313,23 +339,23 @@ def test_suite_decides_each_instance_fact_once(monkeypatch):
     assert (decided["h-convex"], decided["f-convex"], decided["range-probe"]) == (8, 11, 11)
 
 
-def test_suite_refinement_calls_are_pinned(monkeypatch, refine_brackets):
-    """A prox, envelope or certificate batch refines every row in one call:
-    a seed-42 suite on two instances makes 11 refine calls (111 with one
-    call per 17-row block) for 1815 prox and envelope brackets, plus the 54
-    rows of shannon_abs's two bsmooth certificate batches (27 points, each
-    sign)."""
+def test_suite_refinement_calls_are_pinned(monkeypatch, zoom_brackets):
+    """A prox, envelope or certificate batch searches every row's brackets
+    in one zoom call: a seed-42 suite on two instances makes 11 zoom calls
+    (111 with one call per 17-row block) for 1815 prox and envelope
+    brackets, plus the 54 rows of shannon_abs's two bsmooth certificate
+    batches (27 points, each sign)."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
     run_suite(["ex411", "shannon_abs"], seed=42)
-    assert len(refine_brackets) <= 11
-    assert sum(refine_brackets) == 1815 + 54
+    assert len(zoom_brackets) <= 11
+    assert sum(zoom_brackets) == 1815 + 54
 
 
-def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, refine_brackets):
+def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, zoom_brackets):
     """check_weak_convexity(ex310) reads f-subdiff-nonempty from one
     hull_slopes call for all its sampled points, and check_bsmooth(euclid_abs)
-    certifies its 27 points in at most two refine calls (a loop over the
+    certifies its 27 points in at most two zoom calls (a loop over the
     points would make one per point and sign)."""
     calls = []
     real = subdiff.hull_slopes
@@ -341,9 +367,9 @@ def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, refine_brac
     monkeypatch.setattr(subdiff, "hull_slopes", counted)
     rep = check_weak_convexity(get_instance("ex310"), seed=0)
     assert len(calls) == 1 and not holds(rep, "f-subdiff-nonempty")
-    refine_brackets.clear()
+    zoom_brackets.clear()
     check_bsmooth(get_instance("euclid_abs"), seed=0)
-    assert len(refine_brackets) <= 2 and sum(refine_brackets) == 2 * 27
+    assert len(zoom_brackets) <= 2 and sum(zoom_brackets) == 2 * 27
 
 
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
