@@ -313,6 +313,7 @@ def conjugate_by_grid(k: Kernel, eta: float) -> float:
     """kappa*(eta) = sup_x eta x - kappa(x) by grid search plus a zoom (``grid_conjugate``).
 
     Independent of the closed-form conjugates; used to cross-check them.
+    Raises ``UnboundedBelowError`` where the sup passes ``DEFAULT_UNBOUNDED_CAP``.
     """
     return grid_conjugate(k.eval, build_grid(k.domain, n=4001, window=k.sample_window), eta)
 

@@ -8,10 +8,10 @@ domain); the helpers never form inf - inf because only +inf-valued terms are
 added. The root finder stays scalar; the finite difference takes a float or
 an array. Minimizers are resolved in x to ``X_RESOLUTION`` relative: closer
 basins merge into one, and bracket refinement stops at that width. A grid
-minimization returns a ``ProxResult``, which the proximal maps hand on.
-Searches that read only a value skip the location polish: ``grid_min_value``
-(the same scan, a least value per row), ``min_value`` and ``concave_sup``,
-which stops early where concavity bounds the sup to within rounding.
+minimization searches each tie run from its best grid cell and returns a
+``ProxResult``. Searches that read only a value skip the location polish:
+``grid_min_value`` (the same scan, a least value per row) and
+``concave_sup``, which stops once concavity bounds the sup within rounding.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "grid_min_value",
     "zoom",
     "refine",
-    "min_value",
     "concave_sup",
     "HullCurve",
     "lower_convex_envelope",
@@ -210,7 +209,7 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
     increase the value, so kinks and boundary minimizers are left in place.
     It never raises a value, and on the catalog it lowers one by a few ulps
     at most, so a caller that reads only the value calls ``zoom`` (see
-    ``min_value``). Arguments and batching are those of ``zoom``.
+    ``grid_min_value``). Arguments and batching are those of ``zoom``.
     """
     return _polish(phi, a, b, rows, *zoom(phi, a, b, rows))
 
@@ -244,38 +243,37 @@ def _polish(phi: Callable, a, b, rows, x, v):
     return x, v
 
 
-def min_value(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
-    """The least value of ``phi`` that ``zoom`` finds on the two cells around
-    the best finite sample of ``phi`` on ``xs`` (``values``). Value only: no
-    location is polished, since no caller reads one."""
-    j = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
-    return float(zoom(phi, xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])[1][0])
-
-
-def _tie_runs(values: np.ndarray, tol_tie: float, cap: float):
-    """(row, i0, i1) of every run of grid cells within ``tol_tie`` of its
-    row's minimum, for a 2-D block of rows; checks every row as it scans."""
+def _tie_runs(values: np.ndarray, tol_tie: float):
+    """(row, i0, i1, best, low) of every run of grid cells within ``tol_tie``
+    of its row's minimum in a 2-D block, with its first least cell and value."""
     vmin = values.min(axis=1)
     if not np.isfinite(vmin).all():  # NaN, -inf or a row of +inf: mask the finite
         vmin = values.min(axis=1, where=np.isfinite(values), initial=np.inf)
         if np.isinf(vmin).any():
             raise AllInfiniteError("objective is +inf at every grid sample")
-    if vmin.min() < -cap:
-        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
-    # only indices leave (``values`` may be a buffer the next block overwrites);
-    # padded with False on each side, run starts and ends alternate in a row
-    tie = np.zeros((len(values), values.shape[1] + 2), dtype=bool)
+    # only indices and copies leave: ``values`` may be a buffer the next block overwrites
+    n = values.shape[1] + 2
+    tie = np.zeros((len(values), n), dtype=bool)  # padded: flat changes alternate start, end
     np.less_equal(values, (vmin + tol_tie)[:, None], out=tie[:, 1:-1])
-    row, col = np.nonzero(tie[:, 1:] != tie[:, :-1])
-    return row[::2], col[::2], col[1::2] - 1
+    flat = tie.ravel()
+    edge = np.flatnonzero(flat[1:] != flat[:-1])  # the cell before each change
+    row, i0, i1 = edge[::2] // n, edge[::2] % n, edge[1::2] % n - 1
+    # each run's first least cell, its cells compared offset by offset
+    best, low = i0.copy(), values[row, i0]
+    for k in range(1, int((i1 - i0).max()) + 1):
+        c = np.minimum(i0 + k, i1)  # a run shorter than k repeats its last cell
+        v = values[row, c]
+        better = v < low
+        best[better], low[better] = c[better], v[better]
+    return row, i0, i1, best, low
 
 
 def _grid_runs(phi: Callable, grid: Grid, values, search: Callable):
-    """The shared front of ``grid_minimize`` and ``grid_min_value``: scan
-    ``values`` (see ``grid_minimize``) for each row's tie runs, ``search``
-    (``refine`` or ``zoom``) every run's bracketing interval in one call and
-    check the searched values against the cap. Returns (single, n_rows, row,
-    i0, i1, x, v): runs in row order, row r owning ``row == r``."""
+    """The shared front of ``grid_minimize`` and ``grid_min_value``: the tie
+    runs of ``values`` (see ``grid_minimize``), each bracket searched by
+    ``search`` from its run's best grid cell (phi's own sample: no call), all
+    in one call, checked against the cap. Returns (single, n_rows, row, i0,
+    i1, x, v), runs in row order."""
     xs = grid.points
     if values is None:
         values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
@@ -284,14 +282,14 @@ def _grid_runs(phi: Callable, grid: Grid, values, search: Callable):
         values = [(0, np.atleast_2d(values))]
     scans, n_rows = [], 0
     for start, block in values:
-        row, i0, i1 = _tie_runs(block, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP)
-        scans.append((row + n_rows, i0 + start, i1 + start))
+        row, i0, i1, best, low = _tie_runs(block, DEFAULT_TOL_TIE)
+        scans.append((row + n_rows, i0 + start, i1 + start, best + start, low))
         n_rows += len(block)
         del block  # free it before the generator builds the next one
-    row, i0, i1 = map(np.concatenate, zip(*scans))
-    a = xs[np.maximum(i0 - 1, 0)]
-    b = xs[np.minimum(i1 + 1, len(xs) - 1)]
-    x, v = search(phi, a, b, None if single else row)
+    row, i0, i1, best, low = map(np.concatenate, zip(*scans))
+    x, v = search(phi, xs[np.maximum(i0 - 1, 0)], xs[np.minimum(i1 + 1, len(xs) - 1)],
+                  None if single else row)
+    x, v = np.where(low <= v, xs[best], x), np.minimum(v, low)  # a tie keeps the cell
     if v.min() < -DEFAULT_UNBOUNDED_CAP:
         raise UnboundedBelowError(f"refined objective reached {v.min():.3e}")
     return single, n_rows, row, i0, i1, x, v
@@ -303,10 +301,10 @@ def grid_minimize(phi: Callable, grid: Grid,
 
     The coarse grid locates every cell within ``DEFAULT_TOL_TIE`` of the
     minimum; each contiguous run of such cells is refined on its bracketing
-    interval, all runs in one ``refine`` call. The result keeps the refined
-    basins within ``DEFAULT_TOL_TIE`` of the best one; two or more of them
-    (``multiple``) is how set-valued proximal mappings are observed at grid
-    resolution.
+    interval from its best cell, all runs in one ``refine`` call. The result
+    keeps the refined basins within ``DEFAULT_TOL_TIE`` of the best one; two
+    or more of them (``multiple``) is how set-valued proximal mappings are
+    observed at grid resolution.
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
@@ -623,14 +621,9 @@ def convexity_condition(label: str, xs: np.ndarray, vals: np.ndarray) -> Conditi
 
 
 def grid_conjugate(g: Callable, grid: Grid, eta: float) -> float:
-    """g*(eta) = sup_x eta x - g(x) over ``grid``: the best grid sample,
-    zoomed on the two cells around it (``min_value``, a value-only search)."""
-    xs = grid.points
-
-    def neg(x):
-        return -(float(eta) * x - g(x))
-
-    return -min_value(neg, xs, neg(xs))
+    """g*(eta) = sup_x eta x - g(x) over ``grid``: minus ``grid_min_value`` of
+    g(x) - eta x, with its errors (a sup past the cap, no finite sample)."""
+    return -grid_min_value(lambda x: g(x) - float(eta) * x, grid)
 
 
 def finite_diff_grad(phi: Callable, x, h: float):

@@ -4,7 +4,7 @@ Two independent computation routes are provided and never allowed to validate
 themselves against each other:
 
 * the *definitional certificate*: a global support-type inequality checked on
-  the working grid with local refinement of the worst slack, and
+  the working grid, its least slack found by ``numerics.grid_minimize``, and
 * the *hull characterization*: subgradients read off the lower convex
   envelope of lam f + kappa, with per-side slopes refined by one-sided finite
   differences wherever the envelope touches the function (a chord side keeps
@@ -12,8 +12,9 @@ themselves against each other:
 
 Both routes take a float or an array of points and answer an array in one
 batch, a point getting the same bits in a batch as alone: the hull route in
-array arithmetic, the certificates by scanning every row in the engine's
-row blocks and refining all rows in one ``refine`` call.
+array arithmetic, the certificates by one ``grid_minimize`` of every slack
+row, scanned in the engine's row blocks (the left slack is the left-prox
+objective with the slope grad kappa(xbar) + lam u, up to a constant).
 
 The single-valuedness test reads the hull route. The resolvent and
 coincidence checks, which read both routes, are theorem reports in
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import numerics
 from .catalog import Instance
+from .errors import AllInfiniteError, UnboundedBelowError
 from .extreal import Interval
 from .proxenv import InstanceEngine, engine
 
@@ -103,40 +105,42 @@ def _rows(a, b):
                                              np.asarray(b, dtype=float)))
 
 
-def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid):
+def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid: numerics.Grid):
     """(member, worst slack, witness) of the rows ``pts`` of ``a`` and ``b``:
     floats for two points, 1-D arrays otherwise.
 
     A row that is not ``ok`` gives (False, -inf, its point). The others,
-    which ``slack(x, rows)`` numbers among themselves, take their worst
-    slack over ``grid``: the grid is scanned in the engine's row blocks,
-    then every row is refined around its worst sample in one ``refine``
-    call, and a grid sample still beats a worse refinement. A row with no
-    finite sample gives (True, inf, nan).
+    which ``slack(x, rows)`` numbers among themselves, take their least
+    slack over ``grid`` and its first minimizer (``_least_slack``).
     """
-    n = int(ok.sum())
-    j, low = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
-    for rows in eng._row_blocks(n):
-        vals = slack(grid, rows)
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        r = rows[:, 0]
-        j[r] = vals.argmin(axis=1)
-        low[r] = vals[np.arange(r.size), j[r]]
-    at = np.full(n, np.nan)
-    live = np.nonzero(np.isfinite(low))[0]
-    if live.size:
-        jl = j[live]
-        x_ref, v_ref = numerics.refine(slack, grid[np.maximum(jl - 1, 0)],
-                                       grid[np.minimum(jl + 1, len(grid) - 1)], live)
-        on_grid = low[live] < v_ref
-        at[live] = np.where(on_grid, grid[jl], x_ref)
-        low[live] = np.where(on_grid, low[live], v_ref)
     worst, witness = np.full(pts.size, -np.inf), pts.copy()
-    worst[ok], witness[ok] = low, at
+    if ok.any():
+        worst[ok], witness[ok] = _least_slack(eng, slack, grid, int(ok.sum()))
     member = worst >= -TOL_CERT
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return bool(member[0]), float(worst[0]), float(witness[0])
     return member, worst, witness
+
+
+def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int):
+    """(least slack, first minimizer) of ``n`` slack rows, as arrays, by one
+    ``grid_minimize`` over the engine's row blocks, or row by row if that
+    raises: no finite sample gives (inf, nan), a slack past the cap its least
+    grid sample, at most -``DEFAULT_UNBOUNDED_CAP``, and that sample's point."""
+    blocks = ((0, slack(grid.points, rows)) for rows in eng._row_blocks(n))
+    try:
+        res = numerics.grid_minimize(slack, grid, values=blocks)
+    except (AllInfiniteError, UnboundedBelowError) as exc:
+        if n > 1:
+            alone = [_least_slack(eng, lambda x, rows, r=r: slack(x, rows + r), grid, 1)
+                     for r in range(n)]
+            return tuple(map(np.concatenate, zip(*alone)))
+        if isinstance(exc, AllInfiniteError):
+            return np.array([math.inf]), np.array([math.nan])
+        vals = slack(grid.points, np.zeros((1, 1), dtype=np.intp))[0]
+        j = int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))
+        return np.array([min(vals[j], -numerics.DEFAULT_UNBOUNDED_CAP)]), grid.points[[j]]
+    return np.array([r.value for r in res]), np.array([r.clusters[0].x for r in res])
 
 
 def left_lpsubdiff_definitional(inst: Instance, xbar, u):
@@ -144,10 +148,11 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     one (xbar, u) or for arrays of them, broadcast together.
 
     Tests f(x) >= f(xbar) + u (x - xbar) - D(x, xbar)/lam over the domain
-    grid, refining the worst slack. Returns (member, worst_slack, witness_x),
-    three 1-D arrays for arrays; membership requires xbar interior to the
-    kernel domain and worst slack >= -TOL_CERT. Points outside the interior
-    are non-members by definition.
+    grid. Returns (member, worst_slack, witness_x), three 1-D arrays for
+    arrays: the least slack and the first minimizer that ``grid_minimize``
+    keeps (within ``DEFAULT_TOL_TIE`` of it), or past the unbounded cap as
+    in ``_least_slack``. Membership requires xbar interior to the kernel
+    domain and worst slack >= -TOL_CERT; other points give (False, -inf, xbar).
     """
     eng = engine(inst)
     xb, uu = _rows(xbar, u)
@@ -161,7 +166,7 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
         dx = x - xb_ok[rows]
         return fx - fxb[rows] - u_ok[rows] * dx + (kx - kxb[rows] - gxb[rows] * dx) / eng.lam
 
-    return _certify(eng, xbar, u, xb, ok, slack, eng.X)
+    return _certify(eng, xbar, u, xb, ok, slack, eng.x_grid)
 
 
 def right_lpsubdiff_definitional(inst: Instance, ybar, v):
@@ -169,7 +174,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     one (ybar, v) or for arrays of them, broadcast together.
 
     Tests g(y) >= g(ybar) + v (grad kappa(y) - grad kappa(ybar)) - D(ybar, y)/lam
-    over the interior grid. Returns (member, worst_slack, witness_y).
+    over the interior grid; (member, worst_slack, witness_y) as on the left.
     """
     eng = engine(inst)
     yb, vv = _rows(ybar, v)
@@ -184,7 +189,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
         d = kyb[rows] - ky - gy * (yb_ok[rows] - y)
         return eng.fn.eval(y) - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
 
-    return _certify(eng, ybar, v, yb, ok, slack, eng.Y)
+    return _certify(eng, ybar, v, yb, ok, slack, eng.y_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ settings.load_profile("repeatable")
 @pytest.fixture
 def zoom_brackets(monkeypatch):
     """The number of brackets of each ``numerics.zoom`` call the test makes:
-    every bracket search goes through it (``refine``, ``grid_min_value`` and
-    ``min_value``)."""
+    every bracket search goes through it (``refine``, hence ``grid_minimize``
+    and the certificates, and ``grid_min_value``, hence ``grid_conjugate``)."""
     brackets = []
     real = numerics.zoom
 

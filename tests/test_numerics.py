@@ -10,13 +10,14 @@ from bregmanprox.errors import (AllInfiniteError, DomainEdgeError,
                                 UnboundedBelowError)
 from bregmanprox.extreal import Interval
 from bregmanprox import numerics
-from bregmanprox.catalog import get_instance
+from bregmanprox.catalog import Instance, get_instance, shift_scale
 from bregmanprox.numerics import (X_RESOLUTION, Grid, build_grid,
-                                  concave_sup, finite_diff_grad, grid_minimize,
-                                  lower_convex_envelope, min_value,
-                                  monotone_invert, refine,
-                                  second_difference_convexity_test)
-from bregmanprox.proxenv import engine, left_prox
+                                  concave_sup, finite_diff_grad, grid_conjugate,
+                                  grid_min_value, grid_minimize,
+                                  lower_convex_envelope, monotone_invert, refine,
+                                  second_difference_convexity_test, zoom)
+from bregmanprox.proxenv import engine, left_env, left_prox
+from bregmanprox.subdiff import left_lpsubdiff_definitional
 
 
 def unit_grid(n=1001, lo=-1.0, hi=1.0):
@@ -132,54 +133,115 @@ def test_the_resolution_stop_keeps_the_ex411_tie():
     assert res.minimizers == pytest.approx([0.0, 1.0], abs=X_RESOLUTION)
 
 
-@pytest.mark.xfail(strict=True, reason="zoom starts from v_best = +inf and samples "
-                   "the midpoint lo + (hi - lo)/2 = 5.55e-17, never the grid cell x = 0 "
-                   "itself, so ex411 at ybar = 0.1 ends 7.45e-9 above its grid minimum")
-def test_refinement_never_ends_above_its_best_grid_cell():
-    eng = engine(get_instance("ex411"))
-    grid_best = eng.left_values(0.1).min()  # at x = 0.0, a grid point
-    assert float(left_prox(get_instance("ex411"), 0.1).value) <= grid_best
+_EX411_Y = 0.1  # ex411's left objective there is least at the grid point x = 0
+
+
+def _ex411_searches(route):
+    """(searched value, best grid sample) of one grid search of ex411 whose
+    least sample is the grid cell x = 0, where the objective is sqrt-steep:
+    the prox and the envelope at ybar = 0.1, the left certificate whose
+    slack is that objective plus a constant, and the conjugate of
+    lam f + kappa at grad kappa(0.1), which is minus lam times it."""
+    inst = get_instance("ex411")
+    eng = engine(inst)
+    values = eng.left_values(_EX411_Y)
+    if route == "prox":
+        return left_prox(inst, _EX411_Y).value, values.min()
+    if route == "env":
+        return left_env(inst, _EX411_Y), values.min()
+    k, eta = eng.kernel, float(eng.kernel.grad(_EX411_Y))
+    if route == "certificate":
+        xb = 0.5
+        u = (eta - float(k.grad(xb))) / eng.lam
+        fxb, kxb, gxb = float(eng.fn.eval(xb)), float(k.eval(xb)), float(k.grad(xb))
+        dx = eng.X - xb
+        slack = eng.F - fxb - u * dx + (eng.K - kxb - gxb * dx) / eng.lam
+        return left_lpsubdiff_definitional(inst, xb, u)[1], slack.min()
+    g = eng.tilted(eng.X) - eta * eng.X
+    return -grid_conjugate(eng.tilted, eng.x_grid, eta), g.min()
+
+
+@pytest.mark.parametrize("route", ["prox", "env", "certificate", "conjugate"])
+def test_refinement_never_ends_above_its_best_grid_cell(route):
+    """Every tie run's search starts from its best grid cell. Zoom's first
+    midpoint lo + (hi - lo)/2 = 5.55e-17 is not the cell x = 0 itself, and
+    from there it once ended 7.45e-9 above the grid minimum."""
+    searched, grid_best = _ex411_searches(route)
+    assert searched <= grid_best
+
+
+def test_rescaled_ex411_keeps_both_prox_points():
+    """(f, lam) -> (1e3 f, lam / 1e3) leaves the prox unchanged: at
+    ybar = 1/sqrt(2) it is {0, 1}. Without the grid-cell start the x = 0
+    run refines 7.45e-6 above its cell, past the tie tolerance, and drops."""
+    inst = get_instance("ex411")
+    scaled = Instance(inst.name, inst.kernel, shift_scale(inst.fn, 0.0, 1e3, 0.0), inst.lam / 1e3)
+    res = left_prox(scaled, 1 / math.sqrt(2))
+    assert res.minimizers == pytest.approx([0.0, 1.0], abs=X_RESOLUTION)
 
 
 # -- the value-only search ------------------------------------------------------
 
 _C = 0.3 + 1e-4 * math.sqrt(2)  # off every grid below
 
-
-@pytest.mark.parametrize("phi, xs", [
+_VALUE_CASES = [
     # a smooth interior minimum, which the polish moves in x
-    (lambda x: np.cosh(x - _C) + 0.25, np.linspace(-1.0, 1.0, 2001)),
+    (lambda x: np.cosh(x - _C) + 0.25, Grid(-1.0, 1.0, 2001)),
     # an off-grid kink
-    (lambda x: 2.0 * np.abs(x - _C) - 0.5 * (x - _C) + 3.0, np.linspace(-1.0, 1.0, 2001)),
+    (lambda x: 2.0 * np.abs(x - _C) - 0.5 * (x - _C) + 3.0, Grid(-1.0, 1.0, 2001)),
     # a minimum at the bracket's end b = 0.4, with +inf past it
-    (lambda x: np.where(x > 0.4, np.inf, np.exp(-x)), np.linspace(-1.0, 0.4, 1401)),
-])
-def test_min_value_matches_the_polished_refinement(phi, xs):
+    (lambda x: np.where(x > 0.4, np.inf, np.exp(-x)), Grid(-1.0, 0.4, 1401)),
+]
+
+
+@pytest.mark.parametrize("phi, grid", _VALUE_CASES)
+def test_grid_min_value_matches_the_polished_refinement(phi, grid):
     """The value-only search skips the polish: its value is within 4 ulps
-    of what ``refine`` reaches from the same bracket."""
-    values = phi(xs)
-    j = int(np.argmin(values))
-    _, v_ref = refine(phi, xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])
-    v = min_value(phi, xs, values)
-    assert abs(v - v_ref[0]) <= 4 * np.spacing(1.0) * max(1.0, abs(v))
-    assert v <= values[j]
+    of the ``grid_minimize`` value, and never above the best grid sample."""
+    v = grid_min_value(phi, grid)
+    assert abs(v - grid_minimize(phi, grid).value) <= 4 * np.spacing(1.0) * max(1.0, abs(v))
+    assert v <= phi(grid.points).min()
+
+
+@pytest.mark.parametrize("phi, grid", _VALUE_CASES)
+def test_grid_conjugate_is_a_value_only_sup(phi, grid):
+    """g*(eta) by the value-only search: never below the best grid sample of
+    eta x - g(x), and within 4 ulps of the polished sup."""
+    eta, xs = 0.75, grid.points
+    v = grid_conjugate(phi, grid, eta)
+    assert v >= (eta * xs - phi(xs)).max()
+    polished = -grid_minimize(lambda x: phi(x) - eta * x, grid).value
+    assert abs(v - polished) <= 4 * np.spacing(1.0) * max(1.0, abs(v))
+
+
+def test_grid_conjugate_raises_as_grid_minimize():
+    """A sup past DEFAULT_UNBOUNDED_CAP (about 8e12 for x^2 at eta = 1e12 on
+    [-8, 8]) and a g with no finite sample raise, as in ``grid_minimize``."""
+    grid = Grid(-8.0, 8.0, 2001)
+    with pytest.raises(UnboundedBelowError):
+        grid_conjugate(np.square, grid, 1e12)
+    with pytest.raises(AllInfiniteError):
+        grid_conjugate(lambda x: np.full_like(x, np.inf), grid, 0.5)
 
 
 # -- the concave sup -------------------------------------------------------------
 
 def _rounds(search, phi, xs):
     """(value, rounds) of ``concave_sup`` on ``phi`` over ``xs``, or of the
-    width rule alone, ``min_value`` on -phi."""
+    width rule alone: ``zoom`` of -phi on the two cells around the best
+    sample."""
     calls = []
 
     def counted(x):
         calls.append(1)
         return phi(x)
 
+    values = phi(xs)[0]
     if search == "concave":
-        v = concave_sup(counted, xs, phi(xs)[0])
+        v = concave_sup(counted, xs, values)
     else:
-        v = -min_value(lambda x: -counted(x)[0], xs, -phi(xs)[0])
+        j = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
+        v = -zoom(lambda x: -counted(x)[0], xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)])[1][0]
     return v, len(calls)
 
 
@@ -245,9 +307,11 @@ def test_refinement_below_the_cap_raises():
 
 def test_basins_closer_than_the_x_resolution_merge():
     """At |x| = 1e7 the x resolution is 1e-2, twenty cells of 5e-4: two
-    single-cell tie runs twelve cells apart refine to two points that merge
-    into one cluster spanning both runs, with the lower refined value and its
-    point (the left one on a tie), so the result is single-valued."""
+    single-cell tie runs twelve cells apart merge into one cluster spanning
+    both runs, so the result is single-valued. Each run's search starts from
+    its grid cell, a or b, where phi is 0. The search around a refines to
+    2e-9 above its cell, so that run ends on a; the merge keeps the lower
+    value and its point, the left one on a tie: a, at 0."""
     g = Grid(1e7, 1e7 + 1, 2001)
     xs = g.points
     a, b = xs[800], xs[812]
@@ -255,15 +319,15 @@ def test_basins_closer_than_the_x_resolution_merge():
     def phi(x):
         return np.minimum(np.abs(x - a), np.abs(x - b))
 
-    x_ref, v_ref = refine(phi, [xs[799], xs[811]], [xs[801], xs[813]])
-    k = 1 if v_ref[1] < v_ref[0] else 0
+    _, v_ref = refine(phi, [xs[799], xs[811]], [xs[801], xs[813]])
+    assert v_ref[0] > 0.0
     res = grid_minimize(phi, g)
     assert not res.multiple
     assert len(res.clusters) == 1
     c = res.clusters[0]
-    assert (c.x, c.value, c.x_lo, c.x_hi) == (x_ref[k], v_ref[k], a, b)
-    assert res.value == v_ref[k]
-    assert list(res.minimizers) == [x_ref[k]]
+    assert (c.x, c.value, c.x_lo, c.x_hi) == (a, 0.0, a, b)
+    assert res.value == 0.0
+    assert list(res.minimizers) == [a]
 
 
 def test_precomputed_values_path():
@@ -274,22 +338,23 @@ def test_precomputed_values_path():
     assert abs(x) < 1e-9
 
 
-def _tie_runs_reference(values, tol_tie, cap):
+def _tie_runs_reference(values, tol_tie):
     """The tie-run scan as first written: a finite mask on every block, and
-    two nonzero passes over an int8 difference of the tie mask."""
+    two nonzero passes over an int8 difference of the tie mask; then each
+    run's first least cell, one run at a time."""
     finite = np.isfinite(values)
     if not finite.any(axis=1).all():
         raise AllInfiniteError("objective is +inf at every grid sample")
     vmin = values.min(axis=1, where=finite, initial=np.inf)
-    if vmin.min() < -cap:
-        raise UnboundedBelowError(f"grid objective reached {vmin.min():.3e}")
     tie = (values <= (vmin + tol_tie)[:, None]).astype(np.int8)
     edge = np.diff(tie, axis=1, prepend=np.int8(0), append=np.int8(0))
     row, i0 = np.nonzero(edge == 1)
-    return row, i0, np.nonzero(edge == -1)[1] - 1
+    i1 = np.nonzero(edge == -1)[1] - 1
+    best = np.array([a + np.argmin(values[r, a:b + 1]) for r, a, b in zip(row, i0, i1)], dtype=int)
+    return row, i0, i1, best, values[row, best]
 
 
-# near-ties, exact ties, both infinities, NaN and values past a cap of 3.5
+# near-ties, exact ties, both infinities and NaN
 _CELL = st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 5e-8, 1.0, -3.0, -4.0, math.inf,
                                    -math.inf, math.nan]), st.floats(-5.0, 5.0))
 
@@ -306,24 +371,24 @@ def _tie_blocks(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=_tie_blocks(), tol_tie=st.sampled_from([0.0, 1e-7, 0.6]),
-       cap=st.sampled_from([1e12, 3.5]))
+@given(values=_tie_blocks(), tol_tie=st.sampled_from([0.0, 1e-7, 0.6]))
 # runs at both ends and one-cell runs; one column; -inf ties and NaN never does
 @example(values=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
-         tol_tie=1e-7, cap=1e12)
-@example(values=np.array([[2.0], [-1.0]]), tol_tie=1e-7, cap=1e12)
-@example(values=np.array([[math.inf, -math.inf, 0.0, math.nan, 0.0]]), tol_tie=1e-7, cap=1e12)
-def test_tie_runs_match_the_reference_scan(values, tol_tie, cap):
-    """Same (row, i0, i1) arrays, or the same exception and message, for
-    blocks with runs at both ends, one-cell runs, +-inf, NaN and +inf rows."""
+         tol_tie=1e-7)
+@example(values=np.array([[2.0], [-1.0]]), tol_tie=1e-7)
+@example(values=np.array([[math.inf, -math.inf, 0.0, math.nan, 0.0]]), tol_tie=1e-7)
+def test_tie_runs_match_the_reference_scan(values, tol_tie):
+    """Same (row, i0, i1, best, low) arrays, or the same exception and
+    message, for blocks with runs at both ends, one-cell runs, +-inf, NaN
+    and +inf rows."""
     try:
-        want = _tie_runs_reference(values, tol_tie, cap)
-    except (AllInfiniteError, UnboundedBelowError) as exc:
+        want = _tie_runs_reference(values, tol_tie)
+    except AllInfiniteError as exc:
         with pytest.raises(type(exc)) as got:
-            numerics._tie_runs(values, tol_tie, cap)
+            numerics._tie_runs(values, tol_tie)
         assert str(got.value) == str(exc)
         return
-    got = numerics._tie_runs(values, tol_tie, cap)
+    got = numerics._tie_runs(values, tol_tie)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 

@@ -9,6 +9,7 @@ from bregmanprox.catalog import F_ABS, Instance, ProperFn, get_instance, shift_s
 from bregmanprox.errors import HypothesesUnmetError
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import ENERGY, QUARTIC
+from bregmanprox.numerics import DEFAULT_UNBOUNDED_CAP
 from bregmanprox.proxenv import engine, hull_instance
 from bregmanprox.subdiff import (SubdiffSet, frechet_lower_probe,
                                  left_lpsubdiff_definitional,
@@ -320,6 +321,34 @@ def test_certificate_batches_cover_the_branch_points():
             assert [bits(c) for c in batch] == [bits(route(inst, p, 0.3)) for p in pts]
         for route in (left_lpsubdiff_definitional, right_lpsubdiff_definitional):
             assert all(a.shape == (0,) for a in route(inst, [], []))
+
+
+@pytest.mark.parametrize("route, name, point, u, at", [
+    (left_lpsubdiff_definitional, "euclid_abs", 0.5, 1e12, 8.0),
+    (right_lpsubdiff_definitional, "euclid_abs", 0.5, 1e12, 8.0),
+    (left_lpsubdiff_definitional, "shannon_abs", 1.0, 1e11, 12.0),
+])
+def test_a_slack_past_the_unbounded_cap_is_a_non_member(route, name, point, u, at):
+    """A u whose slack falls below -DEFAULT_UNBOUNDED_CAP is a non-member,
+    not an exception: its worst slack is the finite least grid sample, at the
+    grid's right end, and in a batch it leaves the other rows as alone."""
+    inst = get_instance(name)
+    member, worst, witness = route(inst, point, u)
+    assert member is False and -math.inf < worst <= -DEFAULT_UNBOUNDED_CAP and witness == at
+    batch = zip(*(a.tolist() for a in route(inst, [point, point], [0.3, u])))
+    assert [bits(c) for c in batch] == [bits(route(inst, point, v)) for v in (0.3, u)]
+
+
+def test_a_slack_with_no_finite_grid_sample_certifies_vacuously():
+    """dom f lies between two grid points, so no slack sample is finite:
+    the certificate holds vacuously, (True, inf, nan), alone and in a batch."""
+    fn = ProperFn("sliver", Interval(0.3001, 0.3002), lambda x: np.where(
+        (x >= 0.3001) & (x <= 0.3002), 0.0, np.inf), window=(-8.0, 8.0))
+    inst = Instance("sliver", ENERGY, fn, 1.0)
+    for route in (left_lpsubdiff_definitional, right_lpsubdiff_definitional):
+        assert bits(route(inst, 0.30015, 0.5)) == bits((True, math.inf, math.nan))
+        batch = zip(*(a.tolist() for a in route(inst, [0.30015, 0.30015], [0.5, -2.0])))
+        assert [bits(c) for c in batch] == [bits((True, math.inf, math.nan))] * 2
 
 
 # -- coincidence ------------------------------------------------------------------------

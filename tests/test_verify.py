@@ -356,7 +356,8 @@ def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, zoom_bracke
     """check_weak_convexity(ex310) reads f-subdiff-nonempty from one
     hull_slopes call for all its sampled points, and check_bsmooth(euclid_abs)
     certifies its 27 points in at most two zoom calls (a loop over the
-    points would make one per point and sign)."""
+    points would make one per point and sign). Every tie run of a slack row
+    is searched: one row has two, so the two calls take 55 brackets."""
     calls = []
     real = subdiff.hull_slopes
 
@@ -369,7 +370,7 @@ def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, zoom_bracke
     assert len(calls) == 1 and not holds(rep, "f-subdiff-nonempty")
     zoom_brackets.clear()
     check_bsmooth(get_instance("euclid_abs"), seed=0)
-    assert len(zoom_brackets) <= 2 and sum(zoom_brackets) == 2 * 27
+    assert len(zoom_brackets) <= 2 and sum(zoom_brackets) == 2 * 27 + 1
 
 
 def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
