@@ -28,9 +28,9 @@ class ProperFn:
 
     ``eval_arr`` is vectorized and returns +inf outside the effective domain.
     ``deriv`` is an optional closed-form derivative used as a test oracle,
-    ``convex`` an optional convexity annotation, and ``pb_threshold`` the
-    prox-boundedness threshold with the catalog kernel it is paired with,
-    when known. ``window`` is the finite working range for grids.
+    and ``pb_threshold`` the prox-boundedness threshold with the catalog
+    kernel it is paired with, when known. ``window`` is the finite working
+    range for grids.
     """
 
     name: str
@@ -38,7 +38,6 @@ class ProperFn:
     eval_arr: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
     deriv: Callable[[float], float] | None = None
-    convex: bool | None = None
     pb_threshold: float | None = None
 
     def eval(self, x):
@@ -69,15 +68,14 @@ class Instance:
         return f"Instance({self.name})"
 
 
-def _fn(name, domain, formula, window, deriv=None, convex=None, threshold=None):
-    return ProperFn(name, domain, _masked(domain, formula), window, deriv, convex, threshold)
+def _fn(name, domain, formula, window, deriv=None, threshold=None):
+    return ProperFn(name, domain, _masked(domain, formula), window, deriv, threshold)
 
 
 F_ZERO = _fn("zero", Interval.reals(), lambda x: np.zeros_like(x),
-             window=(-8.0, 8.0), deriv=lambda x: 0.0, convex=True, threshold=math.inf)
+             window=(-8.0, 8.0), deriv=lambda x: 0.0, threshold=math.inf)
 
-F_ABS = _fn("abs", Interval.reals(), np.abs,
-            window=(-8.0, 8.0), convex=True, threshold=math.inf)
+F_ABS = _fn("abs", Interval.reals(), np.abs, window=(-8.0, 8.0), threshold=math.inf)
 
 
 def shift_scale(fn: ProperFn, a: float, b: float, c: float) -> ProperFn:
@@ -93,7 +91,6 @@ def shift_scale(fn: ProperFn, a: float, b: float, c: float) -> ProperFn:
         eval_arr=lambda x: b * fn.eval_arr(x - a) + c,
         window=(fn.window[0] + a, fn.window[1] + a),
         deriv=deriv,
-        convex=fn.convex,
         pb_threshold=thr,
     )
 
@@ -111,8 +108,7 @@ _HELL_DOM = Interval(-1.0, 1.0)
 
 _F_EX310 = _fn(
     "tilted_semicircle", _HELL_DOM, lambda x: x * _unit(x), window=(-1.0, 1.0),
-    deriv=lambda x: (1.0 - 2.0 * x * x) / math.sqrt(1.0 - x * x),
-    convex=False, threshold=math.inf,
+    deriv=lambda x: (1.0 - 2.0 * x * x) / math.sqrt(1.0 - x * x), threshold=math.inf,
 )
 
 # Upper semicircle of radius 1/2 centered at 1/2, +inf on [-1, 0) so the
@@ -121,24 +117,24 @@ _F_EX411 = _fn(
     "offset_semicircle", _HELL_DOM,
     lambda x: np.where((x >= 0.0) & (x <= 1.0),
                        np.sqrt(np.maximum(x * (1.0 - x), 0.0)), np.inf),
-    window=(-1.0, 1.0), convex=False, threshold=math.inf,
+    window=(-1.0, 1.0), threshold=math.inf,
 )
 
 _F_LN = _fn(
     "log", Interval(0.0, math.inf, False, False), np.log, window=(0.0, 12.0),
-    deriv=lambda x: 1.0 / x, convex=False, threshold=1.0,
+    deriv=lambda x: 1.0 / x, threshold=1.0,
 )
 
 _F_EX419 = _fn(
     "quartic_gap", Interval.reals(),
     lambda x: 0.25 * np.square(np.square(x - 1.0)) - 0.25 * np.square(np.square(x)),
     window=(-8.0, 8.0),
-    deriv=lambda x: (x - 1.0) ** 3 - x ** 3, convex=False, threshold=math.inf,
+    deriv=lambda x: (x - 1.0) ** 3 - x ** 3, threshold=math.inf,
 )
 
 _F_LINEAR = _fn(
     "identity", Interval.reals(), lambda x: np.asarray(x, dtype=float),
-    window=(-8.0, 8.0), deriv=lambda x: 1.0, convex=True, threshold=math.inf,
+    window=(-8.0, 8.0), deriv=lambda x: 1.0, threshold=math.inf,
 )
 
 
@@ -150,25 +146,24 @@ def _bsmooth_eval(x):
 # Upper unit semicircle on the open interval, but forced to -1 at |x| = 1:
 # lsc, yet its boundary values disagree with the interior limits.
 _F_BSMOOTH = ProperFn("semicircle_dropped_ends", _HELL_DOM, _bsmooth_eval,
-                      window=(-1.0, 1.0), convex=False, pb_threshold=math.inf)
+                      window=(-1.0, 1.0), pb_threshold=math.inf)
 
 _F_HALFK = _fn(
     "half_semicircle", _HELL_DOM, lambda x: 0.5 * _unit(x), window=(-1.0, 1.0),
-    deriv=lambda x: -0.5 * x / math.sqrt(1.0 - x * x),
-    convex=False, threshold=math.inf,
+    deriv=lambda x: -0.5 * x / math.sqrt(1.0 - x * x), threshold=math.inf,
 )
 
 _F_SQ = _fn("square", Interval.reals(), np.square, window=(-8.0, 8.0),
-            deriv=lambda x: 2.0 * x, convex=True, threshold=math.inf)
+            deriv=lambda x: 2.0 * x, threshold=math.inf)
 
 _F_ABS_STRONG = _fn(
     "abs_plus_halfsq", Interval.reals(), lambda x: np.abs(x) + 0.5 * np.square(x),
-    window=(-8.0, 8.0), convex=True, threshold=math.inf,
+    window=(-8.0, 8.0), threshold=math.inf,
 )
 
 _F_ABS_SHIFT1 = _fn(
     "abs_about_one", Interval(0.0, math.inf, True, False),
-    lambda x: np.abs(x - 1.0), window=(0.0, 12.0), convex=True, threshold=math.inf,
+    lambda x: np.abs(x - 1.0), window=(0.0, 12.0), threshold=math.inf,
 )
 
 _CATALOG: dict[str, Instance] = {}

@@ -4,14 +4,16 @@ This module is the single home of kappa, its conjugate, their gradients and
 gradient inverses, and the primal/dual Bregman distances built from them.
 ``Kernel.eval``, ``grad``, ``conj_eval`` and ``grad_conj`` each take a float
 or an array and evaluate it as one float array, returning a float for a float
-and an array for an array. Kappa, its conjugate and the catalog functions
-are evaluated in ``_coerce`` alone, which keeps NaN out of every value: a NaN
-point lies in no domain and reads +inf, and a NaN value at any other point
-(inf - inf or 0 * inf inside a formula) raises ``InfMinusInfError`` naming
-the function and the point. Each catalog kernel carries
-closed forms for the conjugate and the gradient inverse; the generic
-fallbacks (grid conjugation, monotone inversion) exist so tests can
-cross-check the closed forms against an independent route.
+and an array for an array. So do ``bregman_distance``, ``dual_distance``,
+``symmetrized_gap`` and ``three_point_residual``, at points broadcast
+together; the two distances share one array body, ``_distance``. Kappa,
+its conjugate and the catalog functions are evaluated in ``_coerce`` alone,
+which keeps NaN out of every value: a NaN point lies in no domain and reads
++inf, and a NaN value at any other point (inf - inf or 0 * inf inside a
+formula) raises ``InfMinusInfError`` naming the function and the point. Each
+catalog kernel carries closed forms for the conjugate and the gradient
+inverse; the generic fallbacks (grid conjugation, monotone inversion) exist
+so tests can cross-check the closed forms against an independent route.
 """
 
 from __future__ import annotations
@@ -102,12 +104,6 @@ def _coerce(fn, xs, name: str) -> float | np.ndarray:
                                    "or an undefined form)")
         v = np.where(nan, np.inf, v)
     return float(v) if v.ndim == 0 else v
-
-
-def _at(fn, x: float) -> float:
-    """``fn`` at one point already known to be interior, as a float."""
-    with np.errstate(all="ignore"):
-        return float(fn(x))
 
 
 def _interior(fn, dom: Interval, x, name: str):
@@ -229,8 +225,9 @@ ALL_KERNELS = (ENERGY, SHANNON, BURG, HELLINGER, QUARTIC, CUBIC_ABS)
 LEGENDRE_KERNELS = tuple(k for k in ALL_KERNELS if k.is_legendre)
 
 
-def bregman_distance(k: Kernel, x: float, y: float) -> float:
-    """D(x, y) = kappa(x) - kappa(y) - <grad kappa(y), x - y>.
+def bregman_distance(k: Kernel, x, y):
+    """D(x, y) = kappa(x) - kappa(y) - <grad kappa(y), x - y>, at floats (a
+    float) or at arrays broadcast together (an array).
 
     Total on pairs: +inf when y is not interior or x lies outside the domain.
     Tiny negative values from roundoff are floored at zero.
@@ -238,8 +235,8 @@ def bregman_distance(k: Kernel, x: float, y: float) -> float:
     return _distance(k.eval, k.grad_arr, k.domain, x, y)
 
 
-def dual_distance(k: Kernel, xi: float, eta: float) -> float:
-    """Bregman distance generated by the conjugate kernel.
+def dual_distance(k: Kernel, xi, eta):
+    """Bregman distance generated by the conjugate kernel, at floats or arrays.
 
     Satisfies D(x, y) = D*(grad kappa(y), grad kappa(x)) on interior pairs for
     Legendre kernels.
@@ -249,42 +246,43 @@ def dual_distance(k: Kernel, xi: float, eta: float) -> float:
     return _distance(k.conj_eval, k.grad_conj_arr, k.conj_domain, xi, eta)
 
 
-def _distance(ev, grad, dom: Interval, x: float, y: float) -> float:
-    """The Bregman distance of ``ev`` (gradient ``grad`` on int ``dom``)."""
-    x, y = float(x), float(y)
-    if not dom.interior_contains(y):
-        return math.inf
+def _distance(ev, grad, dom: Interval, x, y):
+    """The Bregman distance of ``ev`` (gradient ``grad`` on int ``dom``) at
+    the pairs of ``x`` and ``y`` broadcast together, in one interior test."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     vx = ev(x)
-    if not math.isfinite(vx):
-        return math.inf
-    d = vx - ev(y) - _at(grad, y) * (x - y)
-    if -1e-9 < d < 0.0:
-        d = 0.0
-    return d
+    with np.errstate(all="ignore"):
+        d = vx - ev(y) - grad(y) * (x - y)
+    d = np.where(dom.interior_contains(y) & np.isfinite(vx), d, math.inf)
+    d = np.where((-1e-9 < d) & (d < 0.0), 0.0, d)
+    return float(d) if d.ndim == 0 else d
 
 
-def symmetrized_gap(k: Kernel, x1: float, x2: float) -> float:
-    """(grad kappa(x1) - grad kappa(x2)) * (x1 - x2), nonnegative by convexity."""
-    x1, x2 = float(x1), float(x2)
-    if not (k.domain.interior_contains(x1) and k.domain.interior_contains(x2)):
-        raise OutsideInteriorError("symmetrized gap needs interior points")
-    return float((k.grad_arr(x1) - k.grad_arr(x2)) * (x1 - x2))
+def symmetrized_gap(k: Kernel, x1, x2):
+    """(grad kappa(x1) - grad kappa(x2)) * (x1 - x2), nonnegative by
+    convexity, at floats or arrays broadcast together. Raises
+    ``OutsideInteriorError`` naming the first point off the interior."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    gap = (k.grad(x1) - k.grad(x2)) * (x1 - x2)
+    return float(gap) if gap.ndim == 0 else gap
 
 
-def three_point_residual(k: Kernel, x: float, y: float, z: float) -> float:
-    """|D(x,z) - D(x,y) - D(y,z) - (x-y)(grad kappa(y) - grad kappa(z))|.
+def three_point_residual(k: Kernel, x, y, z):
+    """|D(x,z) - D(x,y) - D(y,z) - (x-y)(grad kappa(y) - grad kappa(z))|, at
+    floats or arrays broadcast together.
 
-    Zero in exact arithmetic for x in the domain and y, z interior.
+    Zero in exact arithmetic for x in the domain and y, z interior; +inf
+    where one of the three distances is.
     """
-    x, y, z = float(x), float(y), float(z)
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
     dxz = bregman_distance(k, x, z)
     dxy = bregman_distance(k, x, y)
     dyz = bregman_distance(k, y, z)
-    if not (math.isfinite(dxz) and math.isfinite(dxy) and math.isfinite(dyz)):
-        return math.inf
-    # finite distances have already found y and z interior
-    cross = (x - y) * (_at(k.grad_arr, y) - _at(k.grad_arr, z))
-    return abs(dxz - dxy - dyz - cross)
+    # read only where the three distances are finite, so y and z are interior
+    with np.errstate(all="ignore"):
+        r = np.abs(dxz - dxy - dyz - (x - y) * (k.grad_arr(y) - k.grad_arr(z)))
+    r = np.where(np.isfinite(dxz) & np.isfinite(dxy) & np.isfinite(dyz), r, math.inf)
+    return float(r) if r.ndim == 0 else r
 
 
 def scale_kernel(k: Kernel, L: float) -> Kernel:

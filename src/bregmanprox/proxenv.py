@@ -512,10 +512,13 @@ def prox_hull(inst: Instance, x: float) -> float:
     rounding. This is the definitional route; it reads only envelope values
     and grad kappa, and the geometric route through the lower convex
     envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
-    +inf outside dom kappa; an x that overflows raises as in ``right_prox``.
+    +inf outside dom kappa; an x that overflows raises as in ``right_prox``,
+    and so does an x whose best y-grid sample is a grid end that the window
+    cut, where the sup may lie past the samples.
     """
     eng = engine(inst)
-    if not eng.kernel.domain.contains(float(x)):
+    dom = eng.kernel.domain
+    if not dom.contains(float(x)):
         return math.inf
     kx = eng._right_kappa(x)
 
@@ -525,7 +528,13 @@ def prox_hull(inst: Instance, x: float) -> float:
         ky, gy = eng.kg(y)
         return env - (kx - ky - gy * (x - y)) / eng.lam, gy
 
-    return concave_sup(psi, eng.Y, psi(eng.Y)[0])
+    vals = psi(eng.Y)[0]
+    j = np.argmax(np.where(np.isfinite(vals), vals, -np.inf))
+    wlo, whi = eng.fn.window
+    if (j == 0 and wlo > dom.lo) or (j == vals.size - 1 and whi < dom.hi):
+        raise OutOfRangeError(f"{x} out of range for {eng.kernel.name}: the sup over "
+                              "ybar is at or past the window's end of the y grid")
+    return concave_sup(psi, eng.Y, vals)
 
 
 def hull_function(inst: Instance) -> ProperFn:
@@ -534,7 +543,7 @@ def hull_function(inst: Instance) -> ProperFn:
     curve = eng.hull_curve()
     dom = Interval(curve.x_min, curve.x_max)
     return ProperFn(f"hull_{inst.name}", dom, eng.hull_fn_value, inst.fn.window,
-                    convex=None, pb_threshold=inst.fn.pb_threshold)
+                    pb_threshold=inst.fn.pb_threshold)
 
 
 def hull_instance(inst: Instance) -> Instance:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Instance, ProperFn, get_instance
 from .errors import HypothesesUnmetError
-from .kernels import scale_kernel
+from .kernels import bregman_distance, symmetrized_gap
 from .numerics import (TOL_CONV, Condition, convexity_condition, finite_diff_grad,
                        sample_inset)
 from .proxenv import InstanceEngine, engine, prox_escapes
@@ -293,10 +293,8 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    gg = eng.kernel.grad(xx)
     lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-    dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
-    e_cond = _worst_pair("e-dfne", lhs - dd, (ee, xx))
+    e_cond = _worst_pair("e-dfne", lhs - symmetrized_gap(eng.kernel, xx[:, None], xx), (ee, xx))
 
     rep.conditions = [a, c, e_cond]
     if probe_ok:
@@ -397,11 +395,7 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
         DH = (h_vals[:, None] - h_vals[None, :]
               - grad_h[None, :] * (xis[:, None] - xis[None, :]))
         P = gc[:, None] - eng.lam * (grad_h[:, None] - grad_h[None, :])
-        Q = gc[:, None] + np.zeros_like(P)
-        KP = eng.kernel.eval(P)
-        KQ = eng.kernel.eval(Q)
-        GQ = eng.kernel.grad(Q)
-        RHS = KP - KQ - GQ * (P - Q)
+        RHS = bregman_distance(eng.kernel, P, gc[:, None])
         coco = _worst_pair("bcoco-inequality", eng.lam * DH - RHS, (xis,))
     rep.conditions = [a, coco]
     rep.implications = [
@@ -420,9 +414,7 @@ def _negate_fn(fn: ProperFn) -> ProperFn:
         v = fn.eval_arr(x)
         return np.where(np.isfinite(v), -v, np.inf)
 
-    return ProperFn(f"neg_{fn.name}", fn.domain, ev, fn.window,
-                    deriv=None if fn.deriv is None else (lambda x: -fn.deriv(x)),
-                    pb_threshold=None)
+    return ProperFn(f"neg_{fn.name}", fn.domain, ev, fn.window)
 
 
 def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
@@ -431,21 +423,20 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     kappa together with lambda, which leaves the prox unchanged, leaves
     whether L kappa +/- f is convex unchanged too.
 
-    Conditions: (i) level proximal subdifferentials of +f and -f (kernel
-    scaled by L) nonempty at every sampled interior point with u equal to the
-    finite-difference derivative, (ii) L kappa +/- f convex on the interior,
-    (iii) boundary values of f agree with interior limits at closed endpoints.
-    Asserts (i) => (ii) and (ii) and (iii) => (i).
+    Conditions: (i) level proximal subdifferentials of +f and -f nonempty at
+    every sampled interior point with u equal to the finite-difference
+    derivative, certified on the instance's own kernel and lambda, since
+    f + D(., x) / lambda is f + D_{L kappa}(., x) at lambda 1; (ii) L kappa
+    +/- f convex on the interior; (iii) boundary values of f agree with
+    interior limits at closed endpoints. Asserts (i) => (ii) and (ii) and
+    (iii) => (i).
     """
     eng, rep, rng = _start(inst, "bsmooth", seed, "bsmooth", "f-real-valued")
     L = 1.0 / inst.lam
     rep.tolerances = {"tol_cert": TOL_CERT, "tol_conv": TOL_CONV,
                       "tol_boundary": TOL_BOUNDARY}
 
-    kL = scale_kernel(inst.kernel, L) if L != 1.0 else inst.kernel
-    fn_neg = _negate_fn(inst.fn)
-    inst_plus = Instance(f"{inst.name}+f", kL, inst.fn, 1.0)
-    inst_minus = Instance(f"{inst.name}-f", kL, fn_neg, 1.0)
+    inst_minus = Instance(f"{inst.name}-f", inst.kernel, _negate_fn(inst.fn), inst.lam)
 
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     span = hi - lo
@@ -454,7 +445,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
         + [lo + span * q for q in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]))
     pts = np.array(pts)
     us = finite_diff_grad(eng.fn.eval, pts, _fd_step(eng))
-    mp, sp, _ = left_lpsubdiff_definitional(inst_plus, pts, us)
+    mp, sp, _ = left_lpsubdiff_definitional(inst, pts, us)
     mm, sm, _ = left_lpsubdiff_definitional(inst_minus, pts, -us)
     # the worst slack up to and including the first point that fails
     fails = ~(mp & mm)
@@ -516,12 +507,10 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
                    min(fcvx.worst, hcvx.worst))
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    gg = eng.kernel.grad(xx)
     gc = eng.kernel.grad_conj(ee)
     mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-    dd = np.subtract.outer(gg, gg) * np.subtract.outer(xx, xx)
     ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-    lower = _worst_pair("lower-bound", mid - dd, (ee,))
+    lower = _worst_pair("lower-bound", mid - symmetrized_gap(eng.kernel, xx[:, None], xx), (ee,))
     upper = _worst_pair("upper-bound", ddual - mid, (ee,))
     two = Condition("two-sided-bounds", lower.holds and upper.holds,
                     min(lower.worst, upper.worst))
@@ -628,30 +617,26 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
         rep.status = "range-assumption-failed"
         rep.notes.append(f"prox output left the interior at {len(bad)} samples")
         return rep
-    # (violation, witness) per term; a converse term waits for the envelope
-    # at its warped point, and all envelopes are solved as one block
-    pairs = [(y, m, (eng.kernel.grad(y) - eng.kernel.grad(m)) / eng.lam)
-             for y, res in zip(ys, results) for m in res.minimizers]
-    ms = [m for _, m, _ in pairs]
-    members, slacks, _ = left_lpsubdiff_definitional(inst, ms, [u for *_, u in pairs])
-    forward = [(0.0, ())] + [(-slack, (y, m)) for (y, m, _), member, slack
-                             in zip(pairs, members, slacks.tolist()) if not member]
+    # (violation, witness) per term, each quantity one batched call
+    k = eng.kernel
+    yy = np.repeat(ys, [len(res.minimizers) for res in results])
+    ms = np.array([m for res in results for m in res.minimizers])
+    us = (k.grad(yy) - k.grad(ms)) / eng.lam
+    members, slacks, _ = left_lpsubdiff_definitional(inst, ms, us)
+    forward = [(0.0, ())] + [(-slack, (y, m)) for y, m, member, slack
+                             in zip(yy.tolist(), ms.tolist(), members, slacks.tolist())
+                             if not member]
     hull = [subdiff_samples(s) for s in left_lpsubdiff_hull(inst, ms)] \
-        if all(eng.hypotheses.values()) else [[u] for *_, u in pairs]
-    converse, y2s = [], []
-    for m, us in zip(ms, hull):
-        for u2 in us:
-            eta = eng.lam * u2 + eng.kernel.grad(m)
-            if not eng.kernel.grad_range.contains(eta):
-                continue
-            y2 = eng.kernel.grad_conj(eta)
-            if not eng.kernel.domain.interior_contains(y2):
-                continue
-            d = eng.kernel.eval(m) - eng.kernel.eval(y2) - eng.kernel.grad(y2) * (m - y2)
-            converse.append((eng.fn.eval(m) + d / eng.lam, (m, u2)))
-            y2s.append(y2)
-    converse = [(0.0, ())] + [(v - e, wit) for (v, wit), e
-                              in zip(converse, eng.env(y2s).tolist())]
+        if all(eng.hypotheses.values()) else [[u] for u in us.tolist()]
+    # converse: each sampled subgradient's warped point, where it is interior
+    m2 = np.repeat(ms, [len(u2s) for u2s in hull])
+    u2 = np.array([u for u2s in hull for u in u2s])
+    eta = eng.lam * u2 + k.grad(m2)
+    m2, u2, eta = (a[k.grad_range.contains(eta)] for a in (m2, u2, eta))
+    y2 = k.grad_conj(eta)
+    m2, u2, y2 = (a[k.domain.interior_contains(y2)] for a in (m2, u2, y2))
+    gaps = eng.fn.eval(m2) + bregman_distance(k, m2, y2) / eng.lam - eng.env(y2)
+    converse = [(0.0, ())] + list(zip(gaps.tolist(), zip(m2.tolist(), u2.tolist())))
     (worst_f, wit_f), (worst_c, wit_c) = max(forward), max(converse)
     fwd = Condition("forward-certificate", worst_f <= TOL_CERT, worst_f, wit_f)
     conv = Condition("converse-prox", worst_c <= TOL_CERT, worst_c, wit_c)
@@ -713,9 +698,9 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
         ra.clusters, rb.clusters, x_tol=1e-5, w_tol=3 * h)), ())
     # the first 120 interior outputs (one kernel: one interior test serves
     # both instances), each with its resolvent certificate
-    outs = [(y, m) for y, ra, rb in proxes for res in (ra, rb) for m in res.minimizers]
-    firsts = [outs[i] for i in np.flatnonzero(eng_a.interior([m for _, m in outs]))[:120]]
-    prox_pairs = [(m, (kernel.grad(y) - kernel.grad(m)) / lam) for y, m in firsts]
+    outs = np.array([(y, m) for y, ra, rb in proxes for res in (ra, rb) for m in res.minimizers])
+    y1, m1 = outs[np.flatnonzero(eng_a.interior(outs[:, 1]))[:120]].T
+    prox_pairs = list(zip(m1.tolist(), ((kernel.grad(y1) - kernel.grad(m1)) / lam).tolist()))
     prox_c = Condition("prox-equal", not prox_wit, 0.0, prox_wit)
 
     # Probe the graphs where the prox outputs live (membership may differ

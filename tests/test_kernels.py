@@ -228,6 +228,61 @@ def test_distance_helpers_check_each_point_once(monkeypatch, helper, args, check
     calls = _count_interior_checks(monkeypatch)
     assert float(helper(k, *args)).hex() == expected.hex()
     assert len(calls) == checks
+    # any number of points: still one test per distance call
+    calls.clear()
+    out = helper(k, *(np.full(7, a) for a in args))
+    assert [v.hex() for v in out.tolist()] == [expected.hex()] * 7
+    assert len(calls) == checks
+
+
+def _with_edges(dom: Interval, inner: np.ndarray) -> np.ndarray:
+    """``inner``, then each finite end of ``dom`` and a point past it, the
+    infinities and NaN: points on the boundary and outside the domain."""
+    edges = []
+    if math.isfinite(dom.lo):
+        edges += [dom.lo, dom.lo - 0.5]
+    if math.isfinite(dom.hi):
+        edges += [dom.hi, dom.hi + 0.5]
+    return np.concatenate([inner, edges, [-math.inf, math.inf, math.nan]])
+
+
+def _same_bits_as_float_calls(helper, k, *args):
+    """``helper(k, *args)`` on arrays broadcast together is an array of the
+    broadcast shape holding the bits of one float call per point, and each
+    float call gives a plain ``float``."""
+    out = helper(k, *args)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    assert isinstance(out, np.ndarray) and out.shape == shape
+    points = zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in args))
+    floats = [helper(k, *p) for p in points]
+    assert all(type(v) is float for v in floats)
+    assert [v.hex() for v in out.ravel().tolist()] == [v.hex() for v in floats]
+    return out
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
+def test_distance_helpers_on_arrays_equal_the_float_calls_bit_for_bit(k):
+    """The distances and the three-point residual at every (n, 1) x (n,)
+    pair of points inside, on and outside the domain, and the symmetrized
+    gap at interior pairs: the bits of the float calls, +inf where a first
+    point lies outside the domain or a second one off its interior."""
+    rng = np.random.default_rng(11)
+    inner = interior_samples(k, 10, rng)
+    xs = _with_edges(k.domain, inner)
+    d = _same_bits_as_float_calls(bregman_distance, k, xs[:, None], xs)
+    off = ~k.domain.contains(xs)[:, None] | ~k.domain.interior_contains(xs)
+    assert (np.isposinf(d) == off).all()
+    assert (d[~off] >= 0.0).all()
+    etas = _with_edges(k.conj_domain, dual_interior_samples(k, 10, rng))
+    dd = _same_bits_as_float_calls(dual_distance, k, etas[:, None], etas)
+    assert (np.isposinf(dd) == (~k.conj_domain.contains(etas)[:, None]
+                                | ~k.conj_domain.interior_contains(etas))).all()
+    r = _same_bits_as_float_calls(three_point_residual, k, xs[:, None], xs, rng.permutation(xs))
+    assert (r[np.isfinite(r)] <= 1e-10).all()
+    gap = _same_bits_as_float_calls(symmetrized_gap, k, inner[:, None], inner)
+    assert (gap >= 0.0).all()
+    with pytest.raises(OutsideInteriorError, match="not in the interior"):
+        symmetrized_gap(k, inner[:, None], xs)
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: k.name)
@@ -277,13 +332,13 @@ def test_dual_identity_spot(k, x, y):
 
 @pytest.mark.parametrize("k", LEGENDRE_KERNELS, ids=lambda k: k.name)
 def test_dual_identity_random_pairs(k):
-    rng = np.random.default_rng(6)
-    xs = interior_samples(k, 200, rng)
-    ys = interior_samples(k, 200, rng)
-    for x, y in zip(xs, ys):
-        lhs = float(bregman_distance(k, float(x), float(y)))
-        rhs = float(dual_distance(k, k.grad(float(y)), k.grad(float(x))))
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+    """D(x, y) = D*(grad kappa(y), grad kappa(x)) at every pair of 60 interior
+    points, as arrays (Bauschke-Borwein, J. Convex Anal. 4, 1997)."""
+    xs = interior_samples(k, 60, np.random.default_rng(6))
+    gx = k.grad(xs)
+    lhs = bregman_distance(k, xs[:, None], xs)
+    rhs = dual_distance(k, gx, gx[:, None])
+    assert (np.abs(lhs - rhs) <= 1e-8 * np.maximum(1.0, np.abs(lhs))).all()
 
 
 def test_dual_requires_legendre():

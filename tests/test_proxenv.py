@@ -695,6 +695,29 @@ def test_hull_of_weakly_convex_equals_f():
         assert float(prox_hull(inst, x)) == pytest.approx(abs(x), abs=1e-6)
 
 
+@pytest.mark.parametrize("x", [7.5, 7.9, 9.0, 20.0, -7.5, -20.0])
+def test_prox_hull_past_the_window_end_is_out_of_range(x):
+    """f = |x| is its own hull on euclid_abs, and the sup over ybar is at
+    ybar = x + sign(x), past the window's end of the y grid (+-8) for
+    |x| > 7. The best y-grid sample is then that cut end, and the value read
+    from it falls below f (7.495 at x = 7.9, -64.5 at 20), so such an x is
+    out of range."""
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(str(x))} out of range "):
+        prox_hull(get_instance("euclid_abs"), x)
+
+
+@pytest.mark.parametrize("name, x", [("euclid_abs", 6.5), ("euclid_abs", -6.5),
+                                     ("hell_halfk", 1.0), ("hell_halfk", -1.0),
+                                     ("shannon_abs", 1e-9)])
+def test_prox_hull_at_a_domain_end_or_inside_the_window_is_read(name, x):
+    """Only a y-grid end that the window cut is out of range: a best sample
+    inside the window, or at a y-grid end that is a domain end (the last
+    three cases), is read. At a domain end the y grid stops an inset short
+    of it, hence the wider tolerance."""
+    inst = get_instance(name)
+    assert prox_hull(inst, x) == pytest.approx(float(engine(inst).hull_fn_value(x)), abs=1e-4)
+
+
 def test_hull_gap_on_ex310():
     inst = get_instance("ex310")
     assert float(prox_hull(inst, 0.5)) < float(inst.fn.eval(0.5)) - 1e-2

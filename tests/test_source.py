@@ -68,3 +68,22 @@ def test_one_real_type_and_one_home_for_the_nan_rule():
             if where or masked:
                 found.append(f"{path.name}:{node.lineno} maps NaN")
     assert not found, found
+
+
+def test_no_float_coercion_of_a_point_in_kernels():
+    """The kernel helpers take a float or an array through one array body:
+    no function in ``kernels.py`` converts one of its arguments with
+    ``float()``, which would keep a scalar twin. ``grad_conj_by_inversion``,
+    whose bisection is scalar by design, is exempt."""
+    path = next(p for p in SOURCES if p.name == "kernels.py")
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)) \
+                or getattr(fn, "name", None) == "grad_conj_by_inversion":
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        found += [f"{getattr(fn, 'name', 'lambda')}:{node.lineno}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in params]
+    assert not found, f"float() of a point argument at {found}"

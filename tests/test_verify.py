@@ -166,8 +166,7 @@ def test_bsmooth_counterexample_boundary_mismatch():
 def test_bsmooth_quadratic_all_true():
     from bregmanprox.catalog import _fn
     fn = _fn("quarter_sq", Interval.reals(), lambda x: 0.25 * np.square(x),
-             window=(-8.0, 8.0), deriv=lambda x: 0.5 * x, convex=True,
-             threshold=math.inf)
+             window=(-8.0, 8.0), deriv=lambda x: 0.5 * x, threshold=math.inf)
     rep = check_bsmooth(Instance("quarter_sq_e", ENERGY, fn, 1.0), seed=5)
     assert all(c.holds for c in rep.conditions)
     assert rep.violated == []
@@ -176,6 +175,24 @@ def test_bsmooth_quadratic_all_true():
 def test_bsmooth_rejects_extended_valued_f():
     with pytest.raises(HypothesesUnmetError):
         check_bsmooth(get_instance("ex411"), seed=5)
+
+
+def test_bsmooth_certifies_plus_f_on_the_instance_itself(monkeypatch):
+    """f + D_{L kappa}(., xbar) at lambda 1 is f + D(., xbar) / lambda for
+    L = 1 / lambda, so +f is certified through the instance's own warm
+    engine: a check builds one engine, for -f, and not two."""
+    inst = get_instance("ex419")
+    check_bsmooth(inst, seed=5)
+    built = []
+    real = proxenv.InstanceEngine.__init__
+
+    def counted(self, inst, *args, **kwargs):
+        built.append(inst.name)
+        real(self, inst, *args, **kwargs)
+
+    monkeypatch.setattr(proxenv.InstanceEngine, "__init__", counted)
+    check_bsmooth(inst, seed=5)
+    assert built == ["ex419-f"]
 
 
 def _bsmooth_verdict(inst, seed):
