@@ -27,7 +27,7 @@ from .subdiff import (SingleValuedness, SubdiffSet, left_lpsubdiff_definitional,
 
 # The theorem harness is imported on first use of one of its names (PEP
 # 562), so importing the package or its command line does not load it.
-_VERIFY = ("VerifyReport", "check_bcoco", "check_bsmooth", "check_dfne",
+_VERIFY = ("VerifyReport", "check_bcoco", "check_bsmooth", "check_dfne", "check_example",
            "check_env_convexity", "check_strong_convexity_sufficient",
            "check_two_sided", "check_weak_convexity", "coincidence_check",
            "reports_to_json", "resolvent_check", "run_suite")

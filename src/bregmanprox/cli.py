@@ -2,8 +2,8 @@
 and the verification suite.
 
 Exit codes: 0 pass, 1 asserted-implication or reproduction failure, 2 usage,
-unknown or out-of-range input. CSV output uses 17 significant digits so
-files round-trip bit-exactly.
+unknown or out-of-range input, or an output file that cannot be written. CSV
+output uses 17 significant digits so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,19 +17,10 @@ import numpy as np
 from .catalog import get_instance, instance_names
 from .errors import (HypothesesUnmetError, InfMinusInfError, OutOfRangeError,
                      UnknownInstanceError)
-from .kernels import BURG
-from .proxenv import engine, threshold_scan
-from .subdiff import left_lpsubdiff_definitional, left_lpsubdiff_hull, monotone_related
+from .proxenv import engine
+from .subdiff import left_lpsubdiff_hull
 
 QUANTITIES = ("f", "env", "hull", "prox", "subdiff-lo", "subdiff-hi", "h_lambda")
-
-
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(float(v), ".17g")
 
 
 def _parse_grid(spec: str):
@@ -107,137 +98,36 @@ def cmd_curve(args) -> int:
         # InfMinusInfError: f or kappa overflowed to inf - inf at a grid point
         print(f"requested column out of range: {exc}", file=sys.stderr)
         return 2
-    out = args.output or sys.stdout
-    close = False
-    if isinstance(out, str):
-        out, close = open(out, "w"), True
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return 2
     try:
         out.write(",".join(["x"] + what) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join(format(float(v), ".17g") for v in row) + "\n")
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
     return 0
 
 
-def _report_line(label: str, ok: bool, detail: str = "") -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f": {detail}" if detail else ""))
-    return ok
-
-
-def _reproduce_310() -> bool:
-    inst = get_instance("ex310")
-    xs = np.linspace(-1.0, 1.0, 201)[1:-1].tolist()
-    *sets, s0 = left_lpsubdiff_hull(inst, xs + [0.0])
-    ok = True
-    bad_sing, bad_empty = 0, 0
-    for x, s in zip(xs, sets):
-        if x < 0:
-            if s.is_empty or not s.is_singleton or \
-                    abs(0.5 * (s.lo + s.hi) - inst.fn.deriv(x)) > 1e-4:
-                bad_sing += 1
-        elif x > 0:
-            if not s.is_empty:
-                bad_empty += 1
-    ok &= _report_line("singleton equal to f'(x) on (-1, 0)", bad_sing == 0,
-                       f"{bad_sing} failures of 99 points")
-    ok &= _report_line("empty on (0, 1)", bad_empty == 0,
-                       f"{bad_empty} failures of 99 points")
-    detail = "empty" if s0.is_empty else f"[{_fmt(s0.lo)}, {_fmt(s0.hi)}]"
-    # The hull route classifies x = 0 with the closed branch: the certificate
-    # (1 - sqrt(1 - x^2))(1 - x) >= 0 accepts u = f'(0) = 1, so the reading
-    # {f'(0)} is annotated, and the harness reports both readings.
-    ambiguous_ok = s0.is_empty or (s0.is_singleton and abs(s0.hi - 1.0) <= 1e-4)
-    ok &= _report_line("x = 0 reported per ambiguity note "
-                       "(closed branch value 1 or empty)", ambiguous_ok, detail)
-    return ok
-
-
-def _reproduce_411() -> bool:
-    inst = get_instance("ex411")
-    ok = True
-    s = left_lpsubdiff_hull(inst, 0.0)
-    ok &= _report_line("subdifferential at 0 has upper endpoint 1/2",
-                       (not s.is_empty) and abs(s.hi - 0.5) <= 1e-4,
-                       f"hi = {_fmt(s.hi)}")
-    ok &= _report_line("lower endpoint flagged unbounded",
-                       (not s.is_empty) and math.isinf(s.lo), f"lo = {_fmt(s.lo)}")
-    ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
-    outputs = {round(m, 6) for res in engine(inst).prox(ys) for m in res.minimizers}
-    near0 = any(abs(m) <= 1e-4 for m in outputs)
-    near1 = any(abs(m - 1.0) <= 1e-4 for m in outputs)
-    only01 = all(abs(m) <= 1e-4 or abs(m - 1.0) <= 1e-4 for m in outputs)
-    ok &= _report_line("prox range is {0, 1}", near0 and near1 and only01,
-                       f"outputs {sorted(outputs)}")
-    ok &= _report_line("range-assumption probe fails", not engine(inst).range_assumption[0])
-    xs = np.linspace(0.0, 1.0, 101)
-    graph = [(x, u) for x, s in zip(xs.tolist(), left_lpsubdiff_hull(inst, xs))
-             if not s.is_empty for u in (s.lo, s.hi)]
-    outside = not left_lpsubdiff_definitional(inst, 0.5, 1.0)[0]
-    ok &= _report_line("non-maximality witness (0.5, 1.0) monotonically related",
-                       outside and monotone_related(graph, 0.5, 1.0))
-    return ok
-
-
-def _reproduce_envelope(name: str, closed_form, label: str) -> bool:
-    inst = get_instance(name)
-    eng = engine(inst)
-    xis = np.linspace(-3.0, 3.0, 241).tolist()
-    hs = eng.env(inst.kernel.grad_conj(np.array(xis))).tolist()
-    worst = max(abs(h - closed_form(xi)) for xi, h in zip(xis, hs))
-    return _report_line(label, worst <= 1e-4, f"max |h - closed form| = {worst:.3e}")
-
-
-def _reproduce_419() -> bool:
-    ok = _reproduce_envelope("ex419", lambda y: -y, "dual envelope equals -y")
-    eng = engine(get_instance("ex419"))
-    ok &= _report_line("dual envelope convex", eng.h_convex.holds)
-    ok &= _report_line("f nonconvex", not eng.f_convex.holds)
-    return ok
-
-
-def _reproduce_420() -> bool:
-    def h(y):
-        return (2.0 / 3.0) * abs(y) ** 1.5 - (2.0 / 3.0) * abs(y - 1.0) ** 1.5
-
-    ok = _reproduce_envelope("ex420", h,
-                             "dual envelope equals (2/3)|y|^{3/2} - (2/3)|y-1|^{3/2}")
-    eng = engine(get_instance("ex420"))
-    ok &= _report_line("f convex", eng.f_convex.holds)
-    ok &= _report_line("dual envelope nonconvex", not eng.h_convex.holds)
-    return ok
-
-
-def _reproduce_ln() -> bool:
-    inst = get_instance("ex_ln")
-    lo, hi = threshold_scan(BURG, inst.fn, np.geomspace(0.5, 2.0, 30))
-    ok = _report_line("threshold bracket contains 1.0 with width <= 0.1",
-                      lo <= 1.0 <= hi and hi - lo <= 0.1,
-                      f"bracket [{lo:.4f}, {hi:.4f}]")
-    return ok
-
-
-REPRODUCTIONS = {
-    "3.10": _reproduce_310,
-    "4.11": _reproduce_411,
-    "4.19": _reproduce_419,
-    "4.20": _reproduce_420,
-    "ln": _reproduce_ln,
-}
-
-
 def cmd_reproduce(args) -> int:
-    fn = REPRODUCTIONS.get(args.example)
-    if fn is None:
+    from . import verify
+    if args.example not in verify.EXAMPLES:
         print(f"unknown example: {args.example} "
-              f"(choose from {', '.join(REPRODUCTIONS)})", file=sys.stderr)
+              f"(choose from {', '.join(verify.EXAMPLES)})", file=sys.stderr)
         return 2
-    return 0 if fn() else 1
+    rep = verify.check_example(args.example)
+    for i in rep.implications:
+        print(f"[{'FAIL' if i.violated else 'PASS'}] {i.conclusion}"
+              + (f": {i.reason}" if i.reason else ""))
+    return 1 if rep.violated else 0
 
 
 def cmd_verify(args) -> int:
-    from .verify import reports_to_json, run_suite  # only this command loads the harness
+    from .verify import reports_to_json, run_suite  # only verify and reproduce load the harness
     if args.all:
         names = instance_names()
     elif args.instance:

@@ -25,7 +25,7 @@ from .errors import HypothesesUnmetError
 from .kernels import bregman_distance, symmetrized_gap
 from .numerics import (TOL_CONV, Condition, convexity_condition, finite_diff_grad,
                        sample_inset)
-from .proxenv import InstanceEngine, engine, prox_escapes
+from .proxenv import InstanceEngine, engine, prox_escapes, threshold_scan
 from .subdiff import (TOL_CERT, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
 
@@ -34,7 +34,7 @@ __all__ = [
     "check_weak_convexity", "check_dfne", "check_env_convexity",
     "check_bcoco", "check_bsmooth", "check_two_sided",
     "check_strong_convexity_sufficient", "run_suite", "ALL_CHECKS",
-    "reports_to_json", "resolvent_check", "coincidence_check",
+    "reports_to_json", "resolvent_check", "coincidence_check", "EXAMPLES", "check_example",
 ]
 
 # Monotonicity / pair-inequality slack: refined minimizers are only
@@ -772,3 +772,105 @@ def run_suite(names, seed: int = 42) -> list[VerifyReport]:
                 rep.notes.append(str(exc))
             reports.append(rep)
     return reports
+
+
+
+# ---------------------------------------------------------------------------
+# The paper's worked examples (not in ALL_CHECKS: the suite does not run them)
+# ---------------------------------------------------------------------------
+
+TOL_EXAMPLE = 1e-4  # largest gap between a computed value and the example's own
+
+
+def _example_310(inst: Instance) -> list[Condition]:
+    xs = np.linspace(-1.0, 1.0, 201)[1:-1].tolist()
+    *sets, s0 = left_lpsubdiff_hull(inst, xs + [0.0])
+    left = sum(not s.is_singleton or abs(0.5 * (s.lo + s.hi) - inst.fn.deriv(x)) > TOL_EXAMPLE
+               for x, s in zip(xs, sets) if x < 0)
+    right = sum(not s.is_empty for x, s in zip(xs, sets) if x > 0)
+    # The hull route reads x = 0 on the closed branch: the certificate (1 - sqrt(1 - x^2))(1 - x)
+    # >= 0 accepts u = f'(0) = 1, so the reading {f'(0)} is annotated, and either reading holds.
+    gap = 0.0 if s0.is_empty else abs(s0.hi - 1.0)
+    at0 = s0.is_empty or s0.is_singleton and gap <= TOL_EXAMPLE
+    return [Condition("singleton-derivative-left", not left, float(left)),
+            Condition("empty-right", not right, float(right)),
+            Condition("closed-or-empty-at-0", at0, gap, () if s0.is_empty else (s0.lo, s0.hi))]
+
+
+def _example_411(inst: Instance) -> list[Condition]:
+    eng, s = engine(inst), left_lpsubdiff_hull(inst, 0.0)
+    ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
+    outs = sorted({round(m, 6) for res in eng.prox(ys) for m in res.minimizers})
+    off = max(min(abs(m), abs(m - 1.0)) for m in outs)
+    probe_ok, escapes = eng.range_assumption
+    xs = np.linspace(0.0, 1.0, 101)
+    graph = [(x, u) for x, s1 in zip(xs.tolist(), left_lpsubdiff_hull(inst, xs))
+             if not s1.is_empty for u in (s1.lo, s1.hi)]
+    related = not left_lpsubdiff_definitional(inst, 0.5, 1.0)[0] \
+        and monotone_related(graph, 0.5, 1.0)
+    # an empty set has nan ends, which fail both comparisons
+    return [Condition("subdiff-hi-at-0", abs(s.hi - 0.5) <= TOL_EXAMPLE, s.hi),
+            Condition("subdiff-lo-unbounded", math.isinf(s.lo), s.lo),
+            Condition("prox-range-0-1", off <= TOL_EXAMPLE and {round(m) for m in outs} == {0, 1},
+                      off, tuple(outs)),
+            Condition("range-assumption", probe_ok, float(len(escapes)), sum(escapes, ())),
+            Condition("nonmax-witness", related, 0.0, (0.5, 1.0))]
+
+
+def _dual_envelope(closed_form, *facts: str):
+    """The largest gap of env o grad kappa* to ``closed_form`` on [-3, 3], then engine ``facts``."""
+    def measure(inst: Instance) -> list[Condition]:
+        eng, xis = engine(inst), np.linspace(-3.0, 3.0, 241)
+        gap = float(np.abs(eng.env(inst.kernel.grad_conj(xis))
+                           - [closed_form(xi) for xi in xis.tolist()]).max())
+        return [Condition("h-closed-form", gap <= TOL_EXAMPLE, gap)] + [getattr(eng, f) for f in facts]
+    return measure
+
+
+def _example_ln(inst: Instance) -> list[Condition]:
+    lo, hi = threshold_scan(inst.kernel, inst.fn, np.geomspace(0.5, 2.0, 30))
+    return [Condition("threshold-bracket", lo <= 1.0 <= hi and hi - lo <= 0.1, hi - lo, (lo, hi))]
+
+
+def _count(c: Condition) -> str:
+    return f"{c.worst:.0f} failures of 99 points"
+
+
+# id: (instance, its conditions, and per condition the claim, its stated truth and its detail)
+EXAMPLES = {
+    "3.10": ("ex310", _example_310, (
+        ("singleton equal to f'(x) on (-1, 0)", True, _count),
+        ("empty on (0, 1)", True, _count),
+        ("x = 0 reported per ambiguity note (closed branch value 1 or empty)", True,
+         lambda c: "[{:.17g}, {:.17g}]".format(*c.witness) if c.witness else "empty"))),
+    "4.11": ("ex411", _example_411, (
+        ("subdifferential at 0 has upper endpoint 1/2", True, lambda c: f"hi = {c.worst:.17g}"),
+        ("lower endpoint flagged unbounded", True, lambda c: f"lo = {c.worst:.17g}"),
+        ("prox range is {0, 1}", True, lambda c: f"outputs {list(c.witness)}"),
+        ("range-assumption probe fails", False, None),
+        ("non-maximality witness (0.5, 1.0) monotonically related", True, None))),
+    "4.19": ("ex419", _dual_envelope(lambda y: -y, "h_convex", "f_convex"), (
+        ("dual envelope equals -y", True, lambda c: f"max |h - closed form| = {c.worst:.3e}"),
+        ("dual envelope convex", True, None),
+        ("f nonconvex", False, None))),
+    "4.20": ("ex420", _dual_envelope(
+        lambda y: (2.0 / 3.0) * abs(y) ** 1.5 - (2.0 / 3.0) * abs(y - 1.0) ** 1.5,
+        "f_convex", "h_convex"), (
+        ("dual envelope equals (2/3)|y|^{3/2} - (2/3)|y-1|^{3/2}", True,
+         lambda c: f"max |h - closed form| = {c.worst:.3e}"),
+        ("f convex", True, None),
+        ("dual envelope nonconvex", False, None))),
+    "ln": ("ex_ln", _example_ln, (
+        ("threshold bracket contains 1.0 with width <= 0.1", True,
+         lambda c: "bracket [{:.4f}, {:.4f}]".format(*c.witness)),)),
+}
+
+
+def check_example(example: str) -> VerifyReport:
+    """One condition per claim of an ``EXAMPLES`` entry, and one premise-free implication per
+    claim, violated when the condition's truth is not the stated one; its reason is the detail."""
+    name, measure, claims = EXAMPLES[example]
+    conds = measure(get_instance(name))
+    return VerifyReport(name, f"example-{example}", conditions=conds, implications=[
+        Implication((), text, True, c.holds == stated, detail(c) if detail else "")
+        for c, (text, stated, detail) in zip(conds, claims)], tolerances={"tol_example": TOL_EXAMPLE})

@@ -258,6 +258,16 @@ def test_verdicts_match_golden(suite42, seed):
     print(f"\nPASS verdict golden: {len(got)} reports match {path.name}")
 
 
+def test_example_verdicts_match_golden():
+    """Each worked example's conditions and claims against
+    ``data/verdicts_examples.json``: every claim holds as stated."""
+    path = VERDICTS.parent / "verdicts_examples.json"
+    reports = [verify.check_example(example) for example in verify.EXAMPLES]
+    assert verdicts(reports) == json.loads(path.read_text())
+    assert not [i for r in reports for i in r.violated]
+    print(f"\nPASS example verdict golden: {len(reports)} reports match {path.name}")
+
+
 def test_suite42_passes_the_benchmark_report_checks(suite42):
     """The benchmark's own report checker, loaded by path. It never imports
     bregmanprox: the expected verdicts are written out from the paper."""

@@ -2,11 +2,12 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bregmanprox import cli
+from bregmanprox import verify
 from bregmanprox.cli import main
 
 
@@ -154,7 +155,46 @@ def test_curve_output_file(capsys, tmp_path):
     assert len(rows) == 5
 
 
-@pytest.mark.parametrize("example", ["3.10", "4.11", "4.19", "4.20", "ln"])
+def test_curve_output_to_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "curve.csv"
+    code, out, err = run_cli(capsys, "curve", "--instance", "euclid_zero",
+                             "--what", "env", "--grid", "-1:1:5", "--output", str(path))
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err and str(path) in err
+
+
+def test_curve_output_to_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "curve", "--instance", "euclid_zero",
+                             "--what", "env", "--grid", "-1:1:5", "--output", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
+EXAMPLE_IDS = ["3.10", "4.11", "4.19", "4.20", "ln"]
+REPRODUCE = Path(__file__).parent / "data" / "reproduce.txt"
+
+
+def reproduce_transcript(capsys):
+    """Each example's command, printed text and exit code, one after another."""
+    parts = []
+    for example in EXAMPLE_IDS:
+        code, out, _ = run_cli(capsys, "reproduce", example)
+        parts.append(f"$ bregmanprox reproduce {example}\n{out}exit {code}\n")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("grid_n", [None, "4001"])
+def test_reproduce_text_and_exit_codes_are_pinned(capsys, monkeypatch, grid_n):
+    """Every ``reproduce`` id prints the text in ``data/reproduce.txt`` and
+    exits as recorded there, at the default grid and at 4001 points."""
+    if grid_n is None:
+        monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
+    else:
+        monkeypatch.setenv("BREGMAN_GRID_N", grid_n)
+    assert reproduce_transcript(capsys) == REPRODUCE.read_text()
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
 def test_reproduce_all_pass(capsys, example):
     code, out, _ = run_cli(capsys, "reproduce", example)
     assert code == 0
@@ -168,7 +208,7 @@ def _witness_line(out):
 def test_reproduce_411_witness_needs_the_certificate_to_reject_it(capsys, monkeypatch):
     """The witness line reads the program's certificate: one that accepts
     (0.5, 1.0) fails the line and the command."""
-    monkeypatch.setattr(cli, "left_lpsubdiff_definitional",
+    monkeypatch.setattr(verify, "left_lpsubdiff_definitional",
                         lambda inst, x, u: (True, 0.0, 1.0), raising=False)
     code, out, _ = run_cli(capsys, "reproduce", "4.11")
     assert _witness_line(out).startswith("[FAIL]")
@@ -178,14 +218,14 @@ def test_reproduce_411_witness_needs_the_certificate_to_reject_it(capsys, monkey
 def test_reproduce_411_witness_reads_the_computed_graph(capsys, monkeypatch):
     """The witness line reads the hull-route graph over [0, 1]: raising its
     upper end at 0 from 1/2 to 2 makes (0.5, 1.0) unrelated, and the line fails."""
-    real = cli.left_lpsubdiff_hull
+    real = verify.left_lpsubdiff_hull
 
     def raised(inst, xs):
         sets = real(inst, xs)
         lift = lambda s: s if s.is_empty else dataclasses.replace(s, hi=2.0)
         return lift(sets) if np.ndim(xs) == 0 else [lift(s) for s in sets]
 
-    monkeypatch.setattr(cli, "left_lpsubdiff_hull", raised)
+    monkeypatch.setattr(verify, "left_lpsubdiff_hull", raised)
     code, out, _ = run_cli(capsys, "reproduce", "4.11")
     assert _witness_line(out).startswith("[FAIL]")
     assert code == 1

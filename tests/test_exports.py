@@ -32,12 +32,18 @@ def test_package_names_resolve():
 
 
 def test_the_command_line_does_not_load_the_harness():
-    """In a fresh process: the CLI leaves the harness unloaded, and the
-    package loads it on first use of one of its names."""
+    """In a fresh process: the CLI, and its ``list`` and ``curve`` commands,
+    leave the harness unloaded, and the package loads it on first use of
+    one of its names."""
     code = ("import sys, bregmanprox, bregmanprox.cli; "
             "assert 'bregmanprox.verify' not in sys.modules, 'loaded'; "
+            "assert bregmanprox.cli.main(['list']) == 0; "
+            "assert bregmanprox.cli.main(['curve', '--instance', 'ex310', "
+            "'--what', 'f,env,hull', '--grid', '-0.5:0.5:3']) == 0; "
+            "assert 'bregmanprox.verify' not in sys.modules, 'loaded by a command'; "
             "assert bregmanprox.run_suite is sys.modules['bregmanprox.verify'].run_suite; "
             "assert bregmanprox.verify is sys.modules['bregmanprox.verify']; "
             "from bregmanprox import check_dfne, verify")
     src = str(Path(bregmanprox.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
+    run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

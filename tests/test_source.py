@@ -87,3 +87,14 @@ def test_no_float_coercion_of_a_point_in_kernels():
                   and node.func.id == "float" and len(node.args) == 1
                   and isinstance(node.args[0], ast.Name) and node.args[0].id in params]
     assert not found, f"float() of a point argument at {found}"
+
+
+def test_no_float_literal_in_the_command_line():
+    """``cli.py`` parses, dispatches and prints: every number a claim or a
+    check reads lives in the harness or the engine, where the golden files
+    and the harness tests reach it."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    found = [f"cli.py:{node.lineno} {node.value!r}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float]
+    assert not found, f"float literals at {found}"

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 import weakref
 import zlib
@@ -409,3 +410,30 @@ def test_scalar_paths_build_no_0d_membership_arrays(monkeypatch):
     check_bsmooth(get_instance("hell_halfk"), seed=42)
     check_two_sided(get_instance("ex420"), seed=42)
     assert not zero_d
+
+
+# -- worked examples ----------------------------------------------------------
+
+def test_example_claims_stated_false_read_the_engine_facts_as_they_are():
+    """The claims the paper states false (4.11's range assumption, 4.19's f
+    convex, 4.20's h convex) are the engine's facts, unchanged: the JSON
+    report carries their worst values and witnesses, and each passes because
+    the fact is false. Every example report names one tolerance."""
+    for example, fact in (("4.19", "f_convex"), ("4.20", "h_convex")):
+        rep = verify.check_example(example)
+        eng = proxenv.engine(get_instance(rep.instance))
+        cond = getattr(eng, fact)
+        assert cond in rep.conditions and not cond.holds
+        assert cond.to_dict() in json.loads(reports_to_json([rep]))[0]["conditions"]
+    rep = verify.check_example("4.11")
+    ok, escapes = proxenv.engine(get_instance("ex411")).range_assumption
+    cond = rep.condition("range-assumption")
+    assert not ok and cond.worst == len(escapes) > 0
+    assert cond.witness == tuple(v for pair in escapes for v in pair)
+    stated_false = [i for r in map(verify.check_example, verify.EXAMPLES)
+                    for c, i in zip(r.conditions, r.implications) if not c.holds]
+    assert [i.conclusion for i in stated_false] == [
+        "range-assumption probe fails", "f nonconvex", "dual envelope nonconvex"]
+    assert all(i.holds for i in stated_false)
+    assert {tuple(verify.check_example(e).tolerances.items()) for e in verify.EXAMPLES} \
+        == {(("tol_example", 1e-4),)}
