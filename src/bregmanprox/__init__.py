@@ -21,9 +21,8 @@ from .proxenv import (InstanceEngine, ProxResult, detect_unbounded, engine,
                       env_conjugate_crosscheck, euclid_crosscheck, hull_function,
                       hull_instance, left_env, left_prox, prox_hull, range_probe,
                       right_env, right_prox, threshold_scan)
-from .subdiff import (SingleValuedness, SubdiffSet, left_lpsubdiff_definitional,
-                      left_lpsubdiff_hull, right_lpsubdiff_definitional,
-                      single_valuedness_at)
+from .subdiff import (SingleValuedness, left_lpsubdiff_definitional, left_lpsubdiff_hull,
+                      right_lpsubdiff_definitional, single_valuedness_at)
 
 # The theorem harness is imported on first use of one of its names (PEP
 # 562), so importing the package or its command line does not load it.

@@ -67,8 +67,7 @@ def _column(inst, what: str, xs: list[float]) -> list[float]:
     if what == "hull":
         return eng.hull_fn_value(xs).tolist()
     if what in ("subdiff-lo", "subdiff-hi"):
-        return [math.nan if s.is_empty else s.lo if what == "subdiff-lo" else s.hi
-                for s in left_lpsubdiff_hull(inst, xs)]
+        return [s.lo if what == "subdiff-lo" else s.hi for s in left_lpsubdiff_hull(inst, xs)]
     raise ValueError(f"unknown quantity {what!r}")
 
 

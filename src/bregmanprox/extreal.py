@@ -1,10 +1,12 @@
-"""1D intervals with open/closed sides.
+"""The package's one interval type, ``Interval``, empty included.
 
-The paper's functions are extended-real valued: +inf off their domains. The
-package holds those values in plain ``float`` (a float gives a float, an
-array an array), and keeps NaN out where f and kappa are evaluated
-(``kernels._coerce``): a NaN point lies in no domain and reads +inf, and a
-NaN value at any other point raises ``InfMinusInfError``.
+It holds the domains of f and kappa and each value of a subdifferential. In
+1D a subgradient set is a possibly empty interval, maybe unbounded on one
+side; the empty one has NaN ends, which every comparison reads false, so
+membership needs no branch for it.
+
+The module keeps its name from the extended-real type it once held because
+the benchmark's tracer imports it by that name.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ __all__ = ["Interval"]
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with per-side open/closed flags. Infinite sides are open."""
+    """A real interval with per-side open/closed flags, or the empty set
+    (both ends NaN). Infinite and empty sides are open."""
 
     lo: float
     hi: float
@@ -25,25 +28,33 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo) and self.lo_closed:
+        if not (self.lo <= self.hi or math.isnan(self.lo) and math.isnan(self.hi)):
+            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        if not math.isfinite(self.lo) and self.lo_closed:
             object.__setattr__(self, "lo_closed", False)
-        if math.isinf(self.hi) and self.hi_closed:
+        if not math.isfinite(self.hi) and self.hi_closed:
             object.__setattr__(self, "hi_closed", False)
 
     @staticmethod
     def reals() -> "Interval":
         return Interval(-math.inf, math.inf, False, False)
 
+    @staticmethod
+    def empty() -> "Interval":
+        return Interval(math.nan, math.nan, False, False)
+
     @property
     def is_all_reals(self) -> bool:
         return math.isinf(self.lo) and math.isinf(self.hi)
 
+    @property
+    def is_empty(self) -> bool:
+        return math.isnan(self.lo)
+
     def contains(self, x):
         """Membership of a float (a bool) or of each point of an array (a
         bool array). A float stays a pure-Python comparison; NaN lies in no
-        interval."""
+        interval, and no point in the empty one."""
         return ((self.lo <= x) if self.lo_closed else (self.lo < x)) \
             & ((x <= self.hi) if self.hi_closed else (x < self.hi))
 

@@ -35,7 +35,7 @@ from .extreal import Interval
 from .proxenv import InstanceEngine, engine
 
 __all__ = [
-    "SubdiffSet", "TOL_CERT", "TOL_HULL", "TOL_WIDTH",
+    "TOL_CERT", "TOL_HULL", "TOL_WIDTH", "is_singleton",
     "left_lpsubdiff_definitional", "left_lpsubdiff_hull",
     "right_lpsubdiff_definitional",
     "single_valuedness_at", "SingleValuedness",
@@ -48,51 +48,14 @@ TOL_CERT = 1e-6
 TOL_HULL = 1e-6
 TOL_WIDTH = 1e-4
 
-_PROBE_MEMBER_AT = -1e3  # corroboration probe for an unbounded lower endpoint
+_PROBE_AT = 1e3  # least distance from 0 of the probe of an unbounded end
 
 _SPAN_CELLS = 0.5  # points this many grid cells past the hull span count as on its edge
 
 
-@dataclass(frozen=True)
-class SubdiffSet:
-    """Value of a set-valued subdifferential at a point: empty or an interval."""
-
-    lo: float = math.nan
-    hi: float = math.nan
-    lo_closed: bool = False
-    hi_closed: bool = False
-    is_empty: bool = True
-
-    @staticmethod
-    def empty() -> "SubdiffSet":
-        return SubdiffSet()
-
-    @staticmethod
-    def interval(lo: float, hi: float, lo_closed: bool = True,
-                 hi_closed: bool = True) -> "SubdiffSet":
-        if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        if math.isinf(lo):
-            lo_closed = False
-        if math.isinf(hi):
-            hi_closed = False
-        return SubdiffSet(lo, hi, lo_closed, hi_closed, is_empty=False)
-
-    @staticmethod
-    def singleton(u: float) -> "SubdiffSet":
-        return SubdiffSet.interval(u, u)
-
-    @property
-    def width(self) -> float:
-        return 0.0 if self.is_empty else self.hi - self.lo
-
-    @property
-    def is_singleton(self) -> bool:
-        return (not self.is_empty) and self.width <= TOL_WIDTH
-
-    def contains(self, u: float) -> bool:
-        return not self.is_empty and \
-            Interval(self.lo, self.hi, self.lo_closed, self.hi_closed).contains(u)
+def is_singleton(s: Interval) -> bool:
+    """s is nonempty and no wider than ``TOL_WIDTH``."""
+    return s.hi - s.lo <= TOL_WIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +209,9 @@ def hull_slopes(inst: Instance, xbar):
     return s_l, s_r, gap[0]
 
 
-def left_lpsubdiff_hull(inst: Instance, xbar) -> SubdiffSet | list[SubdiffSet]:
+def left_lpsubdiff_hull(inst: Instance, xbar) -> Interval | list[Interval]:
     """Subdifferential via the convex-hull characterization, at one point
-    (a ``SubdiffSet``) or at each of an array of points (a list).
+    (an ``Interval``) or at each of an array of points (a list).
 
     Empty when the envelope of lam f + kappa lies strictly below the function
     at xbar; otherwise the slope interval of the envelope mapped through
@@ -269,21 +232,24 @@ def _hull_route(inst: Instance, x: np.ndarray):
     ok = np.nonzero(eng.kernel.domain.interior_contains(x) & (x >= curve.x_min - tol)
                     & (x <= curve.x_max + tol) & (gap <= TOL_HULL))[0]
     # rows u_lo, u_hi; an unbounded end stays where one certificate batch
-    # accepts its probe -+_PROBE_MEMBER_AT, and is cut open there otherwise
+    # accepts its probe, and is cut open there otherwise. The probe lies
+    # _PROBE_AT out, or twice as far out as the other end if that is
+    # further, so it never crosses the other end, however f is scaled
     ends = (np.array([s_l[ok], s_r[ok]]) - eng.kernel.grad(x[ok])) / eng.lam
     cut = np.isinf(ends)
     if cut.any():
-        probes = np.broadcast_to([[_PROBE_MEMBER_AT], [-_PROBE_MEMBER_AT]], ends.shape)
+        probes = np.array([np.minimum(-_PROBE_AT, 2.0 * ends[1]),
+                           np.maximum(_PROBE_AT, 2.0 * ends[0])])
         cut[cut] = ~left_lpsubdiff_definitional(
             inst, np.broadcast_to(x[ok], ends.shape)[cut], probes[cut])[0]
         ends[cut] = probes[cut]
-    sets = [SubdiffSet.empty()] * x.size
+    sets = [Interval.empty()] * x.size
     for i, lo, hi, lo_cut, hi_cut in zip(ok.tolist(), *ends.tolist(), *cut.tolist()):
-        sets[i] = SubdiffSet.interval(lo, hi, not lo_cut, not hi_cut)
+        sets[i] = Interval(lo, hi, not lo_cut, not hi_cut)
     return sets, slopes
 
 
-def subdiff_samples(s: SubdiffSet) -> list[float]:
+def subdiff_samples(s: Interval) -> list[float]:
     """Representative subgradients of an interval set: endpoints and midpoint.
 
     Infinite endpoints are replaced by a finite stand-in one unit beyond.
@@ -356,4 +322,4 @@ def single_valuedness_at(inst: Instance, xbar: float) -> SingleValuedness:
     differentiable = math.isfinite(s_l) and math.isfinite(s_r) and width_u <= TOL_WIDTH
     if subdiff.is_empty:
         return SingleValuedness(True, None, differentiable, touches)
-    return SingleValuedness(False, subdiff.is_singleton, differentiable, touches)
+    return SingleValuedness(False, is_singleton(subdiff), differentiable, touches)

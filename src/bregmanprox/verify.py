@@ -26,7 +26,7 @@ from .kernels import bregman_distance, symmetrized_gap
 from .numerics import (TOL_CONV, Condition, convexity_condition, finite_diff_grad,
                        sample_inset)
 from .proxenv import InstanceEngine, engine, prox_escapes, threshold_scan
-from .subdiff import (TOL_CERT, left_lpsubdiff_definitional,
+from .subdiff import (TOL_CERT, is_singleton, left_lpsubdiff_definitional,
                       left_lpsubdiff_hull, monotone_related, subdiff_samples)
 
 __all__ = [
@@ -182,6 +182,18 @@ def _worst_pair(label: str, slack: np.ndarray, witness: tuple) -> Condition:
                      + tuple(float(a[j]) for a in witness))
 
 
+def _pair_slacks(eng: InstanceEngine, ee, xx, lower: bool = True):
+    """(lower, upper) slack matrices of the pair sandwich
+    DD(x1, x2) <= <x1 - x2, xi1 - xi2> <= DD*(xi1, xi2) over the selections
+    (xi, x) of ``ee`` and ``xx``: the middle term less DD, and DD* less it.
+    DD needs every x interior to dom kappa; ``lower=False`` skips it (None)."""
+    de = np.subtract.outer(ee, ee)
+    mid = np.subtract.outer(xx, xx) * de
+    gc = eng.kernel.grad_conj(ee)
+    upper = np.subtract.outer(gc, gc) * de - mid
+    return (mid - symmetrized_gap(eng.kernel, xx[:, None], xx) if lower else None), upper
+
+
 def _base_report(inst: Instance, theorem: str, seed: int) -> VerifyReport:
     """A report citing the instance's standing hypotheses."""
     return VerifyReport(instance=inst.name, theorem=theorem, seed=seed,
@@ -293,8 +305,7 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-    e_cond = _worst_pair("e-dfne", lhs - symmetrized_gap(eng.kernel, xx[:, None], xx), (ee, xx))
+    e_cond = _worst_pair("e-dfne", _pair_slacks(eng, ee, xx)[0], (ee, xx))
 
     rep.conditions = [a, c, e_cond]
     if probe_ok:
@@ -346,10 +357,7 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     a = replace(eng.h_convex, label="a-h-convex")
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, 150), interior_only=False)
-    gc = eng.kernel.grad_conj(ee)
-    lhs = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-    ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-    d = _worst_pair("d-dual-upper-bound", ddual - lhs, (ee, xx))
+    d = _worst_pair("d-dual-upper-bound", _pair_slacks(eng, ee, xx, lower=False)[1], (ee, xx))
 
     rep.conditions = [a, d]
     rep.implications = _equiv(a, d)
@@ -507,11 +515,9 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
                    min(fcvx.worst, hcvx.worst))
 
     ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
-    gc = eng.kernel.grad_conj(ee)
-    mid = np.subtract.outer(xx, xx) * np.subtract.outer(ee, ee)
-    ddual = np.subtract.outer(gc, gc) * np.subtract.outer(ee, ee)
-    lower = _worst_pair("lower-bound", mid - symmetrized_gap(eng.kernel, xx[:, None], xx), (ee,))
-    upper = _worst_pair("upper-bound", ddual - mid, (ee,))
+    slack_lo, slack_hi = _pair_slacks(eng, ee, xx)
+    lower = _worst_pair("lower-bound", slack_lo, (ee,))
+    upper = _worst_pair("upper-bound", slack_hi, (ee,))
     two = Condition("two-sided-bounds", lower.holds and upper.holds,
                     min(lower.worst, upper.worst))
 
@@ -785,13 +791,13 @@ TOL_EXAMPLE = 1e-4  # largest gap between a computed value and the example's own
 def _example_310(inst: Instance) -> list[Condition]:
     xs = np.linspace(-1.0, 1.0, 201)[1:-1].tolist()
     *sets, s0 = left_lpsubdiff_hull(inst, xs + [0.0])
-    left = sum(not s.is_singleton or abs(0.5 * (s.lo + s.hi) - inst.fn.deriv(x)) > TOL_EXAMPLE
+    left = sum(not is_singleton(s) or abs(0.5 * (s.lo + s.hi) - inst.fn.deriv(x)) > TOL_EXAMPLE
                for x, s in zip(xs, sets) if x < 0)
     right = sum(not s.is_empty for x, s in zip(xs, sets) if x > 0)
     # The hull route reads x = 0 on the closed branch: the certificate (1 - sqrt(1 - x^2))(1 - x)
     # >= 0 accepts u = f'(0) = 1, so the reading {f'(0)} is annotated, and either reading holds.
     gap = 0.0 if s0.is_empty else abs(s0.hi - 1.0)
-    at0 = s0.is_empty or s0.is_singleton and gap <= TOL_EXAMPLE
+    at0 = s0.is_empty or is_singleton(s0) and gap <= TOL_EXAMPLE
     return [Condition("singleton-derivative-left", not left, float(left)),
             Condition("empty-right", not right, float(right)),
             Condition("closed-or-empty-at-0", at0, gap, () if s0.is_empty else (s0.lo, s0.hi))]

@@ -18,7 +18,7 @@ from bregmanprox.kernels import (ALL_KERNELS, BURG, LEGENDRE_KERNELS,
 from bregmanprox.proxenv import (engine, env_conjugate_crosscheck,
                                  euclid_crosscheck, left_prox, range_probe,
                                  threshold_scan)
-from bregmanprox.subdiff import (left_lpsubdiff_definitional,
+from bregmanprox.subdiff import (is_singleton, left_lpsubdiff_definitional,
                                  left_lpsubdiff_hull, monotone_related)
 from bregmanprox.verify import reports_to_json, resolvent_check, run_suite
 
@@ -61,7 +61,7 @@ def test_criterion_1_example_310_classification():
     for x in map(float, xs):
         s = left_lpsubdiff_hull(inst, x)
         if x < 0:
-            assert not s.is_empty and s.is_singleton, f"x={x}"
+            assert is_singleton(s), f"x={x}"
             err = abs(0.5 * (s.lo + s.hi) - inst.fn.deriv(x))
             worst_u_err = max(worst_u_err, err)
             assert err <= 1e-4, f"x={x}: err={err}"

@@ -32,7 +32,7 @@ def intervals(draw):
     return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
-@given(intervals(), st.data(), st.just(0.0) | st.floats(0.0, 10.0))
+@given(intervals() | st.just(Interval.empty()), st.data(), st.just(0.0) | st.floats(0.0, 10.0))
 def test_interval_array_membership_equals_float_membership(iv, data, margin):
     special = st.sampled_from([iv.lo, iv.hi, math.inf, -math.inf, math.nan])
     pts = data.draw(st.lists(special | st.floats(), min_size=1, max_size=20))
@@ -53,6 +53,25 @@ def test_interval_infinite_sides_forced_open():
     assert not iv.contains(math.inf)
 
 
-def test_empty_interval_rejected():
-    with pytest.raises(ValueError):
+def test_out_of_order_ends_rejected():
+    with pytest.raises(ValueError, match="out of order"):
         Interval(1.0, 0.0)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.inf)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+
+
+def test_the_empty_interval_holds_no_point():
+    empty = Interval.empty()
+    assert empty.is_empty and not Interval(0.0, 0.0).is_empty
+    assert not Interval.reals().is_empty
+    assert math.isnan(empty.lo) and math.isnan(empty.hi)
+    assert not empty.lo_closed and not empty.hi_closed
+    assert Interval(math.nan, math.nan, True, True) == empty
+    assert empty.interior().is_empty and not empty.is_all_reals
+    xs = np.array([-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan])
+    for x in xs.tolist():
+        assert empty.contains(x) is False
+        assert empty.interior_contains(x) is False
+        assert empty.interior_contains(x, 0.5) is False
+    assert not empty.contains(xs).any() and not empty.interior_contains(xs).any()

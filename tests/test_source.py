@@ -98,3 +98,25 @@ def test_no_float_literal_in_the_command_line():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and type(node.value) is float]
     assert not found, f"float literals at {found}"
+
+
+def _declared_fields(cls: ast.ClassDef) -> set[str]:
+    """Names a class body assigns, with or without an annotation, and the
+    attributes its methods assign on ``self``."""
+    names = {t.id for node in cls.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(t, ast.Name)}
+    return names | {t.attr for node in ast.walk(cls) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"}
+
+
+def test_one_interval_type():
+    """``extreal.Interval`` is the one interval type, empty included: no
+    other class declares both ``lo_closed`` and ``hi_closed``."""
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and {"lo_closed", "hi_closed"} <= _declared_fields(node)
+             and (path.name, node.name) != ("extreal.py", "Interval")]
+    assert not found, f"a second interval type at {found}"

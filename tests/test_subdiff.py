@@ -11,7 +11,7 @@ from bregmanprox.extreal import Interval
 from bregmanprox.kernels import ENERGY, QUARTIC
 from bregmanprox.numerics import DEFAULT_UNBOUNDED_CAP
 from bregmanprox.proxenv import engine, hull_instance
-from bregmanprox.subdiff import (SubdiffSet, frechet_lower_probe,
+from bregmanprox.subdiff import (TOL_WIDTH, frechet_lower_probe, is_singleton,
                                  left_lpsubdiff_definitional,
                                  left_lpsubdiff_hull, monotone_related,
                                  right_lpsubdiff_definitional,
@@ -51,7 +51,7 @@ def test_definitional_euclid_abs():
 def test_hull_ex310_singleton_branch():
     inst = get_instance("ex310")
     s = left_lpsubdiff_hull(inst, -0.5)
-    assert not s.is_empty and s.is_singleton
+    assert is_singleton(s)
     assert 0.5 * (s.lo + s.hi) == pytest.approx(inst.fn.deriv(-0.5), abs=1e-4)
 
 
@@ -72,6 +72,25 @@ def test_hull_ex411_unbounded_interval():
     assert s.hi == pytest.approx(0.5, abs=1e-4) and s.hi_closed
 
 
+@pytest.mark.parametrize("b", [1.0, 10.0, 100.0])
+def test_an_unbounded_end_is_probed_beyond_the_finite_end(b):
+    """ex419 with f scaled by b and lam by 1/b: lam f + kappa and its hull do
+    not move, so the finite upper end scales by b. Near the start of the
+    hull span the lower end is unbounded, and its probe must lie below the
+    upper end at every scale (at b = 10 a fixed -1e3 probe lay above it and
+    the route raised). At the span's start, the end of the x grid (f's
+    window), the certificate has no x below, so every u under the upper
+    end passes and the lower end stays unbounded."""
+    base = get_instance("ex419")
+    inst = Instance(f"ex419_x{b:g}", base.kernel, shift_scale(base.fn, 0.0, b, 0.0),
+                    base.lam / b)
+    xs = [-8.0, -7.999999999, -7.999]
+    for x, s, s1 in zip(xs, left_lpsubdiff_hull(inst, xs), left_lpsubdiff_hull(base, xs)):
+        assert s.hi == pytest.approx(b * s1.hi, rel=1e-9), x
+        assert s.lo < s.hi and not s.lo_closed and s.hi_closed, (x, s)
+    assert left_lpsubdiff_hull(inst, -8.0).lo == -math.inf
+
+
 def test_hull_requires_one_coercive():
     with pytest.raises(HypothesesUnmetError):
         left_lpsubdiff_hull(get_instance("ex_ln"), 1.0)
@@ -82,13 +101,16 @@ def test_hull_noninterior_empty():
 
 
 def test_subdiff_set_invariants():
-    s = SubdiffSet.interval(-math.inf, 2.0, True, True)
+    s = Interval(-math.inf, 2.0, True, True)
     assert not s.lo_closed  # infinite endpoints forced open
-    with pytest.raises(ValueError):
-        SubdiffSet.interval(1.0, 0.0)
-    assert SubdiffSet.singleton(3.0).contains(3.0)
-    assert not SubdiffSet.empty().contains(0.0)
-    half_open = SubdiffSet.interval(0.0, 1.0, False, True)
+    assert not is_singleton(s)
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(1.0, 0.0)
+    assert Interval(3.0, 3.0).contains(3.0) and is_singleton(Interval(3.0, 3.0))
+    assert is_singleton(Interval(0.0, 0.5 * TOL_WIDTH, False, True))
+    assert not is_singleton(Interval(0.0, 2.0 * TOL_WIDTH))
+    assert not Interval.empty().contains(0.0) and not is_singleton(Interval.empty())
+    half_open = Interval(0.0, 1.0, False, True)
     assert not half_open.contains(0.0)  # open endpoints are excluded
     assert half_open.contains(1.0) and not half_open.contains(math.nan)
 
@@ -255,7 +277,7 @@ def bits(values) -> tuple:
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
 
 
-def set_bits(s: SubdiffSet) -> tuple:
+def set_bits(s: Interval) -> tuple:
     return bits((s.lo, s.hi, s.lo_closed, s.hi_closed, s.is_empty))
 
 
