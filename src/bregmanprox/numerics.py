@@ -11,7 +11,9 @@ basins merge into one, and bracket refinement stops at that width. A grid
 minimization searches each tie run from its best grid cell and returns a
 ``ProxResult``. Searches that read only a value skip the location polish:
 ``grid_min_value`` (the same scan, a least value per row) and
-``concave_sup``, which stops once concavity bounds the sup within rounding.
+``concave_sup``, which stops once concavity bounds the sup within rounding
+and aims a round at a parabola's vertex where the samples share one
+curvature.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
 # ``concave_sup`` stops once its upper bound is this many ulps of
 # max(1, |best|) above the best sample.
 SUP_STOP_ULPS = 8
+# ``concave_sup`` aims a round at a parabola's vertex only where the three
+# second differences around its best sample agree within this ratio.
+CURVATURE_SPREAD = 1.5
 _EPS = float(np.finfo(float).eps)
 
 
@@ -361,7 +366,7 @@ def grid_min_value(phi: Callable, grid: Grid,
 
 
 def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
-    """The greatest value of ``phi`` that a zoom finds on the two cells
+    """The greatest value of ``phi`` that a search finds on the two cells
     around the best finite sample of ``phi`` on ``xs`` (``values``), for a
     ``phi`` concave in the slope s that it returns with its values:
     ``phi(x)`` gives (values, s) at a 1-D x, s increasing in x.
@@ -373,12 +378,23 @@ def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
     that bound is within ``SUP_STOP_ULPS`` ulps of max(1, |best|). Where no
     bound exists (the best sample among the two at either end of the
     bracket, samples that are not concave or not finite, or equal chord
-    slopes) it goes on to ``zoom``'s width rule. Value only: no location is
-    returned.
+    slopes) it goes on to ``zoom``'s width rule.
+
+    Where the five samples around the best one also share one curvature c
+    (``_parabola_bracket``), the next round is aimed instead (Brent's
+    guarded parabolic step): its samples are spaced sqrt(tol / c) apart
+    around the vertex of the parabola through the best three, tol being the
+    stop's ulps, where the bound on a parabola lies tol/4 to tol/2 above the
+    best sample and certifies at once. The aimed bracket must lie inside the
+    zoom bracket it replaces; where its bound does not certify, the next
+    round samples that zoom bracket, so a miss costs one round. Kinks,
+    non-finite samples and a best sample at an end are zoomed round for
+    round. Value only: no location is returned.
     """
     j = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
     lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)]
     best = -math.inf
+    zoomed = None  # the zoom bracket that an aimed round replaced
     while True:
         x = lo + (hi - lo) * _ZOOM_STEPS
         x[-1] = hi
@@ -386,11 +402,39 @@ def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
         k = int(np.argmax(v))
         vk = float(v[k])
         best = max(best, vk)
-        if _sup_bound(v, s, k) - vk <= SUP_STOP_ULPS * _EPS * max(1.0, abs(vk)):
+        tol = SUP_STOP_ULPS * _EPS * max(1.0, abs(vk))
+        if _sup_bound(v, s, k) - vk <= tol:
             return best
+        if zoomed is not None:
+            (lo, hi), zoomed = zoomed, None
+            continue
         lo, hi = x[max(k - 1, 0)], x[min(k + 1, ZOOM_POINTS - 1)]
         if not hi - lo > X_RESOLUTION * max(1.0, abs(lo), abs(hi)):
             return best
+        aim = _parabola_bracket(x, v, k, tol)
+        if aim is not None and lo < aim[0] and aim[1] < hi:
+            zoomed, (lo, hi) = (lo, hi), aim
+
+
+def _parabola_bracket(x: np.ndarray, v: np.ndarray, k: int, tol: float):
+    """(lo, hi) of ``ZOOM_POINTS`` samples at spacing sqrt(tol / c)
+    centred on the vertex of the parabola through the samples v[k-1 .. k+1]
+    at the evenly spaced x, with v[k] the largest; None unless the five
+    samples v[k-2 .. k+2] are finite and their three second differences are
+    negative and agree within ``CURVATURE_SPREAD`` (one curvature c)."""
+    if not 2 <= k <= len(v) - 3:
+        return None
+    w = v[k - 2:k + 3]
+    if not np.isfinite(w).all():
+        return None
+    bend = 2.0 * w[1:-1] - w[:-2] - w[2:]  # -h^2 times the second differences
+    if not (bend.min() > 0.0 and bend.max() <= CURVATURE_SPREAD * bend.min()):
+        return None
+    h = x[k + 1] - x[k]
+    vertex = x[k] + 0.5 * h * (w[3] - w[1]) / bend[1]
+    # c = bend / h^2: the second differences of the aimed samples are tol
+    half = 0.5 * (ZOOM_POINTS - 1) * h * math.sqrt(tol / bend[1])
+    return vertex - half, vertex + half
 
 
 def _sup_bound(v: np.ndarray, s: np.ndarray, k: int) -> float:

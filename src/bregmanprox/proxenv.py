@@ -22,8 +22,10 @@ Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
 the same windowed row blocks as queries, in O(N) memory. The supremum is
-concave in grad kappa(ybar), so ``prox_hull`` stops its zoom once its
-samples bound it to within rounding (``numerics.concave_sup``).
+concave in grad kappa(ybar), so ``prox_hull`` stops its search once its
+samples bound it to within rounding, aiming a round at the vertex of a
+parabola through its best samples where they share one curvature
+(``numerics.concave_sup``).
 
 The engine also keeps the instance's facts (hypotheses and check gates,
 convexity of f and of h = env o grad kappa*, the range assumption), each
@@ -64,7 +66,7 @@ INTERIOR_MARGIN = 1e-9
 RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
 # Grid samples per scanned block of rows (rows x grid points): it bounds only
 # the memory of a grid scan, never the refinement, which takes a whole batch.
-# Above the floor of ZOOM_POINTS rows a prox_hull zoom round is one block.
+# Above the floor of ZOOM_POINTS rows a prox_hull round is one block.
 BLOCK_SAMPLES = 2 ** 15
 
 # The standing hypotheses of the theorem checks and of the hull route.
@@ -502,23 +504,28 @@ def right_env(inst: Instance, xbar: float) -> float:
 
 def prox_hull(inst: Instance, x: float) -> float:
     """sup over interior y of env(y) - D(x, y)/lam: the best y-grid sample
-    of the grid-resolution envelope, zoomed on the two cells around it.
+    of the grid-resolution envelope, searched on the two cells around it.
 
-    Each zoom round solves its sampled envelopes (by value, through the
-    memo) as one block of rows. With s = grad kappa(y) the objective is
-    (s x - kappa(x) - (lam f + kappa)*(s)) / lam, concave in s since a
-    conjugate is convex, so the sup is ``numerics.concave_sup``: a
+    Each round of the search solves its sampled envelopes (by value,
+    through the memo) as one block of rows. With s = grad kappa(y) the
+    objective is (s x - kappa(x) - (lam f + kappa)*(s)) / lam, concave in s
+    since a conjugate is convex, so the sup is ``numerics.concave_sup``: a
     value-only search that stops once its samples bound the sup to within
-    rounding. This is the definitional route; it reads only envelope values
-    and grad kappa, and the geometric route through the lower convex
-    envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
-    +inf outside dom kappa; an x that overflows raises as in ``right_prox``,
-    and so does an x whose best y-grid sample is a grid end that the window
-    cut, where the sup may lie past the samples.
+    rounding, two rounds at a smooth sup (a zoom, then a round aimed at a
+    parabola's vertex). This is the definitional route; it reads only
+    envelope values and grad kappa, and the geometric route through the
+    lower convex envelope of lam f + kappa is ``engine(inst).hull_fn_value``.
+    +inf outside dom kappa, and past an end of dom f that the x grid
+    samples (``InstanceEngine.f_bounds``), before any solve; an x that
+    overflows raises as in ``right_prox``, and so does an x whose best
+    y-grid sample is a grid end that the window cut, where the sup may lie
+    past the samples.
     """
     eng = engine(inst)
     dom = eng.kernel.domain
-    if not dom.contains(float(x)):
+    lo, hi = eng.f_bounds
+    # past an end of dom f inside the x grid, f and so its hull are +inf
+    if not dom.contains(float(x)) or (x < lo and lo > eng.X[0]) or (x > hi and hi < eng.X[-1]):
         return math.inf
     kx = eng._right_kappa(x)
 

@@ -264,6 +264,56 @@ def test_concave_sup_stops_within_rounding_before_the_width_rule(g, sup):
     assert v <= sup and rounds < width_rounds
 
 
+@pytest.mark.parametrize("g, sup", [
+    (lambda s: 1.5 - np.cosh(s - _C), 0.5),
+    (lambda s: -3.0 * np.square(s + 0.2 * _C) + 40.0, 40.0),
+])
+def test_concave_sup_aims_its_second_round_at_a_smooth_sup(g, sup):
+    """After the zoom of the two grid cells, a smooth sup is bracketed by
+    the parabola through the best three samples, and the aimed round's
+    bound certifies: two rounds, where zooming every round took five."""
+    v, rounds = _rounds("concave", _in_s(g), _XS)
+    assert abs(v - sup) <= numerics.SUP_STOP_ULPS * np.spacing(max(1.0, sup))
+    assert v <= sup and rounds == 2
+
+
+def test_concave_sup_goes_back_to_the_zoom_bracket_when_an_aimed_round_misses():
+    """A cubic term skews g (concave for s < _C + 10/3) so that the
+    parabola's vertex after the first round lies farther from the sup than
+    the aimed bracket reaches. The aimed round does not certify, the next
+    round samples the zoom bracket it replaced (the sampled span grows
+    back), and the search still ends within the stop."""
+    g = lambda s: 1e5 * (s - _C) ** 3 - 1e6 * np.square(s - _C)  # sup 0 at s = _C
+    spans = []
+
+    def phi(y):
+        spans.append(y[-1] - y[0])
+        return _in_s(g)(y)
+
+    v = concave_sup(phi, _XS, _in_s(g)(_XS)[0])
+    assert any(b > a for a, b in zip(spans, spans[1:]))
+    assert -numerics.SUP_STOP_ULPS * np.spacing(1.0) <= v <= 0.0
+
+
+def test_concave_sup_aims_only_inside_the_zoom_bracket():
+    """A sup so flat that samples at the aimed spacing would reach past the
+    zoom bracket: the search zooms instead, so every round samples inside
+    the two cells around the previous round's best sample (in
+    ``prox_hull``, a bracket end may be the end of the y grid)."""
+    g = lambda s: -1e-6 * np.square(s - _C)
+    rounds = []
+
+    def phi(y):
+        rounds.append(y)
+        return _in_s(g)(y)
+
+    concave_sup(phi, _XS, _in_s(g)(_XS)[0])
+    assert len(rounds) > 1
+    for prev, cur in zip(rounds, rounds[1:]):
+        k = int(np.argmax(_in_s(g)(prev)[0]))
+        assert prev[k - 1] <= cur.min() and cur.max() <= prev[k + 1]
+
+
 @pytest.mark.parametrize("g", [
     lambda s: -np.abs(s - _C),  # a kink at the max, off every sample
     lambda s: s,  # the best sample at the bracket's right end

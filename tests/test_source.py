@@ -120,3 +120,25 @@ def test_one_interval_type():
              and {"lo_closed", "hi_closed"} <= _declared_fields(node)
              and (path.name, node.name) != ("extreal.py", "Interval")]
     assert not found, f"a second interval type at {found}"
+
+
+def test_the_definitional_hull_reads_nothing_of_the_geometric_route():
+    """``prox_hull`` and the ``concave_sup`` it calls (with its helpers)
+    compute the hull as a sup of envelope values, the route that
+    ``hull_fn_value`` is checked against: none of them names the lower
+    convex envelope of lam f + kappa or its slopes (seeding the sup at the
+    geometric hull's slope at x would make the two routes check
+    themselves)."""
+    geometric = {"hull_curve", "hull_fn_value", "lower_convex_envelope", "slopes_at",
+                 "HullCurve"}
+    sup_route = {"prox_hull", "concave_sup", "_parabola_bracket", "_sup_bound"}
+    seen, found = set(), []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in sup_route:
+                seen.add(fn.name)
+                names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+                found += [f"{path.name}:{fn.name} names {name}"
+                          for name in sorted(geometric & names)]
+    assert seen == sup_route and not found, found
