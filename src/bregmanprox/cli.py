@@ -2,7 +2,8 @@
 and the verification suite.
 
 Exit codes: 0 pass, 1 asserted-implication or reproduction failure, 2 usage,
-unknown or out-of-range input, or an output file that cannot be written. CSV
+unknown or out-of-range input, a malformed ``BREGMAN_GRID_N``, or an output
+file that cannot be written. CSV
 output uses 17 significant digits so files round-trip bit-exactly.
 """
 
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 
 from .catalog import get_instance, instance_names
-from .errors import (HypothesesUnmetError, InfMinusInfError, OutOfRangeError,
-                     UnknownInstanceError)
+from .errors import (GridSizeError, HypothesesUnmetError, InfMinusInfError,
+                     OutOfRangeError, UnknownInstanceError)
 from .proxenv import engine
 from .subdiff import left_lpsubdiff_hull
 
@@ -195,7 +196,11 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
             break
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GridSizeError as exc:  # a malformed BREGMAN_GRID_N, read where an engine is built
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ class UnboundedBelowError(BregmanError):
 
 
 class OutOfRangeError(BregmanError):
-    """Inversion target lies outside the closure of the map's range."""
+    """A point the computation cannot represent: an inversion target outside
+    the closure of the map's range, a point where kappa or its tilt
+    overflows on the working grid, or a point whose sup over ybar lies at or
+    past the window's end of the y grid."""
 
 
 class DomainEdgeError(BregmanError):
@@ -50,3 +53,8 @@ class HypothesesUnmetError(BregmanError):
 
 class AllUnboundedError(BregmanError):
     """Every lambda in the scan grid was diagnosed unbounded."""
+
+
+class GridSizeError(BregmanError, ValueError):
+    """``BREGMAN_GRID_N`` is not an integer grid size of at least
+    ``numerics.MIN_GRID_N``."""

@@ -61,6 +61,7 @@ __all__ = [
 # around a smooth minimum (the Shannon prox of |x| at 400 ybar in [4.9, 11.9]:
 # up to 3.4e-9 relative, 1.2e-8 absolute).
 DEFAULT_GRID_N = 2001
+MIN_GRID_N = 3  # the fewest points of a ``Grid``
 DEFAULT_TOL_TIE = 1e-7
 DEFAULT_UNBOUNDED_CAP = 1e12
 BOUNDARY_INSET = 1e-9
@@ -92,8 +93,8 @@ class Grid:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("grid requires lo < hi")
-        if self.n < 3:
-            raise ValueError("grid requires n >= 3")
+        if self.n < MIN_GRID_N:
+            raise ValueError(f"grid requires n >= {MIN_GRID_N}")
         object.__setattr__(self, "points", np.linspace(self.lo, self.hi, self.n))
 
     @property
@@ -378,7 +379,10 @@ def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
     that bound is within ``SUP_STOP_ULPS`` ulps of max(1, |best|). Where no
     bound exists (the best sample among the two at either end of the
     bracket, samples that are not concave or not finite, or equal chord
-    slopes) it goes on to ``zoom``'s width rule.
+    slopes) it goes on to ``zoom``'s width rule. Where a round's best
+    sample improves on every earlier round at a bracket end that is not an
+    end of ``xs``, the sup may lie past it, and the next bracket, as wide,
+    is centred on that sample instead (never past the ends of ``xs``).
 
     Where the five samples around the best one also share one curvature c
     (``_parabola_bracket``), the next round is aimed instead (Brent's
@@ -387,9 +391,9 @@ def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
     stop's ulps, where the bound on a parabola lies tol/4 to tol/2 above the
     best sample and certifies at once. The aimed bracket must lie inside the
     zoom bracket it replaces; where its bound does not certify, the next
-    round samples that zoom bracket, so a miss costs one round. Kinks,
-    non-finite samples and a best sample at an end are zoomed round for
-    round. Value only: no location is returned.
+    round samples that zoom bracket, so a miss costs one round. Kinks and
+    non-finite samples are zoomed round for round. Value only: no location
+    is returned.
     """
     j = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
     lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)]
@@ -401,12 +405,20 @@ def concave_sup(phi: Callable, xs: np.ndarray, values: np.ndarray) -> float:
         v, s = (np.asarray(a, dtype=float) for a in phi(x))
         k = int(np.argmax(v))
         vk = float(v[k])
-        best = max(best, vk)
+        gain, best = vk > best, max(best, vk)
         tol = SUP_STOP_ULPS * _EPS * max(1.0, abs(vk))
         if _sup_bound(v, s, k) - vk <= tol:
             return best
         if zoomed is not None:
             (lo, hi), zoomed = zoomed, None
+            continue
+        if gain and ((k == 0 and lo > xs[0]) or (k == ZOOM_POINTS - 1 and hi < xs[-1])):
+            # a new best at an end inside xs: the sup may lie past it (the
+            # values seeding the search may be coarser than phi), so the
+            # next bracket, as wide, is centred on it; only a strictly new
+            # best steps, so the steps cannot cycle
+            half = 0.5 * (hi - lo)
+            lo, hi = max(x[k] - half, xs[0]), min(x[k] + half, xs[-1])
             continue
         lo, hi = x[max(k - 1, 0)], x[min(k + 1, ZOOM_POINTS - 1)]
         if not hi - lo > X_RESOLUTION * max(1.0, abs(lo), abs(hi)):

@@ -28,13 +28,13 @@ parabola through its best samples where they share one curvature
 (``numerics.concave_sup``).
 
 The engine also keeps the instance's facts (hypotheses and check gates,
-convexity of f and of h = env o grad kappa*, the range assumption), each
-decided on first use, so queries never pay for them.
+convexity of f and of h = env o grad kappa*, the set-valued slopes, the
+range assumption, probed on the engine itself), each decided on first use,
+so queries never pay for them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -45,13 +45,14 @@ from functools import cached_property
 import numpy as np
 
 from .catalog import Instance, ProperFn
-from .errors import (AllInfiniteError, AllUnboundedError, HypothesesUnmetError,
-                     OutOfRangeError, OutsideInteriorError, UnboundedBelowError)
+from .errors import (AllInfiniteError, AllUnboundedError, GridSizeError,
+                     HypothesesUnmetError, OutOfRangeError, OutsideInteriorError,
+                     UnboundedBelowError)
 from .extreal import Interval
-from .kernels import Kernel
-from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, ZOOM_POINTS,
-                       Condition, ProxResult, build_grid, concave_sup, convexity_condition,
-                       grid_conjugate, grid_min_value, grid_minimize,
+from .kernels import Kernel, bregman_distance
+from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, MIN_GRID_N,
+                       ZOOM_POINTS, Condition, ProxResult, build_grid, concave_sup,
+                       convexity_condition, grid_conjugate, grid_min_value, grid_minimize,
                        lower_convex_envelope, sample_inset)
 
 __all__ = [
@@ -91,8 +92,8 @@ class InstanceEngine:
     """Cached grids, samples and facts for one (kernel, fn, lambda) instance."""
 
     def __init__(self, inst: Instance, grid_n: int):
-        # weak, so that an engine cached for its instance never keeps it alive
-        self._instance = weakref.ref(inst)
+        # no reference to the instance, so that an engine cached for it never keeps it alive
+        self.name = inst.name
         self.kernel = inst.kernel
         self.fn = inst.fn
         self.lam = inst.lam
@@ -159,9 +160,7 @@ class InstanceEngine:
         ``OutOfRangeError`` naming the first ybar whose kappa(ybar), or tilt
         grad kappa(ybar)(x - ybar) at an end of the x grid, overflows."""
         ys = np.asarray(ys, dtype=float)
-        with np.errstate(over="ignore"):
-            ky, gy = self.kg(ys)
-            self._check_range(ys, [ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)], "x")
+        ky, gy = self._left_kappa(ys)
 
         def phi(x, rows, buf=None):
             block = isinstance(x, slice)
@@ -176,6 +175,16 @@ class InstanceEngine:
             return out
 
         return phi
+
+    def _left_kappa(self, ys):
+        """(kappa, grad kappa) at the interior points ``ys``, for D(., ybar)
+        on the x grid (the left rows, the left certificate). Raises
+        ``OutOfRangeError`` naming the first point whose kappa, or tilt
+        grad kappa(ybar)(x - ybar) at an end of the x grid, overflows."""
+        with np.errstate(over="ignore"):
+            ky, gy = self.kg(ys)
+            self._check_range(ys, [ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)], "x")
+        return ky, gy
 
     def _check_range(self, pts, vals, grid: str):
         """Raise ``OutOfRangeError`` naming the first of the points ``pts``
@@ -345,9 +354,10 @@ class InstanceEngine:
 
         return grid_minimize(psi, self.y_grid)
 
-    def _right_kappa(self, xbar: float) -> float:
-        """kappa(xbar) for D(xbar, y) on the y grid (``right_prox``,
-        ``prox_hull``), checked as ``right_prox`` says."""
+    def _right_kappa(self, xbar):
+        """kappa at a point or array ``xbar`` for D(xbar, y) on the y grid
+        (``right_prox``, ``prox_hull``, the right certificate), checked as
+        ``right_prox`` says, naming the first point that overflows."""
         kx = self.kernel.eval(xbar)
         with np.errstate(over="ignore"):
             self._check_range(xbar, [kx, self.GY[0] * (xbar - self.Y[0]),
@@ -457,11 +467,25 @@ class InstanceEngine:
         return convexity_condition("h-convex", xis, self.env(self.kernel.grad_conj(xis)))
 
     @cached_property
+    def critical_etas(self) -> tuple[float, ...]:
+        """Slopes of the hull segments of lam f + kappa over three cells
+        long: the etas where the prox is set-valued."""
+        curve = self.hull_curve()
+        return tuple(curve.segment_slopes()[np.diff(curve.xs) > 3 * self.x_grid.h].tolist())
+
+    def range_probe(self, n: int, seed: int):
+        """(ok, witnesses) of the range assumption on this engine: ``n``
+        ybar drawn across the interior, the witnesses the (ybar, minimizer)
+        pairs whose minimizer is off the interior."""
+        ys = sample_inset(np.random.default_rng(seed), self.y_grid.lo, self.y_grid.hi, n)
+        witnesses = prox_escapes(self, ys.tolist(), self.prox(ys))
+        return not witnesses, witnesses
+
+    @cached_property
     def range_assumption(self) -> tuple[bool, tuple]:
         """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points, with a
         seed derived from the instance name alone."""
-        inst = self._instance()
-        ok, witnesses = range_probe(inst, n=RANGE_PROBE_N, seed=zlib.crc32(inst.name.encode()))
+        ok, witnesses = self.range_probe(RANGE_PROBE_N, zlib.crc32(self.name.encode()))
         return ok, tuple(witnesses)
 
 
@@ -471,8 +495,17 @@ _ENGINES: weakref.WeakKeyDictionary[Instance, InstanceEngine] = weakref.WeakKeyD
 
 def engine(inst: Instance) -> InstanceEngine:
     """The instance's engine at the current grid size (``BREGMAN_GRID_N``,
-    default ``DEFAULT_GRID_N``), rebuilt when it changes."""
-    n = int(os.environ.get("BREGMAN_GRID_N", DEFAULT_GRID_N))
+    default ``DEFAULT_GRID_N``), rebuilt when it changes. Raises
+    ``GridSizeError`` when the variable is not an integer of at least
+    ``MIN_GRID_N``."""
+    spec = os.environ.get("BREGMAN_GRID_N")
+    try:
+        n = DEFAULT_GRID_N if spec is None else int(spec)
+    except ValueError:
+        n = None
+    if n is None or n < MIN_GRID_N:
+        raise GridSizeError(f"BREGMAN_GRID_N={spec!r} is not a grid size: "
+                            f"expected an integer of at least {MIN_GRID_N}")
     eng = _ENGINES.get(inst)
     if eng is None or eng.grid_n != n:
         eng = _ENGINES[inst] = InstanceEngine(inst, n)
@@ -579,19 +612,21 @@ def _tail_points(side: str, interval: Interval, window: tuple[float, float]):
 def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float) -> bool:
     """True when f + D(., probe_y)/lam is diagnosed unbounded below.
 
-    Fires either on values below ``-DEFAULT_UNBOUNDED_CAP`` on the working
-    grid, or on a monotone divergence along a geometric tail toward an open
-    or unbounded side (logarithmic divergences never cross a fixed cap on any
-    float grid, so a strictly decreasing tail with macroscopic total drop is
-    the signal).
+    Fires either on values below ``-DEFAULT_UNBOUNDED_CAP`` on a 513-point
+    grid of the domain, or on a monotone divergence along a geometric tail
+    toward an open or unbounded side (logarithmic divergences never cross a
+    fixed cap on any float grid, so a strictly decreasing tail with
+    macroscopic total drop is the signal).
     """
-    # scanning deliberately probes lambdas above any annotated threshold
-    probe_fn = dataclasses.replace(fn, pb_threshold=None)
-    inst = Instance(f"_scan_{fn.name}_{lam:g}", kernel, probe_fn, lam)
-    eng = InstanceEngine(inst, grid_n=513)
-    eng.check_interior(probe_y)
-    phi = eng._left_rows([probe_y])
-    vals = phi(eng.X, 0)
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    if not kernel.domain.interior_contains(probe_y):
+        raise OutsideInteriorError(f"{probe_y} not interior to dom {kernel.name}")
+
+    def phi(x):
+        return fn.eval(x) + bregman_distance(kernel, x, probe_y) / lam
+
+    vals = phi(build_grid(kernel.domain, 513, window=fn.window).points)
     finite = vals[np.isfinite(vals)]
     if finite.size and finite.min() < -DEFAULT_UNBOUNDED_CAP:
         return True
@@ -599,7 +634,7 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float) -
         ts = np.array(_tail_points(side, kernel.domain, fn.window))
         # far tails overflow; the tail ends at its first non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            tail = phi(ts, 0)
+            tail = phi(ts)
         stop = ~np.isfinite(tail)
         tail = list(tail[:int(np.argmax(stop)) if stop.any() else tail.size])
         if len(tail) >= 8:
@@ -611,14 +646,10 @@ def detect_unbounded(kernel: Kernel, fn: ProperFn, lam: float, probe_y: float) -
     return False
 
 
-def _probe_point(kernel: Kernel, fn: ProperFn) -> float:
-    grid = build_grid(kernel.domain.interior(), n=11, window=fn.window)
-    return float(0.5 * (grid.lo + grid.hi))
-
-
 def threshold_scan(kernel: Kernel, fn: ProperFn,
                    lam_grid: np.ndarray) -> tuple[float, float]:
-    """Bracket the prox-boundedness threshold on an ascending lambda grid.
+    """Bracket the prox-boundedness threshold on an ascending lambda grid,
+    probing at the midpoint of the interior's window.
 
     Returns (last finite lambda, first unbounded lambda); the second entry is
     +inf when every lambda in the grid stays bounded.
@@ -626,7 +657,8 @@ def threshold_scan(kernel: Kernel, fn: ProperFn,
     lam_grid = np.sort(np.asarray(lam_grid, dtype=float))
     if lam_grid.size == 0:
         raise ValueError("empty lambda grid")
-    probe = _probe_point(kernel, fn)
+    grid = build_grid(kernel.domain.interior(), n=11, window=fn.window)
+    probe = float(0.5 * (grid.lo + grid.hi))
     last_finite = None
     for lam in lam_grid:
         if detect_unbounded(kernel, fn, float(lam), probe):
@@ -647,10 +679,7 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0):
     Returns (ok, witnesses) where witnesses are (ybar, minimizer) pairs that
     landed on or beyond the boundary. Empirically falsifiable, not certifiable.
     """
-    eng = engine(inst)
-    ys = sample_inset(np.random.default_rng(seed), eng.y_grid.lo, eng.y_grid.hi, n)
-    witnesses = prox_escapes(eng, ys.tolist(), eng.prox(ys))
-    return not witnesses, witnesses
+    return engine(inst).range_probe(n, seed)
 
 
 def prox_escapes(eng: InstanceEngine, ys, results) -> list[tuple[float, float]]:

@@ -116,13 +116,15 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     keeps (within ``DEFAULT_TOL_TIE`` of it), or past the unbounded cap as
     in ``_least_slack``. Membership requires xbar interior to the kernel
     domain and worst slack >= -TOL_CERT; other points give (False, -inf, xbar).
+    Raises ``OutOfRangeError`` naming the first other xbar where kappa, or
+    its tilt at an end of the x grid, overflows, as the left prox does.
     """
     eng = engine(inst)
     xb, uu = _rows(xbar, u)
     fxb = eng.fn.eval(xb)
     ok = eng.kernel.domain.interior_contains(xb) & np.isfinite(fxb)
     xb_ok, u_ok, fxb = xb[ok], uu[ok], fxb[ok]
-    kxb, gxb = eng.kernel.eval(xb_ok), eng.kernel.grad(xb_ok)
+    kxb, gxb = eng._left_kappa(xb_ok)
 
     def slack(x, rows):
         fx, kx = eng.fk(x)
@@ -138,6 +140,9 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
 
     Tests g(y) >= g(ybar) + v (grad kappa(y) - grad kappa(ybar)) - D(ybar, y)/lam
     over the interior grid; (member, worst_slack, witness_y) as on the left.
+    Raises ``OutOfRangeError`` naming the first ybar with g(ybar) finite
+    where kappa, or the tilt at an end of the y grid, overflows, as the
+    right prox does.
     """
     eng = engine(inst)
     yb, vv = _rows(ybar, v)
@@ -145,7 +150,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     gyb = eng.fn.eval(yb)
     ok = np.isfinite(gyb)
     yb_ok, v_ok, gyb = yb[ok], vv[ok], gyb[ok]
-    kyb, grad_yb = eng.kernel.eval(yb_ok), eng.kernel.grad(yb_ok)
+    kyb, grad_yb = eng._right_kappa(yb_ok), eng.kernel.grad(yb_ok)
 
     def slack(y, rows):
         ky, gy = eng.kg(y)

@@ -137,33 +137,22 @@ def _fd_step(eng: InstanceEngine) -> float:
     return FD_STEP * max(1.0, eng.y_grid.hi - eng.y_grid.lo)
 
 
-def _critical_etas(eng: InstanceEngine) -> list[float]:
-    """Slopes of envelope segments over three cells long: the set-valued etas."""
-    curve = eng.hull_curve()
-    h = eng.x_grid.h
-    return curve.segment_slopes()[np.diff(curve.xs) > 3 * h].tolist()
-
-
-def _sample_etas(eng: InstanceEngine, rng, n: int, with_critical: bool = True):
+def _prox_sample(eng: InstanceEngine, rng, n: int, extra=()):
+    """``n`` etas drawn uniformly from the xi window, then the etas
+    ``extra``, each mapped to (eta, ybar = grad kappa*(eta), prox at ybar)
+    where ybar is interior to dom kappa: two arrays and a list."""
     lo, hi = eng.xi_window
-    etas = list(lo + (hi - lo) * rng.random(n))
-    if with_critical:
-        etas += _critical_etas(eng)
-    return etas
-
-
-def _prox_at_etas(eng: InstanceEngine, etas):
-    """(eta, prox at grad kappa*(eta)) for the etas whose point is interior."""
-    etas = np.asarray(etas, dtype=float)
+    etas = np.append(lo + (hi - lo) * rng.random(n), extra)
     ys = eng.kernel.grad_conj(etas)
     inside = eng.kernel.domain.interior_contains(ys)
-    return list(zip(etas[inside].tolist(), eng.prox(ys[inside])))
+    return etas[inside], ys[inside], eng.prox(ys[inside])
 
 
-def _selections(eng: InstanceEngine, etas, interior_only: bool):
-    """Prox selections (eta, x) at grad kappa*(eta) as two arrays: every
+def _selections(eng: InstanceEngine, sample, interior_only: bool):
+    """Prox selections (eta, x) of a ``_prox_sample`` as two arrays: every
     minimizer, or only those interior to the kernel domain."""
-    sels = [(e, m) for e, res in _prox_at_etas(eng, etas) for m in res.minimizers]
+    etas, _, proxes = sample
+    sels = [(e, m) for e, res in zip(etas.tolist(), proxes) for m in res.minimizers]
     ee, xx = np.array([s[0] for s in sels]), np.array([s[1] for s in sels])
     keep = eng.interior(xx) if interior_only else slice(None)
     return ee[keep], xx[keep]
@@ -237,9 +226,9 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     b = Condition("b-hull-equals-f", float(gap[kb]) <= TOL_HULL_EQ, float(gap[kb]),
                   (float(eng.X[kb]),))
 
-    etas = _sample_etas(eng, rng, N_POINT_SAMPLES)
+    etas, _, proxes = _prox_sample(eng, rng, N_POINT_SAMPLES, eng.critical_etas)
     d_holds, d_worst, d_wit = True, 0.0, ()
-    for e, res in _prox_at_etas(eng, etas):
+    for e, res in zip(etas.tolist(), proxes):
         if len(res.clusters) > 1:
             spread = res.clusters[-1].x - res.clusters[0].x
             d_holds, d_worst, d_wit = False, spread, (e,) + tuple(res.minimizers[:2])
@@ -304,7 +293,8 @@ def check_dfne(inst: Instance, seed: int = 0) -> VerifyReport:
     graph = [(p, float(u)) for p, s in _hull_sets(inst, eng, rng) for u in subdiff_samples(s)]
     c = _pairwise_monotone(graph, "c-subdiff-monotone")
 
-    ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
+    ee, xx = _selections(eng, _prox_sample(eng, rng, N_PAIR_SAMPLES, eng.critical_etas),
+                         interior_only=True)
     e_cond = _worst_pair("e-dfne", _pair_slacks(eng, ee, xx)[0], (ee, xx))
 
     rep.conditions = [a, c, e_cond]
@@ -356,19 +346,19 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
 
     a = replace(eng.h_convex, label="a-h-convex")
 
-    ee, xx = _selections(eng, _sample_etas(eng, rng, 150), interior_only=False)
+    ee, xx = _selections(eng, _prox_sample(eng, rng, 150, eng.critical_etas),
+                         interior_only=False)
     d = _worst_pair("d-dual-upper-bound", _pair_slacks(eng, ee, xx, lower=False)[1], (ee, xx))
 
     rep.conditions = [a, d]
     rep.implications = _equiv(a, d)
 
     if a.holds:
-        xis = np.array(_sample_etas(eng, rng, 40, with_critical=False))
+        xis, ys, proxes = _prox_sample(eng, rng, 40)
         gcj = eng.kernel.grad_conj
         fds = finite_diff_grad(lambda xi: eng.env(gcj(xi)), xis, 1e-5).tolist()
-        ys = gcj(xis)
         worst, wit = 0.0, ()
-        for xi, y, fd, res in zip(xis.tolist(), ys.tolist(), fds, eng.prox(ys)):
+        for xi, y, fd, res in zip(xis.tolist(), ys.tolist(), fds, proxes):
             ident = (y - res.minimizers[0]) / eng.lam
             err = abs(eng.lam * fd - eng.lam * ident)
             if err > worst:
@@ -389,9 +379,7 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
 
     a = replace(eng.h_convex, label="a-h-convex")
 
-    xis = np.array(_sample_etas(eng, rng, 100, with_critical=False))
-    gc = eng.kernel.grad_conj(xis)
-    proxes = eng.prox(gc)
+    xis, gc, proxes = _prox_sample(eng, rng, 100)
     h_vals = np.array([res.value for res in proxes])
     prox_pts = np.array([res.minimizers[0] for res in proxes])
     single = not any(res.multiple for res in proxes)
@@ -514,7 +502,8 @@ def check_two_sided(inst: Instance, seed: int = 0) -> VerifyReport:
     ab = Condition("f-and-h-convex", fcvx.holds and hcvx.holds,
                    min(fcvx.worst, hcvx.worst))
 
-    ee, xx = _selections(eng, _sample_etas(eng, rng, N_PAIR_SAMPLES), interior_only=True)
+    ee, xx = _selections(eng, _prox_sample(eng, rng, N_PAIR_SAMPLES, eng.critical_etas),
+                         interior_only=True)
     slack_lo, slack_hi = _pair_slacks(eng, ee, xx)
     lower = _worst_pair("lower-bound", slack_lo, (ee,))
     upper = _worst_pair("upper-bound", slack_hi, (ee,))
@@ -573,10 +562,9 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     strong = eng.strongly_convex
     hcvx = replace(eng.h_convex, label="env-dual-convex")
 
-    sols = _prox_at_etas(eng, _sample_etas(eng, rng, 120, with_critical=False))
-    single = not any(res.multiple for _, res in sols)
-    ee = np.array([e for e, _ in sols])
-    xx = np.array([float(res.minimizers[0]) for _, res in sols])
+    ee, _, proxes = _prox_sample(eng, rng, 120)
+    single = not any(res.multiple for res in proxes)
+    xx = np.array([float(res.minimizers[0]) for res in proxes])
     de = np.abs(np.subtract.outer(ee, ee))
     dx = np.abs(np.subtract.outer(xx, xx))
     mask = de > 1e-2  # keep ratio noise (sqrt-eps minimizer error) below tol
@@ -695,7 +683,7 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
 
     ys = list(sample_inset(rng, lo, hi, 30))
     if legendre:
-        etas = np.array(_critical_etas(eng_a) + _critical_etas(eng_b), dtype=float)
+        etas = np.array(eng_a.critical_etas + eng_b.critical_etas, dtype=float)
         crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
         ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
     h = max(eng_a.x_grid.h, eng_b.x_grid.h)

@@ -120,6 +120,43 @@ def test_curve_bad_grid(capsys):
         assert code == 2 and "bad grid spec" in err and out == "", spec
 
 
+_ENGINE_COMMANDS = {
+    "curve": ("curve", "--instance", "euclid_abs", "--what", "f,env", "--grid", "-1:1:5"),
+    "reproduce": ("reproduce", "4.19"),
+    "verify": ("verify", "--instance", "euclid_abs"),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "2", "-5"])
+@pytest.mark.parametrize("command", list(_ENGINE_COMMANDS))
+def test_a_malformed_grid_size_exits_2(capsys, monkeypatch, command, value):
+    """A ``BREGMAN_GRID_N`` that is not an integer of at least 3 is bad
+    input: one stderr line naming the variable and its value, exit 2 (1
+    reads as a violated implication or a failed reproduction)."""
+    monkeypatch.setenv("BREGMAN_GRID_N", value)
+    code, out, err = run_cli(capsys, *_ENGINE_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err == (f"BREGMAN_GRID_N={value!r} is not a grid size: "
+                   "expected an integer of at least 3\n")
+
+
+def test_list_builds_no_engine_and_ignores_the_grid_size(capsys, monkeypatch):
+    monkeypatch.setenv("BREGMAN_GRID_N", "abc")
+    code, out, _ = run_cli(capsys, "list")
+    assert code == 0 and "ex310" in out
+
+
+def test_an_internal_value_error_is_not_read_as_bad_input(capsys, monkeypatch):
+    """Only a malformed grid size exits 2: any other ValueError inside a
+    command keeps its traceback."""
+    def broken(example):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(verify, "check_example", broken)
+    with pytest.raises(ValueError, match="^internal$"):
+        main(["reproduce", "4.19"])
+
+
 def test_curve_ybar_out_of_range(capsys):
     """A finite grid whose ybar overflows kappa exits 2 naming that ybar."""
     code, out, err = run_cli(capsys, "curve", "--instance", "euclid_abs",

@@ -314,6 +314,28 @@ def test_concave_sup_aims_only_inside_the_zoom_bracket():
         assert prev[k - 1] <= cur.min() and cur.max() <= prev[k + 1]
 
 
+def test_concave_sup_steps_past_a_best_sample_at_a_bracket_end():
+    """Seed values coarser than phi (here phi three grid cells on) put the
+    sup two cells past the first bracket, whose best sample is then its
+    end; the next bracket is centred on that sample, and the search ends
+    within the stop (zooming into the end left it 1.1e-5 short). Toward a
+    sup past the last point of xs the bracket steps no further than that
+    point."""
+    phi = _in_s(lambda s: -3.0 * np.square(s - _C))
+    h = _XS[1] - _XS[0]
+    v = concave_sup(phi, _XS, phi(_XS + 3 * h)[0])
+    assert -numerics.SUP_STOP_ULPS * np.spacing(1.0) <= v <= 0.0
+    seen = []
+
+    def rising(y):
+        seen.append(y)
+        return _in_s(lambda s: s)(y)
+
+    v = concave_sup(rising, _XS, -np.abs(_XS - _XS[-3]))
+    assert v == np.sinh(_XS[-1])
+    assert min(y.min() for y in seen) >= _XS[0] and max(y.max() for y in seen) <= _XS[-1]
+
+
 @pytest.mark.parametrize("g", [
     lambda s: -np.abs(s - _C),  # a kink at the max, off every sample
     lambda s: s,  # the best sample at the bracket's right end

@@ -142,3 +142,41 @@ def test_the_definitional_hull_reads_nothing_of_the_geometric_route():
                 found += [f"{path.name}:{fn.name} names {name}"
                           for name in sorted(geometric & names)]
     assert seen == sup_route and not found, found
+
+
+def _calls_by_function(tree: ast.Module):
+    """(name of the innermost enclosing function or None, call node) for
+    every call in a module."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            if isinstance(child, ast.Call):
+                yield fn, child
+            yield from visit(child, inner)
+    return visit(tree, None)
+
+
+def _names(node) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            | {n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)})
+
+
+def test_engines_are_built_only_by_the_registry():
+    """Per-instance work happens once, on the registered engine: no module
+    builds an ``InstanceEngine`` outside ``proxenv.engine`` (the threshold
+    scan evaluates its objective on a grid of its own)."""
+    found = [f"{path.name}:{call.lineno} in {fn}"
+             for path in SOURCES for fn, call in _calls_by_function(ast.parse(path.read_text()))
+             if "InstanceEngine" in _names(call.func)
+             and (path.name, fn) != ("proxenv.py", "engine")]
+    assert not found, f"InstanceEngine built at {found}"
+
+
+def test_the_set_valued_slopes_are_one_engine_fact():
+    """``HullCurve.segment_slopes`` is read only where the set-valued slopes
+    are decided, ``InstanceEngine.critical_etas``: no check derives them
+    again."""
+    found = [path.name for path in SOURCES if "segment_slopes" in _names(ast.parse(path.read_text()))
+             and path.name not in ("numerics.py", "proxenv.py")]
+    assert not found, f"segment_slopes named in {found}"

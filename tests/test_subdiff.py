@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bregmanprox import subdiff
 from bregmanprox.catalog import F_ABS, Instance, ProperFn, get_instance, shift_scale
-from bregmanprox.errors import HypothesesUnmetError
+from bregmanprox.errors import HypothesesUnmetError, OutOfRangeError
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import ENERGY, QUARTIC
 from bregmanprox.numerics import DEFAULT_UNBOUNDED_CAP
@@ -116,6 +116,23 @@ def test_subdiff_set_invariants():
 
 
 # -- right subdifferential ---------------------------------------------------------
+
+@pytest.mark.parametrize("cert, grid", [(left_lpsubdiff_definitional, "x"),
+                                        (right_lpsubdiff_definitional, "y")])
+def test_a_certificate_at_an_overflowing_point_is_out_of_range(cert, grid):
+    """On euclid_abs kappa(1e160) overflows. The slack was NaN at every grid
+    point, which read as no finite sample, (inf, nan), and so as a member
+    for every u. Each certificate now raises as the prox of its side does,
+    alone and in a batch, naming the first overflowing point."""
+    inst = get_instance("euclid_abs")
+    msg = rf"^1e\+160 out of range for energy: kappa or its tilt overflows on the {grid} grid$"
+    for u in (5.0, -3.0, 0.0):
+        with pytest.raises(OutOfRangeError, match=msg):
+            cert(inst, 1e160, u)
+    with pytest.raises(OutOfRangeError, match=msg):
+        cert(inst, [0.5, 1e160, -1e170], 1.0)
+    assert cert(inst, 0.5, 1.0)[0]
+
 
 def test_right_definitional_zero():
     inst = get_instance("euclid_zero")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import json
 import math
 import weakref
@@ -317,13 +318,13 @@ def test_catalog_suite_violates_no_implication(seed):
 def test_range_assumption_probed_once_per_instance(monkeypatch):
     inst = dataclasses.replace(get_instance("euclid_abs"))  # no engine cached yet
     probes = []
-    real_probe = proxenv.range_probe
+    real_probe = proxenv.InstanceEngine.range_probe
 
     def counted(*args, **kwargs):
         probes.append(args)
         return real_probe(*args, **kwargs)
 
-    monkeypatch.setattr(proxenv, "range_probe", counted)
+    monkeypatch.setattr(proxenv.InstanceEngine, "range_probe", counted)
     for _, check in ALL_CHECKS:
         try:
             check(inst, seed=11)
@@ -341,7 +342,7 @@ def test_suite_decides_each_instance_fact_once(monkeypatch):
     standing hypotheses, and probes the range assumption on those 11."""
     monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
     decided = collections.Counter()
-    real_condition, real_probe = proxenv.convexity_condition, proxenv.range_probe
+    real_condition, real_probe = proxenv.convexity_condition, proxenv.InstanceEngine.range_probe
 
     def counted_condition(label, *args):
         decided[label] += 1
@@ -352,9 +353,40 @@ def test_suite_decides_each_instance_fact_once(monkeypatch):
         return real_probe(*args, **kwargs)
 
     monkeypatch.setattr(proxenv, "convexity_condition", counted_condition)
-    monkeypatch.setattr(proxenv, "range_probe", counted_probe)
+    monkeypatch.setattr(proxenv.InstanceEngine, "range_probe", counted_probe)
     run_suite(instance_names(), seed=42)
     assert (decided["h-convex"], decided["f-convex"], decided["range-probe"]) == (8, 11, 11)
+
+
+def test_range_assumption_is_decided_on_the_engine_that_holds_it(monkeypatch):
+    """An engine built apart from the registry probes the range assumption
+    on its own grid: no engine of the instance is registered for it."""
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    inst = get_instance("ex411")
+    eng = proxenv.InstanceEngine(inst, grid_n=301)
+    ok, witnesses = eng.range_assumption
+    assert not ok and witnesses  # ex411's prox reaches the closed domain ends
+    assert inst not in proxenv._ENGINES
+
+
+def test_suite_computes_the_set_valued_slopes_once_per_engine(monkeypatch):
+    """On fresh engines a seed-42 suite reads ``critical_etas`` in
+    weak-convexity and dfne on each of the 11 instances that meet the
+    standing hypotheses, and again in env-convexity and two-sided where the
+    range assumption holds: it computes the slopes once per engine."""
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    computed = []
+    real = proxenv.InstanceEngine.__dict__["critical_etas"].func
+
+    def counted(eng):
+        computed.append(eng)  # held, so no two engines share an id
+        return real(eng)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(proxenv.InstanceEngine, "critical_etas")
+    monkeypatch.setattr(proxenv.InstanceEngine, "critical_etas", prop)
+    run_suite(instance_names(), seed=42)
+    assert len(computed) == len({id(e) for e in computed}) == 11
 
 
 def test_suite_refinement_calls_are_pinned(monkeypatch, zoom_brackets):
