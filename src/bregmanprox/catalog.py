@@ -42,7 +42,7 @@ class ProperFn:
 
     def eval(self, x):
         """f at a float (a float) or at an array of points (an array)."""
-        return _coerce(self.eval_arr, x, self.name)
+        return _coerce(x, (self.eval_arr, self.name))[0]
 
     def __repr__(self):
         return f"ProperFn({self.name})"

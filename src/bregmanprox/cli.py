@@ -10,6 +10,7 @@ output uses 17 significant digits so files round-trip bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,10 +44,10 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _column(inst, what: str, xs: list[float]) -> list[float]:
+def _column(inst, what: str, xs: list[float], subdiff) -> list[float]:
     """One CSV column at every x; env, prox and h_lambda (env o grad kappa*)
     are solved as one block each, at the interior points only: elsewhere env
-    and h_lambda read inf and prox nan."""
+    and h_lambda read inf and prox nan. Both subdiff columns read ``subdiff()``."""
     eng = engine(inst)
     xs = np.asarray(xs, dtype=float)
     if what == "f":
@@ -68,7 +69,7 @@ def _column(inst, what: str, xs: list[float]) -> list[float]:
     if what == "hull":
         return eng.hull_fn_value(xs).tolist()
     if what in ("subdiff-lo", "subdiff-hi"):
-        return [s.lo if what == "subdiff-lo" else s.hi for s in left_lpsubdiff_hull(inst, xs)]
+        return [s.lo if what == "subdiff-lo" else s.hi for s in subdiff()]
     raise ValueError(f"unknown quantity {what!r}")
 
 
@@ -89,8 +90,9 @@ def cmd_curve(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     xs = xs.tolist()
+    subdiff = functools.cache(lambda: left_lpsubdiff_hull(inst, np.asarray(xs, dtype=float)))
     try:
-        rows = list(zip(xs, *[_column(inst, w, xs) for w in what]))
+        rows = list(zip(xs, *[_column(inst, w, xs, subdiff) for w in what]))
     except HypothesesUnmetError as exc:
         print(f"hypotheses unmet for requested column: {exc}", file=sys.stderr)
         return 2

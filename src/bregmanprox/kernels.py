@@ -10,7 +10,8 @@ together; the two distances share one array body, ``_distance``. Kappa,
 its conjugate and the catalog functions are evaluated in ``_coerce`` alone,
 which keeps NaN out of every value: a NaN point lies in no domain and reads
 +inf, and a NaN value at any other point (inf - inf or 0 * inf inside a
-formula) raises ``InfMinusInfError`` naming the function and the point. Each
+formula) raises ``InfMinusInfError`` naming the function and the point; f and
+kappa at the same points share one pass. Whole-line formulas run unclipped. Each
 catalog kernel carries closed forms for the conjugate and the gradient
 inverse; the generic fallbacks (grid conjugation, monotone inversion) exist
 so tests can cross-check the closed forms against an independent route.
@@ -71,13 +72,13 @@ class Kernel:
                              "so its gradient range must be the reals")
 
     def eval(self, x) -> float | np.ndarray:
-        return _coerce(self.eval_arr, x, self.name)
+        return _coerce(x, (self.eval_arr, self.name))[0]
 
     def grad(self, x) -> float | np.ndarray:
         return _interior(self.grad_arr, self.domain, x, self.name)
 
     def conj_eval(self, eta) -> float | np.ndarray:
-        return _coerce(self.conj_arr, eta, f"{self.name}*")
+        return _coerce(eta, (self.conj_arr, f"{self.name}*"))[0]
 
     def grad_conj(self, eta):
         """grad kappa* on int dom kappa*, for a float or an array of points."""
@@ -87,23 +88,28 @@ class Kernel:
         return f"Kernel({self.name})"
 
 
-def _coerce(fn, xs, name: str) -> float | np.ndarray:
-    """``fn`` (named ``name``) at the points of ``xs`` as one float array: a
-    float for a float, an array for an array. The one NaN rule of kernels and
-    catalog functions: a NaN point reads +inf, and a NaN value at any other
-    point raises ``InfMinusInfError`` naming the first such point."""
+def _coerce(xs, *fns) -> list:
+    """Each of ``fns``, (formula, name) pairs, at the points of ``xs``, in a
+    list: a float for a float, an array for an array (a block reaches the
+    formulas as 1-D points). The one NaN rule of kernels and catalog
+    functions: a NaN point reads +inf, and a NaN value at any other point
+    raises ``InfMinusInfError`` naming the function and the first such
+    point. One NaN test on the sum of the values serves every function; only
+    where it fires (a NaN, or opposite infinities) does each take the rule."""
     xs = np.asarray(xs, dtype=float)
+    pts = xs.ravel() if xs.ndim > 1 else xs
     with np.errstate(all="ignore"):
-        v = np.asarray(fn(xs), dtype=float)
-    nan = np.isnan(v)
-    if nan.any():
-        bad = nan & ~np.isnan(xs)
+        vs = [np.asarray(fn(pts), dtype=float) for fn, _ in fns]
+        fired = np.count_nonzero(np.isnan(sum(vs[1:], vs[0])))
+    for j, (_, name) in enumerate(fns if fired else ()):
+        nan = np.isnan(vs[j])
+        bad = nan & ~np.isnan(pts)
         if bad.any():
-            raise InfMinusInfError(f"{name} is NaN at {float(xs[bad].flat[0])}: its "
+            raise InfMinusInfError(f"{name} is NaN at {float(pts[bad].flat[0])}: its "
                                    "formula formed inf - inf or 0 * inf (an overflow "
                                    "or an undefined form)")
-        v = np.where(nan, np.inf, v)
-    return float(v) if v.ndim == 0 else v
+        vs[j] = np.where(nan, np.inf, vs[j])
+    return [float(v) if v.ndim == 0 else v.reshape(xs.shape) for v in vs]
 
 
 def _interior(fn, dom: Interval, x, name: str):
@@ -122,6 +128,8 @@ def _interior(fn, dom: Interval, x, name: str):
 
 def _masked(domain: Interval, formula):
     """``formula`` on a float array, +inf outside ``domain``."""
+    if domain.is_all_reals:  # no clip: it is the identity at finite x; +-inf and NaN read +inf
+        return lambda x: np.where(np.isfinite(x), formula(x), np.inf)
 
     def ev(x):
         # the formula sees clipped points only; inside points are unchanged

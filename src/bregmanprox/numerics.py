@@ -72,6 +72,9 @@ X_RESOLUTION = 1e-9
 # 16 cells, shrinking the bracket at least 8-fold).
 ZOOM_POINTS = 17
 _ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
+# flat-index steps from a least sample k to the next bracket's ends, k -+ 1 within the bracket
+_NEXT_ENDS = np.array([[0] + [-1] * (ZOOM_POINTS - 1), [1] * (ZOOM_POINTS - 1) + [0]])
+_STENCIL = np.array([-1.0, 1.0])  # the polish's stencil x -+ h, in units of h
 # ``concave_sup`` stops once its upper bound is this many ulps of
 # max(1, |best|) above the best sample.
 SUP_STOP_ULPS = 8
@@ -162,10 +165,11 @@ class ProxResult:
 
 
 def _on_brackets(phi: Callable, rows, sel, x):
-    """phi on the (brackets, points) array x of the brackets ``sel``."""
-    flat = x.ravel()
-    v = phi(flat) if rows is None else phi(flat, np.repeat(rows[sel], x.shape[1]))
-    return np.asarray(v, dtype=float).reshape(x.shape)
+    """phi on the (brackets, points) array x of the brackets ``sel``: with
+    their rows as a column, or at the points of x as one 1-D array."""
+    if rows is None:
+        return np.asarray(phi(x.ravel()), dtype=float).reshape(x.shape)
+    return np.asarray(phi(x, rows[sel, None]), dtype=float)
 
 
 def zoom(phi: Callable, a, b, rows: np.ndarray | None = None):
@@ -182,26 +186,35 @@ def zoom(phi: Callable, a, b, rows: np.ndarray | None = None):
     about sqrt(eps) in x (``refine`` polishes it).
 
     ``phi`` is an array function of a 1-D x. With ``rows`` (one row index
-    per bracket) it is called as ``phi(x, r)``, where ``r`` gives the row of
-    each point of x. Brackets never interact: each one gets the same result
-    as when zoomed alone.
+    per bracket) it is called as ``phi(x, r)`` on the (brackets, points)
+    block x, where the column ``r`` gives the row of each bracket, and
+    returns the block of values broadcast against it (f and kappa still see
+    1-D points: ``kernels._coerce``). Brackets never interact: each one gets
+    the same result as when zoomed alone.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
     x_best, v_best = a.copy(), np.full_like(a, np.inf)
-    # the open brackets and their ends
-    live, lo, hi = np.arange(a.size), a.copy(), b.copy()
+    first = ZOOM_POINTS * np.arange(a.size)  # flat index of a round's first sample per bracket
+    # the open brackets, their ends and widths, and their best points and values
+    live, lo, hi, w, xb, vb = np.arange(a.size), a, b, b - a, a.copy(), v_best.copy()
     while live.size:
-        x = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+        x = lo[:, None] + w[:, None] * _ZOOM_STEPS
         x[:, -1] = hi
         v = _on_brackets(phi, rows, live, x)
-        j = np.arange(live.size)
         k = v.argmin(axis=1)
-        better = v[j, k] < v_best[live]
-        x_best[live[better]], v_best[live[better]] = x[j, k][better], v[j, k][better]
-        lo, hi = x[j, np.maximum(k - 1, 0)], x[j, np.minimum(k + 1, ZOOM_POINTS - 1)]
-        keep = hi - lo > X_RESOLUTION * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        live, lo, hi = live[keep], lo[keep], hi[keep]
+        i = k + first[:live.size]
+        vk = v.take(i)
+        better = vk < vb
+        np.copyto(xb, x.take(i), where=better)
+        np.copyto(vb, vk, where=better)
+        lo, hi = x.take(i + _NEXT_ENDS[:, k])
+        w = hi - lo
+        # max(|lo|, |hi|) is max(hi, -lo) wherever lo <= hi, so wherever w > 0
+        keep = w > X_RESOLUTION * np.maximum(1.0, np.maximum(hi, -lo))
+        if np.count_nonzero(keep) < live.size:
+            x_best[live[~keep]], v_best[live[~keep]] = xb[~keep], vb[~keep]
+            live, lo, hi, w, xb, vb = (c[keep] for c in (live, lo, hi, w, xb, vb))
     return x_best, v_best
 
 
@@ -215,7 +228,8 @@ def refine(phi: Callable, a, b, rows: np.ndarray | None = None):
     increase the value, so kinks and boundary minimizers are left in place.
     It never raises a value, and on the catalog it lowers one by a few ulps
     at most, so a caller that reads only the value calls ``zoom`` (see
-    ``grid_min_value``). Arguments and batching are those of ``zoom``.
+    ``grid_min_value``). Arguments and batching are those of ``zoom``, the
+    polish's stencils a block too.
     """
     return _polish(phi, a, b, rows, *zoom(phi, a, b, rows))
 
@@ -231,11 +245,11 @@ def _polish(phi: Callable, a, b, rows, x, v):
         if not live.size:
             break
         xl, hl, vl = x[live], h[live], v[live]
-        st = _on_brackets(phi, rows, live, np.stack([xl - hl, xl + hl], axis=1))
+        v1, v2 = _on_brackets(phi, rows, live, xl[:, None] + hl[:, None] * _STENCIL).T
         # a parabola needs finite values and positive curvature
-        ok = np.isfinite(st).all(axis=1) & np.isfinite(vl)
-        ok[ok] = st[ok, 0] - 2.0 * vl[ok] + st[ok, 1] > 0.0
-        live, xl, hl, vl, v1, v2 = live[ok], xl[ok], hl[ok], vl[ok], st[ok, 0], st[ok, 1]
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(vl) & (v1 - 2.0 * vl + v2 > 0.0)
+        live, xl, hl, vl, v1, v2 = live[ok], xl[ok], hl[ok], vl[ok], v1[ok], v2[ok]
         if not live.size:
             break
         xn = np.clip(xl + 0.5 * (v1 - v2) / (v1 - 2.0 * vl + v2) * hl, a[live], b[live])

@@ -14,7 +14,8 @@ by value alone for ``env``, which reads no minimizer. A row gets the same
 bits in a batch as alone (``prox`` and ``env`` take one ybar or an array of
 them).
 Every objective is one array function of x, used for the grid samples and
-for the refinement alike. ``prox`` and ``right_prox`` return the
+for the refinement alike, f and kappa in one NaN-rule pass or from the grid
+caches (``fk``). ``prox`` and ``right_prox`` return the
 ``numerics.ProxResult`` that the grid minimization builds; whether its
 minimizers are interior is asked only where the range assumption is read
 (``InstanceEngine.interior``, one batched call each).
@@ -49,7 +50,7 @@ from .errors import (AllInfiniteError, AllUnboundedError, GridSizeError,
                      HypothesesUnmetError, OutOfRangeError, OutsideInteriorError,
                      UnboundedBelowError)
 from .extreal import Interval
-from .kernels import Kernel, bregman_distance
+from .kernels import Kernel, _coerce, bregman_distance
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, MIN_GRID_N,
                        ZOOM_POINTS, Condition, ProxResult, build_grid, concave_sup,
                        convexity_condition, grid_conjugate, grid_min_value, grid_minimize,
@@ -116,10 +117,22 @@ class InstanceEngine:
     # -- sample access ----------------------------------------------------
 
     def fk(self, x):
-        """(f, kappa) at x, read from the grid caches when x is the x grid."""
+        """(f, kappa) at x in one pass of the NaN rule (``kernels._coerce``),
+        read from the grid caches when x is the x grid or the y grid."""
         if x is self.X:
             return self.F, self.K
-        return self.fn.eval(x), self.kernel.eval(x)
+        if x is self.Y:
+            return self._fy, self.KY
+        return _coerce(x, (self.fn.eval_arr, self.fn.name),
+                       (self.kernel.eval_arr, self.kernel.name))
+
+    @cached_property
+    def _fy(self) -> np.ndarray:
+        return self.fn.eval(self.Y)  # f on the y grid, for the right objectives
+
+    def _fkg(self, y):
+        """(f, kappa, grad kappa) at interior y, unchecked as in ``kg``."""
+        return *self.fk(y), self.GY if y is self.Y else self.kernel.grad_arr(y)
 
     def kg(self, y):
         """(kappa, grad kappa) at interior y, cached when y is the y grid.
@@ -154,7 +167,7 @@ class InstanceEngine:
 
     def _left_rows(self, ys):
         """f + D(., y)/lam for a batch of ybar rows, as the array function
-        ``phi(x, rows)``: ``rows`` gives the row of each point of x. A block
+        ``phi(x, rows)``, ``rows`` the row of each point of x (a column for a 2-D x). A block
         is ``phi(cols, rows, buf)`` on a slice ``cols`` of x-grid columns,
         written into ``buf``, a flat scratch array of twice its size. Raises
         ``OutOfRangeError`` naming the first ybar whose kappa(ybar), or tilt
@@ -349,8 +362,8 @@ class InstanceEngine:
         kx = self._right_kappa(xbar)
 
         def psi(y):
-            ky, gy = self.kg(y)
-            return self.fn.eval(y) + (kx - ky - gy * (xbar - y)) / self.lam
+            fy, ky, gy = self._fkg(y)
+            return fy + (kx - ky - gy * (xbar - y)) / self.lam
 
         return grid_minimize(psi, self.y_grid)
 
@@ -716,7 +729,8 @@ def euclid_crosscheck(inst: Instance, ybar: float) -> float:
     grid = build_grid(eng.kernel.domain, 3001, window=eng.fn.window)
 
     def psi(w):
-        shifted = eng.fn.eval(w) + (eng.kernel.eval(w) - 0.5 * np.square(w)) / lam
+        fw, kw = eng.fk(w)
+        shifted = fw + (kw - 0.5 * np.square(w)) / lam
         return shifted + 0.5 * np.square(w - z) / lam
 
     return _hausdorff(left.minimizers, grid_minimize(psi, grid).minimizers)

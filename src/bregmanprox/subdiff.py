@@ -153,9 +153,9 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     kyb, grad_yb = eng._right_kappa(yb_ok), eng.kernel.grad(yb_ok)
 
     def slack(y, rows):
-        ky, gy = eng.kg(y)
+        fy, ky, gy = eng._fkg(y)
         d = kyb[rows] - ky - gy * (yb_ok[rows] - y)
-        return eng.fn.eval(y) - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
+        return fy - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
 
     return _certify(eng, ybar, v, yb, ok, slack, eng.y_grid)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bregmanprox import verify
+from bregmanprox import cli, verify
 from bregmanprox.cli import main
 
 
@@ -98,6 +98,29 @@ def test_curve_inf_rendering(capsys):
     assert row_zero[1] == "0"
     assert row_zero[2] == "-inf"        # unbounded lower endpoint at 0
     assert abs(float(row_zero[3]) - 0.5) <= 1e-4
+
+
+def test_curve_computes_the_subdifferential_once_per_command(capsys, monkeypatch):
+    """Both subdifferential columns read one ``left_lpsubdiff_hull`` call,
+    and print what each column prints alone."""
+    calls = []
+    real = cli.left_lpsubdiff_hull
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "left_lpsubdiff_hull", counted)
+    grid = ("--grid", "-0.9:0.9:13")
+    code, out, _ = run_cli(capsys, "curve", "--instance", "ex310",
+                           "--what", "subdiff-lo,f,subdiff-hi", *grid)
+    assert code == 0 and len(calls) == 1
+    alone = [run_cli(capsys, "curve", "--instance", "ex310", "--what", w, *grid)[1]
+             for w in ("subdiff-lo", "f", "subdiff-hi")]
+    assert len(calls) == 3
+    columns = [[line.split(",")[1] for line in text.splitlines()] for text in alone]
+    assert out.splitlines() == [",".join([line.split(",")[0], *row])
+                                for line, *row in zip(alone[0].splitlines(), *columns)]
 
 
 def test_curve_unknown_instance(capsys):

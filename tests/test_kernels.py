@@ -1,16 +1,19 @@
 import dataclasses
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from bregmanprox.catalog import ProperFn
+from bregmanprox.catalog import ProperFn, get_instance, instance_names
 from bregmanprox.errors import InfMinusInfError, NotLegendreError, OutsideInteriorError
 from bregmanprox.extreal import Interval
 from bregmanprox.kernels import (ALL_KERNELS, BURG, CUBIC_ABS, ENERGY,
                                  HELLINGER, LEGENDRE_KERNELS, QUARTIC, SHANNON,
-                                 Kernel, bregman_distance, conjugate_by_grid,
+                                 Kernel, _coerce, bregman_distance, conjugate_by_grid,
                                  dual_distance, scale_kernel, symmetrized_gap,
                                  three_point_residual)
 from bregmanprox.numerics import finite_diff_grad, second_difference_convexity_test
@@ -311,6 +314,70 @@ def test_a_nan_value_at_a_point_raises_naming_it():
                 ev(x)
         assert ev(math.nan) == math.inf
         assert ev(np.array([2.0, math.nan])).tolist() == [0.0, math.inf]
+
+
+def _made_up(value_at_one):
+    """x, except ``value_at_one`` at x = 1."""
+    return lambda x: np.where(x == 1.0, value_at_one, x)
+
+
+def test_f_and_kappa_share_one_nan_rule_and_keep_their_own_errors():
+    """One pass evaluates f and kappa together at the same points with one
+    NaN test on the sum of their values; where it fires each value takes its
+    own function's rule. A NaN value raises naming its function, a NaN point
+    reads +inf in both, opposite infinities pass as they are (the sum's NaN
+    is no value's), a float gives floats, and a 2-D block reaches the
+    formulas as 1-D points."""
+    xs = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(InfMinusInfError, match=r"^f_made_up is NaN at 1\.0:"):
+        _coerce(xs, (_made_up(np.nan), "f_made_up"), (_made_up(0.0), "kappa_made_up"))
+    with pytest.raises(InfMinusInfError, match=r"^kappa_made_up is NaN at 1\.0:"):
+        _coerce(xs, (_made_up(0.0), "f_made_up"), (_made_up(np.nan), "kappa_made_up"))
+    fx, kx = _coerce(np.array([2.0, math.nan]), (np.square, "f"), (np.negative, "kappa"))
+    assert fx.tolist() == [4.0, math.inf] and kx.tolist() == [-2.0, math.inf]
+    fx, kx = _coerce(xs, (_made_up(math.inf), "f"), (_made_up(-math.inf), "kappa"))
+    assert fx.tolist() == [0.0, math.inf, 2.0] and kx.tolist() == [0.0, -math.inf, 2.0]
+    for x, want in ((1.0, [math.inf, -math.inf]), (0.5, [0.5, 0.5]), (math.nan, [math.inf] * 2)):
+        got = _coerce(x, (_made_up(math.inf), "f"), (_made_up(-math.inf), "kappa"))
+        assert [type(v) for v in got] == [float, float] and got == want
+
+    def flat_only(x):
+        assert x.ndim == 1
+        return 2.0 * x
+
+    fx, kx = _coerce(np.arange(6.0).reshape(2, 3), (flat_only, "f"), (np.square, "kappa"))
+    assert fx.shape == kx.shape == (2, 3)
+    assert fx.tolist() == [[0.0, 2.0, 4.0], [6.0, 8.0, 10.0]]
+    assert kx.tolist() == [[0.0, 1.0, 4.0], [9.0, 16.0, 25.0]]
+
+
+_WHOLE_LINE = list({id(inst.fn): inst.fn for inst in map(get_instance, instance_names())
+                    if inst.fn.domain.is_all_reals}.values())
+
+
+def test_six_catalog_functions_live_on_the_whole_line():
+    assert sorted(fn.name for fn in _WHOLE_LINE) == [
+        "abs", "abs_plus_halfsq", "identity", "quartic_gap", "square", "zero"]
+
+
+_POINTS = arrays(float, st.integers(1, 24), elements=st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan])))
+
+
+@pytest.mark.parametrize("fn", _WHOLE_LINE, ids=lambda fn: fn.name)
+@settings(max_examples=60, deadline=None)
+@given(xs=_POINTS)
+def test_a_whole_line_function_reads_its_formula_without_the_clip(fn, xs):
+    """On the whole line the mask reads the formula at finite points and
+    +inf at +-inf and NaN: the same bits as the formula at the points
+    clipped to the domain, masked by membership."""
+    formula = inspect.getclosurevars(fn.eval_arr).nonlocals["formula"]
+    dom = fn.domain
+    with np.errstate(all="ignore"):
+        clipped = np.where(dom.contains(xs), formula(np.minimum(np.maximum(xs, dom.lo), dom.hi)),
+                           np.inf)
+        assert np.asarray(fn.eval_arr(xs)).tobytes() == np.asarray(clipped).tobytes()
 
 
 # -- dual distance ------------------------------------------------------------

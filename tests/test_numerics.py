@@ -80,6 +80,27 @@ def test_refinement_locates_an_off_grid_kink_to_the_x_resolution():
     assert res.value <= 1e-9
 
 
+@pytest.mark.parametrize("c", [3.7 + 1e-3 * math.sqrt(2), 100.3 + 1e-3 * math.sqrt(3)])
+def test_zoom_closes_a_bracket_and_its_mirror_image_alike(c):
+    """The width rule reads max(1, |lo|, |hi|), so a bracket around a kink
+    at c and its mirror image around -c take the same rounds. At c = 100
+    the scale is 100 on both sides; a rule that read max(1, lo, hi) would
+    zoom the negative side two rounds more."""
+    rounds = {}
+    for sign in (1.0, -1.0):
+        calls = []
+
+        def phi(x):
+            calls.append(1)
+            return np.abs(x - sign * c)
+
+        lo, hi = sorted([sign * (c - 0.3), sign * (c + 0.7)])
+        x, _ = zoom(phi, lo, hi)
+        assert abs(x[0] - sign * c) <= X_RESOLUTION * abs(c)
+        rounds[sign] = len(calls)
+    assert rounds[1.0] == rounds[-1.0]
+
+
 def test_a_bracket_that_is_infinite_throughout_still_closes():
     calls = []
 
