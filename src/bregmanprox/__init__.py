@@ -17,7 +17,7 @@ from .kernels import (ALL_KERNELS, BURG, CUBIC_ABS, ENERGY, HELLINGER,
                       symmetrized_gap, three_point_residual)
 from .catalog import (F_ABS, F_ZERO, Instance, ProperFn, get_instance,
                       instance_names, shift_scale)
-from .proxenv import (InstanceEngine, ProxResult, detect_unbounded, engine,
+from .proxenv import (InstanceEngine, ProxBatch, ProxResult, detect_unbounded, engine,
                       env_conjugate_crosscheck, euclid_crosscheck, hull_function,
                       hull_instance, left_env, left_prox, prox_hull, range_probe,
                       right_env, right_prox, threshold_scan)

@@ -64,7 +64,7 @@ def _column(inst, what: str, xs: list[float], subdiff) -> list[float]:
         if what == "env":
             out[mask] = eng.env(xs[mask])
         else:
-            out[mask] = [min(r.minimizers) for r in eng.prox(xs[mask])]
+            out[mask] = eng.prox(xs[mask]).first  # the least: minimizers ascend
         return out.tolist()
     if what == "hull":
         return eng.hull_fn_value(xs).tolist()

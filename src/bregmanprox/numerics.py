@@ -39,6 +39,7 @@ __all__ = [
     "build_grid",
     "sample_inset",
     "ProxResult",
+    "ProxBatch",
     "MinimizerCluster",
     "grid_minimize",
     "grid_min_value",
@@ -162,6 +163,49 @@ class ProxResult:
     @property
     def multiple(self) -> bool:
         return len(self.clusters) > 1
+
+
+@dataclass(frozen=True, eq=False)
+class ProxBatch:
+    """The grid minimizations of a batch of rows, as columns: per row its
+    least refined value; per minimizer (a row's in increasing x) its point,
+    refined value, tie-run extent and row, row r owning minimizers
+    ``starts[r]:starts[r + 1]``. ``batch[i]`` is row i's ``ProxResult``,
+    built when read; ``batch[rows]``, for an array of row indices, is the
+    batch of those rows in that order."""
+
+    value: np.ndarray
+    x: np.ndarray
+    x_value: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    row: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of minimizers of each row."""
+        return np.diff(self.starts)
+
+    @property
+    def first(self) -> np.ndarray:
+        """Each row's first (least) minimizer."""
+        return self.x[self.starts[:-1]]
+
+    def __getitem__(self, i):
+        if np.ndim(i):
+            counts = self.counts[i]
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            take = np.repeat(self.starts[i] - starts[:-1], counts) + np.arange(starts[-1])
+            return ProxBatch(self.value[i], self.x[take], self.x_value[take], self.x_lo[take],
+                             self.x_hi[take], np.repeat(np.arange(len(counts)), counts), starts)
+        i = range(len(self))[i]
+        run = slice(self.starts[i], self.starts[i + 1])
+        cols = (a[run].tolist() for a in (self.x, self.x_value, self.x_lo, self.x_hi))
+        return ProxResult(float(self.value[i]), tuple(map(MinimizerCluster, *cols)))
 
 
 def _on_brackets(phi: Callable, rows, sel, x):
@@ -334,36 +378,51 @@ def grid_minimize(phi: Callable, grid: Grid,
     and only their tie runs kept (a block may be a buffer that the next one
     overwrites), so one block bounds the scan's memory, and every row is
     refined in the one ``refine`` call. With rows, ``phi`` is called as
-    ``phi(x, rows)`` (see ``refine``) and one ``ProxResult`` per row returned.
+    ``phi(x, rows)`` (see ``refine``) and the rows' ``ProxBatch`` returned;
+    without, the one ``ProxResult``. A row with one tie run is its refined
+    run as it stands; only a row with several is filtered and merged, run by
+    run (``_merge_runs``).
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-DEFAULT_UNBOUNDED_CAP``.
     """
     xs = grid.points
     single, n_rows, row, i0, i1, x_ref, v_ref = _grid_runs(phi, grid, values, refine)
-    runs = list(zip(x_ref.tolist(), v_ref.tolist(), xs[i0].tolist(), xs[i1].tolist()))
-    # runs come row by row: row r owns runs[starts[r]:starts[r + 1]]
-    starts = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
-    out = []
-    for r in range(n_rows):
-        clusters = [MinimizerCluster(*run) for run in runs[starts[r]:starts[r + 1]]]
-        if len(clusters) == 1:  # one basin: nothing to filter or merge
-            out.append(ProxResult(clusters[0].value, tuple(clusters)))
+    x_lo, x_hi = xs[i0], xs[i1]
+    # runs come row by row: row r owns runs starts[r]:starts[r + 1]
+    starts = np.searchsorted(row, np.arange(n_rows + 1))
+    if starts[-1] > n_rows:  # a row with several runs
+        keep = _merge_runs(x_ref, v_ref, x_hi, starts)
+        x_ref, v_ref, x_lo, x_hi, row = (c[keep] for c in (x_ref, v_ref, x_lo, x_hi, row))
+        starts = np.searchsorted(row, np.arange(n_rows + 1))
+    batch = ProxBatch(np.minimum.reduceat(v_ref, starts[:-1]), x_ref, v_ref, x_lo, x_hi, row,
+                      starts)
+    return batch[0] if single else batch
+
+
+def _merge_runs(x, v, hi, starts) -> np.ndarray:
+    """Which tie runs stay where a row has several: those within
+    ``DEFAULT_TOL_TIE`` of the row's best, less each refined into the point
+    of the last run kept, which takes the better point and value and their
+    joint extent (x, v and hi change in place). A row's runs come in grid
+    order, so in nondecreasing x: a refined point lies in its run's bracket,
+    and the brackets of two runs share at most an end."""
+    keep = np.ones(x.size, dtype=bool)
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if b - a < 2:
             continue
-        best = min(c.value for c in clusters)
-        clusters = [c for c in clusters if c.value <= best + DEFAULT_TOL_TIE]
-        # Distinct grid basins can refine into the same point; merge those.
-        merged: list[MinimizerCluster] = []
-        for c in sorted(clusters, key=lambda c: c.x):
-            if merged and abs(c.x - merged[-1].x) <= X_RESOLUTION * max(1.0, abs(c.x)):
-                last = merged[-1]
-                keep = c if c.value < last.value else last
-                merged[-1] = MinimizerCluster(keep.x, keep.value,
-                                              min(last.x_lo, c.x_lo), max(last.x_hi, c.x_hi))
+        best, last = float(v[a:b].min()), None
+        for j, xj, vj in zip(range(a, b), x[a:b].tolist(), v[a:b].tolist()):
+            if vj > best + DEFAULT_TOL_TIE:
+                keep[j] = False
+            elif last is not None and abs(xj - x[last]) <= X_RESOLUTION * max(1.0, abs(xj)):
+                keep[j] = False
+                if vj < v[last]:
+                    x[last], v[last] = xj, vj
+                hi[last] = hi[j]
             else:
-                merged.append(c)
-        out.append(ProxResult(min(c.value for c in merged), tuple(merged)))
-    return out[0] if single else out
+                last = j
+    return keep
 
 
 def grid_min_value(phi: Callable, grid: Grid,

@@ -2,23 +2,24 @@
 prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
-values, kernel values, kernel gradients). A batch of prox and envelope
-queries, one ybar per row, is solved in two phases: its rows, sorted by
-ybar, are scanned on the x grid in blocks that keep only their tie runs (at
-least ``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES``
-(2**15) grid samples, so a block bounds only the scan's memory), each block
-of several rows only on the columns where one of them can tie (a bound from
-f, kappa and the rows' slopes that never supplies a value), then every row
-is finished in one batch: refined to a ``ProxResult`` for ``prox``, zoomed
-by value alone for ``env``, which reads no minimizer. A row gets the same
-bits in a batch as alone (``prox`` and ``env`` take one ybar or an array of
-them).
-Every objective is one array function of x, used for the grid samples and
-for the refinement alike, f and kappa in one NaN-rule pass or from the grid
-caches (``fk``). ``prox`` and ``right_prox`` return the
-``numerics.ProxResult`` that the grid minimization builds; whether its
-minimizers are interior is asked only where the range assumption is read
-(``InstanceEngine.interior``, one batched call each).
+values, kernel values, kernel gradients). A batch of left rows (prox and
+envelope queries, one ybar per row, and the slack rows of the left
+certificate) is solved in two phases: its rows, sorted by slope, are scanned
+on the x grid in blocks that keep only their tie runs (at least
+``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
+grid samples, so a block bounds only the scan's memory), each block of
+several rows only on the columns where one of them can tie (a bound from f,
+kappa and the rows' slopes that never supplies a value), then every row is
+finished in one batch, refined for ``prox`` into the columns of a
+``numerics.ProxBatch``, zoomed by value alone for ``env``, and gathered back
+to the caller's order. A row gets the same bits in a batch as alone:
+``prox`` takes one ybar (a ``ProxResult``) or an array of them (a
+``ProxBatch``, whose row i is that ``ProxResult``), ``env`` a float or an
+array. Every objective is one array function of x, used for the grid samples
+and for the refinement alike, f and kappa in one NaN-rule pass or from the
+grid caches (``fk``). Whether a prox minimizer is interior is asked only
+where the range assumption is read (``InstanceEngine.interior``, one batched
+call each).
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
@@ -52,12 +53,12 @@ from .errors import (AllInfiniteError, AllUnboundedError, GridSizeError,
 from .extreal import Interval
 from .kernels import Kernel, _coerce, bregman_distance
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, MIN_GRID_N,
-                       ZOOM_POINTS, Condition, ProxResult, build_grid, concave_sup,
-                       convexity_condition, grid_conjugate, grid_min_value, grid_minimize,
-                       lower_convex_envelope, sample_inset)
+                       ZOOM_POINTS, Condition, ProxBatch, ProxResult, build_grid,
+                       concave_sup, convexity_condition, grid_conjugate, grid_min_value,
+                       grid_minimize, lower_convex_envelope, sample_inset)
 
 __all__ = [
-    "ProxResult", "InstanceEngine", "engine",
+    "ProxResult", "ProxBatch", "InstanceEngine", "engine",
     "left_prox", "right_prox", "left_env", "right_env", "prox_hull",
     "threshold_scan", "detect_unbounded", "range_probe", "prox_escapes",
     "euclid_crosscheck", "env_conjugate_crosscheck",
@@ -216,47 +217,52 @@ class InstanceEngine:
         return (np.arange(i, min(i + step, n_rows))[:, None]
                 for i in range(0, n_rows, step))
 
-    def _scan(self, phi, ys):
-        """(first column, values) of each row block of ``phi`` at the rows
-        ``ys``: a block of several rows on its ``_tilt_window``, one row on the
-        whole grid. The blocks share one buffer, dropped when the scan ends."""
-        buf, window = np.empty(0), None
-        for rows in self._row_blocks(len(ys)):
-            c0, c1 = 0, self.grid_n
-            if len(rows) > 1:
-                window = window or self._tilt_window(ys)
-                c0, c1 = window(rows[:, 0])
+    def _scan(self, phi, n: int, window):
+        """(first column, values) of each row block of ``phi`` at its ``n``
+        rows: a block of several rows on the columns ``window(rows)`` gives
+        it (``_tilt_window``), one row on the whole grid. The blocks share one
+        buffer, dropped when the scan ends."""
+        buf = np.empty(0)
+        for rows in self._row_blocks(n):
+            c0, c1 = window(rows[:, 0]) if len(rows) > 1 else (0, self.grid_n)
             size = 2 * len(rows) * (c1 - c0)
             buf = np.empty(size) if buf.size < size else buf
             yield c0, phi(slice(c0, c1), rows, buf[:size])
 
-    def _tilt_window(self, ys):
+    def _tilt_window(self, s, row_mag):
         """``window(rows)``: x-grid columns [c0, c1) that hold every tie cell
-        of the rows ``ys[rows]``, or all columns if the bound is not finite.
+        of the rows ``rows`` of a batch of left rows with slopes ``s`` and term
+        bounds ``row_mag``, or all columns if the bound is not finite.
 
-        Up to a row constant, lam (f + D(., y)/lam) is G(x) - s x, with
-        G = lam f + kappa and s = grad kappa(y). For s in [s_lo, s_hi] that
-        is at least G(x) - max(s_lo x, s_hi x), with a minimum of at most
-        top = min_z G(z) - min(s_lo z, s_hi z): a tie cell has
-        G(x) - max(s_lo x, s_hi x) <= top + lam tol.
-        Margin, with u = 2**-53 and T = lam|F| + |K| + |kappa(y)| +
-        |s|(|x| + |y|) + lam tol: the scan's six roundings leave lam v within
-        5uT of its exact value, and with the rounding of ``vmin + tol`` a tie
-        cell meets that inequality within 12uT; the bound's own roundings
-        (G, s x, differences, sums) add 12uT. ``g_mag + row_mag`` bounds T
-        over a block; the margin, 8192u (2**-40) times that, covers 24uT.
+        Up to a row constant, lam times a left row is G(x) - s x, with
+        G = lam f + kappa: s = grad kappa(y) for the prox row f + D(., y)/lam,
+        and s = grad kappa(xbar) + lam u for the slack of the certificate of u
+        at xbar, f(x) - f(xbar) - u (x - xbar) + D(x, xbar)/lam. For s in
+        [s_lo, s_hi] that is at least G(x) - max(s_lo x, s_hi x), with a
+        minimum of at most top = min_z G(z) - min(s_lo z, s_hi z): a tie cell
+        has G(x) - max(s_lo x, s_hi x) <= top + lam tol.
+        Margin, with u = 2**-53 and T = lam|F| + |K| + lam tol + R, R the
+        row's terms at x: |kappa(y)| + |s|(|x| + |y|) for a prox row, and
+        lam|f(xbar)| + |kappa(xbar)| + (|grad kappa(xbar)| + lam|u|)(|x| + |xbar|)
+        for a slack row. A prox row's six roundings leave lam v within 5uT of
+        its exact value, and with the rounding of ``vmin + tol`` a tie cell
+        meets that inequality within 12uT; a slack row's nine leave it within
+        9uT, so 20uT, and the bound reads s rounded twice, which moves s x by
+        2uT on each side: 24uT. The bound's own roundings (G, s x,
+        differences, sums) add 12uT. ``g_mag + row_mag`` bounds T over a
+        block; the margin, 8192u (2**-40) times that, covers 36uT.
         """
         X, lam, tol = self.X, self.lam, DEFAULT_TOL_TIE
         g, g_mag = self._tilt
         g_mag += lam * tol
-        ky, s = self.kg(ys)
-        with np.errstate(over="ignore"):  # an overflowed bound selects every column
-            row_mag = np.abs(ky) + np.abs(s) * (max(abs(X[0]), abs(X[-1])) + np.abs(ys))
 
         def window(rows):
+            mag = row_mag[rows].max()
+            if not math.isfinite(mag):  # an overflowed bound selects every column
+                return 0, X.size
             sx_lo, sx_hi = s[rows].min() * X, s[rows].max() * X
             top = np.min(g - np.minimum(sx_lo, sx_hi))
-            lim = top + lam * tol + 2.0 ** -40 * (g_mag + row_mag[rows].max())
+            lim = top + lam * tol + 2.0 ** -40 * (g_mag + mag)
             if not math.isfinite(lim):
                 return 0, X.size
             cols = np.flatnonzero(g - np.maximum(sx_lo, sx_hi) <= lim)
@@ -264,29 +270,53 @@ class InstanceEngine:
 
         return window
 
-    def _solve(self, ys, finish) -> list:
-        """The left subproblem at each interior ybar: the rows, sorted by ybar
-        so that a block's slopes are close, are scanned in blocks (``_scan``),
-        then finished in one batch by ``finish``: ``grid_minimize`` (a
-        ``ProxResult`` per row) or ``grid_min_value`` (a value per row).
-        Results come in the caller's order."""
+    def _row_bounds(self, pts, k, g, lam_u=0.0, lam_f=0.0):
+        """(slopes, term bounds) for ``_tilt_window`` of the left rows at
+        ``pts``, kappa ``k`` and grad kappa ``g`` there: prox rows, and the
+        certificate's slack rows with ``lam_u`` = lam u, ``lam_f`` = lam f(xbar)."""
+        x_mag = max(abs(self.X[0]), abs(self.X[-1]))
+        with np.errstate(over="ignore"):  # an overflowed bound selects every column
+            return g + lam_u, np.abs(lam_f) + np.abs(k) + (np.abs(g) + np.abs(lam_u)) * (
+                x_mag + np.abs(pts))
+
+    def _batch(self, phi, n: int, bounds, finish):
+        """``finish`` (``grid_minimize``: a ``ProxBatch``; ``grid_min_value``:
+        a list) of the ``n`` left rows ``phi(x, rows)`` on the x grid, in the
+        caller's order. Several rows are sorted by slope, so that a block's
+        slopes are close, scanned (``_scan``) on their ``_tilt_window`` from
+        ``bounds()``, and gathered back to the caller's order."""
+        if n == 1:
+            return finish(phi, self.x_grid, values=self._scan(phi, 1, None))
+        s, row_mag = bounds()
+        # a stable sort; numpy's sorts page in about 0.3 MB of code on first use
+        order = np.array(sorted(range(n), key=s.tolist().__getitem__))
+        back = np.empty(n, dtype=np.intp)
+        back[order] = np.arange(n)
+
+        def sorted_phi(x, rows, *buf):
+            return phi(x, order[rows], *buf)
+
+        window = self._tilt_window(s[order], row_mag[order])
+        res = finish(sorted_phi, self.x_grid, values=self._scan(sorted_phi, n, window))
+        return res[back] if isinstance(res, ProxBatch) else np.take(res, back).tolist()
+
+    def _solve(self, ys, finish):
+        """The left subproblem at each interior ybar, by ``_batch`` (its rows
+        sort by ybar, since grad kappa increases)."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if not ys.size:
-            return []
+            return ProxBatch(*np.empty((5, 0)), np.empty(0, dtype=np.intp),
+                             np.zeros(1, dtype=np.intp))
         try:
             self.check_interior(ys)
-            # a stable sort; numpy's sorts page in about 0.3 MB of code on first use
-            order = sorted(range(ys.size), key=ys.tolist().__getitem__)
-            rows = ys[order]
-            phi = self._left_rows(rows)
-            gms = dict(zip(order, finish(phi, self.x_grid, values=self._scan(phi, rows))))
+            return self._batch(self._left_rows(ys), ys.size,
+                               lambda: self._row_bounds(ys, *self.kg(ys)), finish)
         except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
             # a failing row fails alone too: raise what the first failing
             # row raises, as a loop of single queries would
             for j in range(ys.size - 1):
                 self._solve(ys[j:j + 1], finish)
             raise
-        return [gms[i] for i in range(ys.size)]
 
     def left_values(self, ybar: float) -> np.ndarray:
         """f + D(., ybar)/lam sampled on the x grid (vectorized)."""
@@ -301,9 +331,10 @@ class InstanceEngine:
             bad = ys if np.ndim(ys) == 0 else float(ys[~inside][0])
             raise OutsideInteriorError(f"{bad} not interior to dom {self.kernel.name}")
 
-    def prox(self, ys) -> ProxResult | list[ProxResult]:
+    def prox(self, ys) -> ProxResult | ProxBatch:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
-        array of them (a list), solved in blocks of rows."""
+        array of them (their ``ProxBatch``, in that order), solved in blocks
+        of rows."""
         res = self._solve(ys, grid_minimize)
         return res[0] if np.ndim(ys) == 0 else res
 
@@ -342,7 +373,8 @@ class InstanceEngine:
         if self._env_coarse is None:
             env, i = np.empty(self.Y.size), 0
             phi = self._left_rows(self.Y)
-            for _, vals in self._scan(phi, self.Y):
+            window = self._tilt_window(*self._row_bounds(self.Y, *self.kg(self.Y)))
+            for _, vals in self._scan(phi, self.Y.size, window):
                 # objective block: rows ybar in Y[i:], columns x in a window of X
                 env[i:i + len(vals)] = vals.min(axis=1)
                 i += len(vals)
@@ -491,7 +523,7 @@ class InstanceEngine:
         ybar drawn across the interior, the witnesses the (ybar, minimizer)
         pairs whose minimizer is off the interior."""
         ys = sample_inset(np.random.default_rng(seed), self.y_grid.lo, self.y_grid.hi, n)
-        witnesses = prox_escapes(self, ys.tolist(), self.prox(ys))
+        witnesses = prox_escapes(self, ys, self.prox(ys))
         return not witnesses, witnesses
 
     @cached_property
@@ -529,8 +561,9 @@ def engine(inst: Instance) -> InstanceEngine:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def left_prox(inst: Instance, ybar: float) -> ProxResult:
-    """Global minimizers of f(x) + D(x, ybar)/lam over the kernel domain."""
+def left_prox(inst: Instance, ybar) -> ProxResult | ProxBatch:
+    """Global minimizers of f(x) + D(x, ybar)/lam over the kernel domain: a
+    ``ProxResult`` at one ybar, their ``ProxBatch`` at an array of them."""
     return engine(inst).prox(ybar)
 
 
@@ -695,11 +728,11 @@ def range_probe(inst: Instance, n: int = 500, seed: int = 0):
     return engine(inst).range_probe(n, seed)
 
 
-def prox_escapes(eng: InstanceEngine, ys, results) -> list[tuple[float, float]]:
-    """(ybar, minimizer) pairs of the prox ``results`` at ``ys`` off the
+def prox_escapes(eng: InstanceEngine, ys, batch: ProxBatch) -> list[tuple[float, float]]:
+    """(ybar, minimizer) pairs of the prox ``batch`` at ``ys`` off the
     interior, all tested in one ``eng.interior`` call."""
-    pairs = [(y, m) for y, res in zip(ys, results) for m in res.minimizers]
-    return list(itertools.compress(pairs, ~eng.interior([m for _, m in pairs])))
+    off = ~eng.interior(batch.x)
+    return list(zip(np.asarray(ys, dtype=float)[batch.row[off]].tolist(), batch.x[off].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Both routes take a float or an array of points and answer an array in one
 batch, a point getting the same bits in a batch as alone: the hull route in
 array arithmetic, the certificates by one ``grid_minimize`` of every slack
 row, scanned in the engine's row blocks (the left slack is the left-prox
-objective with the slope grad kappa(xbar) + lam u, up to a constant).
+objective with the slope grad kappa(xbar) + lam u, up to a constant, so its
+rows are scanned as prox rows are, each block on its tilt window).
 
 The single-valuedness test reads the hull route. The resolvent and
 coincidence checks, which read both routes, are theorem reports in
@@ -68,7 +69,7 @@ def _rows(a, b):
                                              np.asarray(b, dtype=float)))
 
 
-def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid: numerics.Grid):
+def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid: numerics.Grid, bounds=None):
     """(member, worst slack, witness) of the rows ``pts`` of ``a`` and ``b``:
     floats for two points, 1-D arrays otherwise.
 
@@ -78,21 +79,25 @@ def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid: numerics.Grid):
     """
     worst, witness = np.full(pts.size, -np.inf), pts.copy()
     if ok.any():
-        worst[ok], witness[ok] = _least_slack(eng, slack, grid, int(ok.sum()))
+        worst[ok], witness[ok] = _least_slack(eng, slack, grid, int(ok.sum()), bounds)
     member = worst >= -TOL_CERT
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return bool(member[0]), float(worst[0]), float(witness[0])
     return member, worst, witness
 
 
-def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int):
+def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int, bounds=None):
     """(least slack, first minimizer) of ``n`` slack rows, as arrays, by one
-    ``grid_minimize`` over the engine's row blocks, or row by row if that
-    raises: no finite sample gives (inf, nan), a slack past the cap its least
-    grid sample, at most -``DEFAULT_UNBOUNDED_CAP``, and that sample's point."""
-    blocks = ((0, slack(grid.points, rows)) for rows in eng._row_blocks(n))
+    ``grid_minimize``, or row by row if that raises: no finite sample gives
+    (inf, nan), a slack past the cap its least grid sample, at most
+    -``DEFAULT_UNBOUNDED_CAP``, and that sample's point. Left rows, with
+    ``bounds``, are scanned as prox rows (``InstanceEngine._batch``)."""
     try:
-        res = numerics.grid_minimize(slack, grid, values=blocks)
+        if bounds is None:
+            blocks = ((0, slack(grid.points, rows)) for rows in eng._row_blocks(n))
+            res = numerics.grid_minimize(slack, grid, values=blocks)
+        else:
+            res = eng._batch(slack, n, bounds, numerics.grid_minimize)
     except (AllInfiniteError, UnboundedBelowError) as exc:
         if n > 1:
             alone = [_least_slack(eng, lambda x, rows, r=r: slack(x, rows + r), grid, 1)
@@ -103,7 +108,7 @@ def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int):
         vals = slack(grid.points, np.zeros((1, 1), dtype=np.intp))[0]
         j = int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))
         return np.array([min(vals[j], -numerics.DEFAULT_UNBOUNDED_CAP)]), grid.points[[j]]
-    return np.array([r.value for r in res]), np.array([r.clusters[0].x for r in res])
+    return res.value, res.first
 
 
 def left_lpsubdiff_definitional(inst: Instance, xbar, u):
@@ -114,24 +119,30 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     grid. Returns (member, worst_slack, witness_x), three 1-D arrays for
     arrays: the least slack and the first minimizer that ``grid_minimize``
     keeps (within ``DEFAULT_TOL_TIE`` of it), or past the unbounded cap as
-    in ``_least_slack``. Membership requires xbar interior to the kernel
-    domain and worst slack >= -TOL_CERT; other points give (False, -inf, xbar).
-    Raises ``OutOfRangeError`` naming the first other xbar where kappa, or
-    its tilt at an end of the x grid, overflows, as the left prox does.
+    in ``_least_slack``. lam times a slack row is lam f + kappa - s x plus a
+    constant, s = grad kappa(xbar) + lam u, so a block of rows scans only
+    its tilt window, a bound from the engine's samples of lam f + kappa
+    that supplies no value (the hull route is not read). Membership requires
+    xbar interior to the kernel domain, u finite and worst slack >= -TOL_CERT;
+    other points give (False, -inf, xbar). Raises ``OutOfRangeError`` naming
+    the first other xbar where kappa, or its tilt at an end of the x grid,
+    overflows, as the left prox does.
     """
     eng = engine(inst)
     xb, uu = _rows(xbar, u)
     fxb = eng.fn.eval(xb)
-    ok = eng.kernel.domain.interior_contains(xb) & np.isfinite(fxb)
+    ok = eng.kernel.domain.interior_contains(xb) & np.isfinite(fxb) & np.isfinite(uu)
     xb_ok, u_ok, fxb = xb[ok], uu[ok], fxb[ok]
     kxb, gxb = eng._left_kappa(xb_ok)
 
-    def slack(x, rows):
-        fx, kx = eng.fk(x)
+    def slack(x, rows, buf=None):
+        # a slice is a block of x-grid columns (``InstanceEngine._scan``; no buffer is used)
+        fx, kx, x = (eng.F[x], eng.K[x], eng.X[x]) if isinstance(x, slice) else (*eng.fk(x), x)
         dx = x - xb_ok[rows]
         return fx - fxb[rows] - u_ok[rows] * dx + (kx - kxb[rows] - gxb[rows] * dx) / eng.lam
 
-    return _certify(eng, xbar, u, xb, ok, slack, eng.x_grid)
+    return _certify(eng, xbar, u, xb, ok, slack, eng.x_grid, lambda: eng._row_bounds(
+        xb_ok, kxb, gxb, eng.lam * u_ok, eng.lam * fxb))
 
 
 def right_lpsubdiff_definitional(inst: Instance, ybar, v):
@@ -139,7 +150,8 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     one (ybar, v) or for arrays of them, broadcast together.
 
     Tests g(y) >= g(ybar) + v (grad kappa(y) - grad kappa(ybar)) - D(ybar, y)/lam
-    over the interior grid; (member, worst_slack, witness_y) as on the left.
+    over the whole interior grid (in y the slack is not of the left form);
+    (member, worst_slack, witness_y) as on the left, v finite included.
     Raises ``OutOfRangeError`` naming the first ybar with g(ybar) finite
     where kappa, or the tilt at an end of the y grid, overflows, as the
     right prox does.
@@ -148,7 +160,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     yb, vv = _rows(ybar, v)
     eng.check_interior(yb)
     gyb = eng.fn.eval(yb)
-    ok = np.isfinite(gyb)
+    ok = np.isfinite(gyb) & np.isfinite(vv)
     yb_ok, v_ok, gyb = yb[ok], vv[ok], gyb[ok]
     kyb, grad_yb = eng._right_kappa(yb_ok), eng.kernel.grad(yb_ok)
 

@@ -140,7 +140,7 @@ def _fd_step(eng: InstanceEngine) -> float:
 def _prox_sample(eng: InstanceEngine, rng, n: int, extra=()):
     """``n`` etas drawn uniformly from the xi window, then the etas
     ``extra``, each mapped to (eta, ybar = grad kappa*(eta), prox at ybar)
-    where ybar is interior to dom kappa: two arrays and a list."""
+    where ybar is interior to dom kappa: two arrays and a ``ProxBatch``."""
     lo, hi = eng.xi_window
     etas = np.append(lo + (hi - lo) * rng.random(n), extra)
     ys = eng.kernel.grad_conj(etas)
@@ -152,8 +152,7 @@ def _selections(eng: InstanceEngine, sample, interior_only: bool):
     """Prox selections (eta, x) of a ``_prox_sample`` as two arrays: every
     minimizer, or only those interior to the kernel domain."""
     etas, _, proxes = sample
-    sels = [(e, m) for e, res in zip(etas.tolist(), proxes) for m in res.minimizers]
-    ee, xx = np.array([s[0] for s in sels]), np.array([s[1] for s in sels])
+    ee, xx = etas[proxes.row], proxes.x
     keep = eng.interior(xx) if interior_only else slice(None)
     return ee[keep], xx[keep]
 
@@ -227,13 +226,12 @@ def check_weak_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
                   (float(eng.X[kb]),))
 
     etas, _, proxes = _prox_sample(eng, rng, N_POINT_SAMPLES, eng.critical_etas)
-    d_holds, d_worst, d_wit = True, 0.0, ()
-    for e, res in zip(etas.tolist(), proxes):
-        if len(res.clusters) > 1:
-            spread = res.clusters[-1].x - res.clusters[0].x
-            d_holds, d_worst, d_wit = False, spread, (e,) + tuple(res.minimizers[:2])
-            break
-    d = Condition("d-prox-convex-valued", d_holds, d_worst, d_wit)
+    d = Condition("d-prox-convex-valued", True, 0.0)
+    several = np.flatnonzero(proxes.counts > 1)
+    if several.size:  # the first row with several minimizers
+        res = proxes[several[0]]
+        d = Condition(d.label, False, res.clusters[-1].x - res.clusters[0].x,
+                      (float(etas[several[0]]),) + res.minimizers[:2])
 
     lo_f, hi_f = eng.f_bounds
     f_wit = next(((p,) for p, s in _hull_sets(inst, eng, rng) if s.is_empty), ()) \
@@ -356,13 +354,10 @@ def check_env_convexity(inst: Instance, seed: int = 0) -> VerifyReport:
     if a.holds:
         xis, ys, proxes = _prox_sample(eng, rng, 40)
         gcj = eng.kernel.grad_conj
-        fds = finite_diff_grad(lambda xi: eng.env(gcj(xi)), xis, 1e-5).tolist()
-        worst, wit = 0.0, ()
-        for xi, y, fd, res in zip(xis.tolist(), ys.tolist(), fds, proxes):
-            ident = (y - res.minimizers[0]) / eng.lam
-            err = abs(eng.lam * fd - eng.lam * ident)
-            if err > worst:
-                worst, wit = err, (xi,)
+        fds = finite_diff_grad(lambda xi: eng.env(gcj(xi)), xis, 1e-5)
+        err = np.abs(eng.lam * fds - eng.lam * ((ys - proxes.first) / eng.lam))
+        k = int(np.argmax(err))  # the first largest
+        worst, wit = (float(err[k]), (float(xis[k]),)) if err[k] > 0.0 else (0.0, ())
         g = Condition("grad-identity", worst <= TOL_GRAD, worst, wit)
         rep.conditions.append(g)
         rep.implications.append(_implies(a, g))
@@ -380,9 +375,8 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
     a = replace(eng.h_convex, label="a-h-convex")
 
     xis, gc, proxes = _prox_sample(eng, rng, 100)
-    h_vals = np.array([res.value for res in proxes])
-    prox_pts = np.array([res.minimizers[0] for res in proxes])
-    single = not any(res.multiple for res in proxes)
+    h_vals, prox_pts = proxes.value, proxes.first
+    single = proxes.x.size == len(proxes)
     grad_h = (gc - prox_pts) / eng.lam
 
     coco = Condition("bcoco-inequality", False, -math.inf)
@@ -563,8 +557,7 @@ def check_strong_convexity_sufficient(inst: Instance, seed: int = 0) -> VerifyRe
     hcvx = replace(eng.h_convex, label="env-dual-convex")
 
     ee, _, proxes = _prox_sample(eng, rng, 120)
-    single = not any(res.multiple for res in proxes)
-    xx = np.array([float(res.minimizers[0]) for res in proxes])
+    single, xx = proxes.x.size == len(proxes), proxes.first
     de = np.abs(np.subtract.outer(ee, ee))
     dx = np.abs(np.subtract.outer(xx, xx))
     mask = de > 1e-2  # keep ratio noise (sqrt-eps minimizer error) below tol
@@ -601,7 +594,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
     if ybar_values is None:
         ybar_values = sample_inset(np.random.default_rng(seed),
                                    eng.y_grid.lo, eng.y_grid.hi, n)
-    ys = np.atleast_1d(np.asarray(ybar_values, dtype=float)).tolist()
+    ys = np.atleast_1d(np.asarray(ybar_values, dtype=float))
     results = eng.prox(ys)
     bad = prox_escapes(eng, ys, results)
     in_range = Condition("range-assumption", not bad, float(len(bad)),
@@ -613,8 +606,7 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
         return rep
     # (violation, witness) per term, each quantity one batched call
     k = eng.kernel
-    yy = np.repeat(ys, [len(res.minimizers) for res in results])
-    ms = np.array([m for res in results for m in res.minimizers])
+    yy, ms = ys[results.row], results.x
     us = (k.grad(yy) - k.grad(ms)) / eng.lam
     members, slacks, _ = left_lpsubdiff_definitional(inst, ms, us)
     forward = [(0.0, ())] + [(-slack, (y, m)) for y, m, member, slack
@@ -642,12 +634,6 @@ def resolvent_check(inst: Instance, seed: int = 0, n: int = 20,
 # ---------------------------------------------------------------------------
 # Coincidence of two instances
 # ---------------------------------------------------------------------------
-
-def _cluster_sets_equal(a, b, x_tol: float, w_tol: float) -> bool:
-    return len(a) == len(b) and all(
-        abs(ca.x - cb.x) <= x_tol and abs((ca.x_hi - ca.x_lo) - (cb.x_hi - cb.x_lo)) <= w_tol
-        for ca, cb in zip(a, b))
-
 
 def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> VerifyReport:
     """Compare two instances over the same kernel and lambda.
@@ -687,12 +673,22 @@ def coincidence_check(inst_a: Instance, inst_b: Instance, seed: int = 0) -> Veri
         crit = kernel.grad_conj(etas[kernel.grad_range.contains(etas)])
         ys += crit[kernel.domain.interior_contains(crit, 1e-12)].tolist()
     h = max(eng_a.x_grid.h, eng_b.x_grid.h)
-    proxes = list(zip(ys, eng_a.prox(ys), eng_b.prox(ys)))
-    prox_wit = next(((float(y),) for y, ra, rb in proxes if not _cluster_sets_equal(
-        ra.clusters, rb.clusters, x_tol=1e-5, w_tol=3 * h)), ())
-    # the first 120 interior outputs (one kernel: one interior test serves
-    # both instances), each with its resolvent certificate
-    outs = np.array([(y, m) for y, ra, rb in proxes for res in (ra, rb) for m in res.minimizers])
+    ys = np.array(ys)
+    pa, pb = eng_a.prox(ys), eng_b.prox(ys)
+    # rows whose minimizers differ in number, or pairwise by 1e-5 in x or by
+    # 3 h in the width of their tie runs
+    differ = pa.counts != pb.counts
+    a, b = ~differ[pa.row], ~differ[pb.row]
+    off = (np.abs(pa.x[a] - pb.x[b]) > 1e-5) | (np.abs(
+        (pa.x_hi - pa.x_lo)[a] - (pb.x_hi - pb.x_lo)[b]) > 3 * h)
+    differ[pa.row[a][off]] = True
+    prox_wit = (float(ys[np.argmax(differ)]),) if differ.any() else ()
+    # the first 120 interior outputs, row by row and a's before b's (one
+    # kernel: one interior test serves both instances), each with its
+    # resolvent certificate
+    key = np.concatenate([2 * pa.row, 2 * pb.row + 1])
+    order = np.argsort(key, kind="stable")
+    outs = np.stack([ys[key[order] // 2], np.concatenate([pa.x, pb.x])[order]], axis=1)
     y1, m1 = outs[np.flatnonzero(eng_a.interior(outs[:, 1]))[:120]].T
     prox_pairs = list(zip(m1.tolist(), ((kernel.grad(y1) - kernel.grad(m1)) / lam).tolist()))
     prox_c = Condition("prox-equal", not prox_wit, 0.0, prox_wit)
@@ -794,7 +790,7 @@ def _example_310(inst: Instance) -> list[Condition]:
 def _example_411(inst: Instance) -> list[Condition]:
     eng, s = engine(inst), left_lpsubdiff_hull(inst, 0.0)
     ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
-    outs = sorted({round(m, 6) for res in eng.prox(ys) for m in res.minimizers})
+    outs = sorted({round(m, 6) for m in eng.prox(ys).x.tolist()})
     off = max(min(abs(m), abs(m - 1.0)) for m in outs)
     probe_ok, escapes = eng.range_assumption
     xs = np.linspace(0.0, 1.0, 101)

@@ -24,3 +24,24 @@ def zoom_brackets(monkeypatch):
 
     monkeypatch.setattr(numerics, "zoom", counted)
     return brackets
+
+
+@pytest.fixture
+def results_built(monkeypatch):
+    """The rows the test reads as objects: the number of minimizers of each
+    ``numerics.ProxResult`` built, and the count of ``MinimizerCluster``s
+    built, under ``"clusters"``."""
+    built = {"results": [], "clusters": 0}
+    real_result, real_cluster = numerics.ProxResult.__init__, numerics.MinimizerCluster.__init__
+
+    def result(self, value, clusters):
+        built["results"].append(len(clusters))
+        real_result(self, value, clusters)
+
+    def cluster(self, *args):
+        built["clusters"] += 1
+        real_cluster(self, *args)
+
+    monkeypatch.setattr(numerics.ProxResult, "__init__", result)
+    monkeypatch.setattr(numerics.MinimizerCluster, "__init__", cluster)
+    return built

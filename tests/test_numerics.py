@@ -423,6 +423,62 @@ def test_basins_closer_than_the_x_resolution_merge():
     assert list(res.minimizers) == [a]
 
 
+def _object_merge(runs):
+    """One row's refined tie runs filtered and merged as objects, sorted by
+    x: the reference for the column merge of ``grid_minimize``."""
+    clusters = [numerics.MinimizerCluster(*run) for run in runs]
+    best = min(c.value for c in clusters)
+    merged = []
+    for c in sorted((c for c in clusters if c.value <= best + numerics.DEFAULT_TOL_TIE),
+                    key=lambda c: c.x):
+        if merged and abs(c.x - merged[-1].x) <= X_RESOLUTION * max(1.0, abs(c.x)):
+            last = merged[-1]
+            keep = c if c.value < last.value else last
+            merged[-1] = numerics.MinimizerCluster(keep.x, keep.value, min(last.x_lo, c.x_lo),
+                                                   max(last.x_hi, c.x_hi))
+        else:
+            merged.append(c)
+    return numerics.ProxResult(min(c.value for c in merged), tuple(merged))
+
+
+def _result_bits(res):
+    return res.value.hex(), [tuple(v.hex() for v in (c.x, c.value, c.x_lo, c.x_hi))
+                             for c in res.clusters]
+
+
+@settings(max_examples=40, deadline=None)
+@given(far=st.booleans(), n_grid=st.sampled_from([201, 2001]),
+       wells=st.lists(st.tuples(st.integers(5, 195), st.floats(0.5, 3.0)),
+                      min_size=2, max_size=5, unique_by=lambda w: w[0]),
+       depths=st.lists(st.lists(st.sampled_from([0.0, 3e-8, 9e-8, 2e-7, 1e-6]),
+                                min_size=5, max_size=5), min_size=1, max_size=25),
+       data=st.data())
+def test_the_column_merge_matches_the_object_merge(far, n_grid, wells, depths, data):
+    """Rows of min_k w_k |x - c_k| + d_k with every c_k on the grid, so
+    several wells tie within ``DEFAULT_TOL_TIE`` or miss it by a hair; at
+    x = 1e7 the x resolution is 20 cells and nearby wells merge. Each row of
+    the batch, read alone and after a gather in any order, equals the
+    filter-and-merge of its refined runs as objects."""
+    g = Grid(1e7, 1e7 + 1, n_grid) if far else unit_grid(n_grid)
+    idx = np.array([i * (n_grid // 201) for i, _ in wells])
+    cs, w = g.points[idx], np.array([wk for _, wk in wells]) * (1e-3 if far else 1.0)
+    d = np.array(depths)[:, :len(wells)]
+
+    def phi(x, rows):
+        return np.min(np.abs(x[..., None] - cs) * w + d[np.broadcast_to(rows, x.shape)], axis=-1)
+
+    vals = phi(np.broadcast_to(g.points, (len(d), n_grid)), np.arange(len(d))[:, None])
+    batch = grid_minimize(phi, g, values=[(0, vals)])
+    _, _, row, i0, i1, x, v = numerics._grid_runs(phi, g, [(0, vals)], refine)
+    runs = list(zip(x.tolist(), v.tolist(), g.points[i0].tolist(), g.points[i1].tolist()))
+    want = [_result_bits(_object_merge([run for run, r in zip(runs, row) if r == k]))
+            for k in range(len(d))]
+    assert [_result_bits(res) for res in batch] == want
+    order = data.draw(st.permutations(range(len(d))))
+    assert [_result_bits(res) for res in batch[np.array(order, dtype=int)]] == \
+        [want[k] for k in order]
+
+
 def test_precomputed_values_path():
     g = unit_grid(101)
     vals = np.square(g.points)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bregmanprox import catalog, kernels, numerics, proxenv
+from bregmanprox import catalog, kernels, numerics, proxenv, subdiff
 from bregmanprox.catalog import (F_ZERO, Instance, get_instance, instance_names,
                                  shift_scale)
 from bregmanprox.errors import (AllInfiniteError, OutOfRangeError,
@@ -353,17 +353,42 @@ def _bits(eng, res):
     return tuple(float(v).hex() for v in floats), eng.interior(res.minimizers).tolist()
 
 
+_SET_VALUED = 2.0 ** -0.5  # the prox of ex411 is {0, 1} there
+
+
 @pytest.mark.parametrize("name, ys", [
     ("ex419", np.linspace(-1.3, 1.3, 40)),
-    ("ex411", np.append(np.linspace(-0.95, 0.95, 39), 2.0 ** -0.5)),
+    ("ex411", np.append(np.linspace(-0.95, 0.95, 39), _SET_VALUED)),
+    # unsorted rows: the caller's order comes back through the gather
+    ("ex419", np.linspace(-1.3, 1.3, 40)[np.random.default_rng(5).permutation(40)]),
+    # duplicated rows, the set-valued one among them, in no order
+    ("ex411", [0.3, _SET_VALUED, -0.6, 0.3, 0.9, _SET_VALUED, -0.95, 0.3] * 3),
+    # the set-valued row alone, and first in a batch
+    ("ex411", [_SET_VALUED]),
+    ("ex411", np.append(_SET_VALUED, np.linspace(0.95, -0.95, 20))),
 ])
 def test_prox_many_equals_prox_bit_for_bit(name, ys):
     # 40 points at N = 2001 make three blocks (17 + 17 + 6 rows)
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
     many = eng.prox(ys)
+    assert len(many) == len(ys)
     assert [_bits(eng, r) for r in many] == [_bits(eng, eng.prox(float(y))) for y in ys]
-    if name == "ex411":
-        assert many[-1].multiple  # prox {0, 1} at 1/sqrt(2)
+    assert [many[i].multiple for i in range(-len(ys), 0)] == [y == _SET_VALUED for y in ys]
+
+
+def test_a_batch_builds_no_row_object_until_a_row_is_read(results_built):
+    """A work gate that does not depend on the machine: a 170-row prox on
+    euclid_sq answers in columns, building no ``ProxResult`` or
+    ``MinimizerCluster``; reading a row builds that row's objects alone
+    (a list of results built 170 of each, one per row)."""
+    eng = proxenv.InstanceEngine(get_instance("euclid_sq"), grid_n=2001)
+    ys = np.linspace(-7.5, 7.5, 170)
+    batch = eng.prox(ys)
+    assert len(batch) == 170 and batch.counts.tolist() == [1] * 170
+    assert results_built == {"results": [], "clusters": 0}
+    res = batch[-1]
+    assert results_built == {"results": [1], "clusters": 1}
+    assert res.minimizers == (batch.x[-1],) and res.value == batch.value[-1]
 
 
 def _count_grid_minimize(monkeypatch):
@@ -391,9 +416,9 @@ def test_range_probe_solves_in_blocks(monkeypatch, zoom_brackets):
 
 def test_empty_batches_solve_nothing():
     eng = proxenv.InstanceEngine(get_instance("ex310"), grid_n=2001)
-    assert eng.prox([]) == []
+    assert list(eng.prox([])) == []
     assert eng.env([]).tolist() == []
-    assert eng.prox(np.array([])) == []
+    assert list(eng.prox(np.array([]))) == []
 
 
 def _faulty_engine(monkeypatch):
@@ -586,32 +611,46 @@ def test_the_windowed_scan_fails_as_a_whole_grid_scan(monkeypatch, bad):
 
 
 def _scanned_cells(monkeypatch):
-    """The grid cells ``InstanceEngine._scan`` evaluates, summed over its blocks."""
-    cells = [0]
-    real = proxenv.InstanceEngine._scan
+    """The grid cells ``InstanceEngine._scan`` evaluates, summed over its
+    blocks: those of prox and envelope rows in ``cells[0]``, those of left
+    certificate rows (scanned under ``subdiff._least_slack``) in ``cells[1]``."""
+    cells, certifying = [0, 0], []
+    real, real_least = proxenv.InstanceEngine._scan, subdiff._least_slack
 
-    def counted(self, phi, ys):
-        for start, block in real(self, phi, ys):
-            cells[0] += block.size
+    def counted(self, *args):
+        for start, block in real(self, *args):
+            cells[bool(certifying)] += block.size
             yield start, block
 
+    def least(*args):
+        certifying.append(True)
+        try:
+            return real_least(*args)
+        finally:
+            certifying.pop()
+
     monkeypatch.setattr(proxenv.InstanceEngine, "_scan", counted)
+    monkeypatch.setattr(subdiff, "_least_slack", least)
     return cells
 
 
 def test_the_scan_work_is_pinned(monkeypatch):
     """A work gate that does not depend on the machine. At N = 2001,
     ``env_coarse`` of euclid_abs evaluates 388,541 of its N**2 = 4,004,001
-    cells, and a seed-42 suite on ex419 and euclid_abs 882,298, against
-    6,167,082 when every row is scanned on the whole grid."""
+    cells, and a seed-42 suite on ex419 and euclid_abs 827,830 in prox and
+    envelope rows, against 6,167,082 when every row is scanned on the whole
+    grid. The suite's 108 left certificate rows (27 points, each sign, on
+    two instances), which scanned the whole grid, 216,108 cells, scan
+    149,884 on their tilt windows."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
     cells = _scanned_cells(monkeypatch)
     proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001).env_coarse()
-    assert cells[0] <= 400_000
+    assert cells == [cells[0], 0] and cells[0] <= 400_000
     cells[0] = 0
     run_suite(["ex419", "euclid_abs"], seed=42)
     assert cells[0] <= 900_000
+    assert cells[1] <= 150_000
 
 
 def test_prox_batch_memory_at_4001_points():

@@ -134,6 +134,24 @@ def test_a_certificate_at_an_overflowing_point_is_out_of_range(cert, grid):
     assert cert(inst, 0.5, 1.0)[0]
 
 
+@pytest.mark.parametrize("cert", [left_lpsubdiff_definitional, right_lpsubdiff_definitional])
+@pytest.mark.parametrize("name", ["euclid_abs", "ex310"])
+def test_a_subgradient_that_is_not_finite_is_no_member(cert, name):
+    """The level proximal subdifferential is a subset of the reals: a u (or
+    v) of nan, +inf or -inf is no member, (False, -inf, xbar) as at a
+    non-interior xbar, alone and in a batch, without a warning. Each such
+    u read (True, inf, nan) before, and u = inf on ex310 also warned."""
+    inst = get_instance(name)
+    bad = [math.nan, math.inf, -math.inf]
+    for u in bad:
+        assert bits(cert(inst, 0.5, u)) == bits((False, -math.inf, 0.5))
+    member, worst, witness = cert(inst, [0.5] * 4, bad + [1.0])
+    assert member.tolist()[:3] == [False] * 3
+    assert bits(worst[:3].tolist() + witness[:3].tolist()) == bits([-math.inf] * 3 + [0.5] * 3)
+    assert bits(c[3] for c in (member.tolist(), worst.tolist(), witness.tolist())) == \
+        bits(cert(inst, 0.5, 1.0))
+
+
 def test_right_definitional_zero():
     inst = get_instance("euclid_zero")
     assert right_lpsubdiff_definitional(inst, 0.7, 0.0)[0]
@@ -360,6 +378,36 @@ def test_certificate_batches_cover_the_branch_points():
             assert [bits(c) for c in batch] == [bits(route(inst, p, 0.3)) for p in pts]
         for route in (left_lpsubdiff_definitional, right_lpsubdiff_definitional):
             assert all(a.shape == (0,) for a in route(inst, [], []))
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("euclid_abs", 38_976), ("ex310", 35_977), ("hell_halfk", 38_815)])
+def test_a_left_certificate_scans_only_its_tilt_windows(monkeypatch, name, samples):
+    """A work gate that does not depend on the machine: a bsmooth-style
+    left certificate, 27 points with u the finite-difference derivative,
+    scans the slack on the tilt windows of its two row blocks, below the
+    27 x 2001 = 54,027 grid samples of a whole-grid scan (counted as the
+    sizes of the blocks ``numerics._tie_runs`` reads)."""
+    from bregmanprox import numerics
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    scanned, real = [], numerics._tie_runs
+
+    def counted(values, tol_tie):
+        scanned.append(values.size)
+        return real(values, tol_tie)
+
+    inst = get_instance(name)
+    eng = engine(inst)
+    lo, hi = eng.y_grid.lo, eng.y_grid.hi
+    pts = np.unique(np.append(numerics.sample_inset(np.random.default_rng(42), lo, hi, 20),
+                              lo + (hi - lo) * np.array([0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9])))
+    us = numerics.finite_diff_grad(inst.fn.eval, pts, 1e-6 * max(1.0, hi - lo))
+    monkeypatch.setattr(numerics, "_tie_runs", counted)
+    batch = left_lpsubdiff_definitional(inst, pts, us)
+    assert len(pts) == 27 and len(scanned) == 2 and sum(scanned) == samples < 54_027
+    monkeypatch.setattr(numerics, "_tie_runs", real)
+    assert [bits(c) for c in zip(*(a.tolist() for a in batch))] == \
+        [bits(left_lpsubdiff_definitional(inst, p, u)) for p, u in zip(pts, us)]
 
 
 @pytest.mark.parametrize("route, name, point, u, at", [

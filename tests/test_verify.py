@@ -402,6 +402,18 @@ def test_suite_refinement_calls_are_pinned(monkeypatch, zoom_brackets):
     assert sum(zoom_brackets) == 1815 + 54
 
 
+def test_the_suite_reads_only_set_valued_rows_as_objects(monkeypatch, results_built):
+    """A work gate that does not depend on the machine: a seed-42 suite on
+    euclid_abs and ex310 reads its prox batches as columns. It builds one
+    ``ProxResult``, with its two ``MinimizerCluster``s, for the first
+    set-valued row of ex310's weak-convexity sample; a list of results
+    built 2054 and 2059."""
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    run_suite(["euclid_abs", "ex310"], seed=42)
+    assert results_built == {"results": [2], "clusters": 2}
+
+
 def test_subdifferential_routes_take_one_call_per_batch(monkeypatch, zoom_brackets):
     """check_weak_convexity(ex310) reads f-subdiff-nonempty from one
     hull_slopes call for all its sampled points, and check_bsmooth(euclid_abs)
