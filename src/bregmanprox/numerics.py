@@ -307,26 +307,29 @@ def _polish(phi: Callable, a, b, rows, x, v):
     return x, v
 
 
-def _tie_runs(values: np.ndarray, tol_tie: float):
-    """(row, i0, i1, best, low) of every run of grid cells within ``tol_tie``
-    of its row's minimum in a 2-D block, with its first least cell and value."""
-    vmin = values.min(axis=1)
+def _tie_runs(values: np.ndarray, starts: np.ndarray, tol_tie: float):
+    """(row, i0, i1, best, low) of every run of cells within ``tol_tie`` of
+    its row's minimum, row r the segment ``values[starts[r]:starts[r + 1]]``
+    of a flat array: flat indices of its ends and first least cell, its value."""
+    heads = starts[:-1]
+    vmin = np.minimum.reduceat(values, heads)
     if not np.isfinite(vmin).all():  # NaN, -inf or a row of +inf: mask the finite
-        vmin = values.min(axis=1, where=np.isfinite(values), initial=np.inf)
+        vmin = np.minimum.reduceat(np.where(np.isfinite(values), values, np.inf), heads)
         if np.isinf(vmin).any():
             raise AllInfiniteError("objective is +inf at every grid sample")
-    # only indices and copies leave: ``values`` may be a buffer the next block overwrites
-    n = values.shape[1] + 2
-    tie = np.zeros((len(values), n), dtype=bool)  # padded: flat changes alternate start, end
-    np.less_equal(values, (vmin + tol_tie)[:, None], out=tie[:, 1:-1])
-    flat = tie.ravel()
-    edge = np.flatnonzero(flat[1:] != flat[:-1])  # the cell before each change
-    row, i0, i1 = edge[::2] // n, edge[::2] % n, edge[1::2] % n - 1
+    # only indices and copies leave: ``values`` may be a buffer the next chunk overwrites
+    thr = vmin + tol_tie
+    tie = values <= (np.repeat(thr, starts[1:] - heads) if thr.size > 1 else thr)
+    edge = np.ones(tie.size + 1, dtype=bool)  # before each cell, and after the last
+    np.not_equal(tie[1:], tie[:-1], out=edge[1:-1])
+    edge[starts] = True  # no run goes on across the start of a row
+    i0, i1 = np.flatnonzero(tie & edge[:-1]), np.flatnonzero(tie & edge[1:])
+    row = np.searchsorted(starts, i0, side="right") - 1
     # each run's first least cell, its cells compared offset by offset
-    best, low = i0.copy(), values[row, i0]
+    best, low = i0.copy(), values[i0]
     for k in range(1, int((i1 - i0).max()) + 1):
         c = np.minimum(i0 + k, i1)  # a run shorter than k repeats its last cell
-        v = values[row, c]
+        v = values[c]
         better = v < low
         best[better], low[better] = c[better], v[better]
     return row, i0, i1, best, low
@@ -337,19 +340,21 @@ def _grid_runs(phi: Callable, grid: Grid, values, search: Callable):
     runs of ``values`` (see ``grid_minimize``), each bracket searched by
     ``search`` from its run's best grid cell (phi's own sample: no call), all
     in one call, checked against the cap. Returns (single, n_rows, row, i0,
-    i1, x, v), runs in row order."""
+    i1, x, v), runs in row order and i0, i1 grid indices."""
     xs = grid.points
     if values is None:
         values = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
     single = isinstance(values, np.ndarray) and values.ndim == 1
     if isinstance(values, np.ndarray):
-        values = [(0, np.atleast_2d(values))]
+        m = len(np.atleast_2d(values))
+        values = [(np.zeros(m, dtype=np.intp), np.arange(m + 1) * xs.size, values.ravel())]
     scans, n_rows = [], 0
-    for start, block in values:
-        row, i0, i1, best, low = _tie_runs(block, DEFAULT_TOL_TIE)
-        scans.append((row + n_rows, i0 + start, i1 + start, best + start, low))
-        n_rows += len(block)
-        del block  # free it before the generator builds the next one
+    for c0, starts, chunk in values:
+        row, i0, i1, best, low = _tie_runs(chunk, starts, DEFAULT_TOL_TIE)
+        col = c0[row] - starts[row]  # from a flat index to its grid index
+        scans.append((row + n_rows, i0 + col, i1 + col, best + col, low))
+        n_rows += len(c0)
+        del chunk  # free it before the generator builds the next one
     row, i0, i1, best, low = map(np.concatenate, zip(*scans))
     x, v = search(phi, xs[np.maximum(i0 - 1, 0)], xs[np.minimum(i1 + 1, len(xs) - 1)],
                   None if single else row)
@@ -372,16 +377,17 @@ def grid_minimize(phi: Callable, grid: Grid,
 
     ``phi`` is an array function of x; ``values`` may carry its samples on
     ``grid.points``. A 2-D ``values`` is a block of objectives, one per row,
-    and an iterable of ``(start, block)`` pairs, each block on the columns
-    from ``start`` on (a window holding every tie cell of its rows), is a
-    batch of rows numbered across its blocks: they are scanned one at a time
-    and only their tie runs kept (a block may be a buffer that the next one
-    overwrites), so one block bounds the scan's memory, and every row is
-    refined in the one ``refine`` call. With rows, ``phi`` is called as
-    ``phi(x, rows)`` (see ``refine``) and the rows' ``ProxBatch`` returned;
-    without, the one ``ProxResult``. A row with one tie run is its refined
-    run as it stands; only a row with several is filtered and merged, run by
-    run (``_merge_runs``).
+    and an iterable of chunks ``(c0, starts, chunk)`` is a batch of rows
+    numbered across its chunks: row r of a chunk is the flat segment
+    ``chunk[starts[r]:starts[r + 1]]``, its samples on the grid indices from
+    ``c0[r]`` on (a window holding every tie cell of the row). Chunks are
+    scanned one at a time and only their tie runs kept (a chunk may be a
+    buffer that the next one overwrites), so one chunk bounds the scan's
+    memory, and every row is refined in the one ``refine`` call. With rows,
+    ``phi`` is called as ``phi(x, rows)`` (see ``refine``) and the rows'
+    ``ProxBatch`` returned; without, the one ``ProxResult``. A row with one
+    tie run is its refined run as it stands; only a row with several is
+    filtered and merged, run by run (``_merge_runs``).
 
     Raises ``AllInfiniteError`` if no sample of a row is finite,
     ``UnboundedBelowError`` if a value falls below ``-DEFAULT_UNBOUNDED_CAP``.

@@ -4,15 +4,14 @@ prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
 values, kernel values, kernel gradients). A batch of left rows (prox and
 envelope queries, one ybar per row, and the slack rows of the left
-certificate) is solved in two phases: its rows, sorted by slope, are scanned
-on the x grid in blocks that keep only their tie runs (at least
-``ZOOM_POINTS`` (17) rows and otherwise at most ``BLOCK_SAMPLES`` (2**15)
-grid samples, so a block bounds only the scan's memory), each block of
-several rows only on the columns where one of them can tie (a bound from f,
-kappa and the rows' slopes that never supplies a value), then every row is
-finished in one batch, refined for ``prox`` into the columns of a
-``numerics.ProxBatch``, zoomed by value alone for ``env``, and gathered back
-to the caller's order. A row gets the same bits in a batch as alone:
+certificate) is solved in two phases: each row is scanned on the x grid
+only on its own window, the columns where it can tie (``_windows``: from the
+lower convex envelope of lam f + kappa and the row's slope, a bound that
+never supplies a value), all rows in one ragged scan whose chunks of at most
+``BLOCK_SAMPLES`` (2**15) cells keep only their tie runs (a chunk bounds only
+the scan's memory), then every row is finished in one batch, refined for
+``prox`` into the columns of a ``numerics.ProxBatch`` and zoomed by value
+alone for ``env``, in the caller's order. A row gets the same bits in a batch as alone:
 ``prox`` takes one ybar (a ``ProxResult``) or an array of them (a
 ``ProxBatch``, whose row i is that ``ProxResult``), ``env`` a float or an
 array. Every objective is one array function of x, used for the grid samples
@@ -23,7 +22,7 @@ call each).
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
-the same windowed row blocks as queries, in O(N) memory. The supremum is
+the same windowed scan as queries, in O(N) memory. The supremum is
 concave in grad kappa(ybar), so ``prox_hull`` stops its search once its
 samples bound it to within rounding, aiming a round at the vertex of a
 parabola through its best samples where they share one curvature
@@ -42,18 +41,18 @@ import math
 import os
 import weakref
 import zlib
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .catalog import Instance, ProperFn
 from .errors import (AllInfiniteError, AllUnboundedError, GridSizeError,
                      HypothesesUnmetError, OutOfRangeError, OutsideInteriorError,
-                     UnboundedBelowError)
+                     TooFewFiniteError, UnboundedBelowError)
 from .extreal import Interval
 from .kernels import Kernel, _coerce, bregman_distance
 from .numerics import (DEFAULT_GRID_N, DEFAULT_TOL_TIE, DEFAULT_UNBOUNDED_CAP, MIN_GRID_N,
-                       ZOOM_POINTS, Condition, ProxBatch, ProxResult, build_grid,
+                       Condition, ProxBatch, ProxResult, build_grid,
                        concave_sup, convexity_condition, grid_conjugate, grid_min_value,
                        grid_minimize, lower_convex_envelope, sample_inset)
 
@@ -67,9 +66,9 @@ __all__ = [
 
 INTERIOR_MARGIN = 1e-9
 RANGE_PROBE_N = 250  # sampled ybar per instance for the range assumption
-# Grid samples per scanned block of rows (rows x grid points): it bounds only
-# the memory of a grid scan, never the refinement, which takes a whole batch.
-# Above the floor of ZOOM_POINTS rows a prox_hull round is one block.
+# Grid samples per scanned chunk of rows (the cells of their windows): it
+# bounds only the memory of a grid scan, never the refinement, which takes a
+# whole batch. A row wider than a chunk is a chunk of its own.
 BLOCK_SAMPLES = 2 ** 15
 
 # The standing hypotheses of the theorem checks and of the hull route.
@@ -90,6 +89,19 @@ _GATES = {
 }
 
 
+@lru_cache(maxsize=16)
+def _kernel_samples(kernel: Kernel, window: tuple[float, float], n: int):
+    """(x grid, y grid, kappa on x, kappa and grad kappa on y) of ``kernel``
+    at ``n`` points in ``window``, read-only: the samples that f does not
+    enter, shared by the engines that agree on them (an instance and its -f)."""
+    dom = kernel.domain
+    x_grid, y_grid = (build_grid(d, n, window=window) for d in (dom, dom.interior()))
+    samples = kernel.eval(x_grid.points), kernel.eval(y_grid.points), kernel.grad(y_grid.points)
+    for a in (x_grid.points, y_grid.points, *samples):
+        a.flags.writeable = False
+    return (x_grid, y_grid, *samples)
+
+
 class InstanceEngine:
     """Cached grids, samples and facts for one (kernel, fn, lambda) instance."""
 
@@ -99,16 +111,11 @@ class InstanceEngine:
         self.kernel = inst.kernel
         self.fn = inst.fn
         self.lam = inst.lam
-        self.grid_n = n = grid_n
-        dom = self.kernel.domain
-        self.x_grid = build_grid(dom, n, window=self.fn.window)
-        self.X = self.x_grid.points
+        self.grid_n = grid_n
+        self.x_grid, self.y_grid, self.K, self.KY, self.GY = _kernel_samples(
+            self.kernel, tuple(self.fn.window), grid_n)
+        self.X, self.Y = self.x_grid.points, self.y_grid.points
         self.F = self.fn.eval(self.X)
-        self.K = self.kernel.eval(self.X)
-        self.y_grid = build_grid(dom.interior(), n, window=self.fn.window)
-        self.Y = self.y_grid.points
-        self.KY = self.kernel.eval(self.Y)
-        self.GY = self.kernel.grad(self.Y)
         self._env_coarse: np.ndarray | None = None
         self._hull_curve = None
         self._contact_mask: np.ndarray | None = None
@@ -168,18 +175,19 @@ class InstanceEngine:
 
     def _left_rows(self, ys):
         """f + D(., y)/lam for a batch of ybar rows, as the array function
-        ``phi(x, rows)``, ``rows`` the row of each point of x (a column for a 2-D x). A block
-        is ``phi(cols, rows, buf)`` on a slice ``cols`` of x-grid columns,
-        written into ``buf``, a flat scratch array of twice its size. Raises
-        ``OutOfRangeError`` naming the first ybar whose kappa(ybar), or tilt
-        grad kappa(ybar)(x - ybar) at an end of the x grid, overflows."""
+        ``phi(x, rows)``, ``rows`` the row of each point of x (a column for a 2-D x). A scan's
+        chunk is ``phi(cols, rows, buf)`` on x-grid columns ``cols`` (a slice
+        or indices), written into ``buf[1]``, ``buf`` two scratch arrays of
+        its shape. Raises ``OutOfRangeError`` naming the first ybar whose
+        kappa(ybar), or tilt grad kappa(ybar)(x - ybar) at an end of the x
+        grid, overflows."""
         ys = np.asarray(ys, dtype=float)
         ky, gy = self._left_kappa(ys)
 
         def phi(x, rows, buf=None):
-            block = isinstance(x, slice)
+            block = buf is not None
             fx, kx, x = (self.F[x], self.K[x], self.X[x]) if block else (*self.fk(x), x)
-            lin, out = (None, None) if buf is None else buf.reshape(2, len(rows), x.size)
+            lin, out = (None, None) if buf is None else buf
             lin = np.subtract(x, ys[rows], out=lin)
             lin *= gy[rows]
             out = np.subtract(kx, ky[rows], out=out)
@@ -210,68 +218,105 @@ class InstanceEngine:
             raise OutOfRangeError(f"{bad} out of range for {self.kernel.name}: "
                                   f"kappa or its tilt overflows on the {grid} grid")
 
-    def _row_blocks(self, n_rows: int):
-        """Index columns of ``n_rows`` rows, ``max(ZOOM_POINTS, BLOCK_SAMPLES
-        // grid_n)`` rows each: the block rule of every grid scan."""
-        step = max(ZOOM_POINTS, BLOCK_SAMPLES // self.grid_n)
-        return (np.arange(i, min(i + step, n_rows))[:, None]
-                for i in range(0, n_rows, step))
+    def _scan(self, phi, c0, c1):
+        """The chunks (first columns, starts, values) of the rows ``phi`` on
+        columns [c0[r], c1[r]) of each row r: consecutive rows of at most
+        ``BLOCK_SAMPLES`` cells, or one row, as one flat array, row r of a
+        chunk on ``values[starts[r]:starts[r + 1]]``. A chunk is ``phi(cols,
+        rows, buf)``, written into ``buf[1]``: on a slice of columns for rows
+        that share a window (rows a column), else a column and a row per
+        cell. The chunks share one buffer, dropped when the scan ends."""
+        w = c1 - c0
+        bounds = np.zeros(w.size + 1, dtype=np.intp)  # each row's first cell in the scan
+        np.cumsum(w, out=bounds[1:])
+        buf, r0 = np.empty(0), 0
+        while r0 < w.size:
+            base = bounds[r0]
+            r1 = max(r0 + 1, int(np.searchsorted(bounds, base + BLOCK_SAMPLES, "right")) - 1)
+            starts = bounds[r0:r1 + 1] - base
+            size = int(starts[-1])
+            buf = np.empty(2 * size) if buf.size < 2 * size else buf
+            if r1 - r0 == 1 or (c0[r0:r1] == c0[r0]).all() and (c1[r0:r1] == c1[r0]).all():
+                cols, rows, shape = slice(c0[r0], c1[r0]), np.arange(r0, r1)[:, None], (-1, w[r0])
+            else:  # a column and a row per cell
+                rows = np.repeat(np.arange(r0, r1), w[r0:r1])
+                cols, shape = np.arange(base, base + size) + (c0 - bounds[:-1])[rows], (size,)
+            yield c0[r0:r1], starts, phi(cols, rows, buf[:2 * size].reshape(2, *shape)).ravel()
+            r0 = r1
 
-    def _scan(self, phi, n: int, window):
-        """(first column, values) of each row block of ``phi`` at its ``n``
-        rows: a block of several rows on the columns ``window(rows)`` gives
-        it (``_tilt_window``), one row on the whole grid. The blocks share one
-        buffer, dropped when the scan ends."""
-        buf = np.empty(0)
-        for rows in self._row_blocks(n):
-            c0, c1 = window(rows[:, 0]) if len(rows) > 1 else (0, self.grid_n)
-            size = 2 * len(rows) * (c1 - c0)
-            buf = np.empty(size) if buf.size < size else buf
-            yield c0, phi(slice(c0, c1), rows, buf[:size])
+    @cached_property
+    def _envelope(self):
+        """(slopes, xs, vs, delta) of ``hull_curve`` for ``_windows``: its
+        segment slopes, vertices and values, between two ends (the end
+        vertices again, at +inf) that stop a walk, and the largest excess delta (at least 0) of the curve
+        over a finite sample of G, +inf unless the slopes never decrease and
+        the vertices are samples of G; None if G has under two finite samples."""
+        try:
+            curve = self.hull_curve()
+        except (TooFewFiniteError, ValueError):
+            return None
+        g, slopes = self._tilt[0], curve.segment_slopes()
+        fin, cols = np.isfinite(g), np.minimum(np.searchsorted(self.X, curve.xs), self.grid_n - 1)
+        delta = np.max(curve.value(self.X[fin]) - g[fin], initial=0.0)
+        exact = (np.diff(slopes) >= 0).all() and np.array_equal([self.X[cols], g[cols]],
+                                                                [curve.xs, curve.vs])
+        xs = np.concatenate((curve.xs[:1], curve.xs, curve.xs[-1:]))
+        vs = np.concatenate(([math.inf], curve.vs, [math.inf]))
+        return slopes, xs, vs, delta if exact else math.inf
 
-    def _tilt_window(self, s, row_mag):
-        """``window(rows)``: x-grid columns [c0, c1) that hold every tie cell
-        of the rows ``rows`` of a batch of left rows with slopes ``s`` and term
-        bounds ``row_mag``, or all columns if the bound is not finite.
+    def _windows(self, s, row_mag):
+        """x-grid columns [c0, c1) (two arrays) that hold every tie cell of
+        each left row with slope ``s`` and term bound ``row_mag``; all
+        columns where the row's limit is not finite or G has no curve.
 
         Up to a row constant, lam times a left row is G(x) - s x, with
         G = lam f + kappa: s = grad kappa(y) for the prox row f + D(., y)/lam,
         and s = grad kappa(xbar) + lam u for the slack of the certificate of u
-        at xbar, f(x) - f(xbar) - u (x - xbar) + D(x, xbar)/lam. For s in
-        [s_lo, s_hi] that is at least G(x) - max(s_lo x, s_hi x), with a
-        minimum of at most top = min_z G(z) - min(s_lo z, s_hi z): a tie cell
-        has G(x) - max(s_lo x, s_hi x) <= top + lam tol.
+        at xbar, f(x) - f(xbar) - u (x - xbar) + D(x, xbar)/lam. A tie cell has
+        G(x) - s x <= top + lam tol, top the least G - s x on the grid, so the
+        convex curve of ``_envelope`` less s x is below that limit plus delta
+        there. From the curve's least vertex (s lies between its two slopes),
+        a sample of G, so that its G - s x is at least top, the window widens
+        over the neighbouring vertices within the limit G - s x there + lam
+        tol + margin + delta, and each side ends where the limit crosses the
+        next segment, rounded outward by one cell.
         Margin, with u = 2**-53 and T = lam|F| + |K| + lam tol + R, R the
         row's terms at x: |kappa(y)| + |s|(|x| + |y|) for a prox row, and
         lam|f(xbar)| + |kappa(xbar)| + (|grad kappa(xbar)| + lam|u|)(|x| + |xbar|)
         for a slack row. A prox row's six roundings leave lam v within 5uT of
         its exact value, and with the rounding of ``vmin + tol`` a tie cell
         meets that inequality within 12uT; a slack row's nine leave it within
-        9uT, so 20uT, and the bound reads s rounded twice, which moves s x by
-        2uT on each side: 24uT. The bound's own roundings (G, s x,
-        differences, sums) add 12uT. ``g_mag + row_mag`` bounds T over a
-        block; the margin, 8192u (2**-40) times that, covers 36uT.
+        9uT, so 20uT, and the limit reads s rounded twice, which moves s x by
+        2uT on each side: 24uT. The window's own roundings add 16uT (each
+        vertex's G - s x 2uT, the limit's sums 3uT, delta 5uT and the
+        crossing's fraction 4uT of value). ``g_mag + row_mag`` bounds a row's
+        T; the margin, 8192u (2**-40) times that, covers 40uT.
         """
-        X, lam, tol = self.X, self.lam, DEFAULT_TOL_TIE
-        g, g_mag = self._tilt
-        g_mag += lam * tol
-
-        def window(rows):
-            mag = row_mag[rows].max()
-            if not math.isfinite(mag):  # an overflowed bound selects every column
-                return 0, X.size
-            sx_lo, sx_hi = s[rows].min() * X, s[rows].max() * X
-            top = np.min(g - np.minimum(sx_lo, sx_hi))
-            lim = top + lam * tol + 2.0 ** -40 * (g_mag + mag)
-            if not math.isfinite(lim):
-                return 0, X.size
-            cols = np.flatnonzero(g - np.maximum(sx_lo, sx_hi) <= lim)
-            return int(cols[0]), int(cols[-1]) + 1
-
-        return window
+        if self._envelope is None:
+            return np.zeros(s.size, dtype=np.intp), np.full(s.size, self.grid_n)
+        slopes, xs, vs, delta = self._envelope
+        lam_tol = self.lam * DEFAULT_TOL_TIE
+        bound = lam_tol + 2.0 ** -40 * (self._tilt[1] + lam_tol) + delta
+        k = np.searchsorted(slopes, s) + 1  # the vertex where G - s x is least
+        with np.errstate(over="ignore", invalid="ignore"):  # such a limit selects every column
+            lim = vs[k] - s * xs[k] + (2.0 ** -40 * row_mag + bound)
+            # each row's outermost vertices within the limit, left then right
+            s2, lim2 = np.concatenate((s, s)), np.concatenate((lim, lim))
+            j, step = np.concatenate((k, k)), np.repeat([-1, 1], s.size)
+            act = np.flatnonzero(np.isfinite(lim2))
+            while act.size:
+                nb = j[act] + step[act]
+                act = act[vs[nb] - s2[act] * xs[nb] <= lim2[act]]
+                j[act] += step[act]
+            xj, xn = xs[j], xs[j + step]
+            hj, hn = vs[j] - s2 * xj, vs[j + step] - s2 * xn
+            edge = np.where(np.isfinite(lim2), xj + (lim2 - hj) / (hn - hj) * (xn - xj),
+                            step * math.inf)
+        return (np.maximum(np.searchsorted(self.X, edge[:s.size]) - 1, 0),
+                np.minimum(np.searchsorted(self.X, edge[s.size:], "right") + 1, self.grid_n))
 
     def _row_bounds(self, pts, k, g, lam_u=0.0, lam_f=0.0):
-        """(slopes, term bounds) for ``_tilt_window`` of the left rows at
+        """(slopes, term bounds) for ``_windows`` of the left rows at
         ``pts``, kappa ``k`` and grad kappa ``g`` there: prox rows, and the
         certificate's slack rows with ``lam_u`` = lam u, ``lam_f`` = lam f(xbar)."""
         x_mag = max(abs(self.X[0]), abs(self.X[-1]))
@@ -279,30 +324,20 @@ class InstanceEngine:
             return g + lam_u, np.abs(lam_f) + np.abs(k) + (np.abs(g) + np.abs(lam_u)) * (
                 x_mag + np.abs(pts))
 
-    def _batch(self, phi, n: int, bounds, finish):
+    def _batch(self, phi, n: int, bounds, finish, grid=None):
         """``finish`` (``grid_minimize``: a ``ProxBatch``; ``grid_min_value``:
-        a list) of the ``n`` left rows ``phi(x, rows)`` on the x grid, in the
-        caller's order. Several rows are sorted by slope, so that a block's
-        slopes are close, scanned (``_scan``) on their ``_tilt_window`` from
-        ``bounds()``, and gathered back to the caller's order."""
+        a list) of the ``n`` rows ``phi(x, rows)`` on ``grid`` (the x grid by
+        default): one row as a block on the whole grid, several in one ragged
+        scan (``_scan``), rows without ``bounds`` on the whole grid and left
+        rows each on its own window (``_windows`` of ``bounds()``)."""
+        grid = grid or self.x_grid
         if n == 1:
-            return finish(phi, self.x_grid, values=self._scan(phi, 1, None))
-        s, row_mag = bounds()
-        # a stable sort; numpy's sorts page in about 0.3 MB of code on first use
-        order = np.array(sorted(range(n), key=s.tolist().__getitem__))
-        back = np.empty(n, dtype=np.intp)
-        back[order] = np.arange(n)
-
-        def sorted_phi(x, rows, *buf):
-            return phi(x, order[rows], *buf)
-
-        window = self._tilt_window(s[order], row_mag[order])
-        res = finish(sorted_phi, self.x_grid, values=self._scan(sorted_phi, n, window))
-        return res[back] if isinstance(res, ProxBatch) else np.take(res, back).tolist()
+            return finish(phi, grid, values=phi(grid.points, np.zeros((1, 1), dtype=np.intp)))
+        c0, c1 = self._windows(*bounds()) if bounds else (np.zeros(n, np.intp), np.full(n, grid.n))
+        return finish(phi, grid, values=self._scan(phi, c0, c1))
 
     def _solve(self, ys, finish):
-        """The left subproblem at each interior ybar, by ``_batch`` (its rows
-        sort by ybar, since grad kappa increases)."""
+        """The left subproblem at each interior ybar, by ``_batch``."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if not ys.size:
             return ProxBatch(*np.empty((5, 0)), np.empty(0, dtype=np.intp),
@@ -333,8 +368,8 @@ class InstanceEngine:
 
     def prox(self, ys) -> ProxResult | ProxBatch:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
-        array of them (their ``ProxBatch``, in that order), solved in blocks
-        of rows."""
+        array of them (their ``ProxBatch``, in that order), solved in one
+        windowed scan."""
         res = self._solve(ys, grid_minimize)
         return res[0] if np.ndim(ys) == 0 else res
 
@@ -348,7 +383,7 @@ class InstanceEngine:
         them (an array), memoized.
 
         Values in the memo are read first; the other points are solved once
-        each, in blocks of rows, by value alone (``grid_min_value``: no
+        each, in one windowed scan, by value alone (``grid_min_value``: no
         minimizer is located), and stored. Past ``grid_n`` values the memo
         evicts the oldest ones.
         """
@@ -369,15 +404,15 @@ class InstanceEngine:
 
     def env_coarse(self) -> np.ndarray:
         """Grid-resolution envelope on the interior grid (no refinement),
-        built in row blocks: O(N) memory besides one block."""
+        built in one windowed scan: O(N) memory besides one chunk."""
         if self._env_coarse is None:
             env, i = np.empty(self.Y.size), 0
             phi = self._left_rows(self.Y)
-            window = self._tilt_window(*self._row_bounds(self.Y, *self.kg(self.Y)))
-            for _, vals in self._scan(phi, self.Y.size, window):
-                # objective block: rows ybar in Y[i:], columns x in a window of X
-                env[i:i + len(vals)] = vals.min(axis=1)
-                i += len(vals)
+            windows = self._windows(*self._row_bounds(self.Y, *self.kg(self.Y)))
+            for c0, starts, vals in self._scan(phi, *windows):
+                # a chunk: rows ybar in Y[i:], each on its window of X
+                env[i:i + len(c0)] = np.minimum.reduceat(vals, starts[:-1])
+                i += len(c0)
             if env.min() < -DEFAULT_UNBOUNDED_CAP:
                 raise UnboundedBelowError("envelope cache fell below the cap")
             self._env_coarse = env
@@ -518,6 +553,15 @@ class InstanceEngine:
         curve = self.hull_curve()
         return tuple(curve.segment_slopes()[np.diff(curve.xs) > 3 * self.x_grid.h].tolist())
 
+    @cached_property
+    def negated(self) -> Instance:
+        """The instance of -f (+inf where f is), with this kernel and lambda,
+        kept here so that its engine is built once for this one."""
+        fn = self.fn
+        neg = ProperFn(f"neg_{fn.name}", fn.domain,
+                       lambda x: np.where(np.isfinite(v := fn.eval_arr(x)), -v, np.inf), fn.window)
+        return Instance(f"{self.name}-f", self.kernel, neg, self.lam)
+
     def range_probe(self, n: int, seed: int):
         """(ok, witnesses) of the range assumption on this engine: ``n``
         ybar drawn across the interior, the witnesses the (ybar, minimizer)
@@ -586,7 +630,7 @@ def prox_hull(inst: Instance, x: float) -> float:
     of the grid-resolution envelope, searched on the two cells around it.
 
     Each round of the search solves its sampled envelopes (by value,
-    through the memo) as one block of rows. With s = grad kappa(y) the
+    through the memo) as one batch of rows. With s = grad kappa(y) the
     objective is (s x - kappa(x) - (lam f + kappa)*(s)) / lam, concave in s
     since a conjugate is convex, so the sup is ``numerics.concave_sup``: a
     value-only search that stops once its samples bound the sup to within

@@ -13,9 +13,9 @@ themselves against each other:
 Both routes take a float or an array of points and answer an array in one
 batch, a point getting the same bits in a batch as alone: the hull route in
 array arithmetic, the certificates by one ``grid_minimize`` of every slack
-row, scanned in the engine's row blocks (the left slack is the left-prox
+row, scanned in the engine's chunks (the left slack is the left-prox
 objective with the slope grad kappa(xbar) + lam u, up to a constant, so its
-rows are scanned as prox rows are, each block on its tilt window).
+rows are scanned as prox rows are, each on its own window).
 
 The single-valuedness test reads the hull route. The resolvent and
 coincidence checks, which read both routes, are theorem reports in
@@ -90,18 +90,15 @@ def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int, bounds
     """(least slack, first minimizer) of ``n`` slack rows, as arrays, by one
     ``grid_minimize``, or row by row if that raises: no finite sample gives
     (inf, nan), a slack past the cap its least grid sample, at most
-    -``DEFAULT_UNBOUNDED_CAP``, and that sample's point. Left rows, with
-    ``bounds``, are scanned as prox rows (``InstanceEngine._batch``)."""
+    -``DEFAULT_UNBOUNDED_CAP``, and that sample's point. The rows are
+    scanned by ``InstanceEngine._batch``: left rows, with ``bounds``, as prox
+    rows, the others on the whole grid."""
     try:
-        if bounds is None:
-            blocks = ((0, slack(grid.points, rows)) for rows in eng._row_blocks(n))
-            res = numerics.grid_minimize(slack, grid, values=blocks)
-        else:
-            res = eng._batch(slack, n, bounds, numerics.grid_minimize)
+        res = eng._batch(slack, n, bounds, numerics.grid_minimize, grid)
     except (AllInfiniteError, UnboundedBelowError) as exc:
         if n > 1:
-            alone = [_least_slack(eng, lambda x, rows, r=r: slack(x, rows + r), grid, 1)
-                     for r in range(n)]
+            alone = [_least_slack(eng, lambda x, rows, *buf, r=r: slack(x, rows + r, *buf),
+                                  grid, 1) for r in range(n)]
             return tuple(map(np.concatenate, zip(*alone)))
         if isinstance(exc, AllInfiniteError):
             return np.array([math.inf]), np.array([math.nan])
@@ -120,9 +117,9 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     arrays: the least slack and the first minimizer that ``grid_minimize``
     keeps (within ``DEFAULT_TOL_TIE`` of it), or past the unbounded cap as
     in ``_least_slack``. lam times a slack row is lam f + kappa - s x plus a
-    constant, s = grad kappa(xbar) + lam u, so a block of rows scans only
-    its tilt window, a bound from the engine's samples of lam f + kappa
-    that supplies no value (the hull route is not read). Membership requires
+    constant, s = grad kappa(xbar) + lam u, so each row scans only its own
+    window, a bound from the engine's samples of lam f + kappa and their
+    lower convex envelope that supplies no value. Membership requires
     xbar interior to the kernel domain, u finite and worst slack >= -TOL_CERT;
     other points give (False, -inf, xbar). Raises ``OutOfRangeError`` naming
     the first other xbar where kappa, or its tilt at an end of the x grid,
@@ -136,8 +133,8 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     kxb, gxb = eng._left_kappa(xb_ok)
 
     def slack(x, rows, buf=None):
-        # a slice is a block of x-grid columns (``InstanceEngine._scan``; no buffer is used)
-        fx, kx, x = (eng.F[x], eng.K[x], eng.X[x]) if isinstance(x, slice) else (*eng.fk(x), x)
+        # with a buffer, x holds x-grid columns (``InstanceEngine._scan``; the buffer is not used)
+        fx, kx, x = (eng.F[x], eng.K[x], eng.X[x]) if buf is not None else (*eng.fk(x), x)
         dx = x - xb_ok[rows]
         return fx - fxb[rows] - u_ok[rows] * dx + (kx - kxb[rows] - gxb[rows] * dx) / eng.lam
 
@@ -164,8 +161,10 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     yb_ok, v_ok, gyb = yb[ok], vv[ok], gyb[ok]
     kyb, grad_yb = eng._right_kappa(yb_ok), eng.kernel.grad(yb_ok)
 
-    def slack(y, rows):
-        fy, ky, gy = eng._fkg(y)
+    def slack(y, rows, buf=None):
+        # with a buffer, y holds y-grid columns (``InstanceEngine._scan``; the buffer is not used)
+        fy, ky, gy, y = (eng._fy[y], eng.KY[y], eng.GY[y], eng.Y[y]) if buf is not None \
+            else (*eng._fkg(y), y)
         d = kyb[rows] - ky - gy * (yb_ok[rows] - y)
         return fy - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import Instance, ProperFn, get_instance
+from .catalog import Instance, get_instance
 from .errors import HypothesesUnmetError
 from .kernels import bregman_distance, symmetrized_gap
 from .numerics import (TOL_CONV, Condition, convexity_condition, finite_diff_grad,
@@ -399,14 +399,6 @@ def check_bcoco(inst: Instance, seed: int = 0) -> VerifyReport:
 # Two-sided smoothness (B-smoothness)
 # ---------------------------------------------------------------------------
 
-def _negate_fn(fn: ProperFn) -> ProperFn:
-    def ev(x):
-        v = fn.eval_arr(x)
-        return np.where(np.isfinite(v), -v, np.inf)
-
-    return ProperFn(f"neg_{fn.name}", fn.domain, ev, fn.window)
-
-
 def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     """Two-sided relative smoothness with modulus L = 1 / lambda. It has the
     units of f / kappa (D(., y) / lambda has those of f), so rescaling f or
@@ -426,8 +418,6 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     rep.tolerances = {"tol_cert": TOL_CERT, "tol_conv": TOL_CONV,
                       "tol_boundary": TOL_BOUNDARY}
 
-    inst_minus = Instance(f"{inst.name}-f", inst.kernel, _negate_fn(inst.fn), inst.lam)
-
     lo, hi = eng.y_grid.lo, eng.y_grid.hi
     span = hi - lo
     pts = sorted(set(
@@ -436,7 +426,7 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
     pts = np.array(pts)
     us = finite_diff_grad(eng.fn.eval, pts, _fd_step(eng))
     mp, sp, _ = left_lpsubdiff_definitional(inst, pts, us)
-    mm, sm, _ = left_lpsubdiff_definitional(inst_minus, pts, -us)
+    mm, sm, _ = left_lpsubdiff_definitional(eng.negated, pts, -us)
     # the worst slack up to and including the first point that fails
     fails = ~(mp & mm)
     worst = np.minimum(sp, sm)[:int(np.argmax(fails)) + 1 if fails.any() else None]

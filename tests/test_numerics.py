@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -468,8 +469,8 @@ def test_the_column_merge_matches_the_object_merge(far, n_grid, wells, depths, d
         return np.min(np.abs(x[..., None] - cs) * w + d[np.broadcast_to(rows, x.shape)], axis=-1)
 
     vals = phi(np.broadcast_to(g.points, (len(d), n_grid)), np.arange(len(d))[:, None])
-    batch = grid_minimize(phi, g, values=[(0, vals)])
-    _, _, row, i0, i1, x, v = numerics._grid_runs(phi, g, [(0, vals)], refine)
+    batch = grid_minimize(phi, g, values=vals)
+    _, _, row, i0, i1, x, v = numerics._grid_runs(phi, g, vals, refine)
     runs = list(zip(x.tolist(), v.tolist(), g.points[i0].tolist(), g.points[i1].tolist()))
     want = [_result_bits(_object_merge([run for run, r in zip(runs, row) if r == k]))
             for k in range(len(d))]
@@ -534,12 +535,44 @@ def test_tie_runs_match_the_reference_scan(values, tol_tie):
         want = _tie_runs_reference(values, tol_tie)
     except AllInfiniteError as exc:
         with pytest.raises(type(exc)) as got:
-            numerics._tie_runs(values, tol_tie)
+            _tie_runs_of_rows(values, tol_tie)
         assert str(got.value) == str(exc)
         return
-    got = numerics._tie_runs(values, tol_tie)
+    got = _tie_runs_of_rows(values, tol_tie)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def _tie_runs_of_rows(values, tol_tie):
+    """``numerics._tie_runs`` of the rows of a 2-D block, one flat segment
+    each, with column indices for its flat ones."""
+    n = values.shape[1]
+    row, i0, i1, best, low = numerics._tie_runs(values.ravel(), np.arange(0, values.size + 1, n),
+                                                 tol_tie)
+    return row, i0 - n * row, i1 - n * row, best - n * row, low
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(_CELL, min_size=1, max_size=12), min_size=1, max_size=5),
+       tol_tie=st.sampled_from([0.0, 1e-7, 0.6]))
+# a run ending a row and one starting the next never join
+@example(rows=[[1.0, 0.0], [0.0, 1.0]], tol_tie=1e-7)
+def test_tie_runs_of_ragged_rows_match_the_reference_row_by_row(rows, tol_tie):
+    """Rows of different lengths in one flat array: each row's runs, in
+    flat indices, are the reference's runs of that row alone, or the scan
+    raises what the reference raises on its first row without a finite cell."""
+    starts = np.cumsum([0] + [len(r) for r in rows])
+    try:
+        want = [_tie_runs_reference(np.array([r]), tol_tie) for r in rows]
+    except AllInfiniteError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            numerics._tie_runs(np.array(sum(rows, [])), starts, tol_tie)
+        return
+    got = numerics._tie_runs(np.array(sum(rows, [])), starts, tol_tie)
+    for k, (_, i0, i1, best, low) in enumerate(want):
+        mine = got[0] == k
+        for g, w in zip([a[mine] for a in got[1:]], (i0, i1, best, low)):
+            np.testing.assert_array_equal(g, w + starts[k] if g.dtype.kind == "i" else w)
 
 
 # -- lower_convex_envelope ---------------------------------------------------

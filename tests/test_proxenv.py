@@ -135,7 +135,7 @@ def test_prox_hull_names_an_overflowing_xbar(name, xbar):
 
 def test_a_tilt_window_bound_that_overflows_scans_the_whole_grid():
     """Two rows whose window bound overflows, though each passes the range
-    check: the block is scanned on every column, without a warning (Tier-1
+    check: each row is scanned on every column, without a warning (Tier-1
     turns RuntimeWarnings into errors), and each row gets its one-row bits."""
     eng = proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=1001)
     ys = [1.2e154, 1.25e154]
@@ -368,7 +368,7 @@ _SET_VALUED = 2.0 ** -0.5  # the prox of ex411 is {0, 1} there
     ("ex411", np.append(_SET_VALUED, np.linspace(0.95, -0.95, 20))),
 ])
 def test_prox_many_equals_prox_bit_for_bit(name, ys):
-    # 40 points at N = 2001 make three blocks (17 + 17 + 6 rows)
+    # 40 points at N = 2001, each scanned on its own window, in one chunk
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
     many = eng.prox(ys)
     assert len(many) == len(ys)
@@ -404,8 +404,8 @@ def _count_grid_minimize(monkeypatch):
 
 
 def test_range_probe_solves_in_blocks(monkeypatch, zoom_brackets):
-    """250 rows scan the grid in 15 blocks and search their brackets in one
-    zoom call."""
+    """250 rows scan their windows and search their brackets in one zoom
+    call."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     inst = get_instance("hell_halfk")
     calls = _count_grid_minimize(monkeypatch)
@@ -444,9 +444,9 @@ def _faulty_engine(monkeypatch):
 @pytest.mark.parametrize("bad", [
     [0.5, -0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5], [-0.5, 1.5], [-0.5, 0.5]])
 def test_a_batch_raises_what_its_first_failing_row_raises_alone(monkeypatch, bad):
-    """The first failing row, row 20, sorts by ybar into the third row block
-    (17 rows each at N = 2001), after two clean blocks. Without 1.5 the batch
-    scan itself fails: the block holding 0.5 raises ``AllInfiniteError``
+    """The first failing row, row 20, comes after 20 clean rows (and after
+    two 17-row blocks of the former sorted block rule). Without 1.5 the batch
+    scan itself fails: the chunk holding 0.5 raises ``AllInfiniteError``
     while -0.5 alone raises ``UnboundedBelowError``."""
     eng = _faulty_engine(monkeypatch)
     clean = np.linspace(-0.95, -0.55, 20).tolist()
@@ -479,9 +479,9 @@ def test_prox_many_memory_is_bounded_by_blocks():
 @pytest.mark.parametrize("n, step", [(1001, 32), (2001, 17)])
 @pytest.mark.parametrize("name", instance_names())
 def test_env_coarse_equals_row_minima_bit_for_bit(name, n, step):
-    """The blocked cache holds each row's minimum of left_values (which
-    holds no NaN), on either side of every block boundary and in the partial
-    last block. Those rows carry each windowed block's least and greatest slope."""
+    """The windowed cache holds each row's minimum of left_values (which
+    holds no NaN), at the rows on either side of every multiple of ``step``
+    (the bounds of the blocks of a former rule) and at the last row."""
     eng = proxenv.InstanceEngine(get_instance(name), grid_n=n)
     size = eng.Y.size
     assert max(numerics.ZOOM_POINTS, proxenv.BLOCK_SAMPLES // n) == step
@@ -509,18 +509,18 @@ def test_env_coarse_memory_is_bounded_by_blocks():
 
 # -- the windowed scan against a whole-grid scan -------------------------------
 
-def _whole_grid_solve(eng, ys):
+def _whole_grid_solve(eng, ys, finish=numerics.grid_minimize):
     """The left scan without windows: every row on all N columns, rows in the
     caller's order, with the same first-failing-row fallback."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     try:
         eng.check_interior(ys)
         phi = eng._left_rows(ys)
-        blocks = ((0, phi(eng.X, rows)) for rows in eng._row_blocks(ys.size))
-        return numerics.grid_minimize(phi, eng.x_grid, values=blocks)
+        values = phi(eng.X, np.arange(ys.size)[:, None])
+        return finish(phi, eng.x_grid, values=values)
     except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
         for j in range(ys.size - 1):
-            _whole_grid_solve(eng, ys[j:j + 1])
+            _whole_grid_solve(eng, ys[j:j + 1], finish)
         raise
 
 
@@ -535,9 +535,21 @@ def _outcome(solve, eng, ys):
             for res in results]
 
 
+def _env_outcome(solve, eng, ys):
+    """The bits of the ``env`` rows (``grid_min_value``) of ``solve``, or its
+    exception and message."""
+    try:
+        return [v.hex() for v in solve(eng, ys, numerics.grid_min_value)]
+    except (OutsideInteriorError, AllInfiniteError, UnboundedBelowError) as exc:
+        return type(exc), str(exc)
+
+
 def _assert_windowed_scan_is_exact(eng, ys):
+    """prox and ``env`` rows at ys on their windows against the whole grid."""
     want = _outcome(_whole_grid_solve, eng, ys)
     assert _outcome(lambda e, y: e._solve(y, numerics.grid_minimize), eng, ys) == want
+    want = _env_outcome(_whole_grid_solve, eng, ys)
+    assert _env_outcome(lambda e, y, f: e._solve(y, f), eng, ys) == want
 
 
 # (a, b, c) of x -> b f(x - a) + c: a domain shift that leaves +inf cells on
@@ -552,7 +564,7 @@ def _window_engine(name, variant):
         inst = get_instance(name)
         if variant is not None:
             inst = Instance(f"{name}_shifted", inst.kernel, shift_scale(inst.fn, *variant), inst.lam)
-        _WINDOW_ENGINES[key] = inst, proxenv.InstanceEngine(inst, grid_n=2001)  # 17-row blocks
+        _WINDOW_ENGINES[key] = inst, proxenv.InstanceEngine(inst, grid_n=2001)
     return _WINDOW_ENGINES[key][1]
 
 
@@ -600,10 +612,138 @@ def test_the_windowed_scan_is_exact_on_ties_and_infinite_cells(name, variant, ys
     _assert_windowed_scan_is_exact(_window_engine(name, variant), ys)
 
 
+def _hard_rows(eng, extra=()):
+    """ybar of rows that stress a window, in no order: each critical slope
+    (a tie over a hull segment over three cells long) and rows either side
+    that tilt the segment so that their ties cover part of it, the y-grid
+    ends, 31 rows across the y grid and ``extra``."""
+    lo, hi = eng.y_grid.lo, eng.y_grid.hi
+    crit = eng.kernel.grad_conj(np.array(eng.critical_etas, dtype=float))
+    near = [y + d * max(1.0, abs(y)) for y in crit.tolist()
+            for d in (-1e-5, -1e-7, -1e-9, -1e-14, 0.0, 1e-14, 1e-9, 1e-7, 1e-5)]
+    ys = np.array(near + np.linspace(lo, hi, 31).tolist() + list(extra))
+    return np.roll(ys[eng.kernel.domain.interior_contains(ys)], 7)
+
+
+def _whole_grid_coarse(eng):
+    """The row minima of ``left_values`` on the interior grid, 100 rows at a time."""
+    phi = eng._left_rows(eng.Y)
+    return np.concatenate([phi(eng.X, rows[:, None]).min(axis=1)
+                           for rows in np.array_split(np.arange(eng.Y.size), eng.Y.size // 100)])
+
+
+def _assert_every_row_kind_is_exact(inst, ys):
+    """prox and ``env`` rows at ys, ``env_coarse`` and left-certificate rows
+    with the slopes of ys at three points, on the windows of the instance's
+    engine against the whole grid: the same bits, or the same exception and
+    message (a certificate row alone is scanned on the whole grid)."""
+    eng = engine(inst)
+    _assert_windowed_scan_is_exact(eng, ys)
+    assert eng.env_coarse().tobytes() == _whole_grid_coarse(eng).tobytes()
+    xb = eng.Y[np.linspace(1, eng.Y.size - 2, 3).astype(int)]
+    xb, s = (a.ravel() for a in np.meshgrid(xb, eng.kernel.grad(np.asarray(ys))))
+    u = (s - eng.kernel.grad(xb)) / eng.lam
+    batch = zip(*(a.tolist() for a in left_lpsubdiff_definitional(inst, xb, u)))
+    alone = [left_lpsubdiff_definitional(inst, p, v) for p, v in zip(xb, u)]
+    assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in alone]
+
+
+def _cert_bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+# (instance, form, extra rows): long hull segments at the critical slopes
+# (ex310, ex411, bsmooth_counter; -f of euclid_sq and euclid_abs_strong,
+# whose curve is one segment), +inf columns (hell_halfk, shannon_abs, ex411),
+# ex419's flat quartic minimum, two rows whose window bound overflows among
+# rows whose bound does not, f + 1e9, where rounding decides the ties, and
+# "flat": lam f + kappa is 0 on [-1, 1], so that ties cover part of a segment
+_HARD = [("ex310", "f", ()), ("ex411", "f", ()), ("bsmooth_counter", "f", ()),
+         ("euclid_sq", "-f", ()), ("euclid_abs_strong", "-f", ()), ("hell_halfk", "f", ()),
+         ("shannon_abs", "f", ()), ("ex419", "f", np.linspace(-0.3, 0.3, 25)),
+         ("euclid_abs", "f", (1.2e154, 1.25e154)), ("ex310", "f + 1e9", ()),
+         ("ex419", "f + 1e9", np.linspace(-0.3, 0.3, 25)), ("euclid_zero", "flat", ()),
+         ("euclid_zero", "flat + 1e9", ())]
+_FLAT = Instance("flat", ENERGY, make_fn(
+    "flat", lambda x: np.where(np.abs(x) <= 1.0, -0.5 * x * x, np.square(np.abs(x) - 1.0) - 0.5)),
+    1.0)
+
+
+@pytest.mark.parametrize("n", [1001, 2001, 4001])
+@pytest.mark.parametrize("name, form, extra", _HARD)
+def test_the_windowed_scan_matches_a_whole_grid_scan_at_the_hard_rows(monkeypatch, name, form,
+                                                                      extra, n):
+    """Every kind of left row on its window equals the whole-grid scan bit
+    for bit at the rows where a window is hardest to bound."""
+    monkeypatch.setenv("BREGMAN_GRID_N", str(n))
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    inst = _FLAT if form.startswith("flat") else get_instance(name)
+    if form == "-f":
+        inst = engine(inst).negated
+    elif form.endswith("+ 1e9"):
+        inst = Instance(f"{name}_offset", inst.kernel, shift_scale(inst.fn, 0.0, 1.0, 1e9),
+                        inst.lam)
+    _assert_every_row_kind_is_exact(inst, _hard_rows(engine(inst), extra))
+
+
+def _mutated_curve(kind):
+    """``hull_curve`` with one fault at the vertex k a third of the way
+    along: the 40 vertices around it dropped, so that the chord over them
+    lies above G ("dropped");
+    pushed above G by a quarter of what keeps the slopes nondecreasing
+    ("above") or by 1 ("far above"); its two neighbours lowered by 1, so
+    that the slopes decrease ("decreasing"); or the whole curve tilted and
+    lowered, 1 to 2 below G ("below")."""
+    real = proxenv.InstanceEngine.hull_curve
+
+    def curve(self):
+        xs, vs = real(self).xs.copy(), real(self).vs.copy()
+        k = xs.size // 3
+        gaps = np.diff(np.diff(vs[k - 2:k + 3]) / np.diff(xs[k - 2:k + 3]))
+        room = gaps.min() * min(xs[k] - xs[k - 1], xs[k + 1] - xs[k]) / 2
+        if kind == "dropped":
+            return numerics.HullCurve(np.delete(xs, range(k - 20, k + 20)),
+                                      np.delete(vs, range(k - 20, k + 20)))
+        if kind == "below":
+            return numerics.HullCurve(xs, vs - 1.0 - (xs - xs[0]) / (xs[-1] - xs[0]))
+        vs[[k - 1, k + 1] if kind == "decreasing" else k] += {
+            "above": room / 4, "far above": 1.0, "decreasing": -1.0}[kind]
+        return numerics.HullCurve(xs, vs)
+
+    return curve
+
+
+@pytest.mark.parametrize("kind, delta", [
+    ("dropped", "finite"), ("above", math.inf), ("far above", math.inf),
+    ("decreasing", math.inf), ("below", math.inf)])
+@pytest.mark.parametrize("name", ["hell_halfk", "ex310", "ex419"])
+def test_a_wrong_envelope_only_widens_the_windows(monkeypatch, name, kind, delta):
+    """The windows read the lower convex envelope of G = lam f + kappa (the
+    geometric route) only to choose columns: under a curve that is wrong,
+    above G, not convex or with vertices off G, every kind of left row
+    still equals the whole-grid scan bit for bit, with rows at the slopes
+    around the faulty vertex. The check of the curve sees each fault: a
+    chord above G widens every window by its excess delta, and any other
+    fault makes every window the whole grid."""
+    monkeypatch.setattr(proxenv.InstanceEngine, "hull_curve", _mutated_curve(kind))
+    monkeypatch.setenv("BREGMAN_GRID_N", "2001")
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
+    eng = engine(get_instance(name))
+    curve = numerics.lower_convex_envelope(zip(eng.X, eng.tilted(eng.X)))
+    xs, vs, k = curve.xs, curve.vs, curve.xs.size // 3
+    etas = np.diff(vs[k - 22:k + 23]) / np.diff(xs[k - 22:k + 23])
+    ys = np.concatenate((eng.kernel.grad_conj(np.sort(np.append(etas, etas[1:3].mean()))),
+                         np.linspace(eng.y_grid.lo, eng.y_grid.hi, 20)))
+    ys = ys[eng.kernel.domain.interior_contains(ys)]
+    _assert_every_row_kind_is_exact(get_instance(name), ys)
+    got = eng._envelope[-1]
+    assert 0.0 < got < math.inf if delta == "finite" else got == delta
+
+
 @pytest.mark.parametrize("bad", [[0.5], [-0.5], [0.5, -0.5], [-0.5, 0.5]])
 def test_the_windowed_scan_fails_as_a_whole_grid_scan(monkeypatch, bad):
     """An all-+inf row (0.5) and a row shifted below the cap (-0.5), among
-    clean rows in blocks before, with and after them, and as the last row."""
+    clean rows before, with and after them, and as the last row."""
     eng = _faulty_engine(monkeypatch)
     clean = np.linspace(-0.9, 0.9, 40).tolist()
     for ys in (clean + bad, bad + clean, clean[:30] + bad + clean[30:], bad):
@@ -612,15 +752,19 @@ def test_the_windowed_scan_fails_as_a_whole_grid_scan(monkeypatch, bad):
 
 def _scanned_cells(monkeypatch):
     """The grid cells ``InstanceEngine._scan`` evaluates, summed over its
-    blocks: those of prox and envelope rows in ``cells[0]``, those of left
-    certificate rows (scanned under ``subdiff._least_slack``) in ``cells[1]``."""
-    cells, certifying = [0, 0], []
+    chunks: those of prox and envelope rows in ``cells[0]``, those of left
+    certificate rows (scanned under ``subdiff._least_slack``) in
+    ``cells[1]``; and the [cells, chunks] of each scan, in ``scans``."""
+    cells, scans, certifying = [0, 0], [], []
     real, real_least = proxenv.InstanceEngine._scan, subdiff._least_slack
 
     def counted(self, *args):
-        for start, block in real(self, *args):
-            cells[bool(certifying)] += block.size
-            yield start, block
+        scans.append([0, 0])
+        for chunk in real(self, *args):
+            cells[bool(certifying)] += chunk[-1].size
+            scans[-1][0] += chunk[-1].size
+            scans[-1][1] += 1
+            yield chunk
 
     def least(*args):
         certifying.append(True)
@@ -631,31 +775,33 @@ def _scanned_cells(monkeypatch):
 
     monkeypatch.setattr(proxenv.InstanceEngine, "_scan", counted)
     monkeypatch.setattr(subdiff, "_least_slack", least)
-    return cells
+    return cells, scans
 
 
 def test_the_scan_work_is_pinned(monkeypatch):
     """A work gate that does not depend on the machine. At N = 2001,
-    ``env_coarse`` of euclid_abs evaluates 388,541 of its N**2 = 4,004,001
-    cells, and a seed-42 suite on ex419 and euclid_abs 827,830 in prox and
-    envelope rows, against 6,167,082 when every row is scanned on the whole
-    grid. The suite's 108 left certificate rows (27 points, each sign, on
-    two instances), which scanned the whole grid, 216,108 cells, scan
-    149,884 on their tilt windows."""
+    ``env_coarse`` of euclid_abs evaluates 6,003 of its N**2 = 4,004,001
+    cells (388,541 on the windows of 17-row blocks), and a seed-42 suite on
+    ex419 and euclid_abs 8,676 in prox and envelope rows (827,830 on block
+    windows), against 6,167,082 when every row is scanned on the whole grid.
+    The suite's 108 left certificate rows (27 points, each sign, on two
+    instances) scan 574 (149,884 on block windows, 216,108 on the whole
+    grid). A scan whose cells fit ``BLOCK_SAMPLES`` is one chunk."""
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
-    cells = _scanned_cells(monkeypatch)
+    cells, scans = _scanned_cells(monkeypatch)
     proxenv.InstanceEngine(get_instance("euclid_abs"), grid_n=2001).env_coarse()
-    assert cells == [cells[0], 0] and cells[0] <= 400_000
+    assert cells == [6_003, 0] and scans == [[6_003, 1]]
     cells[0] = 0
     run_suite(["ex419", "euclid_abs"], seed=42)
-    assert cells[0] <= 900_000
-    assert cells[1] <= 150_000
+    assert cells[0] <= 9_000
+    assert cells[1] <= 600
+    assert all(chunks == 1 for size, chunks in scans if size <= proxenv.BLOCK_SAMPLES)
 
 
 def test_prox_batch_memory_at_4001_points():
     """One 250-row batch on a warm ex419 engine at N = 4001 peaks below
-    1.12 MiB, the peak of per-block temporaries freed after their block."""
+    1.12 MiB, the peak of per-chunk temporaries freed after their chunk."""
     import tracemalloc
     eng = proxenv.InstanceEngine(get_instance("ex419"), grid_n=4001)
     eng.prox(0.1)

@@ -179,12 +179,11 @@ def test_bsmooth_rejects_extended_valued_f():
         check_bsmooth(get_instance("ex411"), seed=5)
 
 
-def test_bsmooth_certifies_plus_f_on_the_instance_itself(monkeypatch):
-    """f + D_{L kappa}(., xbar) at lambda 1 is f + D(., xbar) / lambda for
-    L = 1 / lambda, so +f is certified through the instance's own warm
-    engine: a check builds one engine, for -f, and not two."""
-    inst = get_instance("ex419")
-    check_bsmooth(inst, seed=5)
+def _engines_built(monkeypatch):
+    """The names of the instances whose engines are built from now on, in
+    an empty engine registry."""
+    monkeypatch.delenv("BREGMAN_GRID_N", raising=False)
+    monkeypatch.setattr(proxenv, "_ENGINES", weakref.WeakKeyDictionary())
     built = []
     real = proxenv.InstanceEngine.__init__
 
@@ -193,8 +192,27 @@ def test_bsmooth_certifies_plus_f_on_the_instance_itself(monkeypatch):
         real(self, inst, *args, **kwargs)
 
     monkeypatch.setattr(proxenv.InstanceEngine, "__init__", counted)
-    check_bsmooth(inst, seed=5)
-    assert built == ["ex419-f"]
+    return built
+
+
+def test_bsmooth_certifies_plus_f_on_the_instance_itself(monkeypatch):
+    """f + D_{L kappa}(., xbar) at lambda 1 is f + D(., xbar) / lambda for
+    L = 1 / lambda, so +f is certified through the instance's own engine: a
+    check builds two engines, the instance's and one for -f, and not three."""
+    built = _engines_built(monkeypatch)
+    check_bsmooth(get_instance("ex419"), seed=5)
+    assert built == ["ex419", "ex419-f"]
+
+
+def test_the_engine_of_minus_f_is_built_once(monkeypatch):
+    """The -f instance is a fact of the engine of f (``InstanceEngine.negated``),
+    so 20 ``check_bsmooth`` calls on euclid_abs build one -f engine; with a
+    new -f instance per call they built 20."""
+    built = _engines_built(monkeypatch)
+    inst = get_instance("euclid_abs")
+    for seed in range(20):
+        check_bsmooth(inst, seed=seed)
+    assert built == ["euclid_abs", "euclid_abs-f"]
 
 
 def _bsmooth_verdict(inst, seed):
