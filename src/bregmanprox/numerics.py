@@ -171,8 +171,7 @@ class ProxBatch:
     least refined value; per minimizer (a row's in increasing x) its point,
     refined value, tie-run extent and row, row r owning minimizers
     ``starts[r]:starts[r + 1]``. ``batch[i]`` is row i's ``ProxResult``,
-    built when read; ``batch[rows]``, for an array of row indices, is the
-    batch of those rows in that order."""
+    built when read."""
 
     value: np.ndarray
     x: np.ndarray
@@ -196,12 +195,6 @@ class ProxBatch:
         return self.x[self.starts[:-1]]
 
     def __getitem__(self, i):
-        if np.ndim(i):
-            counts = self.counts[i]
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            take = np.repeat(self.starts[i] - starts[:-1], counts) + np.arange(starts[-1])
-            return ProxBatch(self.value[i], self.x[take], self.x_value[take], self.x_lo[take],
-                             self.x_hi[take], np.repeat(np.arange(len(counts)), counts), starts)
         i = range(len(self))[i]
         run = slice(self.starts[i], self.starts[i + 1])
         cols = (a[run].tolist() for a in (self.x, self.x_value, self.x_lo, self.x_hi))

@@ -2,30 +2,33 @@
 prox-boundedness scanning, and the two Euclidean/conjugate cross-check routes.
 
 An ``InstanceEngine`` caches per-instance grids and sample arrays (function
-values, kernel values, kernel gradients). A batch of left rows (prox and
-envelope queries, one ybar per row, and the slack rows of the left
-certificate) is solved in two phases: each row is scanned on the x grid
-only on its own window, the columns where it can tie (``_windows``: from the
-lower convex envelope of lam f + kappa and the row's slope, a bound that
-never supplies a value), all rows in one ragged scan whose chunks of at most
-``BLOCK_SAMPLES`` (2**15) cells keep only their tie runs (a chunk bounds only
-the scan's memory), then every row is finished in one batch, refined for
-``prox`` into the columns of a ``numerics.ProxBatch`` and zoomed by value
-alone for ``env``, in the caller's order. A row gets the same bits in a batch as alone:
-``prox`` takes one ybar (a ``ProxResult``) or an array of them (a
-``ProxBatch``, whose row i is that ``ProxResult``), ``env`` a float or an
-array. Every objective is one array function of x, used for the grid samples
-and for the refinement alike, f and kappa in one NaN-rule pass or from the
-grid caches (``fk``). Whether a prox minimizer is interior is asked only
-where the range assumption is read (``InstanceEngine.interior``, one batched
-call each).
+values, kernel values, kernel gradients) and builds every grid row, one
+builder per side: ``_left_rows`` the prox and envelope rows f + D(., ybar)/lam
+on the x grid and the left certificate's slack rows (``left_slack``),
+``_right_rows`` the rows f + D(xbar, .)/lam on the y grid (``right_prox``)
+and the right certificate's (``right_slack``). A batch of rows is solved
+in two phases: each left row is scanned only on its own window,
+the columns where it can tie (``_windows``: from the lower convex envelope
+of lam f + kappa and the row's slope, a bound that never supplies a value),
+a right row on the whole y grid, all rows in one ragged scan whose chunks
+of at most ``BLOCK_SAMPLES`` (2**15) cells keep only their tie runs (a
+chunk bounds only the scan's memory), then every row is finished in one
+batch, refined into the columns of a ``numerics.ProxBatch`` or, for
+``env``, zoomed by value alone, in the caller's order. A row gets the same
+bits in a batch as alone: ``prox`` and ``right_prox`` take one point (a
+``ProxResult``) or an array of them (a ``ProxBatch``, whose row i is that
+``ProxResult``), ``env`` a float or an array. Every objective is one array
+function of x, used for the grid samples and for the refinement alike, f
+and kappa in one NaN-rule pass or from the grid caches (``fk``). Whether a
+prox minimizer is interior is asked only where the range assumption is
+read (``InstanceEngine.interior``, one batched call each).
 Envelope values are memoized per engine (``env`` reads and fills the memo),
 and the envelope is additionally cached on the interior grid, since the
 proximal hull is a supremum of envelope evaluations; that cache is built in
-the same windowed scan as queries, in O(N) memory. The supremum is
-concave in grad kappa(ybar), so ``prox_hull`` stops its search once its
-samples bound it to within rounding, aiming a round at the vertex of a
-parabola through its best samples where they share one curvature
+the same windowed scan as queries, in O(N) memory. The supremum is concave
+in grad kappa(ybar), so ``prox_hull`` stops its search once its samples
+bound it to within rounding, aiming a round at the vertex of a parabola
+through its best samples where they share one curvature
 (``numerics.concave_sup``).
 
 The engine also keeps the instance's facts (hypotheses and check gates,
@@ -130,17 +133,16 @@ class InstanceEngine:
         if x is self.X:
             return self.F, self.K
         if x is self.Y:
-            return self._fy, self.KY
+            return self.FY, self.KY
         return _coerce(x, (self.fn.eval_arr, self.fn.name),
                        (self.kernel.eval_arr, self.kernel.name))
 
     @cached_property
-    def _fy(self) -> np.ndarray:
-        return self.fn.eval(self.Y)  # f on the y grid, for the right objectives
-
-    def _fkg(self, y):
-        """(f, kappa, grad kappa) at interior y, unchecked as in ``kg``."""
-        return *self.fk(y), self.GY if y is self.Y else self.kernel.grad_arr(y)
+    def FY(self) -> np.ndarray:
+        """f on the y grid, read-only, evaluated once per engine."""
+        fy = self.fn.eval(self.Y)
+        fy.flags.writeable = False
+        return fy
 
     def kg(self, y):
         """(kappa, grad kappa) at interior y, cached when y is the y grid.
@@ -171,42 +173,89 @@ class InstanceEngine:
         g.flags.writeable = False
         return g, float(np.max(a, where=np.isfinite(a), initial=0.0))
 
-    # -- left objective ----------------------------------------------------
+    # -- the grid rows: one builder per side --------------------------------
 
-    def _left_rows(self, ys):
-        """f + D(., y)/lam for a batch of ybar rows, as the array function
-        ``phi(x, rows)``, ``rows`` the row of each point of x (a column for a 2-D x). A scan's
-        chunk is ``phi(cols, rows, buf)`` on x-grid columns ``cols`` (a slice
-        or indices), written into ``buf[1]``, ``buf`` two scratch arrays of
-        its shape. Raises ``OutOfRangeError`` naming the first ybar whose
-        kappa(ybar), or tilt grad kappa(ybar)(x - ybar) at an end of the x
-        grid, overflows."""
+    def _left_rows(self, ys, u=None, fy=None):
+        """(phi, x grid, windows) of the left rows at the points ``ys``.
+
+        Row r is base + D(., y)/lam at y = ys[r], base f for a prox row and
+        f - fy[r] - u[r] (. - y) for the slack row of the left certificate
+        of u[r] at y, fy = f(ys). ``phi(x, rows)`` is an array function of
+        x, ``rows`` the row of each point (a column for a 2-D x), or a chunk
+        of ``_scan``; ``windows()`` is the rows' ``_windows``, from the kappa
+        and grad kappa evaluated here. Raises ``OutsideInteriorError`` naming
+        the first y outside int dom kappa, and ``OutOfRangeError`` the first
+        whose kappa(y), or tilt grad kappa(y)(x - y) at an end of the x grid,
+        overflows."""
         ys = np.asarray(ys, dtype=float)
-        ky, gy = self._left_kappa(ys)
+        self.check_interior(ys)
+        with np.errstate(over="ignore"):
+            ky, gy = self.kg(ys)
+            self._check_range(ys, [ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)], "x")
 
         def phi(x, rows, buf=None):
-            block = buf is not None
-            fx, kx, x = (self.F[x], self.K[x], self.X[x]) if block else (*self.fk(x), x)
+            fx, kx, x = (*self.fk(x), x) if buf is None else (self.F[x], self.K[x], self.X[x])
             lin, out = (None, None) if buf is None else buf
             lin = np.subtract(x, ys[rows], out=lin)
+            base = fx if u is None else fx - fy[rows] - u[rows] * lin
             lin *= gy[rows]
             out = np.subtract(kx, ky[rows], out=out)
             out -= lin
             out /= self.lam
-            out += fx
+            out += base
             return out
 
-        return phi
+        def windows():
+            # lam times a row is G - s x plus a row constant (see ``_windows``)
+            lam_u, lam_f = (0.0, 0.0) if u is None else (self.lam * u, self.lam * fy)
+            x_mag = max(abs(self.X[0]), abs(self.X[-1]))
+            with np.errstate(over="ignore"):  # an overflowed bound selects every column
+                return self._windows(gy + lam_u, np.abs(lam_f) + np.abs(ky) + (
+                    np.abs(gy) + np.abs(lam_u)) * (x_mag + np.abs(ys)))
 
-    def _left_kappa(self, ys):
-        """(kappa, grad kappa) at the interior points ``ys``, for D(., ybar)
-        on the x grid (the left rows, the left certificate). Raises
-        ``OutOfRangeError`` naming the first point whose kappa, or tilt
-        grad kappa(ybar)(x - ybar) at an end of the x grid, overflows."""
+        return phi, self.x_grid, windows
+
+    def _right_rows(self, xs, v=None, fx=None):
+        """(phi, y grid, None) of the right rows at the points ``xs``, as
+        ``_left_rows``: row r is base + D(x, .)/lam at x = xs[r], base f for
+        a right prox row and f - fx[r] - v[r] (grad kappa - grad kappa(x))
+        for a right certificate's slack row, fx = f(xs). In y a row is not
+        of the left form, so it has no window. Raises ``OutsideInteriorError``
+        naming the first x outside dom kappa, ``OutOfRangeError`` as
+        ``_right_kappa``."""
+        xs = np.asarray(xs, dtype=float)
+        inside = self.kernel.domain.contains(xs)
+        if not inside.all():
+            raise OutsideInteriorError(f"{float(xs[~inside][0])} not in dom {self.kernel.name}")
+        kx = self._right_kappa(xs)
+        gx = None if v is None else self.kernel.grad(xs)
+
+        def phi(y, rows, buf=None):
+            if buf is None:
+                (fy, ky), gy = self.fk(y), self.GY if y is self.Y else self.kernel.grad_arr(y)
+            else:
+                fy, ky, gy, y = self.FY[y], self.KY[y], self.GY[y], self.Y[y]
+            lin, out = (None, None) if buf is None else buf
+            base = fy if v is None else fy - fx[rows] - v[rows] * (gy - gx[rows])
+            lin = np.subtract(xs[rows], y, out=lin)
+            lin *= gy
+            out = np.subtract(kx[rows], ky, out=out)
+            out -= lin
+            out /= self.lam
+            out += base
+            return out
+
+        return phi, self.y_grid, None
+
+    def _right_kappa(self, xs):
+        """kappa at a point or array ``xs`` for D(x, .) on the y grid, for
+        the right rows and ``prox_hull``. Raises ``OutOfRangeError`` naming
+        the first x whose kappa, or tilt at an end of the y grid, overflows."""
+        kx = self.kernel.eval(xs)
         with np.errstate(over="ignore"):
-            ky, gy = self.kg(ys)
-            self._check_range(ys, [ky, gy * (self.X[0] - ys), gy * (self.X[-1] - ys)], "x")
-        return ky, gy
+            self._check_range(xs, [kx, self.GY[0] * (xs - self.Y[0]),
+                                   self.GY[-1] * (xs - self.Y[-1])], "y")
+        return kx
 
     def _check_range(self, pts, vals, grid: str):
         """Raise ``OutOfRangeError`` naming the first of the points ``pts``
@@ -315,48 +364,41 @@ class InstanceEngine:
         return (np.maximum(np.searchsorted(self.X, edge[:s.size]) - 1, 0),
                 np.minimum(np.searchsorted(self.X, edge[s.size:], "right") + 1, self.grid_n))
 
-    def _row_bounds(self, pts, k, g, lam_u=0.0, lam_f=0.0):
-        """(slopes, term bounds) for ``_windows`` of the left rows at
-        ``pts``, kappa ``k`` and grad kappa ``g`` there: prox rows, and the
-        certificate's slack rows with ``lam_u`` = lam u, ``lam_f`` = lam f(xbar)."""
-        x_mag = max(abs(self.X[0]), abs(self.X[-1]))
-        with np.errstate(over="ignore"):  # an overflowed bound selects every column
-            return g + lam_u, np.abs(lam_f) + np.abs(k) + (np.abs(g) + np.abs(lam_u)) * (
-                x_mag + np.abs(pts))
-
-    def _batch(self, phi, n: int, bounds, finish, grid=None):
+    def _batch(self, rows, n: int, finish):
         """``finish`` (``grid_minimize``: a ``ProxBatch``; ``grid_min_value``:
-        a list) of the ``n`` rows ``phi(x, rows)`` on ``grid`` (the x grid by
-        default): one row as a block on the whole grid, several in one ragged
-        scan (``_scan``), rows without ``bounds`` on the whole grid and left
-        rows each on its own window (``_windows`` of ``bounds()``)."""
-        grid = grid or self.x_grid
+        a list) of the ``n`` rows (phi, grid, windows) of a row builder, in
+        one ragged scan (``_scan``), each row on its ``windows()`` or on the
+        whole grid. One row is a block on the whole grid instead: a one-row
+        scan pays for its window and its chunk, 3.7 to 4.9 % more time per
+        single-point ``prox`` + ``env`` solve on four catalog instances
+        (alternated runs, the same bits), and single points are the common
+        query."""
+        phi, grid, windows = rows
         if n == 1:
             return finish(phi, grid, values=phi(grid.points, np.zeros((1, 1), dtype=np.intp)))
-        c0, c1 = self._windows(*bounds()) if bounds else (np.zeros(n, np.intp), np.full(n, grid.n))
+        c0, c1 = windows() if windows else (np.zeros(n, np.intp), np.full(n, grid.n))
         return finish(phi, grid, values=self._scan(phi, c0, c1))
 
-    def _solve(self, ys, finish):
-        """The left subproblem at each interior ybar, by ``_batch``."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        if not ys.size:
+    def _solve(self, pts, finish, build=None):
+        """The rows of ``build`` (default the left rows) at each point, by ``_batch``."""
+        ps = np.atleast_1d(np.asarray(pts, dtype=float))
+        if not ps.size:
             return ProxBatch(*np.empty((5, 0)), np.empty(0, dtype=np.intp),
                              np.zeros(1, dtype=np.intp))
+        build = build or self._left_rows
         try:
-            self.check_interior(ys)
-            return self._batch(self._left_rows(ys), ys.size,
-                               lambda: self._row_bounds(ys, *self.kg(ys)), finish)
+            res = self._batch(build(ps), ps.size, finish)
+            return res[0] if np.ndim(pts) == 0 else res
         except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
             # a failing row fails alone too: raise what the first failing
             # row raises, as a loop of single queries would
-            for j in range(ys.size - 1):
-                self._solve(ys[j:j + 1], finish)
+            for j in range(ps.size - 1):
+                self._solve(ps[j:j + 1], finish, build)
             raise
 
     def left_values(self, ybar: float) -> np.ndarray:
         """f + D(., ybar)/lam sampled on the x grid (vectorized)."""
-        self.check_interior(ybar)
-        return self._left_rows([ybar])(self.X, 0)
+        return self._left_rows([ybar])[0](self.X, 0)
 
     def check_interior(self, ys):
         """Raise ``OutsideInteriorError`` naming the first ybar, of a float or
@@ -370,8 +412,43 @@ class InstanceEngine:
         """The prox at one interior ybar (a ``ProxResult``) or at each of an
         array of them (their ``ProxBatch``, in that order), solved in one
         windowed scan."""
-        res = self._solve(ys, grid_minimize)
-        return res[0] if np.ndim(ys) == 0 else res
+        return self._solve(ys, grid_minimize)
+
+    def right_prox(self, xs) -> ProxResult | ProxBatch:
+        """Global minimizers over interior y of f(y) + D(xbar, y)/lam at one
+        xbar (a ``ProxResult``) or at each of an array of them (their
+        ``ProxBatch``, in that order), solved as ``prox`` is; raises as
+        ``_right_rows`` does."""
+        return self._solve(xs, grid_minimize, self._right_rows)
+
+    def left_slack(self, xs, us, fxs):
+        """``_least_slack`` of the left certificates of ``us`` at ``xs``, f(xs) = ``fxs``."""
+        return self._least_slack(self._left_rows(xs, us, fxs), len(xs))
+
+    def right_slack(self, ys, vs, fys):
+        """``_least_slack`` of the right certificates of ``vs`` at ``ys``, f(ys) = ``fys``."""
+        return self._least_slack(self._right_rows(ys, vs, fys), len(ys))
+
+    def _least_slack(self, rows, n: int):
+        """(least slack, first minimizer) of the ``n`` slack ``rows`` of a
+        builder, as arrays, by one ``grid_minimize``, or row by row if that
+        raises: no finite sample gives (inf, nan), a slack past the cap its
+        least grid sample, at most -``DEFAULT_UNBOUNDED_CAP``, and that
+        sample's point."""
+        try:
+            res = self._batch(rows, n, grid_minimize)
+        except (AllInfiniteError, UnboundedBelowError) as exc:
+            phi, grid, _ = rows
+            if n > 1:
+                alone = [self._least_slack((lambda x, r0, *buf, r=r: phi(x, r0 + r, *buf),
+                                            grid, None), 1) for r in range(n)]
+                return tuple(map(np.concatenate, zip(*alone)))
+            if isinstance(exc, AllInfiniteError):
+                return np.array([math.inf]), np.array([math.nan])
+            vals = phi(grid.points, np.zeros((1, 1), dtype=np.intp))[0]
+            j = int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))
+            return np.array([min(vals[j], -DEFAULT_UNBOUNDED_CAP)]), grid.points[[j]]
+        return res.value, res.first
 
     def interior(self, xs) -> np.ndarray:
         """Whether each of the prox outputs ``xs`` lies ``INTERIOR_MARGIN``
@@ -407,9 +484,8 @@ class InstanceEngine:
         built in one windowed scan: O(N) memory besides one chunk."""
         if self._env_coarse is None:
             env, i = np.empty(self.Y.size), 0
-            phi = self._left_rows(self.Y)
-            windows = self._windows(*self._row_bounds(self.Y, *self.kg(self.Y)))
-            for c0, starts, vals in self._scan(phi, *windows):
+            phi, _, windows = self._left_rows(self.Y)
+            for c0, starts, vals in self._scan(phi, *windows()):
                 # a chunk: rows ybar in Y[i:], each on its window of X
                 env[i:i + len(c0)] = np.minimum.reduceat(vals, starts[:-1])
                 i += len(c0)
@@ -417,32 +493,6 @@ class InstanceEngine:
                 raise UnboundedBelowError("envelope cache fell below the cap")
             self._env_coarse = env
         return self._env_coarse
-
-    # -- right objective ----------------------------------------------------
-
-    def right_prox(self, xbar: float) -> ProxResult:
-        """Global minimizers over interior y of f(y) + D(xbar, y)/lam. Raises
-        ``OutOfRangeError`` when kappa(xbar), or the tilt
-        grad kappa(y)(xbar - y) at an end of the y grid, overflows."""
-        if not self.kernel.domain.contains(float(xbar)):
-            raise OutsideInteriorError(f"{xbar} not in dom {self.kernel.name}")
-        kx = self._right_kappa(xbar)
-
-        def psi(y):
-            fy, ky, gy = self._fkg(y)
-            return fy + (kx - ky - gy * (xbar - y)) / self.lam
-
-        return grid_minimize(psi, self.y_grid)
-
-    def _right_kappa(self, xbar):
-        """kappa at a point or array ``xbar`` for D(xbar, y) on the y grid
-        (``right_prox``, ``prox_hull``, the right certificate), checked as
-        ``right_prox`` says, naming the first point that overflows."""
-        kx = self.kernel.eval(xbar)
-        with np.errstate(over="ignore"):
-            self._check_range(xbar, [kx, self.GY[0] * (xbar - self.Y[0]),
-                                     self.GY[-1] * (xbar - self.Y[-1])], "y")
-        return kx
 
     # -- hull curve of lam*f + kappa -----------------------------------------
 
@@ -616,8 +666,9 @@ def left_env(inst: Instance, ybar: float) -> float:
     return engine(inst).env(ybar)
 
 
-def right_prox(inst: Instance, xbar: float) -> ProxResult:
-    """Global minimizers over interior y of g(y) + D(xbar, y)/lam."""
+def right_prox(inst: Instance, xbar) -> ProxResult | ProxBatch:
+    """Global minimizers over interior y of g(y) + D(xbar, y)/lam: a
+    ``ProxResult`` at one xbar, their ``ProxBatch`` at an array of them."""
     return engine(inst).right_prox(xbar)
 
 

@@ -4,7 +4,8 @@ Two independent computation routes are provided and never allowed to validate
 themselves against each other:
 
 * the *definitional certificate*: a global support-type inequality checked on
-  the working grid, its least slack found by ``numerics.grid_minimize``, and
+  the working grid, its least slack found by the engine (``left_slack``,
+  ``right_slack``), and
 * the *hull characterization*: subgradients read off the lower convex
   envelope of lam f + kappa, with per-side slopes refined by one-sided finite
   differences wherever the envelope touches the function (a chord side keeps
@@ -13,9 +14,10 @@ themselves against each other:
 Both routes take a float or an array of points and answer an array in one
 batch, a point getting the same bits in a batch as alone: the hull route in
 array arithmetic, the certificates by one ``grid_minimize`` of every slack
-row, scanned in the engine's chunks (the left slack is the left-prox
-objective with the slope grad kappa(xbar) + lam u, up to a constant, so its
-rows are scanned as prox rows are, each on its own window).
+row, an engine row built with the prox rows of its side (the left slack is
+the left-prox objective with the slope grad kappa(xbar) + lam u, up to a
+constant, so it is scanned on its own window). This module keeps only the
+certificates' broadcasting, masks and membership test.
 
 The single-valuedness test reads the hull route. The resolvent and
 coincidence checks, which read both routes, are theorem reports in
@@ -29,11 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .catalog import Instance
-from .errors import AllInfiniteError, UnboundedBelowError
 from .extreal import Interval
-from .proxenv import InstanceEngine, engine
+from .proxenv import engine
 
 __all__ = [
     "TOL_CERT", "TOL_HULL", "TOL_WIDTH", "is_singleton",
@@ -69,43 +69,19 @@ def _rows(a, b):
                                              np.asarray(b, dtype=float)))
 
 
-def _certify(eng: InstanceEngine, a, b, pts, ok, slack, grid: numerics.Grid, bounds=None):
-    """(member, worst slack, witness) of the rows ``pts`` of ``a`` and ``b``:
-    floats for two points, 1-D arrays otherwise.
-
-    A row that is not ``ok`` gives (False, -inf, its point). The others,
-    which ``slack(x, rows)`` numbers among themselves, take their least
-    slack over ``grid`` and its first minimizer (``_least_slack``).
-    """
+def _certify(a, b, pts, ok, least, s, fp):
+    """(member, worst slack, witness) of the rows ``pts`` of ``a`` and ``b``,
+    with slopes ``s`` and f values ``fp``: floats for two points, 1-D arrays
+    otherwise. A row that is not ``ok`` gives (False, -inf, its point); the
+    others take their least slack and its first minimizer from ``least``
+    (the engine's ``left_slack`` or ``right_slack``)."""
     worst, witness = np.full(pts.size, -np.inf), pts.copy()
     if ok.any():
-        worst[ok], witness[ok] = _least_slack(eng, slack, grid, int(ok.sum()), bounds)
+        worst[ok], witness[ok] = least(pts[ok], s[ok], fp[ok])
     member = worst >= -TOL_CERT
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return bool(member[0]), float(worst[0]), float(witness[0])
     return member, worst, witness
-
-
-def _least_slack(eng: InstanceEngine, slack, grid: numerics.Grid, n: int, bounds=None):
-    """(least slack, first minimizer) of ``n`` slack rows, as arrays, by one
-    ``grid_minimize``, or row by row if that raises: no finite sample gives
-    (inf, nan), a slack past the cap its least grid sample, at most
-    -``DEFAULT_UNBOUNDED_CAP``, and that sample's point. The rows are
-    scanned by ``InstanceEngine._batch``: left rows, with ``bounds``, as prox
-    rows, the others on the whole grid."""
-    try:
-        res = eng._batch(slack, n, bounds, numerics.grid_minimize, grid)
-    except (AllInfiniteError, UnboundedBelowError) as exc:
-        if n > 1:
-            alone = [_least_slack(eng, lambda x, rows, *buf, r=r: slack(x, rows + r, *buf),
-                                  grid, 1) for r in range(n)]
-            return tuple(map(np.concatenate, zip(*alone)))
-        if isinstance(exc, AllInfiniteError):
-            return np.array([math.inf]), np.array([math.nan])
-        vals = slack(grid.points, np.zeros((1, 1), dtype=np.intp))[0]
-        j = int(np.argmin(np.where(np.isfinite(vals), vals, np.inf)))
-        return np.array([min(vals[j], -numerics.DEFAULT_UNBOUNDED_CAP)]), grid.points[[j]]
-    return res.value, res.first
 
 
 def left_lpsubdiff_definitional(inst: Instance, xbar, u):
@@ -116,30 +92,18 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
     grid. Returns (member, worst_slack, witness_x), three 1-D arrays for
     arrays: the least slack and the first minimizer that ``grid_minimize``
     keeps (within ``DEFAULT_TOL_TIE`` of it), or past the unbounded cap as
-    in ``_least_slack``. lam times a slack row is lam f + kappa - s x plus a
-    constant, s = grad kappa(xbar) + lam u, so each row scans only its own
-    window, a bound from the engine's samples of lam f + kappa and their
-    lower convex envelope that supplies no value. Membership requires
-    xbar interior to the kernel domain, u finite and worst slack >= -TOL_CERT;
-    other points give (False, -inf, xbar). Raises ``OutOfRangeError`` naming
-    the first other xbar where kappa, or its tilt at an end of the x grid,
-    overflows, as the left prox does.
+    in ``InstanceEngine.left_slack``, each row scanned only on its own
+    window, as a prox row is. Membership requires xbar interior to the
+    kernel domain, u finite and worst slack >= -TOL_CERT; other points give
+    (False, -inf, xbar). Raises ``OutOfRangeError`` naming the first other
+    xbar where kappa, or its tilt at an end of the x grid, overflows, as the
+    left prox does.
     """
     eng = engine(inst)
     xb, uu = _rows(xbar, u)
     fxb = eng.fn.eval(xb)
     ok = eng.kernel.domain.interior_contains(xb) & np.isfinite(fxb) & np.isfinite(uu)
-    xb_ok, u_ok, fxb = xb[ok], uu[ok], fxb[ok]
-    kxb, gxb = eng._left_kappa(xb_ok)
-
-    def slack(x, rows, buf=None):
-        # with a buffer, x holds x-grid columns (``InstanceEngine._scan``; the buffer is not used)
-        fx, kx, x = (eng.F[x], eng.K[x], eng.X[x]) if buf is not None else (*eng.fk(x), x)
-        dx = x - xb_ok[rows]
-        return fx - fxb[rows] - u_ok[rows] * dx + (kx - kxb[rows] - gxb[rows] * dx) / eng.lam
-
-    return _certify(eng, xbar, u, xb, ok, slack, eng.x_grid, lambda: eng._row_bounds(
-        xb_ok, kxb, gxb, eng.lam * u_ok, eng.lam * fxb))
+    return _certify(xbar, u, xb, ok, eng.left_slack, uu, fxb)
 
 
 def right_lpsubdiff_definitional(inst: Instance, ybar, v):
@@ -158,17 +122,7 @@ def right_lpsubdiff_definitional(inst: Instance, ybar, v):
     eng.check_interior(yb)
     gyb = eng.fn.eval(yb)
     ok = np.isfinite(gyb) & np.isfinite(vv)
-    yb_ok, v_ok, gyb = yb[ok], vv[ok], gyb[ok]
-    kyb, grad_yb = eng._right_kappa(yb_ok), eng.kernel.grad(yb_ok)
-
-    def slack(y, rows, buf=None):
-        # with a buffer, y holds y-grid columns (``InstanceEngine._scan``; the buffer is not used)
-        fy, ky, gy, y = (eng._fy[y], eng.KY[y], eng.GY[y], eng.Y[y]) if buf is not None \
-            else (*eng._fkg(y), y)
-        d = kyb[rows] - ky - gy * (yb_ok[rows] - y)
-        return fy - gyb[rows] - v_ok[rows] * (gy - grad_yb[rows]) + d / eng.lam
-
-    return _certify(eng, ybar, v, yb, ok, slack, eng.y_grid)
+    return _certify(ybar, v, yb, ok, eng.right_slack, vv, gyb)
 
 
 # ---------------------------------------------------------------------------

@@ -435,10 +435,9 @@ def check_bsmooth(inst: Instance, seed: int = 0) -> VerifyReport:
         if worst[k] < math.inf else (math.inf, ())
     i_cond = Condition("i-two-sided-subdiff-nonempty", not fails.any(), i_worst, i_wit)
 
-    FY = eng.fn.eval(eng.Y)
     KYL = L * eng.KY
-    ii_plus = convexity_condition("ii-plus", eng.Y, KYL + FY)
-    ii_minus = convexity_condition("ii-minus", eng.Y, KYL - FY)
+    ii_plus = convexity_condition("ii-plus", eng.Y, KYL + eng.FY)
+    ii_minus = convexity_condition("ii-minus", eng.Y, KYL - eng.FY)
     ii = Condition("ii-relative-smooth", ii_plus.holds and ii_minus.holds,
                    min(ii_plus.worst, ii_minus.worst),
                    ii_plus.witness if ii_plus.worst <= ii_minus.worst else ii_minus.witness)

@@ -1,10 +1,11 @@
 """The bits of the solves: every catalog instance with a Legendre kernel,
 at eight seeded points, solved singly and as one batch by ``left_prox``,
-``left_env``, ``right_prox`` (singly: it takes one point) and
-``left_lpsubdiff_definitional``. Each value and each minimizer is kept as
-``float.hex`` in ``data/solves_bits.json``, so a change that moves one bit
-of a solve fails here, and a change meant to move bits regenerates the
-file and names the moved rows.
+``left_env``, ``left_lpsubdiff_definitional`` and
+``right_lpsubdiff_definitional``, and singly by ``right_prox`` (its batch
+is checked against its single calls in ``test_proxenv.py``). Each value
+and each minimizer is kept as ``float.hex`` in ``data/solves_bits.json``,
+so a change that moves one bit of a solve fails here, and a change meant
+to move bits regenerates the file and names the moved rows.
 
 ``python tests/test_bits.py`` rewrites the file from the current code.
 """
@@ -20,7 +21,7 @@ from bregmanprox.catalog import get_instance, instance_names
 from bregmanprox.errors import BregmanError
 from bregmanprox.numerics import sample_inset
 from bregmanprox.proxenv import left_env, left_prox, right_prox
-from bregmanprox.subdiff import left_lpsubdiff_definitional
+from bregmanprox.subdiff import left_lpsubdiff_definitional, right_lpsubdiff_definitional
 
 DATA = pathlib.Path(__file__).parent / "data" / "solves_bits.json"
 N_POINTS = 8
@@ -67,6 +68,8 @@ def solves(name: str) -> dict:
         "right_prox": [_outcome(lambda: _prox(right_prox(inst, y))) for y in ys.tolist()],
         "certificate": [_outcome(lambda: _hex(left_lpsubdiff_definitional(inst, y, u)))
                         for y, u in zip(ys.tolist(), us.tolist())],
+        "right_certificate": [_outcome(lambda: _hex(right_lpsubdiff_definitional(inst, y, u)))
+                              for y, u in zip(ys.tolist(), us.tolist())],
     }
     _fresh(inst)
     batch = {
@@ -74,6 +77,8 @@ def solves(name: str) -> dict:
         "left_env": _outcome(lambda: _hex(left_env(inst, ys))),
         "certificate": _outcome(lambda: [_hex(row) for row in zip(
             *left_lpsubdiff_definitional(inst, ys, us))]),
+        "right_certificate": _outcome(lambda: [_hex(row) for row in zip(
+            *right_lpsubdiff_definitional(inst, ys, us))]),
     }
     return {"points": _hex(ys), "slopes": _hex(us), "single": single, "batch": batch}
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bregmanprox import catalog, kernels, numerics, proxenv, subdiff
+from bregmanprox import catalog, kernels, numerics, proxenv
 from bregmanprox.catalog import (F_ZERO, Instance, get_instance, instance_names,
                                  shift_scale)
 from bregmanprox.errors import (AllInfiniteError, OutOfRangeError,
@@ -421,23 +421,24 @@ def test_empty_batches_solve_nothing():
     assert list(eng.prox(np.array([]))) == []
 
 
-def _faulty_engine(monkeypatch):
-    """An ex310 engine whose objective row is +inf at ybar = 0.5 and falls
-    below the unboundedness cap at ybar = -0.5; 1.5 is outside its domain."""
+def _faulty_engine(monkeypatch, build="_left_rows"):
+    """An ex310 engine whose objective row (of the row builder ``build``) is
+    +inf at the point 0.5 and falls below the unboundedness cap at -0.5;
+    1.5 is outside its domain."""
     eng = proxenv.InstanceEngine(get_instance("ex310"), grid_n=2001)
-    real = eng._left_rows
+    real = getattr(eng, build)
 
-    def left_rows(ys):
-        phi, ys = real(ys), np.asarray(ys, dtype=float)
+    def faulty_rows(ys, *args):
+        (phi, grid, windows), ys = real(ys, *args), np.asarray(ys, dtype=float)
 
         def faulty(x, rows, *buf):
             y = ys[rows]
             out = phi(x, rows, *buf)
             return np.where(y == 0.5, np.inf, np.where(y == -0.5, out - 2e12, out))
 
-        return faulty
+        return faulty, grid, windows
 
-    monkeypatch.setattr(eng, "_left_rows", left_rows)
+    monkeypatch.setattr(eng, build, faulty_rows)
     return eng
 
 
@@ -459,6 +460,38 @@ def test_a_batch_raises_what_its_first_failing_row_raises_alone(monkeypatch, bad
         with pytest.raises(expected[0], match=expected[1]):
             query(np.array(clean + bad + clean))
     assert len(eng.prox(np.array(clean + clean))) == 40
+
+
+@pytest.mark.parametrize("bad", [
+    [0.5, -0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5], [-0.5, 1.5], [-0.5, 0.5]])
+def test_a_right_prox_batch_raises_what_its_first_failing_row_raises_alone(monkeypatch, bad):
+    """The right rows fail as the left rows do in
+    ``test_a_batch_raises_what_its_first_failing_row_raises_alone``: 1.5 is
+    outside dom kappa, 0.5 has an all-+inf row and -0.5 a row below the cap."""
+    eng = _faulty_engine(monkeypatch, "_right_rows")
+    clean = np.linspace(-0.95, -0.55, 20).tolist()
+    with pytest.raises((OutsideInteriorError, AllInfiniteError,
+                        UnboundedBelowError)) as alone:
+        eng.right_prox(bad[0])
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        eng.right_prox(np.array(clean + bad + clean))
+    assert len(eng.right_prox(np.array(clean + clean))) == 40
+
+
+@pytest.mark.parametrize("name", instance_names())
+def test_a_right_prox_batch_is_each_point_alone(name):
+    """``right_prox`` at an array equals its single calls bit for bit, or
+    raises what the first failing one raises: 40 points across the y grid
+    and the closed ends of dom kappa, unsorted, with repeats, in three
+    chunks of the whole-grid scan at N = 2001."""
+    eng = proxenv.InstanceEngine(get_instance(name), grid_n=2001)
+    dom = eng.kernel.domain
+    ends = [e for e in (dom.lo, dom.hi) if math.isfinite(e) and dom.contains(e)]
+    xs = np.roll(np.linspace(eng.y_grid.lo, eng.y_grid.hi, 36 - len(ends)), 11).tolist()
+    xs += ends + xs[:4]
+    assert len(xs) == 40
+    want = _outcome(lambda e, pts: [e.right_prox(x) for x in pts], eng, xs)
+    assert _outcome(lambda e, pts: e.right_prox(np.array(pts)), eng, xs) == want
 
 
 def test_prox_many_memory_is_bounded_by_blocks():
@@ -515,7 +548,7 @@ def _whole_grid_solve(eng, ys, finish=numerics.grid_minimize):
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     try:
         eng.check_interior(ys)
-        phi = eng._left_rows(ys)
+        phi = eng._left_rows(ys)[0]
         values = phi(eng.X, np.arange(ys.size)[:, None])
         return finish(phi, eng.x_grid, values=values)
     except (OutsideInteriorError, OutOfRangeError, AllInfiniteError, UnboundedBelowError):
@@ -627,7 +660,7 @@ def _hard_rows(eng, extra=()):
 
 def _whole_grid_coarse(eng):
     """The row minima of ``left_values`` on the interior grid, 100 rows at a time."""
-    phi = eng._left_rows(eng.Y)
+    phi = eng._left_rows(eng.Y)[0]
     return np.concatenate([phi(eng.X, rows[:, None]).min(axis=1)
                            for rows in np.array_split(np.arange(eng.Y.size), eng.Y.size // 100)])
 
@@ -753,10 +786,10 @@ def test_the_windowed_scan_fails_as_a_whole_grid_scan(monkeypatch, bad):
 def _scanned_cells(monkeypatch):
     """The grid cells ``InstanceEngine._scan`` evaluates, summed over its
     chunks: those of prox and envelope rows in ``cells[0]``, those of left
-    certificate rows (scanned under ``subdiff._least_slack``) in
+    certificate rows (scanned under ``InstanceEngine._least_slack``) in
     ``cells[1]``; and the [cells, chunks] of each scan, in ``scans``."""
     cells, scans, certifying = [0, 0], [], []
-    real, real_least = proxenv.InstanceEngine._scan, subdiff._least_slack
+    real, real_least = proxenv.InstanceEngine._scan, proxenv.InstanceEngine._least_slack
 
     def counted(self, *args):
         scans.append([0, 0])
@@ -774,7 +807,7 @@ def _scanned_cells(monkeypatch):
             certifying.pop()
 
     monkeypatch.setattr(proxenv.InstanceEngine, "_scan", counted)
-    monkeypatch.setattr(subdiff, "_least_slack", least)
+    monkeypatch.setattr(proxenv.InstanceEngine, "_least_slack", least)
     return cells, scans
 
 

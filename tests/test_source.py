@@ -180,3 +180,39 @@ def test_the_set_valued_slopes_are_one_engine_fact():
     found = [path.name for path in SOURCES if "segment_slopes" in _names(ast.parse(path.read_text()))
              and path.name not in ("numerics.py", "proxenv.py")]
     assert not found, f"segment_slopes named in {found}"
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _engine_names(tree: ast.Module) -> set[str]:
+    """Names a module binds to an engine: assigned from a call of
+    ``engine`` (or ``proxenv.engine``), or parameters annotated
+    ``InstanceEngine``."""
+    names = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and _callee(node.value) == "engine"
+             for t in node.targets if isinstance(t, ast.Name)}
+    return names | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)
+                    and node.annotation is not None
+                    and "InstanceEngine" in _names(node.annotation)}
+
+
+def test_only_the_engine_module_reads_engine_internals():
+    """An engine keeps its rows, windows and caches to itself: no module but
+    ``proxenv`` reads a ``_``-prefixed attribute of an engine (a name bound
+    to one, or ``engine(...)`` itself). The certificates read their least
+    slacks through ``InstanceEngine.left_slack`` and ``right_slack``."""
+    found = []
+    for path in SOURCES:
+        if path.name == "proxenv.py":
+            continue
+        tree = ast.parse(path.read_text())
+        engines = _engine_names(tree)
+        found += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and (isinstance(node.value, ast.Name) and node.value.id in engines
+                       or isinstance(node.value, ast.Call) and _callee(node.value) == "engine")]
+    assert not found, f"engine internals read at {found}"
