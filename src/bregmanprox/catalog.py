@@ -19,7 +19,7 @@ from .kernels import (BURG, CUBIC_ABS, ENERGY, HELLINGER, QUARTIC, SHANNON,
                       Kernel, _coerce, _masked)
 
 __all__ = ["ProperFn", "Instance", "get_instance", "instance_names",
-           "shift_scale", "F_ZERO", "F_ABS"]
+           "shift_scale", "mirror", "F_ZERO", "F_ABS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +93,15 @@ def shift_scale(fn: ProperFn, a: float, b: float, c: float) -> ProperFn:
         deriv=deriv,
         pb_threshold=thr,
     )
+
+
+def mirror(fn: ProperFn) -> ProperFn:
+    """x -> fn(-x) with the domain, window and derivative reflected."""
+    d = fn.domain
+    deriv = None if fn.deriv is None else (lambda x: -fn.deriv(-x))
+    return ProperFn(f"{fn.name}_mirrored", Interval(-d.hi, -d.lo, d.hi_closed, d.lo_closed),
+                    lambda x: fn.eval_arr(-x), (-fn.window[1], -fn.window[0]),
+                    deriv, fn.pb_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ import itertools
 import math
 import os
 import weakref
-import zlib
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -612,19 +611,19 @@ class InstanceEngine:
                        lambda x: np.where(np.isfinite(v := fn.eval_arr(x)), -v, np.inf), fn.window)
         return Instance(f"{self.name}-f", self.kernel, neg, self.lam)
 
-    def range_probe(self, n: int, seed: int):
-        """(ok, witnesses) of the range assumption on this engine: ``n``
-        ybar drawn across the interior, the witnesses the (ybar, minimizer)
-        pairs whose minimizer is off the interior."""
-        ys = sample_inset(np.random.default_rng(seed), self.y_grid.lo, self.y_grid.hi, n)
+    def range_probe(self, n: int):
+        """(ok, witnesses) of the range assumption on this engine at the ``n``
+        evenly spaced ybar of ``sample_inset(None, ...)`` on the y grid, the
+        witnesses the (ybar, minimizer) pairs whose minimizer is off the interior."""
+        ys = sample_inset(None, self.y_grid.lo, self.y_grid.hi, n)
         witnesses = prox_escapes(self, ys, self.prox(ys))
         return not witnesses, witnesses
 
     @cached_property
     def range_assumption(self) -> tuple[bool, tuple]:
-        """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points, with a
-        seed derived from the instance name alone."""
-        ok, witnesses = self.range_probe(RANGE_PROBE_N, zlib.crc32(self.name.encode()))
+        """(ok, witnesses) of ``range_probe`` at ``RANGE_PROBE_N`` points: a
+        fact of kernel, f, lambda and grid alone, with no seed."""
+        ok, witnesses = self.range_probe(RANGE_PROBE_N)
         return ok, tuple(witnesses)
 
 
@@ -814,13 +813,11 @@ def threshold_scan(kernel: Kernel, fn: ProperFn,
 # The range assumption
 # ---------------------------------------------------------------------------
 
-def range_probe(inst: Instance, n: int = 500, seed: int = 0):
-    """Sample ybar across the interior; check all prox outputs stay interior.
-
-    Returns (ok, witnesses) where witnesses are (ybar, minimizer) pairs that
-    landed on or beyond the boundary. Empirically falsifiable, not certifiable.
-    """
-    return engine(inst).range_probe(n, seed)
+def range_probe(inst: Instance, n: int = 500):
+    """``InstanceEngine.range_probe`` at ``n`` points on the registered engine:
+    (ok, witnesses), the (ybar, minimizer) pairs that landed on or beyond the
+    boundary. Empirically falsifiable, not certifiable."""
+    return engine(inst).range_probe(n)
 
 
 def prox_escapes(eng: InstanceEngine, ys, batch: ProxBatch) -> list[tuple[float, float]]:

@@ -107,21 +107,21 @@ def left_lpsubdiff_definitional(inst: Instance, xbar, u):
 
 
 def right_lpsubdiff_definitional(inst: Instance, ybar, v):
-    """Certificate for the right subdifferential of g at interior ybar, for
-    one (ybar, v) or for arrays of them, broadcast together.
+    """Certificate for the right subdifferential of g at ybar, for one
+    (ybar, v) or for arrays of them, broadcast together.
 
     Tests g(y) >= g(ybar) + v (grad kappa(y) - grad kappa(ybar)) - D(ybar, y)/lam
     over the whole interior grid (in y the slack is not of the left form);
-    (member, worst_slack, witness_y) as on the left, v finite included.
-    Raises ``OutOfRangeError`` naming the first ybar with g(ybar) finite
-    where kappa, or the tilt at an end of the y grid, overflows, as the
-    right prox does.
+    (member, worst_slack, witness_y) as on the left: membership requires
+    ybar interior to the kernel domain, g(ybar) and v finite, and other
+    points give (False, -inf, ybar). Raises ``OutOfRangeError`` naming the
+    first other ybar where kappa, or the tilt at an end of the y grid,
+    overflows, as the right prox does.
     """
     eng = engine(inst)
     yb, vv = _rows(ybar, v)
-    eng.check_interior(yb)
     gyb = eng.fn.eval(yb)
-    ok = np.isfinite(gyb) & np.isfinite(vv)
+    ok = eng.kernel.domain.interior_contains(yb) & np.isfinite(gyb) & np.isfinite(vv)
     return _certify(ybar, v, yb, ok, eng.right_slack, vv, gyb)
 
 

@@ -778,7 +778,7 @@ def _example_310(inst: Instance) -> list[Condition]:
 
 def _example_411(inst: Instance) -> list[Condition]:
     eng, s = engine(inst), left_lpsubdiff_hull(inst, 0.0)
-    ys = -0.999 + 1.998 * np.random.default_rng(0).random(60)
+    ys = -0.999 + 1.998 * (np.arange(60) + 0.5) / 60
     outs = sorted({round(m, 6) for m in eng.prox(ys).x.tolist()})
     off = max(min(abs(m), abs(m - 1.0)) for m in outs)
     probe_ok, escapes = eng.range_assumption

@@ -2,6 +2,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,33 @@ def test_reproduce_411_witness_reads_the_computed_graph(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce", "4.11")
     assert _witness_line(out).startswith("[FAIL]")
     assert code == 1
+
+
+_NO_RANDOM_CHILD = """
+import contextlib, io, sys
+from bregmanprox import cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+    if "numpy.random" in sys.modules:
+        print(argv)
+        break
+"""
+
+
+def test_commands_outside_verify_do_not_load_numpy_random():
+    """``list``, ``curve`` with every column and the five ``reproduce`` ids
+    draw no random numbers, so a fresh process never imports
+    ``numpy.random`` (with ``secrets``, ``hashlib`` and OpenSSL, about 5 MB
+    of its peak memory). The child prints the first command that loads it."""
+    commands = ["list", f"curve --instance ex310 --what {','.join(cli.QUANTITIES)} --grid=-0.9:0.9:7",
+                *(f"reproduce {e}" for e in EXAMPLE_IDS)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _NO_RANDOM_CHILD, *commands],
+                           capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == ""
 
 
 def test_reproduce_unknown(capsys):

@@ -409,7 +409,7 @@ def test_range_probe_solves_in_blocks(monkeypatch, zoom_brackets):
     monkeypatch.setenv("BREGMAN_GRID_N", "2001")
     inst = get_instance("hell_halfk")
     calls = _count_grid_minimize(monkeypatch)
-    proxenv.range_probe(inst, n=250, seed=3)
+    proxenv.range_probe(inst, n=250)
     assert len(calls) == len(zoom_brackets) == 1
     assert zoom_brackets[0] >= 250
 

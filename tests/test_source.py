@@ -216,3 +216,31 @@ def test_only_the_engine_module_reads_engine_internals():
                   and (isinstance(node.value, ast.Name) and node.value.id in engines
                        or isinstance(node.value, ast.Call) and _callee(node.value) == "engine")]
     assert not found, f"engine internals read at {found}"
+
+
+def _names_numpy_random(node) -> bool:
+    """``node`` is ``np.random`` (or ``numpy.random``) or an attribute of it."""
+    while isinstance(node, ast.Attribute):
+        if node.attr == "random" and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            return True
+        node = node.value
+    return False
+
+
+def test_only_the_harness_draws_random_numbers():
+    """Engine facts and the commands outside ``verify`` depend on no seed,
+    and importing ``numpy.random`` costs a fresh process about 5 MB: no
+    module but ``verify.py`` calls into ``np.random`` or imports it."""
+    found = []
+    for path in SOURCES:
+        if path.name == "verify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = isinstance(node, ast.Call) and _names_numpy_random(node.func)
+            imported = (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random")
+                        or isinstance(node, ast.Import)
+                        and any(a.name.startswith("numpy.random") for a in node.names))
+            if call or imported:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numpy.random used at {found}"

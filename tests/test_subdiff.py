@@ -152,6 +152,21 @@ def test_a_subgradient_that_is_not_finite_is_no_member(cert, name):
         bits(cert(inst, 0.5, 1.0))
 
 
+@pytest.mark.parametrize("cert", [left_lpsubdiff_definitional, right_lpsubdiff_definitional])
+def test_a_point_off_the_interior_is_no_member_row_by_row(cert):
+    """On ex310 (Hellinger, dom [-1, 1]) the points 1.5 and -1 are off int
+    dom kappa: each reads (False, -inf, itself) alone and in a batch, and
+    the interior row 0.2 of the batch keeps the bits it has alone. The
+    right certificate raised ``OutsideInteriorError`` for the whole batch."""
+    inst = get_instance("ex310")
+    for y in (1.5, -1.0):
+        assert bits(cert(inst, y, 0.3)) == bits((False, -math.inf, y))
+    member, worst, witness = cert(inst, [0.2, 1.5, -1.0], 0.3)
+    rows = list(zip(member.tolist(), worst.tolist(), witness.tolist()))
+    assert bits(rows[1:]) == bits([(False, -math.inf, 1.5), (False, -math.inf, -1.0)])
+    assert bits(rows[0]) == bits(cert(inst, 0.2, 0.3))
+
+
 def test_right_definitional_zero():
     inst = get_instance("euclid_zero")
     assert right_lpsubdiff_definitional(inst, 0.7, 0.0)[0]
